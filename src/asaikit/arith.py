@@ -691,6 +691,16 @@ class BesselMomentReport:
     agree: bool
 
 
+@lru_cache(maxsize=1024)
+def _besselk(nu: int, x: mpmath.mpf, prec: int) -> mpmath.mpf:
+    """K_nu(x) at ``prec`` bits (the caller's working precision).
+
+    Quadratures for several moments of one K_nu share their nodes, so each
+    node is evaluated once; one K_nu has about 500 nodes.
+    """
+    return mpmath.besselk(nu, x)
+
+
 def bessel_k_moment_check(nu: int, mu: Fraction | int, a: Fraction | int) -> BesselMomentReport:
     """Check int_0^infty K_nu(a t) t^(mu-1) dt = 2^(mu-2) a^(-mu) Gamma((mu+nu)/2) Gamma((mu-nu)/2).
 
@@ -707,7 +717,7 @@ def bessel_k_moment_check(nu: int, mu: Fraction | int, a: Fraction | int) -> Bes
     with mp.workprec(80):
         af = mpmath.mpf(a.numerator) / a.denominator
         muf = mpmath.mpf(mu.numerator) / mu.denominator
-        integrand = lambda t: mpmath.besselk(nu, af * t) * t ** (muf - 1)
+        integrand = lambda t: _besselk(nu, af * t, mp.prec) * t ** (muf - 1)
         lhs = mpmath.quad(integrand, [0, 1 / af, 10 / af, mpmath.inf])
         rhs = (
             mpmath.mpf(2) ** (muf - 2)

@@ -10,8 +10,10 @@ so exact rational test data is enough.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, isqrt
 
 from .arith import ArithTables, Rational, kronecker_symbol, vp
@@ -87,8 +89,9 @@ class MockEigenform:
 
     ``eigen`` maps a rational prime l to its c-values: a pair (c(L), c(Lbar))
     when l splits, a single value otherwise.  Primes dividing N default to
-    eigenvalue 0 unless supplied.  All coefficient lookups are memoized into
-    tables before the form is shared across threads.
+    eigenvalue 0 unless supplied.  ``tabulate(R)`` stores the nonzero c(r)
+    and d(r) for r <= R; lookups up to the tabulated bound read those tables
+    (an absent r is a zero), lookups above it are computed pointwise.
     """
 
     def __init__(
@@ -118,6 +121,8 @@ class MockEigenform:
         self.p_satake = (a1, a2, b1, b2)
         self.eigen = {l: tuple(Fraction(c) for c in cs) for l, cs in eigen.items()}
         self._cpp: dict[tuple[int, int, int], Fraction] = {}
+        # nonzero c(r) and d(r) for r <= _bound, in ascending r
+        self._bound = 1
         self._c: dict[int, Fraction] = {1: Fraction(1)}
         self._d: dict[int, Fraction] = {1: Fraction(1)}
 
@@ -138,9 +143,12 @@ class MockEigenform:
     def _c_prime_power(self, l: int, which: int, e: int) -> Fraction:
         key = (l, which, e)
         if key not in self._cpp:
-            norm = self.field.ideal_norm(l)
             cl = self.c_at_ideal(l, which)
-            self._cpp[key] = hecke_power(cl, Fraction(norm) ** (self.k - 1), e)
+            if e == 1:  # c(L) itself: most primes below a tabulation bound stop here
+                self._cpp[key] = cl
+            else:
+                norm = self.field.ideal_norm(l)
+                self._cpp[key] = hecke_power(cl, Fraction(norm) ** (self.k - 1), e)
         return self._cpp[key]
 
     def coeff(self, r: int) -> Fraction:
@@ -149,25 +157,69 @@ class MockEigenform:
     def asai(self, r: int) -> Fraction:
         return asai_coeff(self, r)
 
-    def tabulate(self, bound: int, tables: ArithTables | None = None) -> None:
-        """Precompute c(r) and d(r) for r <= bound (build once, then read-only)."""
-        t = tables if tables is not None and tables.bound >= bound else ArithTables(bound)
-        for r in range(2, bound + 1):
-            if r not in self._c:
-                self._c[r] = self._coeff_from_factorization(t.factor(r))
+    def tabulate(self, bound: int) -> None:
+        """Tabulate the nonzero c(r) and d(r) for r <= bound (build once, then read-only).
+
+        c is multiplicative, so its support is the set of products of coprime
+        prime powers with nonzero local value; a depth-first walk over the
+        primes builds exactly those.  Every prime <= bound is visited, so
+        missing eigen-data raises ``KeyError`` as a pointwise lookup would.
+        """
+        if bound <= self._bound:
+            return
+        local = []  # per prime l: the (l^e, c(l^e)) with c(l^e) != 0, l^e <= bound
+        for l in ArithTables(bound).primes:
+            powers = []
+            le, e = l, 1
+            while le <= bound:
+                v = self._coeff_from_factorization([(l, e)])
+                if v:
+                    powers.append((le, v))
+                le *= l
+                e += 1
+            if powers:
+                local.append((l, powers))
+        c = {1: Fraction(1)}
+        stack = [(1, Fraction(1), 0)]
+        while stack:
+            r, v, start = stack.pop()
+            for i in range(start, len(local)):
+                l, powers = local[i]
+                if r * l > bound:
+                    break
+                for le, w in powers:
+                    rl = r * le
+                    if rl > bound:
+                        break
+                    c[rl] = v * w
+                    stack.append((rl, c[rl], i + 1))
+        self._c = {r: c[r] for r in sorted(c)}
         # d(r) = sum over r = m^2 t, gcd(m, N) = 1, of m^(2k-2) c(t)
-        d = [Fraction(0)] * (bound + 1)
+        d: dict[int, Fraction] = {}
         m = 1
         while m * m <= bound:
             if gcd(m, self.N) == 1:
                 w = Fraction(m) ** (2 * self.k - 2)
                 mm = m * m
-                for tval in range(1, bound // mm + 1):
-                    d[mm * tval] += w * self._c[tval]
+                for t, ct in self._c.items():
+                    r = mm * t
+                    if r > bound:
+                        break
+                    d[r] = d.get(r, 0) + w * ct
             m += 1
-        for r in range(1, bound + 1):
-            self._d[r] = d[r]
-        self._tables = t
+        # entries can cancel: at an inert l, d(l^2) = c(l^2) + l^(2k-2) = 0 when c(l) = 0
+        self._d = {r: d[r] for r in sorted(d) if d[r]}
+        self._bound = bound
+
+    def nonzero(self, R: int, which: str = "d") -> Iterator[tuple[int, Fraction]]:
+        """The nonzero (r, d(r)), or (r, c(r)) with ``which="c"``, for r <= R in ascending r.
+
+        Needs ``tabulate(R)`` first.
+        """
+        if R > self._bound:
+            raise ValueError(f"coefficients are tabulated up to {self._bound}, not {R}")
+        table = self._d if which == "d" else self._c
+        return takewhile(lambda item: item[0] <= R, table.items())
 
     def _coeff_from_factorization(self, fac: list[tuple[int, int]]) -> Fraction:
         out = Fraction(1)
@@ -179,15 +231,6 @@ class MockEigenform:
                 out *= self._c_prime_power(l, 0, e)
             else:
                 out *= self._c_prime_power(l, 0, 2 * e)
-        return out
-
-    def _asai_from_c(self, r: int) -> Fraction:
-        out = Fraction(0)
-        m = 1
-        while m * m <= r:
-            if r % (m * m) == 0 and gcd(m, self.N) == 1:
-                out += Fraction(m) ** (2 * self.k - 2) * self._c[r // (m * m)]
-            m += 1
         return out
 
 
@@ -209,26 +252,23 @@ def coeff_principal(f: MockEigenform, r: int) -> Fraction:
     """c((r)) by multiplicativity over the ideal factorization of (r)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if r in f._c:
-        return f._c[r]
-    out = f._coeff_from_factorization(_factor_small(r))
-    f._c[r] = out
-    return out
+    if r <= f._bound:
+        return f._c.get(r, Fraction(0))
+    return f._coeff_from_factorization(_factor_small(r))
 
 
 def asai_coeff(f: MockEigenform, r: int) -> Fraction:
     """d(r) = sum over m^2 t = r, gcd(m, N) = 1, of m^(2k-2) c((t))."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if r in f._d:
-        return f._d[r]
+    if r <= f._bound:
+        return f._d.get(r, Fraction(0))
     out = Fraction(0)
     m = 1
     while m * m <= r:
         if r % (m * m) == 0 and gcd(m, f.N) == 1:
             out += Fraction(m) ** (2 * f.k - 2) * coeff_principal(f, r // (m * m))
         m += 1
-    f._d[r] = out
     return out
 
 

@@ -14,10 +14,11 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+
+from mpmath import mp
 
 from . import arith, asai, characters, cohomology, distribution, eisenstein, padic
 
@@ -38,7 +39,6 @@ class RunConfig:
     precision_bits: int = 128
     truncation_R: int = 100_000
     tolerance_exp: int = 10
-    parallelism: int = 1
     seed: int = 0
     p: int | None = None
     j: int | None = None
@@ -346,7 +346,8 @@ def _suite_distribution(cfg: RunConfig) -> list[Check]:
             for chi in characters.enumerate_characters(p):
                 v1 = distribution.integrate_character(params, chi, 1)
                 v2 = distribution.integrate_character(params, chi, 2)
-                gap = float(abs(v1.value.to_mpc() - v2.value.to_mpc()))
+                with mp.workprec(cfg.precision_bits + 16):
+                    gap = float(abs(v1.value.to_mpc() - v2.value.to_mpc()))
                 worst = max(worst, gap)
                 if gap > cfg.tol:
                     return False, gap, f"p={p} chi={chi.exps}"
@@ -359,8 +360,9 @@ def _suite_distribution(cfg: RunConfig) -> list[Check]:
             for chi in characters.enumerate_characters(p * p):
                 sym = distribution.integrate_character(params, chi, 2, symmetrized=True)
                 plain = distribution.integrate_character(params, chi, 2)
-                want = 0 if chi.is_odd else 2 * plain.value.to_mpc()
-                gap = float(abs(sym.value.to_mpc() - want))
+                with mp.workprec(cfg.precision_bits + 16):
+                    want = 0 if chi.is_odd else 2 * plain.value.to_mpc()
+                    gap = float(abs(sym.value.to_mpc() - want))
                 worst = max(worst, gap)
                 if gap > cfg.tol:
                     return False, gap, f"p={p} chi={chi.exps}"
@@ -639,11 +641,7 @@ def cmd_verify(args) -> int:
     checks: list[Check] = []
     for name in names:
         checks.extend(SUITE_BUILDERS[name](cfg))
-    if cfg.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(lambda c: c.run(), checks))
-    else:
-        results = [c.run() for c in checks]
+    results = [c.run() for c in checks]
     all_ok = True
     for r in results:
         mark = "PASS" if r.status == "pass" else "FAIL"
@@ -780,7 +778,6 @@ def _config_from(args) -> RunConfig:
         precision_bits=prec,
         truncation_R=args.R,
         tolerance_exp=args.tol,
-        parallelism=args.parallelism,
         seed=args.seed,
         p=args.p,
         j=args.j,
@@ -807,7 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--prec", type=int, default=None)
     v.add_argument("--tol", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--parallelism", type=int, default=1)
     v.add_argument("--eigenform", type=str, default=None)
     v.add_argument("--gamma-table", type=str, default=None)
     v.add_argument("--measure-table", type=str, default=None)

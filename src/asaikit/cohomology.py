@@ -686,15 +686,13 @@ def pairing_series(
         s_int = int(s_prime) if s_prime.denominator == 1 else None
         buckets = [mpmath.mpf(0)] * q
         amax = 0.0
-        for r in range(1, R + 1):
-            cr = f._c[r]
-            if cr:
-                term = mpmath.mpf(cr.numerator) / cr.denominator
-                term = term * (mpmath.mpf(r) ** (-s_int) if s_int is not None else mpmath.mpf(r) ** (-sf))
-                buckets[r % q] += term
-                a = abs(cr.numerator / cr.denominator) / float(r) ** f.k
-                if a > amax:
-                    amax = a
+        for r, cr in f.nonzero(R, "c"):
+            term = mpmath.mpf(cr.numerator) / cr.denominator
+            term = term * (mpmath.mpf(r) ** (-s_int) if s_int is not None else mpmath.mpf(r) ** (-sf))
+            buckets[r % q] += term
+            a = abs(cr.numerator / cr.denominator) / float(r) ** f.k
+            if a > amax:
+                amax = a
         acc = mpmath.mpc(0)
         for t in range(q):
             if buckets[t]:
@@ -763,17 +761,15 @@ def rationality_ratio(
         twisted = mpmath.mpc(0)
         ordv = chi0.value_order
         chibar = chi0.inverse()
-        for r in range(1, R + 1):
+        for r, d in f.nonzero(R):
             t = chibar.exponent_of(r % C) if C > 1 else 0
             if t is None:
                 continue
-            d = f._d[r]
-            if d:
-                twisted += (
-                    mpmath.expjpi(mpmath.mpf(2 * t) / ordv)
-                    * (mpmath.mpf(d.numerator) / d.denominator)
-                    * mpmath.mpf(r) ** (-int(s_prime))
-                )
+            twisted += (
+                mpmath.expjpi(mpmath.mpf(2 * t) / ordv)
+                * (mpmath.mpf(d.numerator) / d.denominator)
+                * mpmath.mpf(r) ** (-int(s_prime))
+            )
         gp0 = g_infinity_prime(n, m, 0, table, prec + 16).to_mpc()
         if gp0 == 0:
             raise ValueError("Gamma table gives vanishing G'_infinity(0)")

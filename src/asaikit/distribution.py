@@ -7,10 +7,11 @@ bounds; the majorant constant is taken from the computed range of |d(r)|/r^k
 rather than an unconditional growth bound, so the bound is honest for
 synthetic eigen-data as well.
 
-Evaluation strategy: one pass stores d(r) r^(-s) for r <= R; values of
-P_s at rationals with denominator q are then root-of-unity combinations of
-the q residue buckets, so whole families of coset values cost almost nothing
-beyond the initial pass.
+Evaluation strategy: one pass over the nonzero support of d (a few
+thousand r at R = 1e5, read from the form's sparse tables) stores the pairs
+(r, d(r) r^(-s)) in ascending r; values of P_s at rationals with
+denominator q are then root-of-unity combinations of the q residue buckets,
+so whole families of coset values cost almost nothing beyond that pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import gcd
 import mpmath
 from mpmath import mp
 
-from .arith import ArithTables, BigComplex, vp
+from .arith import BigComplex, vp
 from .asai import MockEigenform, OrdinaryData, ordinary_data
 from .characters import DirichletCharacter, gauss_sum
 
@@ -67,7 +68,7 @@ class DistParams:
         self.R = R
         self.prec = prec
         self.ordinary: OrdinaryData = ordinary_data(f)
-        self._terms: list | None = None
+        self._terms: list[tuple[int, mpmath.mpf]] | None = None  # nonzero (r, d(r) r^(-s))
         self._buckets: dict[int, list] = {}
         self._roots: dict[int, list] = {}
         self._tail0: float | None = None
@@ -82,17 +83,15 @@ class DistParams:
         with mp.workprec(self.prec + 16):
             s_int = int(s) if s.denominator == 1 else None
             sf = _to_mpf(s)
-            terms = [mpmath.mpf(0)] * (R + 1)
+            terms = []
             amax = 0.0
             k = f.k
-            for r in range(1, R + 1):
-                d = f._d[r]
-                if d:
-                    df = _to_mpf(d)
-                    terms[r] = df * (mpmath.mpf(r) ** (-s_int) if s_int is not None else mpmath.mpf(r) ** (-sf))
-                    a = abs(d.numerator / d.denominator) / float(r) ** k
-                    if a > amax:
-                        amax = a
+            for r, d in f.nonzero(R):
+                df = _to_mpf(d)
+                terms.append((r, df * (mpmath.mpf(r) ** (-s_int) if s_int is not None else mpmath.mpf(r) ** (-sf))))
+                a = abs(d.numerator / d.denominator) / float(r) ** k
+                if a > amax:
+                    amax = a
             self._terms = terms
             self._tail0 = amax * float(R) ** (f.k + 1 - float(s)) / (float(s) - f.k - 1)
 
@@ -106,10 +105,8 @@ class DistParams:
             self._ensure_terms()
             with mp.workprec(self.prec + 16):
                 W = [mpmath.mpf(0)] * q
-                for r in range(1, self.R + 1):
-                    t = self._terms[r]
-                    if t:
-                        W[r % q] += t
+                for r, t in self._terms:
+                    W[r % q] += t
             self._buckets[q] = W
         return self._buckets[q]
 
@@ -322,6 +319,7 @@ def check_interpolation(
     level = j if j is not None else max(j_mod, 1)
     lhs = integrate_character(params, chi, level)
     rhs = interpolation_rhs(params, chi)
-    gap = float(abs(lhs.value.to_mpc() - rhs.value.to_mpc()))
+    with mp.workprec(params.prec + 16):
+        gap = float(abs(lhs.value.to_mpc() - rhs.value.to_mpc()))
     bound = lhs.tail_bound + rhs.tail_bound
     return InterpolationReport(lhs.value, rhs.value, gap, bound, gap <= max(bound, 1e-30))

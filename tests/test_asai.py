@@ -3,7 +3,10 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asaikit import asai as asai_module
 from asaikit.arith import vp
 from asaikit.asai import (
     FormalDirichletSeries,
@@ -116,7 +119,70 @@ class TestCoefficients:
         g = sample_form(seed=3, bound=450)
         f.tabulate(400)
         for r in range(1, 401):
-            assert f._d[r] == asai_coeff(g, r)
+            assert asai_coeff(f, r) == asai_coeff(g, r)
+        assert dict(f.nonzero(400)) == {
+            r: asai_coeff(g, r) for r in range(1, 401) if asai_coeff(g, r)
+        }
+
+
+class TestSparseTables:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        k=st.sampled_from((2, 3)),
+        N=st.sampled_from((1, 2, 3, 6, 7)),
+        dense=st.booleans(),
+        bound=st.integers(1, 400),
+    )
+    def test_match_pointwise(self, seed, k, N, dense, bound):
+        # dense: eigen-data nonzero at every prime; otherwise the acceptance
+        # support 31 <= l <= 80.  Even N exercises the gcd(m, N) = 1 filter.
+        def form():
+            return random_mock_eigenform(
+                random.Random(seed),
+                k=k,
+                N=N,
+                p=5,
+                prime_bound=max(bound, 2),
+                support_bound=None if dense else 80,
+                support_min=2 if dense else 31,
+            )
+
+        f, g = form(), form()
+        f.tabulate(bound)
+        c = [(r, coeff_principal(g, r)) for r in range(1, bound + 1)]
+        d = [(r, asai_coeff(g, r)) for r in range(1, bound + 1)]
+        assert [(r, coeff_principal(f, r)) for r in range(1, bound + 1)] == c
+        assert [(r, asai_coeff(f, r)) for r in range(1, bound + 1)] == d
+        assert list(f.nonzero(bound, "c")) == [(r, v) for r, v in c if v]
+        assert list(f.nonzero(bound)) == [(r, v) for r, v in d if v]
+
+    def test_inert_square_cancels(self):
+        # c(l) = 0 at an inert l gives d(l^2) = c(l^2) + l^(2k-2) = 0: no table entry
+        f = random_mock_eigenform(random.Random(0), k=2, p=5, prime_bound=250, support_bound=0)
+        f.tabulate(250)
+        d = dict(f.nonzero(250))
+        for l in (3, 7, 11):
+            assert f.field.splitting(l) == "inert"
+            assert coeff_principal(f, l * l) != 0
+            assert l * l not in d and asai_coeff(f, l * l) == 0
+
+    def test_tabulate_past_eigen_data_raises(self):
+        f = sample_form(bound=100)
+        with pytest.raises(KeyError):
+            f.tabulate(120)
+        with pytest.raises(KeyError):
+            coeff_principal(f, 101)
+
+    def test_covered_bound_and_accessor_range(self):
+        f = sample_form(bound=300)
+        f.tabulate(300)
+        before = list(f.nonzero(300))
+        f.tabulate(200)
+        assert list(f.nonzero(300)) == before
+        assert list(f.nonzero(200)) == [(r, v) for r, v in before if r <= 200]
+        with pytest.raises(ValueError):
+            f.nonzero(301)
 
 
 class TestLocalFactors:
@@ -152,10 +218,13 @@ class TestLocalFactors:
                 rep = euler_vs_coefficients(f, 200)
                 assert rep.ok, rep
 
-    def test_corrupted_coefficient_detected(self):
+    def test_corrupted_coefficient_detected(self, monkeypatch):
         f = sample_form(bound=200)
         f.tabulate(200)
-        f._d[6] += 1
+        true_coeff = asai_module.asai_coeff
+        monkeypatch.setattr(
+            asai_module, "asai_coeff", lambda g, r: true_coeff(g, r) + (1 if r == 6 else 0)
+        )
         rep = euler_vs_coefficients(f, 200)
         assert not rep.ok and rep.first_mismatch == 6
 

@@ -44,12 +44,19 @@ class TestVerify:
         for r1, r2 in zip(d1["results"], d2["results"]):
             assert r1["status"] == r2["status"] and r1["gap"] == r2["gap"]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        c1, c2 = str(tmp_path / "s.json"), str(tmp_path / "p.json")
-        run(["verify", "cohomology", "--cache", c1])
-        run(["verify", "cohomology", "--parallelism", "4", "--cache", c2])
-        d1, d2 = json.load(open(c1)), json.load(open(c2))
-        assert [r["status"] for r in d1["results"]] == [r["status"] for r in d2["results"]]
+    def test_parallelism_option_rejected(self, tmp_path, capsys):
+        # threads shared mpmath's process-wide precision; the option is gone
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "all", "--parallelism", "4", "--cache", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
+        assert "--parallelism" in capsys.readouterr().err
+
+    def test_parity_gap_at_working_precision(self, tmp_path, capsys):
+        # a gap rounded at 53 bits read 1.2e-11 here; the true gap is about 1e-35
+        cache = str(tmp_path / "c.json")
+        run(["verify", "distribution", "--R", "20000", "--cache", cache])
+        rows = {r["name"]: r for r in json.load(open(cache))["results"]}
+        assert rows["parity-and-symmetrization"]["gap"] < 1e-25
 
 
 class TestEisensteinCommand:

@@ -6,8 +6,9 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from asaikit.asai import MockEigenform, QuadFieldData, random_mock_eigenform
+from asaikit.asai import MockEigenform, QuadFieldData, asai_coeff, random_mock_eigenform
 from tests.conftest import acceptance_mock
+from asaikit.arith import BigComplex
 from asaikit.characters import enumerate_characters, gauss_sum
 from asaikit.distribution import (
     DistParams,
@@ -51,7 +52,7 @@ class TestPs:
         with mp.workprec(160):
             want = mpmath.mpf(0)
             for r in range(1, params.R + 1):
-                d = params.f._d[r]
+                d = asai_coeff(params.f, r)
                 if d:
                     want += (
                         mpmath.mpf((-1) ** r)
@@ -96,7 +97,7 @@ class TestMuTilde:
         params = DistParams(f1, 3, F(5), 200, 96)
         v = mu_tilde(params, 1, 1)
         with mp.workprec(160):
-            params._terms = [2 * t for t in params._terms]
+            params._terms = [(r, 2 * t) for r, t in params._terms]
         params._buckets = {}
         v2 = mu_tilde(params, 1, 1)
         with mp.workprec(160):
@@ -105,6 +106,62 @@ class TestMuTilde:
     def test_rejects_non_units(self, dist_params_small):
         with pytest.raises(ValueError):
             mu_tilde(dist_params_small, 3, 1)
+
+
+class TestDenseOracle:
+    """The sparse term pass against the dense loop over every r <= R."""
+
+    def test_P_s_tail_and_mu_tilde_match(self):
+        R, s, prec, p = 3000, 5, 128, 3
+        params = DistParams(acceptance_mock(11, p, R=R), p, F(s), R, prec)
+        g = acceptance_mock(11, p, R=R)  # untabulated twin: d(r) computed pointwise
+        k = g.k
+        with mp.workprec(prec + 16):
+            terms = [mpmath.mpf(0)] * (R + 1)
+            amax = 0.0
+            for r in range(1, R + 1):
+                d = asai_coeff(g, r)
+                if d:
+                    terms[r] = mpmath.mpf(d.numerator) / d.denominator * mpmath.mpf(r) ** (-s)
+                    amax = max(amax, abs(d.numerator / d.denominator) / float(r) ** k)
+        tail = amax * float(R) ** (k + 1 - s) / (s - k - 1)
+        assert params.tail_bound() == tail
+
+        def dense_P_s(b):
+            q, c = b.denominator, b.numerator % b.denominator
+            with mp.workprec(prec + 16):
+                W = [mpmath.mpf(0)] * q
+                for r in range(1, R + 1):
+                    if terms[r]:
+                        W[r % q] += terms[r]
+                acc = mpmath.mpc(0)
+                for t in range(q):
+                    if W[t]:
+                        acc += W[t] * mpmath.expjpi(mpmath.mpf(2 * (t * c % q)) / q)
+            return BigComplex.from_mpc(acc, prec).to_mpc()
+
+        for b in (F(0), F(1, 2), F(1, 3), F(2, 9), F(5, 27)):
+            assert P_s(params, b).value.to_mpc() == dense_P_s(b)
+
+        od = params.ordinary
+        for a, j in ((1, 1), (2, 1), (4, 2), (7, 2)):
+            with mp.workprec(prec + 16):
+                pref = mpmath.mpf(p) ** (j * s - j) / (
+                    mpmath.mpf(od.kappa.numerator) / od.kappa.denominator
+                ) ** j
+                acc = mpmath.mpc(0)
+                want_tail = 0.0
+                for i in range(4):
+                    if od.B[i] == 0:
+                        continue
+                    w = mpmath.mpf(od.B[i].numerator) / od.B[i].denominator * mpmath.mpf(p) ** (-i * s)
+                    acc += w * dense_P_s(F(a * p**i, p**j))
+                    want_tail += abs(float(w)) * tail
+                acc *= pref
+                want_tail *= abs(float(pref))
+            got = mu_tilde(params, a, j)
+            assert got.value.to_mpc() == BigComplex.from_mpc(acc, prec).to_mpc()
+            assert got.tail_bound == want_tail
 
 
 class TestDistributionRelation:
