@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import mpmath
 from mpmath import mp
@@ -32,8 +32,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "CyclotomicNumber",
     "cyclotomic_mul",
-    "cyclotomic_lift",
-    "cyclotomic_norm",
     "embed_complex",
     "BigComplex",
     "bessel_k_moment_check",
@@ -43,6 +41,11 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # elementary number theory
+
+
+def _frac_str(x: Fraction) -> str:
+    """A rational as text: "n" or "n/d"."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def vp(x: Fraction | int, p: int) -> Fraction | float:
@@ -130,7 +133,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 class ArithTables:
-    """Sieved Moebius, totient, and prime tables up to a bound."""
+    """Sieved Moebius and prime tables up to a bound."""
 
     def __init__(self, bound: int):
         if bound < 1:
@@ -142,42 +145,17 @@ class ArithTables:
                 for m in range(q * q, bound + 1, q):
                     if spf[m] == m:
                         spf[m] = q
-        self._spf = spf
         mob = [0] * (bound + 1)
-        phi = [0] * (bound + 1)
-        mob[1] = phi[1] = 1
+        mob[1] = 1
         for n in range(2, bound + 1):
             q = spf[n]
-            m = n // q
-            if m % q == 0:
-                mob[n] = 0
-                phi[n] = phi[m] * q
-            else:
-                mob[n] = -mob[m]
-                phi[n] = phi[m] * (q - 1)
+            if (n // q) % q:
+                mob[n] = -mob[n // q]
         self._mobius = mob
-        self._phi = phi
         self.primes = [n for n in range(2, bound + 1) if spf[n] == n]
 
     def mobius(self, n: int) -> int:
         return self._mobius[n]
-
-    def phi(self, n: int) -> int:
-        return self._phi[n]
-
-    def smallest_prime_factor(self, n: int) -> int:
-        return self._spf[n]
-
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        out = []
-        while n > 1:
-            q = self._spf[n]
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            out.append((q, e))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +207,6 @@ def _poly_trim(c: list) -> list:
     while c and not c[-1]:
         c.pop()
     return c
-
-
-def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -567,14 +535,6 @@ def cyclotomic_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber
     if not prod:
         return CyclotomicNumber.from_rational(0, a.order)
     return CyclotomicNumber(a.order, _reduce_mod_cyclotomic(prod, a.order))
-
-
-def cyclotomic_lift(a: CyclotomicNumber, order: int) -> CyclotomicNumber:
-    return a.lift(order)
-
-
-def cyclotomic_norm(a: CyclotomicNumber) -> Fraction:
-    return a.norm()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,15 @@ from fractions import Fraction
 from itertools import takewhile
 from math import gcd, isqrt
 
-from .arith import ArithTables, Rational, kronecker_symbol, vp
+from .arith import (
+    ArithTables,
+    Rational,
+    _frac_str,
+    _poly_mul_frac,
+    factorize,
+    kronecker_symbol,
+    vp,
+)
 
 __all__ = [
     "QuadFieldData",
@@ -254,7 +262,7 @@ def coeff_principal(f: MockEigenform, r: int) -> Fraction:
         raise ValueError("r must be >= 1")
     if r <= f._bound:
         return f._c.get(r, Fraction(0))
-    return f._coeff_from_factorization(_factor_small(r))
+    return f._coeff_from_factorization(factorize(r))
 
 
 def asai_coeff(f: MockEigenform, r: int) -> Fraction:
@@ -269,22 +277,6 @@ def asai_coeff(f: MockEigenform, r: int) -> Fraction:
         if r % (m * m) == 0 and gcd(m, f.N) == 1:
             out += Fraction(m) ** (2 * f.k - 2) * coeff_principal(f, r // (m * m))
         m += 1
-    return out
-
-
-def _factor_small(n: int) -> list[tuple[int, int]]:
-    out = []
-    q = 2
-    while q * q <= n:
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
-        if e:
-            out.append((q, e))
-        q += 1
-    if n > 1:
-        out.append((n, 1))
     return out
 
 
@@ -373,7 +365,7 @@ def local_asai_factor(f: MockEigenform, l: int, chi, k: int | None = None) -> li
     k = f.k if k is None else k
     if f.N % l == 0:
         raise ValueError("local factor only defined away from the level")
-    if chi is not None and l % _chi_p(chi) == 0 and chi.modulus > 1:
+    if chi is not None and chi.modulus > 1 and l % factorize(chi.modulus)[0][0] == 0:
         raise ValueError("local factor only defined away from p")
     if chi is None:
         x1 = Fraction(1)
@@ -403,29 +395,13 @@ def local_asai_factor(f: MockEigenform, l: int, chi, k: int | None = None) -> li
         # (1 - chi c X + chi^2 q2 X^2)(1 - chi^2 q2 X^2)
         p1 = [Fraction(1), -x1 * c, x2 * q2]
         p2 = [Fraction(1), Fraction(0), -x2 * q2]
-        return _poly_mul(p1, p2)
+        return _poly_mul_frac(p1, p2)
     # ramified
     q = Fraction(l) ** (k - 1)
     c = f.c_at_ideal(l, 0)
     p1 = [Fraction(1), -x1 * (c * c - 2 * q), x2 * q * q]
     p2 = [Fraction(1), -x1 * q]
-    return _poly_mul(p1, p2)
-
-
-def _chi_p(chi) -> int:
-    from .arith import factorize
-
-    if chi.modulus == 1:
-        return 1
-    return factorize(chi.modulus)[0][0]
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+    return _poly_mul_frac(p1, p2)
 
 
 @dataclass(frozen=True)
@@ -502,8 +478,8 @@ def ordinary_data(f: MockEigenform, p: int | None = None) -> OrdinaryData:
                 roots = [a1 * b2, a2 * b1, a2 * b2]
                 H = [Fraction(1)]
                 for r in roots:
-                    H = _poly_mul(H, [Fraction(1), -r])
-                F = _poly_mul(H, [Fraction(1), -kappa])
+                    H = _poly_mul_frac(H, [Fraction(1), -r])
+                F = _poly_mul_frac(H, [Fraction(1), -kappa])
                 return OrdinaryData(tuple(F), tuple(H), (H[0], H[1], H[2], H[3]), kappa)
     raise ValueError("form is not ordinary at p: no Satake labeling gives a unit product")
 
@@ -617,7 +593,3 @@ def load_eigenform(text: str) -> MockEigenform:
     return MockEigenform(
         int(header["k"]), int(header["N"]), field, eigen, int(header["p"]), satake
     )
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from itertools import product
 
 import mpmath
@@ -33,7 +33,6 @@ from .arith import (
 __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
-    "conductor",
     "GaussSumResult",
     "gauss_sum",
     "GeneralizedGaussSum",
@@ -48,6 +47,9 @@ __all__ = [
     "NormalizedLValue",
     "normalized_L",
 ]
+
+
+_ONE = CyclotomicNumber.from_rational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,9 @@ class DirichletCharacter:
     off the units, where the character vanishes).
     """
 
-    __slots__ = ("modulus", "exps", "value_order", "_table", "_conductor", "_primitive")
+    __slots__ = (
+        "modulus", "exps", "value_order", "_table", "_conductor", "_primitive", "_components"
+    )
 
     def __init__(self, modulus: int, exps: tuple[int, ...]):
         grp = _unit_group(modulus)
@@ -159,6 +163,7 @@ class DirichletCharacter:
         self._table = table
         self._conductor: int | None = None
         self._primitive: "DirichletCharacter | None" = None
+        self._components: "tuple[tuple[int, int, DirichletCharacter], ...] | None" = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -290,8 +295,30 @@ def enumerate_characters(M: int) -> tuple[DirichletCharacter, ...]:
     return tuple(out)
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor()
+def _components(chi: DirichletCharacter) -> tuple[tuple[int, int, DirichletCharacter], ...]:
+    """Restrictions of chi to the prime-power factors q of its modulus M (CRT).
+
+    Returns (q, u, chi_q) per factor, with u the inverse of M/q modulo q, so
+    that sum_w chi(w) e(w b / M) = prod_q sum_w chi_q(w) e(w b u / q).  Each
+    chi_q is the canonical character from ``enumerate_characters(q)``, so its
+    cached conductor and primitive are shared; the split is memoized on chi.
+    """
+    if chi._components is None:
+        M = chi.modulus
+        out = []
+        for p, e in factorize(M):
+            q = p**e
+            cof = M // q
+            grp_q = _unit_group(q)
+            index = 0  # enumerate_characters lists exponent tuples in lexicographic order
+            for g, o in zip(grp_q.gens, grp_q.orders):
+                num = chi.exponent_of(_UnitGroup._crt(g, q, cof)) * o
+                if num % chi.value_order:
+                    raise ArithmeticError("component order mismatch")
+                index = index * o + num // chi.value_order % o
+            out.append((q, pow(cof, -1, q), enumerate_characters(q)[index]))
+        chi._components = tuple(out)
+    return chi._components
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +335,7 @@ class GaussSumResult:
 def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
     """G(chi) = sum_a chi0(a) e(a/C) over the primitive character chi0 attached to chi."""
     chi0 = chi.primitive()
-    C = chi0.modulus
-    if C == 1:
-        return GaussSumResult(CyclotomicNumber.from_rational(1), 1)
-    ordv = chi0.value_order
-    L = lcm(C, ordv)
-    weights: dict[int, int] = {}
-    for a in range(1, C):
-        t = chi0.exponent_of(a)
-        if t is None:
-            continue
-        e = (t * (L // ordv) + a * (L // C)) % L
-        weights[e] = weights.get(e, 0) + 1
-    return GaussSumResult(CyclotomicNumber.from_exponents(L, weights), C)
+    return GaussSumResult(unit_sum_twisted_direct(chi0, 1), chi0.modulus)
 
 
 @dataclass(frozen=True)
@@ -348,56 +363,18 @@ def generalized_gauss_sum(chi: DirichletCharacter, M: int, j: int) -> Generalize
     p, jmod = fac[0]
     if jmod != j:
         raise ValueError(f"character modulus {chi.modulus} does not equal p^j = {p}^{j}")
-    C = chi.conductor()
-    j_chi = 0 if C == 1 else factorize(C)[0][1]
-    if j < j_chi:
-        raise ValueError("need j >= j_chi")
-    q = p**j
-    # direct sum
-    ordv = chi.value_order
-    L = lcm(q, ordv)
-    weights: dict[int, int] = {}
-    for a in range(q):
-        t = chi.exponent_of(a)
-        if t is None:
-            continue
-        e = (t * (L // ordv) + (a * M % q) * (L // q)) % L
-        weights[e] = weights.get(e, 0) + 1
-    direct = CyclotomicNumber.from_exponents(L, weights)
-    # closed form
-    if j_chi == 0:
-        if M == 0:
-            closed = CyclotomicNumber.from_rational(euler_phi(q))
-        else:
-            v = 0
-            Mv = abs(M)
-            while Mv % p == 0:
-                Mv //= p
-                v += 1
-            if v >= j:
-                closed = CyclotomicNumber.from_rational(euler_phi(q))
-            elif v == j - 1:
-                closed = CyclotomicNumber.from_rational(-(p ** (j - 1)))
-            else:
-                closed = CyclotomicNumber.from_rational(0)
-    else:
-        e = j - j_chi
-        if M % (p**e):
-            closed = CyclotomicNumber.from_rational(0)
-        else:
-            chi0 = chi.primitive()
-            x = M // (p**e)
-            t = chi0.inverse().exponent_of(x)
-            if t is None:
-                closed = CyclotomicNumber.from_rational(0)
-            else:
-                g = gauss_sum(chi)
-                closed = g.value.times_root(t * (g.value.order // chi0.value_order)) * (p**e)
-    return GeneralizedGaussSum(direct, closed, direct == closed, C)
+    direct = unit_sum_twisted_direct(chi, M)
+    closed = unit_sum_twisted(chi, M)
+    return GeneralizedGaussSum(direct, closed, direct == closed, chi.conductor())
 
 
 def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
-    """sum over units w mod M of chi(w) e(w b / M), by direct summation."""
+    """sum over units w mod M of chi(w) e(w b / M), by direct summation.
+
+    This exponent histogram is the one direct character sum: Gauss sums and
+    generalized Gauss sums are its frequencies b = 1 and b = M.  It never uses
+    the closed forms below, which are tested against it.
+    """
     M = chi.modulus
     if M == 1:
         return CyclotomicNumber.from_rational(1)
@@ -413,33 +390,59 @@ def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber
     return CyclotomicNumber.from_exponents(L, weights)
 
 
-def _prime_power_twisted_sum(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
-    """Closed form of sum_{w unit mod q} chi(w) e(w b / q) for prime-power modulus q."""
+def _prime_power_factors(
+    chi: DirichletCharacter, b: int
+) -> tuple[int, CyclotomicNumber, DirichletCharacter | None] | None:
+    """Closed form of sum_{w unit mod q} chi(w) e(w b / q) for a prime power q = p^e.
+
+    Returns None when the sum is 0, else (rat, rou, chi0) with the sum equal to
+    rat * rou * G(chi0): for chi of conductor p^c >= p, rat = p^(e-c), rou =
+    chi0bar(b / p^(e-c)) and chi0 the primitive character.  For the principal
+    character the sum is the Ramanujan sum c_q(b) = rat, rou = 1, chi0 = None.
+    """
     q = chi.modulus
-    if q == 1:
-        return CyclotomicNumber.from_rational(1)
     p, e = factorize(q)[0]
     C = chi.conductor()
-    c = 0 if C == 1 else factorize(C)[0][1]
     b %= q
-    if c == 0:
-        # Ramanujan sum c_q(b)
+    if C == 1:
         v = e if b == 0 else min(e, vp(b, p))
         if v >= e:
-            return CyclotomicNumber.from_rational(euler_phi(q))
+            return euler_phi(q), _ONE, None
         if v == e - 1:
-            return CyclotomicNumber.from_rational(-(p ** (e - 1)))
-        return CyclotomicNumber.from_rational(0)
-    pe = p ** (e - c)
+            return -(p ** (e - 1)), _ONE, None
+        return None
+    pe = q // C
     if b % pe:
-        return CyclotomicNumber.from_rational(0)
+        return None
     chi0 = chi.primitive()
-    x = b // pe
-    t = chi0.inverse().exponent_of(x)
+    t = chi0.exponent_of(b // pe)
     if t is None:
-        return CyclotomicNumber.from_rational(0)
-    g = gauss_sum(chi0).value
-    return g.times_root(t * (g.order // chi0.value_order)) * pe
+        return None
+    return pe, CyclotomicNumber.zeta(chi0.value_order, -t), chi0
+
+
+def _twisted_factors(
+    chi: DirichletCharacter, b: int
+) -> tuple[int, CyclotomicNumber, list[DirichletCharacter]] | None:
+    """sum over units w mod M of chi(w) e(w b / M) as rat * rou * prod G(chi0_i).
+
+    The product of the prime-power closed forms over the CRT components of
+    chi; the chi0_i are the primitive components of conductor > 1.  None when
+    the sum is 0.
+    """
+    rat = 1
+    rou = _ONE
+    chi0s = []
+    for q, u, chi_q in _components(chi):
+        factors = _prime_power_factors(chi_q, b * u % q)
+        if factors is None:
+            return None
+        r, z, chi0 = factors
+        rat *= r
+        if chi0 is not None:
+            rou = rou * z
+            chi0s.append(chi0)
+    return rat, rou, chi0s
 
 
 def unit_sum_twisted(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
@@ -448,31 +451,13 @@ def unit_sum_twisted(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
     Splits the modulus by the Chinese remainder theorem; each prime-power
     factor is evaluated in closed form (Gauss-sum branch or Ramanujan sum).
     """
-    M = chi.modulus
-    if M == 1:
-        return CyclotomicNumber.from_rational(1)
-    fac = factorize(M)
-    if len(fac) == 1:
-        return _prime_power_twisted_sum(chi, b)
-    out = CyclotomicNumber.from_rational(1)
-    for p, e in fac:
-        q = p**e
-        cof = M // q
-        u = pow(cof, -1, q)
-        # restriction of chi to the q-component
-        grp_q = _unit_group(q)
-        exps = []
-        for g, o in zip(grp_q.gens, grp_q.orders):
-            a = _UnitGroup._crt(g, q, cof)
-            t = chi.exponent_of(a)
-            assert t is not None
-            num = t * o
-            if num % chi.value_order:
-                raise ArithmeticError("component order mismatch")
-            exps.append(num // chi.value_order % o)
-        chi_q = DirichletCharacter(q, tuple(exps))
-        out = out * _prime_power_twisted_sum(chi_q, b * u % q)
-    return out
+    factors = _twisted_factors(chi, b)
+    if factors is None:
+        return CyclotomicNumber.from_rational(0)
+    rat, out, chi0s = factors
+    for chi0 in chi0s:
+        out = out * gauss_sum(chi0).value
+    return out * rat
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +520,7 @@ def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
     C = psi.modulus
     g = gauss_sum(psi).value
     b = generalized_bernoulli(k, psi.inverse())
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    alg = -(g * b) * Fraction(1, 2 * fact * C**k)
+    alg = -(g * b) * Fraction(1, 2 * factorial(k) * C**k)
     return TranscendentalValue(k, alg)
 
 
@@ -604,12 +586,9 @@ def normalized_L(chi: DirichletCharacter, k: int) -> NormalizedLValue:
         )
     psi = psi.primitive()
     C = psi.modulus
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
     b = generalized_bernoulli(k, psi.inverse())
     sign = -(Fraction(-1) ** (k // 2))
-    value = b * (sign * Fraction(1, 2 * fact * C**k))
+    value = b * (sign * Fraction(1, 2 * factorial(k) * C**k))
     # p-denominator report (lower bound via the power basis of Z[zeta])
     if C == 1:
         p = 0

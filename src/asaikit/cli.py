@@ -14,7 +14,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -44,8 +44,6 @@ class RunConfig:
     j: int | None = None
     s: str | None = None
     eigenform_path: str | None = None
-    gamma_table_path: str | None = None
-    measure_table_path: str | None = None
     cache_path: str = DEFAULT_CACHE
 
     def __post_init__(self):
@@ -634,10 +632,9 @@ SUITE_BUILDERS = {
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
     names = SUITES if args.suite == "all" else (args.suite,)
-    for path in (cfg.eigenform_path, cfg.gamma_table_path, cfg.measure_table_path):
-        if path and not os.path.exists(path):
-            print(f"error: input file not found: {path}", file=sys.stderr)
-            return 2
+    if cfg.eigenform_path and not os.path.exists(cfg.eigenform_path):
+        print(f"error: input file not found: {cfg.eigenform_path}", file=sys.stderr)
+        return 2
     checks: list[Check] = []
     for name in names:
         checks.extend(SUITE_BUILDERS[name](cfg))
@@ -783,8 +780,6 @@ def _config_from(args) -> RunConfig:
         j=args.j,
         s=args.s,
         eigenform_path=args.eigenform,
-        gamma_table_path=args.gamma_table,
-        measure_table_path=args.measure_table,
         cache_path=args.cache or DEFAULT_CACHE,
     )
 
@@ -797,16 +792,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=SUITES + ("all",))
     v.add_argument("--p", type=int, default=None)
     v.add_argument("--j", type=int, default=None)
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--N", type=int, default=1)
     v.add_argument("--s", type=str, default=None)
     v.add_argument("--R", type=int, default=100_000)
     v.add_argument("--prec", type=int, default=None)
     v.add_argument("--tol", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--eigenform", type=str, default=None)
-    v.add_argument("--gamma-table", type=str, default=None)
-    v.add_argument("--measure-table", type=str, default=None)
     v.add_argument("--cache", type=str, default=None)
     v.set_defaults(fn=cmd_verify)
 

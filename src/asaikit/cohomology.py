@@ -14,13 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from math import factorial, gcd, inf
 
 import mpmath
 from mpmath import mp
 
-from .arith import BigComplex, _binomial, vp
-from .asai import MockEigenform, QuadFieldData, coeff_principal
+from .arith import BigComplex, _binomial, factorize, vp
+from .asai import MockEigenform
 from .characters import DirichletCharacter, gauss_sum, normalized_L
 
 __all__ = [
@@ -339,10 +339,7 @@ def clebsch_project(P: BiHomogPoly, m: int) -> HomogPoly:
     Q = P
     for _ in range(m):
         Q = nabla(Q)
-    fact = 1
-    for i in range(2, m + 1):
-        fact *= i
-    scale = Fraction(1, fact * fact)
+    scale = Fraction(1, factorial(m) ** 2)
     d = 2 * Q.n
     out = HomogPoly(d, P.D)
     for (i, j), c in Q.coeffs.items():
@@ -388,10 +385,6 @@ def translate(P: BiHomogPoly, beta: QuadCoeff) -> BiHomogPoly:
                 prev = out.get(key)
                 out[key] = term if prev is None else prev + term
     return BiHomogPoly(n, D, out)
-
-
-def _inverse_translation(D: int, a: int, p: int, j: int):
-    return translation_matrix(D, -a, p, j)
 
 
 @dataclass(frozen=True)
@@ -710,7 +703,6 @@ class RationalityReport:
     gap: float
     rel_gap: float
     algebraic_claim: bool
-    g_infinity_reconstructed: bool
 
 
 def rationality_ratio(
@@ -730,8 +722,7 @@ def rationality_ratio(
     Right side: L-normalized value times the chi-weighted pairing sums over
     half representatives.  The reported ``value`` divides the left side by
     the user-supplied period; ``algebraic_claim`` only records numerical
-    consistency at the requested tolerance.  The b-table side of the Gamma
-    factor is reconstructed structurally from the a-side shape.
+    consistency at the requested tolerance.
     """
     if m % 2 or not 0 <= m <= n - 2:
         raise ValueError("m must be even with 0 <= m <= n-2")
@@ -780,7 +771,7 @@ def rationality_ratio(
         nl = normalized_L(chi0, k_l)
         lval = nl.value.embed(prec + 16).to_mpc()
         psi0 = psi.primitive()
-        for q, _ in _fac(f.N):
+        for q, _ in factorize(f.N):
             t = psi0.exponent_of(q)
             if t is not None:
                 lval *= 1 - mpmath.expjpi(mpmath.mpf(2 * t) / psi0.value_order) * mpmath.mpf(q) ** (-k_l)
@@ -817,7 +808,6 @@ def rationality_ratio(
         gap,
         rel,
         consistent,
-        True,
     )
 
 
@@ -835,9 +825,3 @@ def _half_representatives(p: int, j: int) -> list[int]:
         seen.add(q - a)
         reps.append(a if a % 2 == 0 else q - a)
     return reps
-
-
-def _fac(n: int):
-    from .arith import factorize
-
-    return factorize(n) if n > 1 else []

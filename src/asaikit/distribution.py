@@ -220,7 +220,6 @@ def integrate_character(
     if chi.modulus != 1 and q % chi.modulus:
         raise ValueError("need j >= j_chi")
     ordv = chi.value_order
-    roots = params._root_table(ordv) if ordv > 2 else None
     with mp.workprec(params.prec + 16):
         acc = mpmath.mpc(0)
         tail = 0.0

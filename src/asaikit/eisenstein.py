@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 import mpmath
 from mpmath import mp
@@ -28,6 +28,7 @@ from .arith import (
     ArithTables,
     BigComplex,
     CyclotomicNumber,
+    _frac_str,
     bernoulli_number,
     euler_phi,
     factorize,
@@ -36,8 +37,9 @@ from .arith import (
 from .asai import FUNDAMENTAL_D, QuadFieldData
 from .characters import (
     DirichletCharacter,
+    _components,
+    _twisted_factors,
     enumerate_characters,
-    gauss_sum,
     generalized_bernoulli,
 )
 from .cohomology import QuadCoeff
@@ -257,71 +259,6 @@ def _exponent_histogram(ch: DirichletCharacter, values) -> dict[int, int]:
 # higher coefficients, exact route
 
 
-def _component_characters(chi: DirichletCharacter) -> list[tuple[int, int, DirichletCharacter]]:
-    """Restrictions of chi to the prime-power factors q = p^e of its modulus.
-
-    Returns (q, crt_unit, chi_q) per factor, where crt_unit is the inverse of
-    M/q modulo q (the frequency multiplier under the CRT splitting).
-    """
-    from .characters import _UnitGroup, _unit_group
-
-    M = chi.modulus
-    out = []
-    for p0, e0 in factorize(M):
-        q = p0**e0
-        cof = M // q
-        u = pow(cof, -1, q) if cof > 1 else 1
-        grp_q = _unit_group(q)
-        exps = []
-        for g, o in zip(grp_q.gens, grp_q.orders):
-            a = _UnitGroup._crt(g, q, cof)
-            t = chi.exponent_of(a)
-            num = t * o
-            exps.append(num // chi.value_order % o)
-        out.append((q, u, DirichletCharacter(q, tuple(exps))))
-    return out
-
-
-def _signed_twisted_unit_sum_core(
-    chi: DirichletCharacter, b: int
-) -> tuple[Fraction, CyclotomicNumber] | None:
-    """g_M(chi, b) stripped of its primitive Gauss-sum factors.
-
-    Writes sum_w chi(w) e(w b / M) = rat * rou * prod_i G(chi0_i) over the
-    prime-power components; returns (rat, rou) or None when the sum is 0.
-    """
-    M = chi.modulus
-    if M == 1:
-        return Fraction(1), CyclotomicNumber.from_rational(1)
-    rat = Fraction(1)
-    rou = CyclotomicNumber.from_rational(1)
-    for q, u, chi_q in _component_characters(chi):
-        p0 = factorize(q)[0][0]
-        e0 = factorize(q)[0][1]
-        bq = b * u % q
-        C = chi_q.conductor()
-        if C == 1:
-            v = e0 if bq == 0 else min(e0, int(vp(bq, p0)))
-            if v >= e0:
-                rat *= euler_phi(q)
-            elif v == e0 - 1:
-                rat *= -(p0 ** (e0 - 1))
-            else:
-                return None
-        else:
-            c0 = factorize(C)[0][1]
-            pe = p0 ** (e0 - c0)
-            if bq % pe:
-                return None
-            chi0 = chi_q.primitive()
-            t = chi0.inverse().exponent_of(bq // pe)
-            if t is None:
-                return None
-            rat *= pe
-            rou = rou * CyclotomicNumber.zeta(chi0.value_order, t)
-    return rat, rou
-
-
 def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
     """Exact coefficient of q^lpp via the Bernoulli special-value route.
 
@@ -351,10 +288,10 @@ def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
         for d in divisors:
             wk = Fraction(d) ** (k - 1)
             for sgn_b, sgn_w in ((d, Fraction(1)), (-d, Fraction((-1) ** k))):
-                core = _signed_twisted_unit_sum_core(psi, sgn_b)
+                core = _twisted_factors(psi, sgn_b)
                 if core is None:
                     continue
-                rat, rou = core
+                rat, rou, _ = core
                 w_acc = w_acc + rou * (wk * sgn_w * rat)
                 nonzero = True
         if not nonzero or w_acc.is_zero():
@@ -368,12 +305,11 @@ def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
         # Gauss-sum collapse: W carries prod_i G(psi0_i); dividing by G(psi0)
         # leaves the CRT twist prod_i psi0_i(C / C_i) in the value field.
         twist = CyclotomicNumber.from_rational(1)
-        comps = _component_characters(psi0) if C > 1 else []
-        for q, _, chi_q in comps:
-            t = chi_q.primitive().inverse().exponent_of(C // q)
+        for q, _, chi_q in _components(psi0):
+            t = chi_q.exponent_of(C // q)
             if t is None:
                 raise AssertionError("complementary conductor not a unit")
-            twist = twist * CyclotomicNumber.zeta(chi_q.primitive().value_order, t)
+            twist = twist * CyclotomicNumber.zeta(chi_q.value_order, -t)
         # Bernoulli and Euler-factor denominators, inverted in the value field
         bern = generalized_bernoulli(k, psi0.inverse())
         euler = CyclotomicNumber.from_rational(1)
@@ -541,9 +477,6 @@ def dump_qexpansion(exp: QExpansion) -> str:
     p = exp.params
     lines = [f"N {p.N}", f"p {p.p}", f"j {p.j}", f"k {p.k}", f"c_j {exp.c_j}"]
     for n, c in enumerate(exp.coeffs):
-        vec = " ".join(
-            str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-            for x in c.coeffs
-        )
+        vec = " ".join(_frac_str(x) for x in c.coeffs)
         lines.append(f"a {n} {c.order} {vec}")
     return "\n".join(lines) + "\n"

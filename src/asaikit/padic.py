@@ -4,8 +4,9 @@ sampler, the measure-gluing families, and the Mellin table.
 
 Valuations are computed exactly: in a p-power cyclotomic field via the norm
 (resultant) and total ramification, and in mixed fields whose prime-to-p
-root orders satisfy p = 1 mod m' via a certified Teichmueller embedding
-(Hensel-lifted roots of unity in Z_p, uniformizer division counting).  The
+root orders satisfy p = 1 mod m' via the Teichmueller embeddings, one per
+prime above p (Hensel-lifted roots of unity in Z_p, uniformizer division
+counting); the valuation is the minimum over those primes.  The
 residue-degree > 1 case is out of scope and rejected.
 
 All checkers only ever certify finite-level evidence.
@@ -17,11 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
 
-from .arith import CyclotomicNumber, euler_phi, factorize, vp
+from .arith import CyclotomicNumber, _frac_str, _reduce_mod_cyclotomic, euler_phi, vp
 from .characters import DirichletCharacter, enumerate_characters
 
 __all__ = [
-    "PadicCycValue",
     "padic_valuation",
     "KummerReport",
     "kummer_check",
@@ -51,11 +51,11 @@ def _split_order(m: int, p: int) -> tuple[int, int]:
 
 
 def padic_valuation(x: CyclotomicNumber, p: int) -> Fraction | float:
-    """Valuation normalized with v(p) = 1; +inf at zero.
+    """Valuation normalized with v(p) = 1, the minimum over the primes above p; +inf at zero.
 
-    Pure p-power orders (times 2) go through the norm; mixed orders are
-    handled when every prime-to-p root of unity already lives in Z_p
-    (p = 1 mod m'), via Teichmueller lifts.
+    Pure p-power orders (times 2) have one prime above p and go through the
+    norm; mixed orders are handled when every prime-to-p root of unity
+    already lives in Z_p (p = 1 mod m'), via Teichmueller lifts.
     """
     if x.is_zero():
         return inf
@@ -99,12 +99,15 @@ def _teichmueller_root(p: int, m_prime: int, T: int) -> int:
 def _valuation_teichmueller(
     x: CyclotomicNumber, p: int, a: int, m_prime: int
 ) -> Fraction | float:
-    """Valuation in Q(zeta_(p^a m')) with p = 1 mod m'.
+    """Valuation in Q(zeta_(p^a m')) with p = 1 mod m', minimized over the primes above p.
 
     The relative norm down to Q(zeta_m') (an exact product of the phi(p^a)
-    ramified-part conjugates) reduces the question to the unramified field,
-    where the canonical Teichmueller embedding turns the element into a
-    single p-adic scalar whose valuation is read off directly.
+    ramified-part conjugates) reduces the question to the unramified field.
+    There p splits completely: its primes are the phi(m') embeddings
+    zeta_m' -> w^t, t in (Z/m')^x, with w the Teichmueller root.  Each turns
+    the element into a p-adic integer known modulo p^T; a nonzero residue
+    gives the valuation exactly, since the truncation error is a multiple of
+    p^T, and T doubles only when a residue is 0.
     """
     q = p**a
     if a:
@@ -126,25 +129,27 @@ def _valuation_teichmueller(
     ints = [int(c * den) for c in vec]
     if all(c == 0 for c in ints):
         raise ArithmeticError("relative norm vanished for a nonzero element")
-    prev = None
-    for T in (24, 48, 96, 192):
-        modulus = p**T
-        w = _teichmueller_root(p, m_prime, T)
-        val = sum(c * pow(w, i, modulus) for i, c in enumerate(ints)) % modulus
-        if val == 0:
-            prev = None
+    T = 24
+    w = _teichmueller_root(p, m_prime, T)
+    best = None
+    for t in range(1, m_prime):
+        if gcd(t, m_prime) != 1:
             continue
+        while True:
+            modulus = p**T
+            wt = pow(w, t, modulus)
+            val = sum(c * pow(wt, i, modulus) for i, c in enumerate(ints)) % modulus
+            if val:
+                break
+            T *= 2
+            w = _teichmueller_root(p, m_prime, T)
         v = 0
         while val % p == 0:
             val //= p
             v += 1
-        if v > T - 8:
-            prev = None
-            continue
-        if prev == v:
-            return Fraction(v, euler_phi(q) if a else 1) + shift
-        prev = v
-    raise ArithmeticError("valuation did not stabilize; raise the precision schedule")
+        best = v if best is None else min(best, v)
+    # the norm multiplied valuations by the ramification index phi(q)
+    return (best + shift) / (euler_phi(q) if a else 1)
 
 
 def _unramified_component(x: CyclotomicNumber, p: int, a: int, m_prime: int) -> list[Fraction]:
@@ -153,8 +158,6 @@ def _unramified_component(x: CyclotomicNumber, p: int, a: int, m_prime: int) -> 
     Re-expresses the coefficient vector in the tensor basis
     zeta_q^j zeta_m'^i and checks that every j >= 1 component vanishes.
     """
-    from .arith import _reduce_mod_cyclotomic
-
     q = p**a if a else 1
     m = q * m_prime
     if x.order != m:
@@ -178,17 +181,6 @@ def _unramified_component(x: CyclotomicNumber, p: int, a: int, m_prime: int) -> 
             if cols[i][j]:
                 raise ArithmeticError("element does not lie in the unramified part")
     return [cols[i][0] for i in range(dm)]
-
-
-@dataclass(frozen=True)
-class PadicCycValue:
-    """Cyclotomic value with its p-adic valuation computed on demand."""
-
-    element: CyclotomicNumber
-    p: int
-
-    def valuation(self) -> Fraction | float:
-        return padic_valuation(self.element, self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +316,6 @@ class MeasureTable:
         return MeasureTable(
             int(header["p"]), int(header["n"]), Fraction(header["kappa"]), entries
         )
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def dirac_measure_table(p: int, n: int, u: int, j_max: int) -> MeasureTable:

@@ -3,9 +3,12 @@ from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asaikit.arith import CyclotomicNumber
+from asaikit.arith import CyclotomicNumber, factorize
 from asaikit.characters import (
+    _components,
     L_special_exact,
     L_truncated,
     enumerate_characters,
@@ -171,6 +174,25 @@ class TestTwistedUnitSums:
             for ch in enumerate_characters(M):
                 for b in range(min(M, 10) + 1):
                     assert unit_sum_twisted(ch, b) == unit_sum_twisted_direct(ch, b)
+
+
+class TestComponents:
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 200), i=st.integers(0, 10**6), j=st.integers(0, 10**6))
+    def test_product_of_components(self, M, i, j):
+        chars = enumerate_characters(M)
+        chi = chars[i % len(chars)]
+        units = [a for a in range(M) if gcd(a, M) == 1] or [0]
+        a = units[j % len(units)]
+        comps = _components(chi)
+        assert _components(chi) is comps  # memoized on the character
+        assert [q for q, _, _ in comps] == [p**e for p, e in factorize(M)]
+        prod = CyclotomicNumber.from_rational(1)
+        for q, u, chi_q in comps:
+            assert u * (M // q) % q == 1
+            assert any(c is chi_q for c in enumerate_characters(q))  # the canonical copy
+            prod = prod * chi_q(a)
+        assert prod == chi(a)
 
 
 class TestGeneralizedBernoulli:

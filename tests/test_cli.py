@@ -51,6 +51,14 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--parallelism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--gamma-table", "--measure-table", "--k", "--N"])
+    def test_unread_option_rejected(self, option, tmp_path, capsys):
+        # no suite read these; argparse now rejects them
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "arith", option, "4", "--cache", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
     def test_parity_gap_at_working_precision(self, tmp_path, capsys):
         # a gap rounded at 53 bits read 1.2e-11 here; the true gap is about 1e-35
         cache = str(tmp_path / "c.json")

@@ -238,3 +238,34 @@ class TestQExpansion:
     def test_classical_integrality(self):
         exp = qexpansion(LevelParams(1, 5, 0, 4), 8)
         assert exp.c_j == 0
+
+
+class TestGolden:
+    """Exact outputs pinned before the character sums were merged into one implementation.
+
+    M = 18, 100 and 169: two and three CRT components, and the largest modulus.
+    """
+
+    DUMPS = {
+        (2, 3, 1, 4): "N 2\np 3\nj 1\nk 4\nc_j 0\na 0 1 1\na 1 1 0\na 2 1 0\na 3 1 1/5\na 4 1 0\n",
+        (4, 5, 1, 6): "N 4\np 5\nj 1\nk 6\nc_j 0\na 0 1 1\na 1 1 0\na 2 1 0\na 3 1 0\na 4 1 0\n",
+        (1, 13, 1, 4): "N 1\np 13\nj 1\nk 4\nc_j 0\na 0 1 1\na 1 1 0\na 2 1 0\na 3 1 0\na 4 1 0\n",
+    }
+
+    # nonzero coefficients further out: (level, l'') -> (order, coefficient vector)
+    COEFFS = {
+        ((2, 3, 1, 4), 6): (1, (F(-7, 5),)),
+        ((4, 5, 1, 6), 10): (2, (F(-1412, 1701063),)),
+        ((4, 5, 1, 6), 20): (2, (F(-604, 54873),)),
+        ((1, 13, 1, 4), 13): (6, (F(93252591, 5385468403), F(0))),
+        ((1, 13, 1, 4), 26): (6, (F(501986111, 5385468403), F(0))),
+    }
+
+    @pytest.mark.parametrize("level", sorted(DUMPS))
+    def test_dump(self, level):
+        assert dump_qexpansion(qexpansion(LevelParams(*level), 4)) == self.DUMPS[level]
+
+    def test_coefficients(self):
+        for (level, lpp), (order, coeffs) in self.COEFFS.items():
+            got = higher_coeff_exact(LevelParams(*level), lpp)
+            assert (got.order, got.coeffs) == (order, coeffs), (level, lpp)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
-from math import gcd, inf
+from math import floor, gcd, inf
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from asaikit.arith import CyclotomicNumber, euler_phi
+from asaikit.arith import CyclotomicNumber, euler_phi, vp
 from asaikit.characters import enumerate_characters
 from asaikit.padic import (
     MeasureTable,
@@ -48,9 +50,46 @@ class TestValuation:
         i4 = CyclotomicNumber.zeta(4)
         assert padic_valuation(i4, 5) == 0
         assert padic_valuation(5 * i4, 5) == 1
+        # 5 = (2 + i)(2 - i): each factor lies in one prime above 5 and is a
+        # unit at the other, so its valuation (the minimum) is 0
         v1 = padic_valuation(2 + i4, 5)
         v2 = padic_valuation(2 - i4, 5)
-        assert sorted([v1, v2]) == [0, 1]  # norm 5 splits across the embedding pair
+        assert [v1, v2] == [0, 0]
+        assert padic_valuation((2 + i4) * (2 - i4), 5) == 1
+
+    def test_every_prime_above_p(self):
+        # zeta_4 - 2 has norm 5; it lies in one prime above 5, and its
+        # conjugate zeta_4^3 - 2 is a unit there, so both valuations are 0
+        x = CyclotomicNumber.zeta(4) - 2
+        assert padic_valuation(x, 5) == 0
+        assert padic_valuation(x.conjugate(), 5) == 0
+        assert padic_valuation(x * x.conjugate(), 5) == 1
+
+    def test_denominator_in_mixed_ramified_field(self):
+        # the relative norm scales the denominator's valuation by phi(5) = 4 too
+        assert padic_valuation(CyclotomicNumber.zeta(20, 7) * F(1, 5), 5) == -1
+        assert padic_valuation((1 - CyclotomicNumber.zeta(20, 4)) * F(1, 25), 5) == F(-7, 4)
+
+    # (p, order): p = 1 mod the prime-to-p part of the order, or a pure p-power order
+    ORDERS = ((5, 4), (5, 20), (13, 3), (13, 12), (7, 6), (7, 21), (3, 9), (5, 25))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(ORDERS),
+        nums=st.lists(st.integers(-6, 6), min_size=20, max_size=20),
+        scaled=st.booleans(),
+    )
+    def test_minimum_over_conjugates(self, case, nums, scaled):
+        p, m = case
+        deg = euler_phi(m)
+        x = CyclotomicNumber(m, [F(c, p if scaled and i % 2 else 1) for i, c in enumerate(nums[:deg])])
+        assume(not x.is_zero())
+        v = padic_valuation(x, p)
+        units = [t for t in range(1, m) if gcd(t, m) == 1]
+        assert v == min(padic_valuation(x.galois(t), p) for t in units)
+        # independent oracle: Z_(p)[zeta_m] has the power basis as a basis, so
+        # x lies in p^n O_(p) (v >= n at every prime above p) iff every coefficient does
+        assert floor(v) == min(vp(c, p) for c in x.coeffs)
 
     def test_mixed_with_ramified_part(self):
         z20 = CyclotomicNumber.zeta(20)
