@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, isqrt
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import mpmath
 from mpmath import mp
@@ -34,6 +34,14 @@ __all__ = [
     "cyclotomic_mul",
     "embed_complex",
     "BigComplex",
+    "SeriesValue",
+    "to_mpf",
+    "root_table",
+    "power_terms",
+    "fold",
+    "frequency_sum",
+    "character_sum",
+    "power_tail",
     "bessel_k_moment_check",
     "BesselMomentReport",
 ]
@@ -46,6 +54,15 @@ __all__ = [
 def _frac_str(x: Fraction) -> str:
     """A rational as text: "n" or "n/d"."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _split_order(m: int, p: int) -> tuple[int, int]:
+    """m = p^a * m' with m' prime to p; returns (a, m')."""
+    a = 0
+    while m % p == 0:
+        m //= p
+        a += 1
+    return a, m
 
 
 def vp(x: Fraction | int, p: int) -> Fraction | float:
@@ -554,12 +571,8 @@ class BigComplex:
             raise ValueError("precision must be at least 53 bits")
         self.precision = precision
         with mp.workprec(precision):
-            if isinstance(re, Fraction):
-                re = mpmath.mpf(re.numerator) / re.denominator
-            if isinstance(im, Fraction):
-                im = mpmath.mpf(im.numerator) / im.denominator
-            self.re = mpmath.mpf(re)
-            self.im = mpmath.mpf(im)
+            self.re = to_mpf(re)
+            self.im = to_mpf(im)
 
     @staticmethod
     def from_mpc(z, precision: int) -> "BigComplex":
@@ -635,8 +648,90 @@ def embed_complex(a: CyclotomicNumber, prec: int = 53) -> BigComplex:
         zeta = mpmath.expjpi(mpmath.mpf(2) / a.order)
         acc = mpmath.mpc(0)
         for c in reversed(a.coeffs):
-            acc = acc * zeta + mpmath.mpf(c.numerator) / c.denominator
+            acc = acc * zeta + to_mpf(c)
     return BigComplex.from_mpc(acc, prec)
+
+
+# ---------------------------------------------------------------------------
+# truncated Dirichlet series sum a(r) r^(-s): residue buckets mod q combined with
+# roots of unity, at the caller's working precision, terms added in the order given
+
+
+@dataclass(frozen=True)
+class SeriesValue:
+    value: BigComplex
+    tail_bound: float
+
+
+def to_mpf(x) -> mpmath.mpf:
+    """A rational (or anything ``mpmath.mpf`` accepts) at the working precision."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+@lru_cache(maxsize=32)
+def root_table(n: int, prec: int) -> tuple:
+    """e(t/n) = exp(2 pi i t/n) for 0 <= t < n, at ``prec`` bits."""
+    with mp.workprec(prec):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * t) / n) for t in range(n))
+
+
+def power_terms(pairs: Iterable[tuple[int, Fraction | int]], s: Fraction | int) -> Iterator[tuple]:
+    """Lazily yield (r, a r^(-s)) for rational s; integer s takes the integer power.
+
+    a = +-1 (Moebius coefficients) gives +-r^(-s) itself, with no rounded product.
+    """
+    s = Fraction(s)
+    e = -int(s) if s.denominator == 1 else -to_mpf(s)
+    for r, a in pairs:
+        t = mpmath.mpf(r) ** e
+        yield r, (t if a == 1 else -t if a == -1 else to_mpf(a) * t)
+
+
+def fold(terms: Iterable[tuple[int, mpmath.mpf]], q: int) -> list:
+    """Residue buckets W[t] = sum of the terms with r = t mod q."""
+    W = [mpmath.mpf(0)] * q
+    for r, t in terms:
+        W[r % q] += t
+    return W
+
+
+def frequency_sum(W: Sequence, b: Fraction | int):
+    """sum_t W[t] e(t b) for buckets W mod q, where the denominator of b divides q."""
+    q = len(W)
+    b = Fraction(b)
+    if q % b.denominator:
+        raise ValueError("the denominator of b must divide the bucket modulus")
+    c = b.numerator * (q // b.denominator) % q
+    roots = root_table(q, mp.prec)
+    acc = mpmath.mpc(0)
+    for t, w in enumerate(W):
+        if w:
+            acc += w * roots[t * c % q]
+    return acc
+
+
+def character_sum(W: Sequence, chi, coprime_to: int = 1):
+    """sum_t chi(t) W[t] over t prime to ``coprime_to``; chi's modulus divides len(W)."""
+    roots = root_table(chi.value_order, mp.prec)
+    acc = mpmath.mpc(0)
+    for t, w in enumerate(W):
+        if w and gcd(t, coprime_to) == 1:
+            e = chi.exponent_of(t)
+            if e is not None:
+                acc += roots[e] * w
+    return acc
+
+
+def power_tail(pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: Fraction | int) -> float:
+    """Tail of sum_(r>R) |a(r)| r^(-s), s > k + 1, with the empirical majorant
+    max_(r<=R) |a(r)|/r^k: max * R^(k+1-s)/(s-k-1), a bound only if it holds beyond R."""
+    s = float(s)
+    amax = 0.0
+    for r, a in pairs:
+        amax = max(amax, abs(a.numerator / a.denominator) / float(r) ** k)
+    return amax * float(R) ** (k + 1 - s) / (s - k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +770,8 @@ def bessel_k_moment_check(nu: int, mu: Fraction | int, a: Fraction | int) -> Bes
     if mu <= abs(nu):
         raise ValueError("need mu > |nu| for convergence")
     with mp.workprec(80):
-        af = mpmath.mpf(a.numerator) / a.denominator
-        muf = mpmath.mpf(mu.numerator) / mu.denominator
+        af = to_mpf(a)
+        muf = to_mpf(mu)
         integrand = lambda t: _besselk(nu, af * t, mp.prec) * t ** (muf - 1)
         lhs = mpmath.quad(integrand, [0, 1 / af, 10 / af, mpmath.inf])
         rhs = (

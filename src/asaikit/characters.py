@@ -23,10 +23,14 @@ from mpmath import mp
 from .arith import (
     BigComplex,
     CyclotomicNumber,
+    SeriesValue,
     bernoulli_number,
     bernoulli_polynomial,
+    character_sum,
     euler_phi,
     factorize,
+    fold,
+    power_terms,
     vp,
 )
 
@@ -42,7 +46,6 @@ __all__ = [
     "generalized_bernoulli",
     "TranscendentalValue",
     "L_special_exact",
-    "LSeriesValue",
     "L_truncated",
     "NormalizedLValue",
     "normalized_L",
@@ -524,38 +527,17 @@ def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
     return TranscendentalValue(k, alg)
 
 
-@dataclass(frozen=True)
-class LSeriesValue:
-    value: BigComplex
-    tail_bound: float
-    terms: int
-
-
-def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> LSeriesValue:
-    """sum_{n<=terms} psi(n) n^(-s) with the integral tail bound terms^(1-Re s)/(Re s - 1)."""
-    sigma = float(s.re) if isinstance(s, BigComplex) else float(s)
-    if sigma <= 1:
-        raise ValueError("need Re(s) > 1")
+def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> SeriesValue:
+    """sum_{n<=terms} psi(n) n^(-s) for rational s > 1, with the integral tail bound terms^(1-s)/(s-1)."""
+    s = Fraction(s)
+    if s <= 1:
+        raise ValueError("need s > 1")
     M = psi.modulus
-    ordv = psi.value_order
     with mp.workprec(prec + 16):
-        s_val = s.to_mpc() if isinstance(s, BigComplex) else mpmath.mpf(s) if not isinstance(s, complex) else mpmath.mpc(s)
-        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / ordv) for t in range(ordv)]
-        partial = [mpmath.mpf(0)] * ordv
-        is_int = isinstance(s_val, mpmath.mpf) and s_val == int(s_val)
-        si = int(s_val) if is_int else None
-        for n in range(1, terms + 1):
-            t = psi.exponent_of(n)
-            if t is None:
-                continue
-            term = mpmath.mpf(n) ** (-si) if is_int else mpmath.mpf(n) ** (-s_val)
-            partial[t] += term
-        acc = mpmath.mpc(0)
-        for t in range(ordv):
-            if partial[t]:
-                acc += roots[t] * partial[t]
-    tail = float(terms ** (1 - sigma) / (sigma - 1))
-    return LSeriesValue(BigComplex.from_mpc(acc, prec), tail, terms)
+        W = fold(power_terms(((n, 1) for n in range(1, terms + 1) if gcd(n, M) == 1), s), M)
+        acc = character_sum(W, psi)
+    tail = terms ** (1 - float(s)) / (float(s) - 1)
+    return SeriesValue(BigComplex.from_mpc(acc, prec), tail)
 
 
 @dataclass(frozen=True)

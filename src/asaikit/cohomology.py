@@ -19,7 +19,21 @@ from math import factorial, gcd, inf
 import mpmath
 from mpmath import mp
 
-from .arith import BigComplex, _binomial, factorize, vp
+from .arith import (
+    BigComplex,
+    SeriesValue,
+    _binomial,
+    _split_order,
+    character_sum,
+    factorize,
+    fold,
+    frequency_sum,
+    power_tail,
+    power_terms,
+    root_table,
+    to_mpf,
+    vp,
+)
 from .asai import MockEigenform
 from .characters import DirichletCharacter, gauss_sum, normalized_L
 
@@ -138,8 +152,8 @@ class QuadCoeff:
     def embed(self, prec: int) -> BigComplex:
         with mp.workprec(prec + 8):
             sq = mpmath.sqrt(mpmath.mpf(self.D))
-            re = mpmath.mpf(self.x.numerator) / self.x.denominator
-            im = (mpmath.mpf(self.y.numerator) / self.y.denominator) * sq
+            re = to_mpf(self.x)
+            im = to_mpf(self.y) * sq
         return BigComplex(re, im, prec)
 
     def __repr__(self):
@@ -590,7 +604,7 @@ def _gamma_sum(
     args: list[tuple[Fraction, Fraction]] = []
     with mp.workprec(prec + 8):
         acc = mpmath.mpc(0)
-        s_f = mpmath.mpf(Fraction(s).numerator) / Fraction(s).denominator
+        s_f = to_mpf(Fraction(s))
         for l in range(0, 2 * n - 2 * m + 1):
             for alpha in range(0, n + 2):
                 if (alpha - (n + 1 + m)) % 2:
@@ -602,8 +616,8 @@ def _gamma_sum(
                 g2 = Fraction(3 * n + 3 - m - alpha) / 2
                 args.append((g1, g2))
                 term = (
-                    mpmath.gamma(mpmath.mpf(g1.numerator) / g1.denominator + s_f / 2)
-                    * mpmath.gamma(mpmath.mpf(g2.numerator) / g2.denominator + s_f / 2)
+                    mpmath.gamma(to_mpf(g1) + s_f / 2)
+                    * mpmath.gamma(to_mpf(g2) + s_f / 2)
                     * w
                 )
                 if alpha == n + 1:
@@ -657,42 +671,20 @@ def omega_infty(n: int, m: int, D: int, G_inf_0: BigComplex) -> BigComplex:
 # unwound pairing series and the assembled two-sided check
 
 
-@dataclass(frozen=True)
-class PairingValue:
-    value: BigComplex
-    tail_bound: float
-
-
 def pairing_series(
     f: MockEigenform, b: Fraction, s_prime, R: int, prec: int = 64
-) -> PairingValue:
+) -> SeriesValue:
     """sum_(r>=1) (e(r b) + e(-r b)) c(r) r^(-s'), truncated at R."""
     s_prime = Fraction(s_prime)
     if s_prime <= f.k + 1:
         raise ValueError("need s' > k + 1")
     b = Fraction(b)
-    q = b.denominator
-    c = b.numerator % q
     f.tabulate(R)
     with mp.workprec(prec + 16):
-        sf = mpmath.mpf(s_prime.numerator) / s_prime.denominator
-        s_int = int(s_prime) if s_prime.denominator == 1 else None
-        buckets = [mpmath.mpf(0)] * q
-        amax = 0.0
-        for r, cr in f.nonzero(R, "c"):
-            term = mpmath.mpf(cr.numerator) / cr.denominator
-            term = term * (mpmath.mpf(r) ** (-s_int) if s_int is not None else mpmath.mpf(r) ** (-sf))
-            buckets[r % q] += term
-            a = abs(cr.numerator / cr.denominator) / float(r) ** f.k
-            if a > amax:
-                amax = a
-        acc = mpmath.mpc(0)
-        for t in range(q):
-            if buckets[t]:
-                ang = mpmath.expjpi(mpmath.mpf(2 * ((t * c) % q)) / q)
-                acc += buckets[t] * (ang + 1 / ang)
-        tail = 2 * amax * float(R) ** (f.k + 1 - float(s_prime)) / (float(s_prime) - f.k - 1)
-    return PairingValue(BigComplex.from_mpc(acc, prec), tail)
+        W = fold(power_terms(f.nonzero(R, "c"), s_prime), b.denominator)
+        acc = frequency_sum(W, b) + frequency_sum(W, -b)
+    tail = 2 * power_tail(f.nonzero(R, "c"), f.k, R, s_prime)
+    return SeriesValue(BigComplex.from_mpc(acc, prec), tail)
 
 
 @dataclass(frozen=True)
@@ -733,34 +725,18 @@ def rationality_ratio(
     k_l = 2 * n - 2 * m + 2
     s_prime = Fraction(2 * n - m + 2)
     p = f.p
-    C = chi.conductor()
-    j_chi = 0
-    Cc = C
-    while Cc % p == 0:
-        Cc //= p
-        j_chi += 1
+    j_chi, Cc = _split_order(chi.conductor(), p)
     if Cc != 1:
         raise ValueError("chi must have p-power conductor")
     chi0 = chi.primitive()
     with mp.workprec(prec + 16):
         # left side
         f.tabulate(R)
-        sf = mpmath.mpf(int(s_prime))
         g_chi = gauss_sum(chi).value.embed(prec + 16).to_mpc()
-        psi = (chi0.inverse() * chi0.inverse())
-        g_psi = gauss_sum(psi).value.embed(prec + 16).to_mpc()
-        twisted = mpmath.mpc(0)
-        ordv = chi0.value_order
         chibar = chi0.inverse()
-        for r, d in f.nonzero(R):
-            t = chibar.exponent_of(r % C) if C > 1 else 0
-            if t is None:
-                continue
-            twisted += (
-                mpmath.expjpi(mpmath.mpf(2 * t) / ordv)
-                * (mpmath.mpf(d.numerator) / d.denominator)
-                * mpmath.mpf(r) ** (-int(s_prime))
-            )
+        psi = chibar * chibar
+        g_psi = gauss_sum(psi).value.embed(prec + 16).to_mpc()
+        twisted = character_sum(fold(power_terms(f.nonzero(R), s_prime), chi0.modulus), chibar)
         gp0 = g_infinity_prime(n, m, 0, table, prec + 16).to_mpc()
         if gp0 == 0:
             raise ValueError("Gamma table gives vanishing G'_infinity(0)")
@@ -774,15 +750,11 @@ def rationality_ratio(
         for q, _ in factorize(f.N):
             t = psi0.exponent_of(q)
             if t is not None:
-                lval *= 1 - mpmath.expjpi(mpmath.mpf(2 * t) / psi0.value_order) * mpmath.mpf(q) ** (-k_l)
-        reps = _half_representatives(p, j_chi)
+                lval *= 1 - root_table(psi0.value_order, mp.prec)[t] * mpmath.mpf(q) ** (-k_l)
         pair_acc = mpmath.mpc(0)
         tail = 0.0
-        for a in reps:
-            t = chi0.exponent_of(a % C) if C > 1 else 0
-            if t is None:
-                continue
-            w = mpmath.expjpi(mpmath.mpf(2 * t) / ordv)
+        for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
+            w = root_table(chi0.value_order, mp.prec)[chi0.exponent_of(a)]
             pv = pairing_series(f, Fraction(a, p**j_chi) if j_chi else Fraction(0), s_prime, R, prec + 16)
             pair_acc += w * pv.value.to_mpc()
             tail += pv.tail_bound

@@ -7,11 +7,11 @@ bounds; the majorant constant is taken from the computed range of |d(r)|/r^k
 rather than an unconditional growth bound, so the bound is honest for
 synthetic eigen-data as well.
 
-Evaluation strategy: one pass over the nonzero support of d (a few
-thousand r at R = 1e5, read from the form's sparse tables) stores the pairs
-(r, d(r) r^(-s)) in ascending r; values of P_s at rationals with
-denominator q are then root-of-unity combinations of the q residue buckets,
-so whole families of coset values cost almost nothing beyond that pass.
+Evaluation strategy (the series helpers of ``arith``): one pass over the
+nonzero support of d (a few thousand r at R = 1e5) stores (r, d(r) r^(-s))
+in ascending r; P_s at rationals with denominator q and the character twists
+are then root-of-unity combinations of the q residue buckets, so whole
+families of coset values cost almost nothing beyond that pass.
 """
 
 from __future__ import annotations
@@ -23,7 +23,19 @@ from math import gcd
 import mpmath
 from mpmath import mp
 
-from .arith import BigComplex, vp
+from .arith import (
+    BigComplex,
+    SeriesValue,
+    _split_order,
+    character_sum,
+    fold,
+    frequency_sum,
+    power_tail,
+    power_terms,
+    root_table,
+    to_mpf,
+    vp,
+)
 from .asai import MockEigenform, OrdinaryData, ordinary_data
 from .characters import DirichletCharacter, gauss_sum
 
@@ -41,12 +53,6 @@ __all__ = [
     "InterpolationReport",
     "check_interpolation",
 ]
-
-
-def _to_mpf(x) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
 
 
 class DistParams:
@@ -68,59 +74,21 @@ class DistParams:
         self.R = R
         self.prec = prec
         self.ordinary: OrdinaryData = ordinary_data(f)
-        self._terms: list[tuple[int, mpmath.mpf]] | None = None  # nonzero (r, d(r) r^(-s))
-        self._buckets: dict[int, list] = {}
-        self._roots: dict[int, list] = {}
-        self._tail0: float | None = None
-
-    # -- cached series data --------------------------------------------------
-
-    def _ensure_terms(self) -> None:
-        if self._terms is not None:
-            return
-        f, R, s = self.f, self.R, self.s
         f.tabulate(R)
-        with mp.workprec(self.prec + 16):
-            s_int = int(s) if s.denominator == 1 else None
-            sf = _to_mpf(s)
-            terms = []
-            amax = 0.0
-            k = f.k
-            for r, d in f.nonzero(R):
-                df = _to_mpf(d)
-                terms.append((r, df * (mpmath.mpf(r) ** (-s_int) if s_int is not None else mpmath.mpf(r) ** (-sf))))
-                a = abs(d.numerator / d.denominator) / float(r) ** k
-                if a > amax:
-                    amax = a
-            self._terms = terms
-            self._tail0 = amax * float(R) ** (f.k + 1 - float(s)) / (float(s) - f.k - 1)
+        with mp.workprec(prec + 16):
+            self._terms = list(power_terms(f.nonzero(R), s))  # nonzero (r, d(r) r^(-s))
+        self._tail0 = power_tail(f.nonzero(R), f.k, R, s)
+        self._buckets: dict[int, list] = {}
 
     def tail_bound(self) -> float:
         """Tail bound for sum_{r>R} |d(r)| r^(-s) with the empirical majorant."""
-        self._ensure_terms()
         return self._tail0
 
     def _bucket(self, q: int) -> list:
         if q not in self._buckets:
-            self._ensure_terms()
             with mp.workprec(self.prec + 16):
-                W = [mpmath.mpf(0)] * q
-                for r, t in self._terms:
-                    W[r % q] += t
-            self._buckets[q] = W
+                self._buckets[q] = fold(self._terms, q)
         return self._buckets[q]
-
-    def _root_table(self, q: int) -> list:
-        if q not in self._roots:
-            with mp.workprec(self.prec + 16):
-                self._roots[q] = [mpmath.expjpi(mpmath.mpf(2 * t) / q) for t in range(q)]
-        return self._roots[q]
-
-
-@dataclass(frozen=True)
-class SeriesValue:
-    value: BigComplex
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -134,15 +102,9 @@ class CosetValue:
 def P_s(params: DistParams, b: Fraction | int) -> SeriesValue:
     """sum_{r<=R} d(r) e(r b) r^(-s), with attached tail bound (periodic in b)."""
     b = Fraction(b)
-    q = b.denominator
-    c = b.numerator % q
-    W = params._bucket(q)
-    roots = params._root_table(q)
+    W = params._bucket(b.denominator)
     with mp.workprec(params.prec + 16):
-        acc = mpmath.mpc(0)
-        for t in range(q):
-            if W[t]:
-                acc += W[t] * roots[t * c % q]
+        acc = frequency_sum(W, b)
     return SeriesValue(BigComplex.from_mpc(acc, params.prec), params.tail_bound())
 
 
@@ -157,8 +119,8 @@ def mu_tilde(params: DistParams, a: int, j: int) -> CosetValue:
     if vp(od.kappa, p) != 0:
         raise ValueError("kappa is not a p-adic unit")
     with mp.workprec(params.prec + 16):
-        sf = _to_mpf(s)
-        pref = mpmath.mpf(p) ** (j * sf - j) / _to_mpf(od.kappa) ** j
+        sf = to_mpf(s)
+        pref = mpmath.mpf(p) ** (j * sf - j) / to_mpf(od.kappa) ** j
         acc = mpmath.mpc(0)
         tail = 0.0
         base_tail = params.tail_bound()
@@ -166,7 +128,7 @@ def mu_tilde(params: DistParams, a: int, j: int) -> CosetValue:
             if od.B[i] == 0:
                 continue
             piece = P_s(params, Fraction(a * p**i, p**j))
-            w = _to_mpf(od.B[i]) * mpmath.mpf(p) ** (-i * sf)
+            w = to_mpf(od.B[i]) * mpmath.mpf(p) ** (-i * sf)
             acc += w * piece.value.to_mpc()
             tail += abs(float(w)) * base_tail
         acc *= pref
@@ -219,8 +181,8 @@ def integrate_character(
     q = params.p**j
     if chi.modulus != 1 and q % chi.modulus:
         raise ValueError("need j >= j_chi")
-    ordv = chi.value_order
     with mp.workprec(params.prec + 16):
+        roots = root_table(chi.value_order, mp.prec)
         acc = mpmath.mpc(0)
         tail = 0.0
         for a in range(1, q + 1):
@@ -230,11 +192,7 @@ def integrate_character(
             if t is None:
                 continue
             piece = (mu_symmetrized if symmetrized else mu_tilde)(params, a, j)
-            if ordv <= 2:
-                w = mpmath.mpf(1) if t == 0 else mpmath.mpf(-1)
-            else:
-                w = params._root_table(ordv)[t]
-            acc += w * piece.value.to_mpc()
+            acc += roots[t] * piece.value.to_mpc()
             tail += piece.tail_bound
     return SeriesValue(BigComplex.from_mpc(acc, params.prec), tail)
 
@@ -243,24 +201,11 @@ def twisted_asai_series(params: DistParams, chi: DirichletCharacter) -> SeriesVa
     """G(s, chi, f) = sum_{r<=R, gcd(r,p)=1} chi(r) d(r) r^(-s) (p-deprived twist)."""
     p = params.p
     chi0 = chi.primitive()
-    C = max(chi0.modulus, 1)
-    q = C if C % p == 0 or C == 1 else C * p
-    # bucket modulus must detect p | r; p-power conductors already do
-    if C == 1:
-        q = p
-    W = params._bucket(q)
-    ordv = chi0.value_order
-    roots = params._root_table(ordv)
+    C = chi0.modulus
+    # the bucket modulus must detect p | r; p-power conductors already do
+    W = params._bucket(C if C % p == 0 else C * p)
     with mp.workprec(params.prec + 16):
-        acc = mpmath.mpc(0)
-        for t in range(q):
-            if t % p == 0:
-                continue
-            e = chi0.exponent_of(t % C if C > 1 else 1)
-            if e is None:
-                continue
-            if W[t]:
-                acc += roots[e] * W[t]
+        acc = character_sum(W, chi0, coprime_to=p)
     return SeriesValue(BigComplex.from_mpc(acc, params.prec), params.tail_bound())
 
 
@@ -274,18 +219,13 @@ def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> SeriesValu
     """
     p, s = params.p, params.s
     od = params.ordinary
-    C = chi.conductor()
-    j_chi = 0
-    Cc = C
-    while Cc % p == 0:
-        Cc //= p
-        j_chi += 1
+    j_chi, Cc = _split_order(chi.conductor(), p)
     if Cc != 1:
         raise ValueError("character conductor must be a p-power")
     series = twisted_asai_series(params, chi.inverse())
     with mp.workprec(params.prec + 16):
-        sf = _to_mpf(s)
-        kf = _to_mpf(od.kappa)
+        sf = to_mpf(s)
+        kf = to_mpf(od.kappa)
         pref = mpmath.mpf(p) ** (j_chi * (sf - 1)) / kf**j_chi
         gval = gauss_sum(chi).value.embed(params.prec + 16).to_mpc()
         acc = pref * gval * series.value.to_mpc()
@@ -310,12 +250,7 @@ def check_interpolation(
     params: DistParams, chi: DirichletCharacter, j: int | None = None
 ) -> InterpolationReport:
     """Two-sided check: direct coset sum against the closed form."""
-    j_mod = 0
-    Mm = chi.modulus
-    while Mm % params.p == 0:
-        Mm //= params.p
-        j_mod += 1
-    level = j if j is not None else max(j_mod, 1)
+    level = j if j is not None else max(_split_order(chi.modulus, params.p)[0], 1)
     lhs = integrate_character(params, chi, level)
     rhs = interpolation_rhs(params, chi)
     with mp.workprec(params.prec + 16):

@@ -32,6 +32,9 @@ from .arith import (
     bernoulli_number,
     euler_phi,
     factorize,
+    fold,
+    power_terms,
+    root_table,
     vp,
 )
 from .asai import FUNDAMENTAL_D, QuadFieldData
@@ -238,9 +241,8 @@ def constant_term(params: LevelParams) -> CyclotomicNumber:
         parity = 1 + (-1) ** k * (1 if psi1.is_even else -1)
         if not parity:
             continue
-        t_sum = CyclotomicNumber.from_exponents(
-            psi1.value_order, _exponent_histogram(psi1.inverse(), vs)
-        )
+        # T(psi1) sums psi1^(-1) over the v-range, a subgroup: v -> v^(-1) permutes it
+        t_sum = CyclotomicNumber.from_exponents(psi1.value_order, _exponent_histogram(psi1, vs))
         acc = acc + t_sum * Fraction(parity)
     acc = acc * Fraction(phi, 2 * phi * phi)
     return CyclotomicNumber.from_rational(acc.as_rational()) if acc.is_rational() else acc
@@ -296,10 +298,8 @@ def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
                 nonzero = True
         if not nonzero or w_acc.is_zero():
             continue
-        # T(psi) = sum over the v-range of psi^(-1)(v)
-        t_sum = CyclotomicNumber.from_exponents(
-            psi.value_order, _exponent_histogram(psi.inverse(), vs)
-        )
+        # T(psi) sums psi^(-1) over the v-range, a subgroup: v -> v^(-1) permutes it
+        t_sum = CyclotomicNumber.from_exponents(psi.value_order, _exponent_histogram(psi, vs))
         if t_sum.is_zero():
             continue
         # Gauss-sum collapse: W carries prod_i G(psi0_i); dividing by G(psi0)
@@ -358,20 +358,14 @@ def higher_coeffs_analytic(
     units = [a for a in range(1, M) if gcd(a, M) == 1] or [0]
     tables = _mobius_table(terms)
     with mp.workprec(prec + 16):
-        zeta_plus = [mpmath.mpf(0)] * max(M, 1)
-        for mval in range(1, terms + 1):
-            mu = tables.mobius(mval)
-            if mu and (M == 1 or gcd(mval, M) == 1):
-                zeta_plus[mval % M] += mpmath.mpf(mu) / mpmath.mpf(mval) ** k
-        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / M) for t in range(M)] if M > 1 else [mpmath.mpf(1)]
+        moebius = ((m, tables.mobius(m)) for m in range(1, terms + 1))
+        zeta_plus = fold(power_terms(((m, mu) for m, mu in moebius if mu and gcd(m, M) == 1), k), M)
+        roots = root_table(M, mp.prec)
         # zeta_plus mass seen from each unit w: sum over the v-range of zp[v w^-1]
         zmass = {}
         for w in units:
-            if M == 1:
-                zmass[w] = zeta_plus[0] * len(vs)
-            else:
-                w_inv = pow(w, -1, M)
-                zmass[w] = sum((zeta_plus[v * w_inv % M] for v in vs), mpmath.mpf(0))
+            w_inv = pow(w, -1, M)
+            zmass[w] = sum((zeta_plus[v * w_inv % M] for v in vs), mpmath.mpf(0))
         kappa = (-2j * mpmath.pi) ** k / (mpmath.factorial(k - 1) * mpmath.mpf(M) ** k)
         out = []
         for lpp in lpps:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
 
-from .arith import CyclotomicNumber, _frac_str, _reduce_mod_cyclotomic, euler_phi, vp
+from .arith import CyclotomicNumber, _frac_str, _reduce_mod_cyclotomic, _split_order, euler_phi, vp
 from .characters import DirichletCharacter, enumerate_characters
 
 __all__ = [
@@ -39,15 +39,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # valuations
-
-
-def _split_order(m: int, p: int) -> tuple[int, int]:
-    """m = p^a * m' with m' prime to p."""
-    a = 0
-    while m % p == 0:
-        m //= p
-        a += 1
-    return a, m
 
 
 def padic_valuation(x: CyclotomicNumber, p: int) -> Fraction | float:
@@ -211,10 +202,10 @@ def kummer_check(
         raise ValueError(f"table is missing {len(missing)} characters mod {p}^{j}")
     if gcd(a, p) != 1:
         raise ValueError("a must be a unit")
+    a_inv = pow(a, -1, p**j)  # chi^(-1)(a) = chi(a^(-1)): no inverse character is built
     acc = CyclotomicNumber.from_rational(0)
     for ch in chars:
-        w = ch.inverse().value(a)
-        acc = acc + w * table[ch]
+        acc = acc + ch.value(a_inv) * table[ch]
     v = padic_valuation(acc, p)
     req = Fraction(j - 1)
     return KummerReport(a % p**j, j, v, req, v >= req)
@@ -352,8 +343,11 @@ def single_m_weights(
     table: MeasureTable, m: int, a: int, j: int
 ) -> dict[tuple[int, DirichletCharacter], CyclotomicNumber]:
     """The weight family b_(m', chi) = chi^(-1)(a) [m' = m] reducing gluing to one level."""
-    chars = enumerate_characters(table.p**j)
-    return {(m, ch.primitive()): ch.inverse().value(a) for ch in chars}
+    q = table.p**j
+    if gcd(a, table.p) != 1:
+        raise ValueError("a must be a unit")
+    a_inv = pow(a, -1, q)
+    return {(m, ch.primitive()): ch.value(a_inv) for ch in enumerate_characters(q)}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 from asaikit.arith import (
     ArithTables,
@@ -11,15 +15,20 @@ from asaikit.arith import (
     bernoulli_number,
     bernoulli_polynomial,
     bessel_k_moment_check,
+    character_sum,
     cyclotomic_mul,
     cyclotomic_polynomial,
     embed_complex,
     euler_phi,
     factorize,
+    fold,
+    frequency_sum,
     kronecker_symbol,
+    power_terms,
     vp,
     _binomial,
 )
+from asaikit.characters import enumerate_characters
 
 
 def bernoulli_oracle(upto):
@@ -233,3 +242,70 @@ def test_vp():
     assert vp(F(9, 5), 3) == 2
     assert vp(F(5, 27), 3) == -3
     assert vp(F(0), 3) == float("inf")
+
+
+# sparse (r, a) pairs, r <= 500, ascending as the form tables yield them; +-1
+# (Moebius coefficients) takes its own branch in power_terms
+SPARSE_PAIRS = st.dictionaries(
+    st.integers(1, 500),
+    st.sampled_from([F(1), F(-1)]) | st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+    max_size=40,
+).map(lambda d: sorted(d.items()))
+SERIES_S = st.sampled_from([F(3), F(7, 2)])
+SERIES_PREC = 80
+
+
+def _direct_sum(pairs, s, weight):
+    """sum a(r) weight(r) r^(-s) term by term at 64 extra bits, plus sum |a(r)| r^(-s)."""
+    with mp.workprec(SERIES_PREC + 64):
+        sf = mpmath.mpf(s.numerator) / s.denominator
+        acc = mpmath.mpc(0)
+        mass = mpmath.mpf(0)
+        for r, a in pairs:
+            term = mpmath.mpf(a.numerator) / a.denominator * mpmath.power(r, -sf)
+            acc += weight(r) * term
+            mass += abs(term)
+    return acc, mass
+
+
+class TestSeriesPath:
+    """fold/frequency_sum/character_sum against a direct per-term sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=SPARSE_PAIRS, s=SERIES_S, q=st.integers(1, 30), c=st.integers(0, 10**6))
+    def test_frequency_sum(self, pairs, s, q, c):
+        b = F(c % q, q)
+        with mp.workprec(SERIES_PREC):
+            got = frequency_sum(fold(power_terms(pairs, s), q), b)
+        want, mass = _direct_sum(pairs, s, lambda r: mpmath.expjpi(2 * mpmath.mpf(r * b.numerator) / b.denominator))
+        with mp.workprec(SERIES_PREC + 64):
+            assert abs(got - want) <= mpmath.ldexp(mass, -SERIES_PREC + 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=SPARSE_PAIRS,
+        s=SERIES_S,
+        M=st.integers(1, 30),
+        i=st.integers(0, 10**6),
+        coprime_to=st.sampled_from([1, 2, 3, 5]),
+        mult=st.integers(1, 3),
+    )
+    def test_character_sum(self, pairs, s, M, i, coprime_to, mult):
+        chars = enumerate_characters(M)
+        chi = chars[i % len(chars)]
+        q = lcm(M, coprime_to) * mult  # the buckets see both chi and gcd(r, coprime_to)
+        with mp.workprec(SERIES_PREC):
+            got = character_sum(fold(power_terms(pairs, s), q), chi, coprime_to)
+
+        def weight(r):
+            if gcd(r, coprime_to) != 1:
+                return 0
+            return chi.value(r).embed(SERIES_PREC + 64).to_mpc()
+
+        want, mass = _direct_sum(pairs, s, weight)
+        with mp.workprec(SERIES_PREC + 64):
+            assert abs(got - want) <= mpmath.ldexp(mass, -SERIES_PREC + 8)
+
+    def test_frequency_needs_a_dividing_denominator(self):
+        with pytest.raises(ValueError):
+            frequency_sum([mpmath.mpf(1)] * 6, F(1, 4))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asaikit.arith import CyclotomicNumber, factorize
+from asaikit.arith import BigComplex, CyclotomicNumber, factorize
 from asaikit.characters import (
     _components,
     L_special_exact,
@@ -254,6 +254,12 @@ class TestLValues:
         v = L_truncated(2, t6, 20000, 64)
         want = mpmath.pi**2 / 6 * (1 - F(1, 4)) * (1 - F(1, 9))
         assert abs(v.value.to_mpc() - want) < 3 * v.tail_bound
+
+    def test_non_rational_s_rejected(self):
+        t1 = enumerate_characters(1)[0]
+        for s in (complex(3, 1), BigComplex(3, 1, 64)):
+            with pytest.raises(TypeError):
+                L_truncated(s, t1, 100, 64)
 
     def test_domain_rejected(self):
         t1 = enumerate_characters(1)[0]

@@ -98,6 +98,8 @@ class TestValuation:
         assert padic_valuation(x.lift(20), 5) == F(5, 4)
 
     def test_mixed_axioms(self):
+        # the minimum over the primes above 5 is only super-additive
+        # (v(2 + i) = v(2 - i) = 0 while v(5) = 1); scaling by 5^e adds exactly e
         rng = random.Random(1)
         deg = euler_phi(20)
         for _ in range(6):
@@ -106,7 +108,9 @@ class TestValuation:
             if a.is_zero() or b.is_zero():
                 continue
             va, vb = padic_valuation(a, 5), padic_valuation(b, 5)
-            assert padic_valuation(a * b, 5) == va + vb
+            assert padic_valuation(a * b, 5) >= va + vb
+            for e in (-1, 1, 2):
+                assert padic_valuation(a * F(5) ** e, 5) == e + va
 
     def test_unsupported_residue_degree(self):
         # 7-th roots of unity do not embed in Z_5 (5 has order 6 mod 7)
@@ -205,6 +209,11 @@ class TestGlue:
                     for ch in enumerate_characters(3**j):
                         acc2 = acc2 + ch.inverse().value(a) * sub[ch]
                     assert acc == acc2
+
+    def test_non_unit_rejected(self):
+        tab = dirac_measure_table(3, 2, 4, 2)
+        with pytest.raises(ValueError):
+            single_m_weights(tab, 0, 3, 1)
 
     def test_random_table_fails(self):
         rng = random.Random(3)
