@@ -51,11 +51,6 @@ __all__ = [
 # elementary number theory
 
 
-def _frac_str(x: Fraction) -> str:
-    """A rational as text: "n" or "n/d"."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _split_order(m: int, p: int) -> tuple[int, int]:
     """m = p^a * m' with m' prime to p; returns (a, m')."""
     a = 0
@@ -371,12 +366,6 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1 % self.order) if self.order > 1 else self
-
-    def times_root(self, e: int) -> "CyclotomicNumber":
-        """Multiply by zeta_order^e (cheap monomial product)."""
-        return CyclotomicNumber.from_exponents(
-            self.order, {i + e: c for i, c in enumerate(self.coeffs) if c}
-        )
 
     def norm(self) -> Fraction:
         """Product of all Galois conjugates, via the resultant with Phi_m."""

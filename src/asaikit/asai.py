@@ -19,7 +19,6 @@ from math import gcd, isqrt
 from .arith import (
     ArithTables,
     Rational,
-    _frac_str,
     _poly_mul_frac,
     factorize,
     kronecker_symbol,
@@ -158,12 +157,6 @@ class MockEigenform:
                 norm = self.field.ideal_norm(l)
                 self._cpp[key] = hecke_power(cl, Fraction(norm) ** (self.k - 1), e)
         return self._cpp[key]
-
-    def coeff(self, r: int) -> Fraction:
-        return coeff_principal(self, r)
-
-    def asai(self, r: int) -> Fraction:
-        return asai_coeff(self, r)
 
     def tabulate(self, bound: int) -> None:
         """Tabulate the nonzero c(r) and d(r) for r <= bound (build once, then read-only).
@@ -355,14 +348,14 @@ def _power_series_inverse(poly: list[Fraction], order: int) -> list[Fraction]:
     return inv
 
 
-def local_asai_factor(f: MockEigenform, l: int, chi, k: int | None = None) -> list:
+def local_asai_factor(f: MockEigenform, l: int, chi) -> list:
     """1/G_l as a polynomial in l^(-s) (coefficient list, constant term 1).
 
     chi may be a DirichletCharacter or None (untwisted).  Coefficients are
     exact: the split quartic is symmetric in the Satake roots so only
     c(L), c(Lbar) and Nm^(k-1) enter.
     """
-    k = f.k if k is None else k
+    k = f.k
     if f.N % l == 0:
         raise ValueError("local factor only defined away from the level")
     if chi is not None and chi.modulus > 1 and l % factorize(chi.modulus)[0][0] == 0:
@@ -458,15 +451,13 @@ class OrdinaryData:
         return inv[e]
 
 
-def ordinary_data(f: MockEigenform, p: int | None = None) -> OrdinaryData:
+def ordinary_data(f: MockEigenform) -> OrdinaryData:
     """Factor the degree-4 local polynomial at p as (1 - kappa X) H(X).
 
     kappa is alpha_1(P) alpha_1(Pbar) after relabeling the Satake parameters
     so that this product is a p-adic unit; raises if no labeling works.
     """
-    p = f.p if p is None else p
-    if p != f.p:
-        raise ValueError("ordinary data is available at the fixed prime of the form")
+    p = f.p
     a = list(f.p_satake[:2])
     b = list(f.p_satake[2:])
     for i in range(2):
@@ -554,12 +545,12 @@ def dump_eigenform(f: MockEigenform) -> str:
         f"N {f.N}",
         f"D {f.field.D}",
         f"p {f.p}",
-        "satake " + " ".join(_frac_str(x) for x in f.p_satake),
+        "satake " + " ".join(map(str, f.p_satake)),
     ]
     for l in sorted(f.eigen):
         tag = f.field.splitting(l)
         for c in f.eigen[l]:
-            lines.append(f"l {l} {tag} {_frac_str(c)}")
+            lines.append(f"l {l} {tag} {c}")
     return "\n".join(lines) + "\n"
 
 

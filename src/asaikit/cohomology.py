@@ -412,14 +412,15 @@ class DenominatorReport:
 
 
 def denominator_lemma_check(
-    n: int, m: int, p: int, j: int, trials: int, rng: random.Random, D: int = 3
+    n: int, m: int, p: int, j: int, trials: int, rng: random.Random
 ) -> DenominatorReport:
     """Random p-integral P: project gamma_beta^(-1) . P and check the valuation bounds.
 
-    The projected component must have every coefficient of valuation
-    >= -j(2n - m); before projecting, the translated polynomial must already
-    satisfy >= -2nj.
+    P has coefficients in Q(sqrt(-D)), D = 3.  The projected component must
+    have every coefficient of valuation >= -j(2n - m); before projecting, the
+    translated polynomial must already satisfy >= -2nj.
     """
+    D = 3
     if p <= n:
         raise ValueError("need p > n")
     if D % p == 0 or p == 2:

@@ -246,11 +246,9 @@ class InterpolationReport:
     passed: bool
 
 
-def check_interpolation(
-    params: DistParams, chi: DirichletCharacter, j: int | None = None
-) -> InterpolationReport:
+def check_interpolation(params: DistParams, chi: DirichletCharacter) -> InterpolationReport:
     """Two-sided check: direct coset sum against the closed form."""
-    level = j if j is not None else max(_split_order(chi.modulus, params.p)[0], 1)
+    level = max(_split_order(chi.modulus, params.p)[0], 1)
     lhs = integrate_character(params, chi, level)
     rhs = interpolation_rhs(params, chi)
     with mp.workprec(params.prec + 16):

@@ -28,7 +28,6 @@ from .arith import (
     ArithTables,
     BigComplex,
     CyclotomicNumber,
-    _frac_str,
     bernoulli_number,
     euler_phi,
     factorize,
@@ -170,13 +169,13 @@ def enumerate_lambda(params: LevelParams, height: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def sigma_twisted(params: LevelParams, v_prime: int, l: int, k: int | None = None) -> CyclotomicNumber:
+def sigma_twisted(params: LevelParams, v_prime: int, l: int) -> CyclotomicNumber:
     """Signed divisor sum over l' | l with l/l' = 0 mod M: sgn(l') l'^(k-1) e(v' l' / M).
 
     Vanishes unless M | l; negative divisors contribute the (-1)^k-conjugate
     terms.
     """
-    k = params.k if k is None else k
+    k = params.k
     M = params.modulus
     if l <= 0:
         raise ValueError("l must be positive")
@@ -471,6 +470,6 @@ def dump_qexpansion(exp: QExpansion) -> str:
     p = exp.params
     lines = [f"N {p.N}", f"p {p.p}", f"j {p.j}", f"k {p.k}", f"c_j {exp.c_j}"]
     for n, c in enumerate(exp.coeffs):
-        vec = " ".join(_frac_str(x) for x in c.coeffs)
+        vec = " ".join(map(str, c.coeffs))
         lines.append(f"a {n} {c.order} {vec}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ sampler, the measure-gluing families, and the Mellin table.
 Valuations are computed exactly: in a p-power cyclotomic field via the norm
 (resultant) and total ramification, and in mixed fields whose prime-to-p
 root orders satisfy p = 1 mod m' via the Teichmueller embeddings, one per
-prime above p (Hensel-lifted roots of unity in Z_p, uniformizer division
+prime above p (Teichmueller lifts of roots of unity mod p, uniformizer division
 counting); the valuation is the minimum over those primes.  The
 residue-degree > 1 case is out of scope and rejected.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
 
-from .arith import CyclotomicNumber, _frac_str, _reduce_mod_cyclotomic, _split_order, euler_phi, vp
+from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, euler_phi, vp
 from .characters import DirichletCharacter, enumerate_characters
 
 __all__ = [
@@ -64,10 +64,11 @@ def padic_valuation(x: CyclotomicNumber, p: int) -> Fraction | float:
 
 
 def _teichmueller_root(p: int, m_prime: int, T: int) -> int:
-    """Canonical primitive m'-th root of unity in Z/p^T (Hensel lift).
+    """Canonical primitive m'-th root of unity in Z/p^T: a Teichmueller lift.
 
-    The lift starts from the smallest residue of multiplicative order m'
-    modulo p, so the choice of embedding is deterministic.
+    It lifts the smallest residue of multiplicative order m' modulo p, so the
+    choice of embedding is deterministic.  base^(p^(T-1)) mod p^T depends only
+    on base mod p, and it is the root of x^m' = 1 congruent to base.
     """
     base = None
     for r in range(2, p):
@@ -76,15 +77,7 @@ def _teichmueller_root(p: int, m_prime: int, T: int) -> int:
             break
     if base is None:
         raise ArithmeticError("no root of the required order modulo p")
-    # Hensel: w <- w - (w^m' - 1)/(m' w^(m'-1)) mod p^T via doubling precision
-    mod = p
-    w = base
-    while mod < p**T:
-        mod = min(mod * mod, p**T)
-        f = (pow(w, m_prime, mod) - 1) % mod
-        df = (m_prime * pow(w, m_prime - 1, mod)) % mod
-        w = (w - f * pow(df, -1, mod)) % mod
-    return w
+    return pow(base, p ** (T - 1), p**T)
 
 
 def _valuation_teichmueller(
@@ -276,12 +269,12 @@ class MeasureTable:
         return sorted({m for (m, _) in self.entries})
 
     def dumps(self) -> str:
-        lines = [f"p {self.p}", f"n {self.n}", f"kappa {_frac_str(self.kappa)}"]
+        lines = [f"p {self.p}", f"n {self.n}", f"kappa {self.kappa}"]
         for (m, ch), val in sorted(
             self.entries.items(), key=lambda kv: (kv[0][0], kv[0][1].modulus, kv[0][1].exps)
         ):
             idx = enumerate_characters(ch.modulus).index(ch)
-            vec = " ".join(_frac_str(c) for c in val.coeffs)
+            vec = " ".join(map(str, val.coeffs))
             lines.append(f"entry {m} {ch.modulus} {idx} {val.order} {vec}")
         return "\n".join(lines) + "\n"
 

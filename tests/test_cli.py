@@ -1,9 +1,13 @@
+import argparse
 import json
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
-from asaikit.cli import main
+from asaikit import cli
+from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
 
 
@@ -24,7 +28,7 @@ class TestVerify:
             run(
                 [
                     "verify",
-                    "asai",
+                    "distribution",
                     "--eigenform",
                     str(tmp_path / "nope.txt"),
                     "--cache",
@@ -58,6 +62,93 @@ class TestVerify:
             run(["verify", "arith", option, "4", "--cache", str(tmp_path / "c.json")])
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [("asai", "--R", "5"), ("padic", "--prec", "64"), ("characters", "--seed", "3")],
+    )
+    def test_flag_the_suite_does_not_read_exit_2(self, suite, flag, value, tmp_path, capsys):
+        cache = str(tmp_path / "c.json")
+        assert run(["verify", suite, flag, value, "--cache", cache]) == 2
+        assert flag in capsys.readouterr().err
+        assert not os.path.exists(cache)
+
+    @pytest.mark.parametrize("argv", [["characters", "--prec", "32"], ["distribution", "--tol", "3"]])
+    def test_invalid_setting_exit_2(self, argv, tmp_path):
+        assert run(["verify", *argv, "--cache", str(tmp_path / "c.json")]) == 2
+
+    def test_one_flag_per_config_field(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices["verify"]._actions if a.option_strings and a.dest != "help"]
+        assert sorted(a.dest for a in actions) == sorted(f.name for f in fields(RunConfig))
+        assert all(len(a.option_strings) == 1 for a in actions)
+        # RunConfig alone holds the defaults
+        args = parser.parse_args(["verify", "all"])
+        assert all(getattr(args, f.name) is None for f in fields(RunConfig))
+
+    def test_precision_environment_variable_ignored(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ASAIKIT_PREC", "40")
+        cache = str(tmp_path / "c.json")
+        assert run(["verify", "characters", "--cache", cache]) == 0
+        assert json.load(open(cache))["config"]["precision_bits"] == 128
+
+    def test_runner(self, tmp_path, monkeypatch, capsys):
+        reached = []
+
+        def failing():
+            yield "a", True, 1e-12
+            yield "b", False, 3e-5
+            reached.append("c")
+            yield "c", False, 1.0
+
+        def raising():
+            yield "a", True, 1e-20
+            raise RuntimeError("boom")
+
+        def counting():
+            yield "a", True, None
+            return "7 found"
+
+        def fake_suite():
+            return [
+                ("failing", "x", failing()),
+                ("raising", "y", raising()),
+                ("counting", "z", counting()),
+            ]
+
+        monkeypatch.setitem(cli.SUITE_BUILDERS, "asai", fake_suite)
+        cache = str(tmp_path / "c.json")
+        assert run(["verify", "asai", "--cache", cache]) == 1
+        rows = json.load(open(cache))["results"]
+        assert [list(r) for r in rows] == [
+            ["suite", "name", "anchor", "status", "gap", "runtime", "detail"]
+        ] * 3
+        fail, error, count = rows
+        assert (fail["status"], fail["gap"], fail["detail"]) == ("fail", 3e-5, "b")
+        assert reached == []
+        assert (error["status"], error["gap"], error["detail"]) == ("error", None, "RuntimeError: boom")
+        assert (count["status"], count["gap"], count["detail"]) == ("pass", None, "7 found")
+
+    @pytest.mark.parametrize("cache", ["", "missing/c.json"])
+    def test_unwritable_cache_exit_2(self, cache, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(cli.SUITE_BUILDERS, "asai", lambda: [])
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "asai", "--cache", cache]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_exact_checks_report_no_gap(self, tmp_path, capsys):
+        rows = {}
+        for suite in ("eisenstein", "padic"):
+            cache = str(tmp_path / f"{suite}.json")
+            assert run(["verify", suite, "--cache", cache]) == 0
+            rows.update((r["name"], r) for r in json.load(open(cache))["results"])
+        for name, row in rows.items():
+            assert (row["gap"] is None) == (name != "exact-vs-analytic"), name
+        # counts and valuations go to detail, never to gap
+        assert re.fullmatch(r"\d+ members found", rows["membership-dual-path"]["detail"])
+        assert rows["lambda-bijection"]["detail"] == "53 pairs"
+        assert rows["negative-control"]["detail"] == "v=0"
 
     def test_parity_gap_at_working_precision(self, tmp_path, capsys):
         # a gap rounded at 53 bits read 1.2e-11 here; the true gap is about 1e-35

@@ -19,6 +19,7 @@ from asaikit.padic import (
     mellin_table,
     padic_valuation,
     single_m_weights,
+    _teichmueller_root,
 )
 
 
@@ -90,6 +91,20 @@ class TestValuation:
         # independent oracle: Z_(p)[zeta_m] has the power basis as a basis, so
         # x lies in p^n O_(p) (v >= n at every prime above p) iff every coefficient does
         assert floor(v) == min(vp(c, p) for c in x.coeffs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+        T=st.sampled_from((1, 2, 24, 48, 96)),
+        data=st.data(),
+    )
+    def test_teichmueller_root(self, p, T, data):
+        m = data.draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+        order = lambda r: next(e for e in range(1, p) if pow(r, e, p) == 1)
+        w = _teichmueller_root(p, m, T)
+        assert pow(w, m, p**T) == 1
+        assert w % p == min(r for r in range(2, p) if order(r) == m)
+        assert order(w % p) == m
 
     def test_mixed_with_ramified_part(self):
         z20 = CyclotomicNumber.zeta(20)
