@@ -50,6 +50,15 @@ class RunConfig:
             raise ValueError("precision must be >= 64 bits")
         if self.tolerance_exp < 6:
             raise ValueError("tolerance exponent must be >= 6")
+        if self.p is not None and (self.p < 3 or arith.factorize(self.p) != [(self.p, 1)]):
+            raise ValueError(f"--p must be an odd prime, got {self.p}")
+        if self.j is not None and self.j < 1:
+            raise ValueError(f"--j must be >= 1, got {self.j}")
+        if self.s is not None:
+            try:
+                _parse_s(self.s, 0)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"--s must be a rational or k+<rational>, got {self.s!r}") from None
 
 
 def _run_check(suite: str, name: str, anchor: str, cases) -> dict:
@@ -288,14 +297,14 @@ def _suite_distribution(
     eigenform_path: str | None,
 ) -> list:
     cache: dict[int, distribution.DistParams] = {}
-    primes = (p,) if p else (3, 5)
-    levels = (j,) if j else (1, 2)
+    primes = (3, 5) if p is None else (p,)
+    levels = (1, 2) if j is None else (j,)
     tol = 10.0 ** (-tolerance_exp)
 
     def run_for(p):
         if p not in cache:
             f = _load_or_mock_eigenform(eigenform_path, seed, p, truncation_R)
-            point = _parse_s(s, f.k) if s else Fraction(f.k + 3)
+            point = Fraction(f.k + 3) if s is None else _parse_s(s, f.k)
             cache[p] = distribution.DistParams(f, f.p, point, truncation_R, precision_bits)
         return cache[p]
 
@@ -645,6 +654,9 @@ def cmd_eisenstein(args) -> int:
 
 
 def cmd_kummer(args) -> int:
+    if args.j < 1 or args.depth < 0:
+        print(f"error: need --j >= 1 and --depth >= 0, got --j {args.j} --depth {args.depth}", file=sys.stderr)
+        return 2
     try:
         with open(args.measure_table) as fh:
             table = padic.MeasureTable.loads(fh.read())
@@ -655,7 +667,7 @@ def cmd_kummer(args) -> int:
         print(f"error: malformed measure table: {exc}", file=sys.stderr)
         return 2
     p, j = table.p, args.j
-    if args.p and args.p != p:
+    if args.p is not None and args.p != p:
         print(f"error: table is for p={p}, got --p {args.p}", file=sys.stderr)
         return 2
     try:

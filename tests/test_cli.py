@@ -73,7 +73,18 @@ class TestVerify:
         assert flag in capsys.readouterr().err
         assert not os.path.exists(cache)
 
-    @pytest.mark.parametrize("argv", [["characters", "--prec", "32"], ["distribution", "--tol", "3"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characters", "--prec", "32"],
+            ["distribution", "--tol", "3"],
+            ["distribution", "--p", "0"],
+            ["distribution", "--p", "4"],
+            ["distribution", "--p", "9"],
+            ["distribution", "--j", "0"],
+            ["distribution", "--s", "abc"],
+        ],
+    )
     def test_invalid_setting_exit_2(self, argv, tmp_path):
         assert run(["verify", *argv, "--cache", str(tmp_path / "c.json")]) == 2
 
@@ -200,6 +211,16 @@ class TestKummerCommand:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["kummer", str(tmp_path / "none.mt"), "--j", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--p", "0", "--j", "1"], ["--j", "0"], ["--j", "-1"], ["--j", "1", "--depth", "-1"]],
+    )
+    def test_out_of_range_flag_exit_2(self, flags, tmp_path, capsys):
+        path = str(tmp_path / "dirac.mt")
+        open(path, "w").write(dirac_measure_table(3, 2, 4, 2).dumps())
+        assert run(["kummer", path, *flags]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestReport:

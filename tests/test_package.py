@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -22,3 +23,20 @@ def test_roots_of_unity_only_in_arith():
     src = Path(asaikit.__file__).parent
     offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "arith.py" and "expjpi" in p.read_text()]
     assert not offenders
+
+
+def test_bench_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps by name still exists, methods on their own class."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("asaikit_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"asaikit.{module}")
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+        if owner is None or not callable(vars(owner).get(name)):
+            missing.append(f"{module}.{attr}")
+    assert not missing
