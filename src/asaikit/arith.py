@@ -221,25 +221,6 @@ def _poly_trim(c: list) -> list:
     return c
 
 
-def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (monic or divisibility assumed for quotients used here)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [0] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c % lead != 0 and lead != 1:
-            raise ArithmeticError("non-exact integer polynomial division")
-        c //= lead
-        q[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                if dj:
-                    num[i - dd + j] -= c * dj
-    return _poly_trim(q), _poly_trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, little-endian, via Phi_m = (x^m - 1) / prod_{d|m, d<m} Phi_d."""
@@ -252,7 +233,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num[m] = 1
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod_frac(num, cyclotomic_polynomial(d))
             assert not rem
     return tuple(num)
 
@@ -268,15 +249,7 @@ def _resultant(A: list[Fraction], B: list[Fraction]) -> Fraction:
             return Fraction(0) if da >= 0 else res
         if db == 0:
             return res * B[0] ** da
-        # remainder of A by B
-        R = list(A)
-        inv = 1 / B[-1]
-        for i in range(da, db - 1, -1):
-            c = R[i] * inv
-            if c:
-                for j in range(db + 1):
-                    R[i - db + j] -= c * B[j]
-        R = _poly_trim(R)
+        _, R = _poly_divmod_frac(A, B)
         dr = len(R) - 1
         if dr < 0:
             return Fraction(0)
@@ -500,11 +473,12 @@ def _poly_xgcd_mod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction]
     return r0, s0
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod_frac(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder over Q; by a monic divisor, integer coefficients stay int."""
     num = list(num)
     dd = len(den) - 1
-    inv = 1 / den[-1]
-    q = [Fraction(0)] * max(len(num) - dd, 1)
+    inv = 1 if den[-1] == 1 else Fraction(1, den[-1])
+    q = [0] * max(len(num) - dd, 1)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i] * inv
         if c:

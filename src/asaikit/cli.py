@@ -105,10 +105,18 @@ def _run_check(suite: str, name: str, anchor: str, cases) -> dict:
 # (name, anchor, cases) per check, cases being a generator for `_run_check`.
 
 
-def _load_or_mock_eigenform(eigenform_path: str | None, seed: int, p: int, bound: int):
-    if eigenform_path:
-        with open(eigenform_path) as fh:
+def _read_eigenform(path: str) -> asai.MockEigenform:
+    """The form in an eigenform file; an unreadable or malformed file is a ValueError."""
+    try:
+        with open(path) as fh:
             return asai.load_eigenform(fh.read())
+    except OSError as exc:
+        raise ValueError(f"cannot read the eigenform file: {exc}") from None
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed eigenform file {path}: {exc}") from None
+
+
+def _mock_eigenform(seed: int, p: int, bound: int) -> asai.MockEigenform:
     rng = random.Random(seed + p + 2)  # 2: the weight of the mock form
     return asai.random_mock_eigenform(
         rng,
@@ -180,7 +188,7 @@ def _suite_characters(precision_bits: int) -> list:
     def orthogonality():
         for M in (5, 8, 12, 45, 50):
             chars = characters.enumerate_characters(M)
-            units = [a for a in range(1, M) if gcd(a, M) == 1]
+            units = characters._unit_group(M).units
             for a in units[:3]:
                 for b in units[:3]:
                     s = arith.CyclotomicNumber.from_rational(0)
@@ -286,6 +294,25 @@ def _suite_asai(seed: int) -> list:
     ]
 
 
+def _distribution_primes(p: int | None, form: asai.MockEigenform | None) -> tuple[int, ...]:
+    """The primes the distribution suite runs at: the form's own p, else --p, else 3 and 5."""
+    if form is not None:
+        return (form.p,)
+    return (3, 5) if p is None else (p,)
+
+
+def _check_distribution_settings(cfg: RunConfig, form: asai.MockEigenform | None) -> None:
+    """Reject, before any suite runs, the settings the distribution suite cannot run at."""
+    if form is not None and cfg.p is not None and cfg.p != form.p:
+        raise ValueError(f"the eigenform is for p={form.p}, got --p {cfg.p}")
+    for p in _distribution_primes(cfg.p, form):
+        if cfg.truncation_R < p * p:
+            raise ValueError(f"--R must be at least p^2 = {p * p}, got {cfg.truncation_R}")
+    k = 2 if form is None else form.k  # 2: the weight of the mock form
+    if cfg.s is not None and _parse_s(cfg.s, k) <= k + 1:
+        raise ValueError(f"--s must exceed k + 1 = {k + 1}, got {cfg.s!r}")
+
+
 def _suite_distribution(
     seed: int,
     precision_bits: int,
@@ -297,13 +324,14 @@ def _suite_distribution(
     eigenform_path: str | None,
 ) -> list:
     cache: dict[int, distribution.DistParams] = {}
-    primes = (3, 5) if p is None else (p,)
+    form = _read_eigenform(eigenform_path) if eigenform_path else None
+    primes = _distribution_primes(p, form)
     levels = (1, 2) if j is None else (j,)
     tol = 10.0 ** (-tolerance_exp)
 
     def run_for(p):
         if p not in cache:
-            f = _load_or_mock_eigenform(eigenform_path, seed, p, truncation_R)
+            f = form if form is not None else _mock_eigenform(seed, p, truncation_R)
             point = Fraction(f.k + 3) if s is None else _parse_s(s, f.k)
             cache[p] = distribution.DistParams(f, f.p, point, truncation_R, precision_bits)
         return cache[p]
@@ -463,7 +491,7 @@ def _suite_cohomology(seed: int, precision_bits: int, eigenform_path: str | None
             yield f"n={n} alpha={rep.first_bad}", rep.ok, None
 
     def pairing_symmetry():
-        f = _load_or_mock_eigenform(eigenform_path, seed, 5, 2000)
+        f = _read_eigenform(eigenform_path) if eigenform_path else _mock_eigenform(seed, 5, 2000)
         sp = Fraction(f.k + 4)
         v1 = cohomology.pairing_series(f, Fraction(1, 5), sp, 2000, precision_bits)
         v2 = cohomology.pairing_series(f, Fraction(-1, 5), sp, 2000, precision_bits)
@@ -601,11 +629,11 @@ def cmd_verify(args) -> int:
         return 2
     try:
         cfg = RunConfig(**given)
+        form = _read_eigenform(cfg.eigenform_path) if cfg.eigenform_path else None
+        if "distribution" in names:
+            _check_distribution_settings(cfg, form)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.eigenform_path and not os.path.exists(cfg.eigenform_path):
-        print(f"error: input file not found: {cfg.eigenform_path}", file=sys.stderr)
         return 2
     rows = []
     for suite in names:

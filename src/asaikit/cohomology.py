@@ -407,8 +407,7 @@ def denominator_lemma_check(
     worst: Fraction | float = inf
     worst_pre: Fraction | float = inf
     ok = True
-    dens = [1, 2, 3] if p not in (2, 3) else [1, 2] if p != 2 else [1]
-    dens = [x for x in dens if x % p]
+    dens = (1, 2, 3)  # p >= 5 here, so every denominator is prime to p
     for _ in range(trials):
         coeffs = {}
         for i in range(n + 1):

@@ -41,6 +41,7 @@ from .characters import (
     DirichletCharacter,
     _components,
     _twisted_factors,
+    _unit_group,
     enumerate_characters,
     generalized_bernoulli,
 )
@@ -199,17 +200,12 @@ def sigma_twisted(params: LevelParams, v_prime: int, l: int) -> CyclotomicNumber
 
 def _v_range(params: LevelParams, plus_minus: bool) -> list[int]:
     """Units mod M congruent to 1 (or +-1) mod p^j."""
-    M = params.modulus
     q = params.p**params.j
-    if M == 1:
-        return [0]
-    out = []
-    for v in range(1, M):
-        if gcd(v, M) != 1:
-            continue
-        if (v - 1) % q == 0 or (plus_minus and (v + 1) % q == 0):
-            out.append(v)
-    return out
+    return [
+        v
+        for v in _unit_group(params.modulus).units
+        if (v - 1) % q == 0 or (plus_minus and (v + 1) % q == 0)
+    ]
 
 
 def constant_term(params: LevelParams) -> CyclotomicNumber:
@@ -225,7 +221,7 @@ def constant_term(params: LevelParams) -> CyclotomicNumber:
     k = params.k
     chars = enumerate_characters(M)
     phi = len(chars)
-    units = [0] if M == 1 else [a for a in range(1, M) if gcd(a, M) == 1]
+    units = _unit_group(M).units
     # full unit sums of each character: phi at the trivial one, 0 elsewhere
     for ch in chars:
         total = CyclotomicNumber.from_exponents(ch.value_order, _exponent_histogram(ch, units))
@@ -354,7 +350,7 @@ def higher_coeffs_analytic(
         # each bucket tail is below terms^(1-k)/(k-1); enough for ~1e-12 absolute
         terms = 20000 if k <= 4 else 4000
     vs = _v_range(params, plus_minus=True)
-    units = [a for a in range(1, M) if gcd(a, M) == 1] or [0]
+    units = _unit_group(M).units
     tables = _mobius_table(terms)
     with mp.workprec(prec + 16):
         moebius = ((m, tables.mobius(m)) for m in range(1, terms + 1))

@@ -2,12 +2,12 @@
 congruence checkers: the specialized Kummer test, the abstract-congruence
 sampler, the measure-gluing families, and the Mellin table.
 
-Valuations are computed exactly: in a p-power cyclotomic field via the norm
-(resultant) and total ramification, and in mixed fields whose prime-to-p
-root orders satisfy p = 1 mod m' via the Teichmueller embeddings, one per
-prime above p (Teichmueller lifts of roots of unity mod p, uniformizer division
-counting); the valuation is the minimum over those primes.  The
-residue-degree > 1 case is out of scope and rejected.
+Valuations are computed exactly along one route, at orders p^a m' with m'
+dividing p - 1 (m' = 1, 2 included): each prime above p is an embedding
+sending zeta_m' to a Teichmueller root modulo p^T, the image is expanded in
+the uniformizer pi = 1 - zeta_(p^a), and the lowest pi-adic term gives the
+valuation there; the valuation is the minimum over those primes.  The
+residue-degree > 1 case (any other m') is out of scope and rejected.
 
 All checkers only ever certify finite-level evidence.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from math import comb, gcd, inf, lcm
 
 from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, euler_phi, vp
 from .characters import DirichletCharacter, enumerate_characters
@@ -44,127 +44,69 @@ __all__ = [
 def padic_valuation(x: CyclotomicNumber, p: int) -> Fraction | float:
     """Valuation normalized with v(p) = 1, the minimum over the primes above p; +inf at zero.
 
-    Pure p-power orders (times 2) have one prime above p and go through the
-    norm; mixed orders are handled when every prime-to-p root of unity
-    already lives in Z_p (p = 1 mod m'), via Teichmueller lifts.
+    The order is p^a m' with m' | p - 1, so that every prime-to-p root of unity
+    lives in Z_p.  The primes above p are the embeddings zeta_m' -> w^t,
+    t in (Z/m')^x, with w the Teichmueller root; each sends x = X/den (X
+    integral) into Z_p[zeta_q], q = p^a.  There 1 - zeta_q is a uniformizer
+    with ramification index e = phi(q): writing the image as sum_j b_j pi^j,
+    pi = 1 - zeta_q, j < e, the terms have pi-adic valuations e vp(b_j) + j,
+    distinct mod e, so the smallest gives the valuation at that prime.  The
+    b_j are known modulo p^T; a nonzero residue is exact, since every term
+    with b_j = 0 mod p^T has valuation at least eT, and T doubles only when
+    every residue is 0.
     """
     if x.is_zero():
         return inf
     if x.is_rational():
         return vp(x.as_rational(), p)
     a, m_prime = _split_order(x.order, p)
-    if m_prime <= 2:
-        n = x.norm()
-        return Fraction(vp(n, p), euler_phi(x.order))
     if (p - 1) % m_prime:
         raise ValueError(
             f"mixed root order {x.order}: prime-to-p part {m_prime} does not embed in Z_{p}"
         )
-    return _valuation_teichmueller(x, p, a, m_prime)
+    q = p**a
+    e = euler_phi(q)
+    den = lcm(*(c.denominator for c in x.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    # zeta_n = zeta_q^u zeta_m'^v: zeta_n^i goes to zeta_q^(iu) w^(t iv)
+    u, v = pow(m_prime, -1, q), pow(q, -1, m_prime)
+    least, T = inf, 24
+    for t in (t for t in range(m_prime) if gcd(t, m_prime) == 1):  # t = 0 when m' = 1
+        while True:
+            modulus = p**T
+            w = pow(_teichmueller_root(p, m_prime, T), t, modulus)
+            roots = [pow(w, r, modulus) for r in range(m_prime)]
+            g = [0] * q
+            for i, c in enumerate(ints):
+                if c:
+                    g[i * u % q] += c * roots[i * v % m_prime]
+            g = _reduce_mod_cyclotomic(g, q)
+            # zeta_q = 1 - pi; the sign (-1)^j of b_j does not change its valuation
+            b = [sum(comb(i, j) * g[i] for i in range(j, e)) % modulus for j in range(e)]
+            vals = [e * vp(bj, p) + j for j, bj in enumerate(b) if bj]
+            if vals:
+                break
+            T *= 2
+        least = min(least, *vals)
+    return least / e - vp(den, p)
 
 
 def _teichmueller_root(p: int, m_prime: int, T: int) -> int:
     """Canonical primitive m'-th root of unity in Z/p^T: a Teichmueller lift.
 
-    It lifts the smallest residue of multiplicative order m' modulo p, so the
-    choice of embedding is deterministic.  base^(p^(T-1)) mod p^T depends only
-    on base mod p, and it is the root of x^m' = 1 congruent to base.
+    It lifts the smallest residue of multiplicative order m' modulo p (1 when
+    m' = 1), so the choice of embedding is deterministic.  base^(p^(T-1))
+    mod p^T depends only on base mod p, and it is the root of x^m' = 1
+    congruent to base.
     """
     base = None
-    for r in range(2, p):
+    for r in range(1, p):
         if pow(r, m_prime, p) == 1 and all(pow(r, d, p) != 1 for d in range(1, m_prime) if m_prime % d == 0):
             base = r
             break
     if base is None:
         raise ArithmeticError("no root of the required order modulo p")
     return pow(base, p ** (T - 1), p**T)
-
-
-def _valuation_teichmueller(
-    x: CyclotomicNumber, p: int, a: int, m_prime: int
-) -> Fraction | float:
-    """Valuation in Q(zeta_(p^a m')) with p = 1 mod m', minimized over the primes above p.
-
-    The relative norm down to Q(zeta_m') (an exact product of the phi(p^a)
-    ramified-part conjugates) reduces the question to the unramified field.
-    There p splits completely: its primes are the phi(m') embeddings
-    zeta_m' -> w^t, t in (Z/m')^x, with w the Teichmueller root.  Each turns
-    the element into a p-adic integer known modulo p^T; a nonzero residue
-    gives the valuation exactly, since the truncation error is a multiple of
-    p^T, and T doubles only when a residue is 0.
-    """
-    q = p**a
-    if a:
-        prod = None
-        for u in range(1, q):
-            if gcd(u, p) != 1:
-                continue
-            # t = 1 mod m', t = u mod q
-            t = (1 + m_prime * ((u - 1) * pow(m_prime, -1, q) % q)) % (q * m_prime)
-            y = x.galois(t % x.order)
-            prod = y if prod is None else prod * y
-    else:
-        prod = x
-    vec = _unramified_component(prod, p, a, m_prime)
-    den = 1
-    for c in vec:
-        den = den * c.denominator // gcd(den, c.denominator)
-    shift = -vp(Fraction(den), p)
-    ints = [int(c * den) for c in vec]
-    if all(c == 0 for c in ints):
-        raise ArithmeticError("relative norm vanished for a nonzero element")
-    T = 24
-    w = _teichmueller_root(p, m_prime, T)
-    best = None
-    for t in range(1, m_prime):
-        if gcd(t, m_prime) != 1:
-            continue
-        while True:
-            modulus = p**T
-            wt = pow(w, t, modulus)
-            val = sum(c * pow(wt, i, modulus) for i, c in enumerate(ints)) % modulus
-            if val:
-                break
-            T *= 2
-            w = _teichmueller_root(p, m_prime, T)
-        v = 0
-        while val % p == 0:
-            val //= p
-            v += 1
-        best = v if best is None else min(best, v)
-    # the norm multiplied valuations by the ramification index phi(q)
-    return (best + shift) / (euler_phi(q) if a else 1)
-
-
-def _unramified_component(x: CyclotomicNumber, p: int, a: int, m_prime: int) -> list[Fraction]:
-    """Coordinates of an element of Q(zeta_m') inside Q(zeta_(p^a m')).
-
-    Re-expresses the coefficient vector in the tensor basis
-    zeta_q^j zeta_m'^i and checks that every j >= 1 component vanishes.
-    """
-    q = p**a if a else 1
-    m = q * m_prime
-    if x.order != m:
-        x = x.lift(m)
-    dq, dm = euler_phi(q), euler_phi(m_prime)
-    u1 = pow(m_prime, -1, q) if a else 0
-    u2 = pow(q, -1, m_prime) if m_prime > 1 else 0
-    # grid[j][i]: coefficient of zeta_q^j zeta_m'^i before reduction
-    grid = [[Fraction(0)] * m_prime for _ in range(q)]
-    for e, c in enumerate(x.coeffs):
-        if c:
-            grid[e * u1 % q][e * u2 % m_prime] += c
-    # reduce the m'-axis, then the q-axis
-    rows = [_reduce_mod_cyclotomic(list(row), m_prime) for row in grid]
-    cols = []
-    for i in range(dm):
-        col = [rows[j][i] for j in range(q)]
-        cols.append(_reduce_mod_cyclotomic(col, q))
-    for i in range(dm):
-        for j in range(1, dq):
-            if cols[i][j]:
-                raise ArithmeticError("element does not lie in the unramified part")
-    return [cols[i][0] for i in range(dm)]
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,26 @@ class TestCyclotomic:
         assert (1 - CyclotomicNumber.zeta(5)).norm() == 5
         assert (1 - CyclotomicNumber.zeta(9)).norm() == 3
 
+    def test_cyclotomic_polynomial_integral(self):
+        # oracle: prod over d | m of Phi_d = x^m - 1, which determines every Phi_m
+        for m in range(1, 201):
+            phi = cyclotomic_polynomial(m)
+            assert type(phi) is tuple and all(type(c) is int for c in phi)
+            assert len(phi) == euler_phi(m) + 1 and phi[-1] == 1
+            prod = [1]
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    fac = cyclotomic_polynomial(d)
+                    out = [0] * (len(prod) + len(fac) - 1)
+                    for i, a in enumerate(prod):
+                        for j, b in enumerate(fac):
+                            out[i + j] += a * b
+                    prod = out
+            assert prod == [-1] + [0] * (m - 1) + [1]
+        # the first coefficient of absolute value 2 appears at m = 105
+        assert max(map(abs, cyclotomic_polynomial(105))) == 2
+        assert max(map(abs, cyclotomic_polynomial(104))) == 1
+
     def test_norm_of_rational(self):
         c = CyclotomicNumber.from_rational(F(3, 2), 12)
         assert c.norm() == F(3, 2) ** euler_phi(12)

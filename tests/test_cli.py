@@ -1,12 +1,14 @@
 import argparse
 import json
 import os
+import random
 import re
 from dataclasses import fields
 
 import pytest
 
 from asaikit import cli
+from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
 
@@ -83,10 +85,44 @@ class TestVerify:
             ["distribution", "--p", "9"],
             ["distribution", "--j", "0"],
             ["distribution", "--s", "abc"],
+            ["distribution", "--R", "5"],
+            ["distribution", "--p", "5", "--R", "20"],
+            ["distribution", "--s", "2", "--R", "50"],
+            ["distribution", "--s", "k+1"],
         ],
     )
     def test_invalid_setting_exit_2(self, argv, tmp_path):
         assert run(["verify", *argv, "--cache", str(tmp_path / "c.json")]) == 2
+
+    def test_eigenform_file_sets_the_prime(self, tmp_path, capsys):
+        rng = random.Random(1)
+        f = random_mock_eigenform(
+            rng, k=2, N=1, p=7, prime_bound=500, support_bound=80, support_min=31,
+            c_num_bound=2, satake_units=(2, -2),
+        )
+        path, no_d = tmp_path / "f7.txt", tmp_path / "no_d.txt"
+        path.write_text(dump_eigenform(f))
+        no_d.write_text("".join(l for l in path.read_text().splitlines(True) if not l.startswith("D ")))
+        cache = str(tmp_path / "c.json")
+
+        def verify(form, *argv):
+            return run(["verify", "distribution", "--eigenform", str(form), *argv, "--cache", cache])
+
+        # the suite runs at the form's p = 7 only, so no check trips on a p = 3 character
+        assert verify(path, "--R", "500") in (0, 1)
+        assert set(re.findall(r"\[p=(\d+) ", capsys.readouterr().out)) <= {"7"}
+        rows = json.load(open(cache))["results"]
+        assert [r["status"] for r in rows if r["status"] == "error"] == []
+        assert all(r["detail"].startswith("p=7 ") for r in rows if r["status"] == "fail")
+        # a different --p, R below 7^2, s <= k + 1 at the file's weight, a file without its D header
+        for form, argv in (
+            (path, ["--p", "5", "--j", "1"]),
+            (path, ["--R", "30"]),
+            (path, ["--s", "3", "--R", "500"]),
+            (no_d, ["--R", "500"]),
+        ):
+            assert verify(form, *argv) == 2, argv
+        assert "missing the D header" in capsys.readouterr().err
 
     def test_one_flag_per_config_field(self):
         parser = build_parser()

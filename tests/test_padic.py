@@ -67,23 +67,22 @@ class TestValuation:
         assert padic_valuation(x * x.conjugate(), 5) == 1
 
     def test_denominator_in_mixed_ramified_field(self):
-        # the relative norm scales the denominator's valuation by phi(5) = 4 too
+        # a denominator 5^e lowers the valuation at every prime above 5 by e
         assert padic_valuation(CyclotomicNumber.zeta(20, 7) * F(1, 5), 5) == -1
         assert padic_valuation((1 - CyclotomicNumber.zeta(20, 4)) * F(1, 25), 5) == F(-7, 4)
 
     # (p, order): p = 1 mod the prime-to-p part of the order, or a pure p-power order
-    ORDERS = ((5, 4), (5, 20), (13, 3), (13, 12), (7, 6), (7, 21), (3, 9), (5, 25))
+    ORDERS = (
+        (5, 4), (5, 20), (13, 3), (13, 12), (7, 6), (7, 21), (3, 9), (5, 25), (3, 81), (5, 100)
+    )
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        case=st.sampled_from(ORDERS),
-        nums=st.lists(st.integers(-6, 6), min_size=20, max_size=20),
-        scaled=st.booleans(),
-    )
-    def test_minimum_over_conjugates(self, case, nums, scaled):
+    @given(case=st.sampled_from(ORDERS), scaled=st.booleans(), data=st.data())
+    def test_minimum_over_conjugates(self, case, scaled, data):
         p, m = case
         deg = euler_phi(m)
-        x = CyclotomicNumber(m, [F(c, p if scaled and i % 2 else 1) for i, c in enumerate(nums[:deg])])
+        nums = data.draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
+        x = CyclotomicNumber(m, [F(c, p if scaled and i % 2 else 1) for i, c in enumerate(nums)])
         assume(not x.is_zero())
         v = padic_valuation(x, p)
         units = [t for t in range(1, m) if gcd(t, m) == 1]
@@ -91,6 +90,22 @@ class TestValuation:
         # independent oracle: Z_(p)[zeta_m] has the power basis as a basis, so
         # x lies in p^n O_(p) (v >= n at every prime above p) iff every coefficient does
         assert floor(v) == min(vp(c, p) for c in x.coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(((3, 9), (3, 18), (3, 27), (5, 25), (5, 50), (7, 14), (7, 49))),
+        den=st.sampled_from((1, 2, 3, 5, 7, 9, 25)),
+        data=st.data(),
+    )
+    def test_norm_oracle_single_prime(self, case, den, data):
+        # with m' <= 2 there is one prime above p, totally ramified of index
+        # phi(order), so the valuation is that of the norm divided by phi(order)
+        p, m = case
+        deg = euler_phi(m)
+        nums = data.draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg))
+        x = CyclotomicNumber(m, [F(c, den) for c in nums])
+        assume(not x.is_zero())
+        assert padic_valuation(x, p) == vp(x.norm(), p) / deg
 
     @settings(max_examples=80, deadline=None)
     @given(
