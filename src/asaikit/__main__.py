@@ -1,0 +1,8 @@
+"""`python -m asaikit`: the command-line driver of `asaikit.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,11 +17,11 @@ from itertools import takewhile
 from math import gcd, isqrt
 
 from .arith import (
-    ArithTables,
     Rational,
     _poly_mul_frac,
     factorize,
     kronecker_symbol,
+    primes_up_to,
     vp,
 )
 
@@ -169,7 +169,7 @@ class MockEigenform:
         if bound <= self._bound:
             return
         local = []  # per prime l: the (l^e, c(l^e)) with c(l^e) != 0, l^e <= bound
-        for l in ArithTables(bound).primes:
+        for l in primes_up_to(bound):
             powers = []
             le, e = l, 1
             while le <= bound:
@@ -411,15 +411,11 @@ def euler_vs_coefficients(f: MockEigenform, R: int) -> EulerComparisonReport:
     Comparison runs over r <= R coprime to N (factors at l | N are excluded
     from both sides).
     """
-    tables = ArithTables(R) if R >= 2 else None
     series = FormalDirichletSeries.one(R)
-    if tables:
-        for l in tables.primes:
-            if f.N % l == 0:
-                continue
-            series = series * FormalDirichletSeries.from_local_factor(
-                R, l, local_asai_factor(f, l, None)
-            )
+    for l in primes_up_to(R):
+        if f.N % l == 0:
+            continue
+        series = series * FormalDirichletSeries.from_local_factor(R, l, local_asai_factor(f, l, None))
     for r in range(1, R + 1):
         if gcd(r, f.N) != 1:
             continue
@@ -510,8 +506,7 @@ def random_mock_eigenform(
     field = QuadFieldData(D) if D is not None else default_field_for(p)
     eigen: dict[int, tuple[Fraction, ...]] = {}
     support = prime_bound if support_bound is None else support_bound
-    tables = ArithTables(max(prime_bound, 2))
-    for l in tables.primes:
+    for l in primes_up_to(max(prime_bound, 2)):
         if l == p:
             continue
         if l > support or l < support_min:

@@ -173,14 +173,18 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
         for nu in (0, 1, 2):
             for mu in (3, 4):
                 rep = arith.bessel_k_moment_check(nu, mu, 1)
-                yield f"nu={nu} mu={mu}", rep.agree, rep.rel_err
+                yield f"nu={nu} mu={mu}", rep.agree, max(rep.rel_err, rep.kernel_rel_err)
 
     return [
         ("bernoulli-recurrence", "sum C(k,i) B_i = 0", bernoulli_recurrence()),
         ("von-staudt-clausen", "denominator of B_k = prod (p-1)|k p", von_staudt()),
         ("cyclotomic-ring-axioms", "associativity/distributivity mod Phi_m", ring_axioms()),
         ("embedding-homomorphism", "zeta_m -> exp(2 pi i/m) multiplicative", embedding_hom()),
-        ("bessel-moment", "int K_nu(at) t^(mu-1) = Gamma closed form", bessel()),
+        (
+            "bessel-moment",
+            "int K_nu(at) t^(mu-1) via Schlaefli = Gamma closed form; Schlaefli K_nu(a) = besselk",
+            bessel(),
+        ),
     ]
 
 
@@ -252,7 +256,7 @@ def _suite_asai(seed: int) -> list:
     def splitting_kronecker():
         for D in (3, 4, 7, 8, 11):
             fld = asai.QuadFieldData(D)
-            for l in arith.ArithTables(500).primes:
+            for l in arith.primes_up_to(500):
                 s = fld.splitting(l)
                 if D % l == 0:
                     ok = s == "ramified"
@@ -691,7 +695,7 @@ def cmd_kummer(args) -> int:
     except OSError as exc:
         print(f"error: cannot read measure table: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         print(f"error: malformed measure table: {exc}", file=sys.stderr)
         return 2
     p, j = table.p, args.j

@@ -4,7 +4,7 @@ from math import gcd, lcm
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -25,6 +25,7 @@ from asaikit.arith import (
     frequency_sum,
     kronecker_symbol,
     power_terms,
+    primes_up_to,
     vp,
     _binomial,
 )
@@ -228,6 +229,11 @@ class TestArithTables:
             for m in range(1, 1000 // (p * p)):
                 assert t.mobius(p * p * m) == 0
 
+    def test_prime_sieve_matches_tables(self):
+        assert primes_up_to(0) == primes_up_to(1) == []
+        for n in list(range(1, 200)) + [10**4, 10**4 + 7]:
+            assert primes_up_to(n) == ArithTables(n).primes
+
 
 class TestKronecker:
     def test_odd_primes_vs_quadratic_residues(self):
@@ -256,6 +262,38 @@ class TestBessel:
     def test_divergent_parameters_rejected(self):
         with pytest.raises(ValueError):
             bessel_k_moment_check(2, 2, 1)
+
+    def test_known_moments(self):
+        """int K_0(t) t dt = 1, int K_1(t) t^2 dt = 2, int K_0(t) t^2 dt = pi/2."""
+        with mp.workprec(80):
+            for nu, mu, want in ((0, 2, mpmath.mpf(1)), (1, 3, mpmath.mpf(2)), (0, 3, mpmath.pi / 2)):
+                lhs = bessel_k_moment_check(nu, mu, 1).lhs.to_mpc().real
+                assert abs(lhs - want) / want < 1e-20, (nu, mu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nu=st.integers(0, 3),
+        mu=st.fractions(min_value=0, max_value=8, max_denominator=16),
+        a=st.fractions(min_value=F(1, 8), max_value=8, max_denominator=64),
+    )
+    def test_identity_over_parameters(self, nu, mu, a):
+        assume(mu > nu)
+        r = bessel_k_moment_check(nu, mu, a)
+        assert r.agree, (r.rel_err, r.kernel_rel_err)
+
+    def test_kernel_at_large_argument(self):
+        """K_nu(100) ~ 5e-45: the kernel quadrature must not stop at an absolute tolerance."""
+        r = bessel_k_moment_check(1, 2, 100)
+        assert r.agree and r.kernel_rel_err < 1e-20
+
+    def test_kernel_comparison_decides(self, monkeypatch):
+        """A K_nu 1 % off fails the check although the moment side is untouched."""
+        besselk = mpmath.besselk
+        monkeypatch.setattr(mpmath, "besselk", lambda nu, x: 1.01 * besselk(nu, x))
+        r = bessel_k_moment_check(1, 3, 1)
+        assert r.rel_err < 1e-20
+        assert abs(r.kernel_rel_err - 1 / 101) < 1e-6
+        assert not r.agree
 
 
 def test_vp():

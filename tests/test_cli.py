@@ -249,6 +249,19 @@ class TestKummerCommand:
         assert run(["kummer", str(tmp_path / "none.mt"), "--j", "1"]) == 2
 
     @pytest.mark.parametrize(
+        "old, new",
+        [("kappa 1\n", "kappa 1/0\n"), ("entry 2 1 0 1 1/16\n", "entry 2 1 0 1 1/0\n")],
+        ids=["kappa", "entry"],
+    )
+    def test_zero_denominator_exit_2(self, old, new, tmp_path, capsys):
+        text = dirac_measure_table(3, 2, 4, 2).dumps()
+        assert old in text
+        path = str(tmp_path / "zero.mt")
+        open(path, "w").write(text.replace(old, new))
+        assert run(["kummer", path, "--j", "1"]) == 2
+        assert "error: malformed measure table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags",
         [["--p", "0", "--j", "1"], ["--j", "0"], ["--j", "-1"], ["--j", "1", "--depth", "-1"]],
     )

@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,18 @@ def test_bench_tracer_targets_resolve():
         if owner is None or not callable(vars(owner).get(name)):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    """`python -m asaikit` is the `asaikit` command."""
+    env = dict(os.environ, PYTHONPATH=str(Path(asaikit.__file__).resolve().parent.parent))
+    cache = tmp_path / "cache.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "asaikit", "verify", "characters", "--cache", str(cache)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout and cache.exists()
