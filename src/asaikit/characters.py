@@ -96,9 +96,6 @@ class _UnitGroup:
                     orders.append(euler_phi(q))
         self.gens = gens
         self.orders = orders
-        self.exponent = 1
-        for o in orders:
-            self.exponent = lcm(self.exponent, o)
         # discrete logs for every unit
         dlog: dict[int, tuple[int, ...]] = {}
         if M == 1:
@@ -573,7 +570,6 @@ def normalized_L(chi: DirichletCharacter, k: int) -> NormalizedLValue:
     value = b * (sign * Fraction(1, 2 * factorial(k) * C**k))
     # p-denominator report (lower bound via the power basis of Z[zeta])
     if C == 1:
-        p = 0
         v_low = Fraction(0) if all(c.denominator == 1 for c in value.coeffs) else min(
             vp(c, q) for c in value.coeffs for q, _ in factorize(max(c.denominator, 2))
         )

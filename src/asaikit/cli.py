@@ -413,9 +413,9 @@ def _suite_eisenstein(seed: int, precision_bits: int) -> list:
     def exact_vs_analytic():
         for (N, p, j, k) in ((1, 3, 1, 4), (2, 3, 1, 4), (1, 5, 1, 4), (1, 3, 1, 6)):
             params = eisenstein.LevelParams(N, p, j, k)
-            for lpp in (1, 2, 3):
+            analytic = eisenstein.higher_coeffs_analytic(params, (1, 2, 3), precision_bits)
+            for lpp, a in zip((1, 2, 3), analytic):
                 e = eisenstein.higher_coeff_exact(params, lpp)
-                a = eisenstein.higher_coeff_analytic(params, lpp, precision_bits)
                 gap = float(abs(e.embed(precision_bits).to_mpc() - a.to_mpc()))
                 gap /= max(1.0, float(abs(a.to_mpc())))
                 yield f"({N},{p},{j},{k}) l''={lpp}", gap <= 1e-8, gap
@@ -702,8 +702,10 @@ def cmd_kummer(args) -> int:
     if args.p is not None and args.p != p:
         print(f"error: table is for p={p}, got --p {args.p}", file=sys.stderr)
         return 2
-    try:
+    try:  # every slice the sweep and the gluing families read, before any output
         sub = padic.level_view(table, 0, j)
+        for m in table.ms():
+            padic.level_view(table, m, j)
     except KeyError:
         print("error: table lacks characters at this level", file=sys.stderr)
         return 2

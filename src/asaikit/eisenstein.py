@@ -57,7 +57,7 @@ __all__ = [
     "sigma_twisted",
     "constant_term",
     "higher_coeff_exact",
-    "higher_coeff_analytic",
+    "higher_coeffs_analytic",
     "classical_reduction",
     "qexpansion",
     "dump_qexpansion",
@@ -375,13 +375,6 @@ def higher_coeffs_analytic(
                 total += zmass[w] * sig
             out.append(BigComplex.from_mpc(total * kappa / 2, prec))
     return out
-
-
-def higher_coeff_analytic(
-    params: LevelParams, lpp: int, prec: int = 128, terms: int | None = None
-) -> BigComplex:
-    """Single-coefficient form of the Moebius-series evaluation."""
-    return higher_coeffs_analytic(params, (lpp,), prec, terms)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Exact p-adic valuations on cyclotomic values and the finite-level
-congruence checkers: the specialized Kummer test, the abstract-congruence
-sampler, the measure-gluing families, and the Mellin table.
+congruence checkers.
+
+One engine, ``akc_check``, forms every congruence combination and takes its
+valuation: if sum_i b_i f_i(y) lies in p^n O at every sampled unit y, then
+sum_i b_i (integral of f_i) must too.  The specialized Kummer test
+(``kummer_check``: characters against a table, hypothesis by orthogonality)
+and the measure-gluing families (``glue_check``: one run per family) are both
+calls into it; ``integrality_bound_check`` is the only other valuation reader.
 
 Valuations are computed exactly along one route, at orders p^a m' with m'
 dividing p - 1 (m' = 1, 2 included): each prime above p is an embedding
@@ -138,12 +144,12 @@ def kummer_check(
     if gcd(a, p) != 1:
         raise ValueError("a must be a unit")
     a_inv = pow(a, -1, p**j)  # chi^(-1)(a) = chi(a^(-1)): no inverse character is built
-    acc = CyclotomicNumber.from_rational(0)
-    for ch in chars:
-        acc = acc + ch.value(a_inv) * table[ch]
-    v = padic_valuation(acc, p)
-    req = Fraction(j - 1)
-    return KummerReport(a % p**j, j, v, req, v >= req)
+    # The functions are the characters themselves, and the hypothesis
+    # sum_chi chi^(-1)(a) chi(y) = phi(p^j) [y = a] lies in p^(j-1) O at every
+    # unit y by orthogonality, so nothing is sampled: sampling would cost
+    # phi(p^j)^2 products per call.
+    rep = akc_check([(ch.value(a_inv), {}) for ch in chars], [table[ch] for ch in chars], j - 1, p)
+    return KummerReport(a % p**j, j, rep.conclusion_valuation, rep.required, rep.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +175,9 @@ def akc_check(
 
     ``functions`` pairs each weight b_i with the sampled values {y -> f_i(y)};
     if sum_i b_i f_i(y) has valuation >= n at every sampled y, the combination
-    of targets must too.  Results are evidence at the sampled level, never a
-    proof.
+    of targets must too.  A function given no samples adds nothing to the
+    hypothesis, so a caller that proves it instead passes empty samples.
+    Results are evidence at the sampled level, never a proof.
     """
     ys = sorted({y for _, vals in functions for y in vals})
     req = Fraction(n)
@@ -201,12 +208,6 @@ class MeasureTable:
     kappa: Fraction
     entries: dict[tuple[int, DirichletCharacter], CyclotomicNumber] = field(default_factory=dict)
 
-    def value(self, m: int, chi: DirichletCharacter) -> CyclotomicNumber:
-        return self.entries[(m, chi)]
-
-    def characters(self) -> list[DirichletCharacter]:
-        return sorted({ch for (_, ch) in self.entries}, key=lambda c: (c.modulus, c.exps))
-
     def ms(self) -> list[int]:
         return sorted({m for (m, _) in self.entries})
 
@@ -222,26 +223,40 @@ class MeasureTable:
 
     @staticmethod
     def loads(text: str) -> "MeasureTable":
+        """Parse ``dumps`` output, rejecting any entry that no level view reads.
+
+        An entry key (m, chi) must name a primitive character whose modulus is
+        a power of p, and it may appear only once.
+        """
         header: dict[str, str] = {}
-        entries = {}
+        rows = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if parts[0] == "entry":
-                m, cond, idx, order = (int(x) for x in parts[1:5])
-                coeffs = [Fraction(x) for x in parts[5:]]
-                ch = enumerate_characters(cond)[idx]
-                entries[(m, ch)] = CyclotomicNumber(order, coeffs)
+                rows.append(parts[1:])
             else:
                 header[parts[0]] = parts[1]
         for key in ("p", "n", "kappa"):
             if key not in header:
                 raise ValueError(f"measure table missing header {key}")
-        return MeasureTable(
-            int(header["p"]), int(header["n"]), Fraction(header["kappa"]), entries
-        )
+        p = int(header["p"])
+        if p < 2:  # the power-of-p test below never ends at p = 1
+            raise ValueError(f"p must be at least 2, got {p}")
+        entries = {}
+        for row in rows:
+            m, cond, idx, order = (int(x) for x in row[:4])
+            if cond < 1 or _split_order(cond, p)[1] != 1:
+                raise ValueError(f"entry modulus {cond} is not a power of p = {p}")
+            ch = enumerate_characters(cond)[idx]
+            if not ch.is_primitive:
+                raise ValueError(f"entry character {idx} mod {cond} is not primitive")
+            if (m, ch) in entries:
+                raise ValueError(f"repeated entry for m = {m}, character {idx} mod {cond}")
+            entries[(m, ch)] = CyclotomicNumber(order, [Fraction(x) for x in row[4:]])
+        return MeasureTable(p, int(header["n"]), Fraction(header["kappa"]), entries)
 
 
 def dirac_measure_table(p: int, n: int, u: int, j_max: int) -> MeasureTable:
@@ -302,40 +317,22 @@ def glue_check(
 ) -> GlueReport:
     """Mixed-family congruences: weights against x_p^(-m) chi over sampled units.
 
-    For each family, the hypothesis sum_(m,chi) b (chi(y) / y^m) is checked
-    exactly on all units y mod p^(j+depth); when it lies in p^(j-1) O for all
-    sampled y, the target combination of table entries must as well.
+    Each family is one ``akc_check`` at n = j - 1, with the functions
+    f_(m,chi)(y) = chi(y) / y^m sampled exactly on all units y mod p^(j+depth)
+    and the table entries as their integrals; the reports are tallied here.
     """
     p = table.p
-    req = Fraction(j - 1)
-    sample_mod = p ** (j + depth)
-    worst: Fraction | float = inf
-    failures = 0
-    ok = True
+    units = [y for y in range(1, p ** (j + depth)) if gcd(y, p) == 1]
+    reports = []
     for fam in weight_families:
-        hyp_ok = True
-        for y in range(1, sample_mod):
-            if gcd(y, p) != 1:
-                continue
-            acc = CyclotomicNumber.from_rational(0)
-            for (m, ch), b in fam.items():
-                val = ch.value(y)
-                if not val.is_zero():
-                    acc = acc + b * val * Fraction(1, y**m)
-            if padic_valuation(acc, p) < req:
-                hyp_ok = False
-                break
-        if not hyp_ok:
-            failures += 1
-            continue
-        acc = CyclotomicNumber.from_rational(0)
-        for (m, ch), b in fam.items():
-            acc = acc + b * table.entries[(m, ch)]
-        v = padic_valuation(acc, p)
-        worst = min(worst, v)
-        if v < req:
-            ok = False
-    return GlueReport(len(weight_families), failures, ok, worst, req)
+        functions = [
+            (b, {y: ch.value(y) * Fraction(1, y**m) for y in units}) for (m, ch), b in fam.items()
+        ]
+        reports.append(akc_check(functions, [table.entries[key] for key in fam], j - 1, p))
+    held = [rep for rep in reports if rep.hypothesis_holds]
+    worst = min((rep.conclusion_valuation for rep in held), default=inf)
+    passed = all(rep.passed for rep in held)
+    return GlueReport(len(reports), len(reports) - len(held), passed, worst, Fraction(j - 1))
 
 
 def integrality_bound_check(

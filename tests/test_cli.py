@@ -261,6 +261,21 @@ class TestKummerCommand:
         assert run(["kummer", path, "--j", "1"]) == 2
         assert "error: malformed measure table" in capsys.readouterr().err
 
+    def test_missing_entry_off_zero_slice_exit_2(self, tmp_path, capsys):
+        tab = dirac_measure_table(3, 2, 4, 2)
+        del tab.entries[next(key for key in tab.entries if key[0] == 2 and key[1].modulus == 9)]
+        path = str(tmp_path / "gap.mt")
+        open(path, "w").write(tab.dumps())
+        assert run(["kummer", path, "--j", "2", "--depth", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "error: table lacks characters" in out.err
+
+    def test_imprimitive_entry_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "extra.mt")
+        open(path, "w").write(dirac_measure_table(3, 2, 4, 1).dumps() + "entry 0 3 0 1 1000\n")
+        assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
+        assert "error: malformed measure table" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [["--p", "0", "--j", "1"], ["--j", "0"], ["--j", "-1"], ["--j", "1", "--depth", "-1"]],

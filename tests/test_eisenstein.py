@@ -15,8 +15,8 @@ from asaikit.eisenstein import (
     dump_qexpansion,
     enumerate_lambda,
     gamma0_beta_contains,
-    higher_coeff_analytic,
     higher_coeff_exact,
+    higher_coeffs_analytic,
     membership_two_ways,
     qexpansion,
     sigma_twisted,
@@ -150,9 +150,8 @@ class TestConstantTerm:
 class TestHigherCoefficients:
     def test_matches_analytic(self):
         params = LevelParams(1, 3, 1, 4)
-        for lpp in (1, 2, 3, 4):
+        for lpp, a in zip((1, 2, 3, 4), higher_coeffs_analytic(params, (1, 2, 3, 4), 128)):
             e = higher_coeff_exact(params, lpp)
-            a = higher_coeff_analytic(params, lpp, 128)
             with mp.workprec(160):
                 assert abs(e.embed(128).to_mpc() - a.to_mpc()) < 1e-10, lpp
 
@@ -189,8 +188,8 @@ class TestHigherCoefficients:
 
     def test_analytic_converges(self):
         params = LevelParams(1, 3, 1, 4)
-        a1 = higher_coeff_analytic(params, 3, 96, terms=2000)
-        a2 = higher_coeff_analytic(params, 3, 96, terms=20000)
+        [a1] = higher_coeffs_analytic(params, (3,), 96, terms=2000)
+        [a2] = higher_coeffs_analytic(params, (3,), 96, terms=20000)
         e = higher_coeff_exact(params, 3).embed(96)
         with mp.workprec(120):
             gap1 = abs(a1.to_mpc() - e.to_mpc())

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -26,6 +27,19 @@ def test_roots_of_unity_only_in_arith():
     src = Path(asaikit.__file__).parent
     offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "arith.py" and "expjpi" in p.read_text()]
     assert not offenders
+
+
+def test_one_congruence_engine_in_padic():
+    """In padic only akc_check (every congruence combination) and integrality_bound_check take valuations."""
+    tree = ast.parse((Path(asaikit.__file__).parent / "padic.py").read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "padic_valuation"
+    }
+    assert callers == {"akc_check", "integrality_bound_check"}
 
 
 def test_bench_tracer_targets_resolve():

@@ -218,6 +218,18 @@ class TestAkc:
         assert rep.passed is None
 
 
+def _random_rational_table(p, j, data):
+    """m in {0, 2} and every primitive character of conductor dividing p^j, random rational values."""
+    values = st.builds(F, st.integers(-50, 50), st.sampled_from((1, 2, 3, 5, 9, 25)))
+    tab = MeasureTable(p, 2, F(1))
+    for jj in range(j + 1):
+        for ch in enumerate_characters(p**jj):
+            if ch.is_primitive:
+                for m in (0, 2):
+                    tab.entries[(m, ch)] = CyclotomicNumber.from_rational(data.draw(values))
+    return tab
+
+
 class TestGlue:
     def test_dirac_table_passes_all_families(self):
         tab = dirac_measure_table(5, 2, 7, 2)
@@ -244,6 +256,19 @@ class TestGlue:
         tab = dirac_measure_table(3, 2, 4, 2)
         with pytest.raises(ValueError):
             single_m_weights(tab, 0, 3, 1)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([(3, 1), (3, 2), (5, 1)]), st.data())
+    def test_single_m_family_is_the_kummer_check(self, pj, data):
+        # the family's hypothesis is phi(p^j) [y = a] / y^m, so it always holds
+        p, j = pj
+        tab = _random_rational_table(p, j, data)
+        for m in tab.ms():
+            sub = level_view(tab, m, j)
+            for a in (a for a in range(1, p**j) if gcd(a, p) == 1):
+                rep = glue_check(tab, [single_m_weights(tab, m, a, j)], j, depth=1)
+                assert rep.hypothesis_failures == 0
+                assert rep.worst_valuation == kummer_check(sub, a, j, p).valuation
 
     def test_random_table_fails(self):
         rng = random.Random(3)
@@ -285,3 +310,24 @@ class TestMeasureFile:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             MeasureTable.loads("p 5\nn 2\n")
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([(3, 1), (3, 2), (5, 1)]), st.data())
+    def test_random_table_round_trip(self, pj, data):
+        tab = _random_rational_table(*pj, data)
+        assert MeasureTable.loads(tab.dumps()).entries == tab.entries
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["entry 0 3 0 1 1000", "entry 0 5 1 1 1", "entry 2 3 1 2 1/16"],
+        ids=["imprimitive", "not-p-power", "repeated"],
+    )
+    def test_unread_entry_rejected(self, extra):
+        text = dirac_measure_table(3, 2, 4, 1).dumps()
+        MeasureTable.loads(text)
+        with pytest.raises(ValueError):
+            MeasureTable.loads(text + extra + "\n")
+
+    def test_prime_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            MeasureTable.loads("p 1\nn 2\nkappa 1\nentry 0 1 0 1 1\n")
