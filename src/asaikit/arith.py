@@ -40,6 +40,7 @@ __all__ = [
     "to_mpf",
     "root_table",
     "power_terms",
+    "fixed_power_terms",
     "fold",
     "frequency_sum",
     "character_sum",
@@ -666,9 +667,21 @@ def power_terms(pairs: Iterable[tuple[int, Fraction | int]], s: Fraction | int) 
         yield r, (t if a == 1 else -t if a == -1 else to_mpf(a) * t)
 
 
-def fold(terms: Iterable[tuple[int, mpmath.mpf]], q: int) -> list:
-    """Residue buckets W[t] = sum of the terms with r = t mod q."""
-    W = [mpmath.mpf(0)] * q
+def fixed_power_terms(pairs: Iterable[tuple[int, int]], k: int, F: int) -> Iterator[tuple[int, int]]:
+    """Lazily yield (r, the integer nearest a 2^F r^(-k)) for integers a and k >= 0.
+
+    Each term is exact to within 1/2, so a bucket of n such terms lies within
+    n/2 of 2^F times its exact sum.
+    """
+    one = 1 << F
+    for r, a in pairs:
+        d = r**k
+        yield r, (a * one + (d >> 1)) // d
+
+
+def fold(terms: Iterable[tuple[int, mpmath.mpf | int]], q: int) -> list:
+    """Residue buckets W[t] = sum of the terms with r = t mod q (integer terms sum exactly)."""
+    W = [0] * q
     for r, t in terms:
         W[r % q] += t
     return W

@@ -31,8 +31,8 @@ from .arith import (
     bernoulli_number,
     euler_phi,
     factorize,
+    fixed_power_terms,
     fold,
-    power_terms,
     root_table,
     vp,
 )
@@ -343,24 +343,33 @@ def higher_coeffs_analytic(
     (1/2) sum over units v = +-1 mod p^j, units n, of zeta_plus^n(k)
     (-2 pi i)^k / ((k-1)! M^k) sigma_(k-1)^((0, n^(-1) v))(M lpp), with
     zeta_plus^n(k) = sum_(m = n mod M) mu(m) m^(-k) summed to ``terms``.
+
+    The terms are the integers nearest mu(m) 2^F m^(-k), F = prec + 48 (the
+    working precision prec + 16, plus 32 bits), so a bucket of n terms sums
+    exactly to within the radius n/2 * 2^(-F) of its truncated series, and
+    each coset mass below is rounded to a float once.  The v-range is the
+    subgroup H = {v = +-1 mod p^j}, so the zeta_plus mass seen from a unit w
+    is the sum over the coset w^(-1) H: the buckets mod p^j at +-w^(-1), one
+    mass per coset (a single one at j = 0).  No bound on the truncation tail
+    is returned.
     """
     M = params.modulus
     k = params.k
+    q = params.p**params.j
     if terms is None:
         # each bucket tail is below terms^(1-k)/(k-1); enough for ~1e-12 absolute
         terms = 20000 if k <= 4 else 4000
-    vs = _v_range(params, plus_minus=True)
     units = _unit_group(M).units
     tables = _mobius_table(terms)
     with mp.workprec(prec + 16):
-        moebius = ((m, tables.mobius(m)) for m in range(1, terms + 1))
-        zeta_plus = fold(power_terms(((m, mu) for m, mu in moebius if mu and gcd(m, M) == 1), k), M)
+        F = mp.prec + 32
+        moebius = ((m, mu) for m in range(1, terms + 1) if (mu := tables.mobius(m)) and gcd(m, M) == 1)
+        W = fold(fixed_power_terms(moebius, k, F), q)
         roots = root_table(M, mp.prec)
-        # zeta_plus mass seen from each unit w: sum over the v-range of zp[v w^-1]
         zmass = {}
-        for w in units:
-            w_inv = pow(w, -1, M)
-            zmass[w] = sum((zeta_plus[v * w_inv % M] for v in vs), mpmath.mpf(0))
+        for c in range(q):
+            if gcd(c, q) == 1 and c not in zmass:
+                zmass[c] = zmass[-c % q] = mpmath.mpf((sum(W[t] for t in {c, -c % q}), -F))
         kappa = (-2j * mpmath.pi) ** k / (mpmath.factorial(k - 1) * mpmath.mpf(M) ** k)
         out = []
         for lpp in lpps:
@@ -372,7 +381,7 @@ def higher_coeffs_analytic(
                     sig += mpmath.mpf(d) ** (k - 1) * (
                         roots[w * d % M] + (-1) ** k * roots[(-w * d) % M]
                     )
-                total += zmass[w] * sig
+                total += zmass[pow(w, -1, q)] * sig
             out.append(BigComplex.from_mpc(total * kappa / 2, prec))
     return out
 

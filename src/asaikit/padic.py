@@ -225,8 +225,9 @@ class MeasureTable:
     def loads(text: str) -> "MeasureTable":
         """Parse ``dumps`` output, rejecting any entry that no level view reads.
 
-        An entry key (m, chi) must name a primitive character whose modulus is
-        a power of p, and it may appear only once.
+        An entry key (m, chi) must have m in {0, 2, ..., n} and name, by an
+        index in 0..phi(modulus) - 1, a primitive character whose modulus is a
+        power of p; each key may appear only once.
         """
         header: dict[str, str] = {}
         rows = []
@@ -242,21 +243,26 @@ class MeasureTable:
         for key in ("p", "n", "kappa"):
             if key not in header:
                 raise ValueError(f"measure table missing header {key}")
-        p = int(header["p"])
+        p, n = int(header["p"]), int(header["n"])
         if p < 2:  # the power-of-p test below never ends at p = 1
             raise ValueError(f"p must be at least 2, got {p}")
         entries = {}
         for row in rows:
             m, cond, idx, order = (int(x) for x in row[:4])
+            if m % 2 or not 0 <= m <= n:
+                raise ValueError(f"entry weight m = {m} is not one of 0, 2, ..., n = {n}")
             if cond < 1 or _split_order(cond, p)[1] != 1:
                 raise ValueError(f"entry modulus {cond} is not a power of p = {p}")
-            ch = enumerate_characters(cond)[idx]
+            chars = enumerate_characters(cond)
+            if not 0 <= idx < len(chars):
+                raise ValueError(f"entry character index {idx} is outside 0..{len(chars) - 1} mod {cond}")
+            ch = chars[idx]
             if not ch.is_primitive:
                 raise ValueError(f"entry character {idx} mod {cond} is not primitive")
             if (m, ch) in entries:
                 raise ValueError(f"repeated entry for m = {m}, character {idx} mod {cond}")
             entries[(m, ch)] = CyclotomicNumber(order, [Fraction(x) for x in row[4:]])
-        return MeasureTable(p, int(header["n"]), Fraction(header["kappa"]), entries)
+        return MeasureTable(p, n, Fraction(header["kappa"]), entries)
 
 
 def dirac_measure_table(p: int, n: int, u: int, j_max: int) -> MeasureTable:

@@ -21,6 +21,7 @@ from asaikit.arith import (
     embed_complex,
     euler_phi,
     factorize,
+    fixed_power_terms,
     fold,
     frequency_sum,
     kronecker_symbol,
@@ -363,6 +364,27 @@ class TestSeriesPath:
         want, mass = _direct_sum(pairs, s, weight)
         with mp.workprec(SERIES_PREC + 64):
             assert abs(got - want) <= mpmath.ldexp(mass, -SERIES_PREC + 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.sampled_from([1, -1]) | st.integers(-(10**6), 10**6), min_size=1, max_size=300),
+        k=st.sampled_from([2, 4, 6]),
+        q=st.integers(1, 60),
+        bits=st.integers(8, 200),
+    )
+    def test_fixed_point_buckets(self, coeffs, k, q, bits):
+        # terms a(r) r^(-k) for r = 1..len(coeffs): each integer bucket lies within
+        # (terms in the bucket)/2 of 2^bits times its exact sum
+        pairs = list(enumerate(coeffs, start=1))
+        W = fold(fixed_power_terms(pairs, k, bits), q)
+        exact = [F(0)] * q
+        count = [0] * q
+        for r, a in pairs:
+            exact[r % q] += F(a * 2**bits, r**k)
+            count[r % q] += 1
+        for t in range(q):
+            assert isinstance(W[t], int)
+            assert abs(W[t] - exact[t]) <= F(count[t], 2), t
 
     def test_frequency_needs_a_dividing_denominator(self):
         with pytest.raises(ValueError):

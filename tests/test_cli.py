@@ -277,6 +277,25 @@ class TestKummerCommand:
         assert "error: malformed measure table" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "extra",
+        ["entry 5 1 0 1 1\nentry 5 3 1 2 1\n", "entry 4 1 0 1 1\nentry 4 3 1 2 1\n"],
+        ids=["odd-weight", "weight-above-n"],
+    )
+    def test_weight_outside_table_exit_2(self, extra, tmp_path, capsys):
+        # the header says n 2, so only m = 0, 2 are weights of the table
+        path = str(tmp_path / "weights.mt")
+        open(path, "w").write(dirac_measure_table(3, 2, 4, 1).dumps() + extra)
+        assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
+        assert "error: malformed measure table" in capsys.readouterr().err
+
+    def test_negative_character_index_exit_2(self, tmp_path, capsys):
+        text = dirac_measure_table(3, 2, 4, 1).dumps()
+        path = str(tmp_path / "negative.mt")
+        open(path, "w").write(text.replace("entry 0 3 1 2 1\n", "entry 0 3 -1 2 1\n"))
+        assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
+        assert "error: malformed measure table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags",
         [["--p", "0", "--j", "1"], ["--j", "0"], ["--j", "-1"], ["--j", "1", "--depth", "-1"]],
     )

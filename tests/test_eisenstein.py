@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from asaikit.arith import CyclotomicNumber, bernoulli_number
+from asaikit.arith import ArithTables, CyclotomicNumber, bernoulli_number
 from asaikit.eisenstein import (
     IntMatrix2,
     LevelParams,
@@ -195,6 +195,53 @@ class TestHigherCoefficients:
             gap1 = abs(a1.to_mpc() - e.to_mpc())
             gap2 = abs(a2.to_mpc() - e.to_mpc())
         assert gap2 < gap1 or gap2 < 1e-20
+
+
+def _per_unit_oracle(params, lpps, prec, terms):
+    """The Moebius series with mpf power terms and mpf buckets mod M, the
+    zeta_plus mass of every unit w summed bucket by bucket over the v-range."""
+    M, k, q = params.modulus, params.k, params.p**params.j
+    units = [u for u in range(M) if gcd(u, M) == 1]
+    vs = [v for v in units if (v - 1) % q == 0 or (v + 1) % q == 0]
+    mob = ArithTables(terms)
+    with mp.workprec(prec + 16):
+        zeta_plus = [mpmath.mpf(0)] * M
+        for m in range(1, terms + 1):
+            if mob.mobius(m) and gcd(m, M) == 1:
+                zeta_plus[m % M] += mob.mobius(m) * mpmath.mpf(m) ** -k
+        zmass = {w: sum(zeta_plus[v * pow(w, -1, M) % M] for v in vs) for w in units}
+        kappa = (-2j * mpmath.pi) ** k / (mpmath.factorial(k - 1) * mpmath.mpf(M) ** k)
+        out = []
+        for lpp in lpps:
+            total = mpmath.mpc(0)
+            for w in units:
+                for d in (d for d in range(1, lpp + 1) if lpp % d == 0):
+                    e = mpmath.expjpi(2 * mpmath.mpf(w * d % M) / M)
+                    total += zmass[w] * mpmath.mpf(d) ** (k - 1) * (e + (-1) ** k / e)
+            out.append(total * kappa / 2)
+    return out
+
+
+class TestAnalyticCosetMass:
+    """Integer buckets with one mass per coset against the per-unit mpf formula.
+
+    Criterion 07's 1e-8 tolerance cannot see a regrouping error; every level
+    has a coefficient of size at least 1e-4, so a wrong coset shows.
+    """
+
+    @pytest.mark.parametrize(
+        "level, lpps",
+        [((7, 3, 0, 4), (1, 2, 3)), ((1, 3, 1, 4), (1, 3, 6)), ((2, 5, 1, 6), (1, 5)), ((1, 3, 2, 4), (1, 9))],
+        ids=["j0-one-coset", "j1-one-coset", "two-cosets", "three-cosets"],
+    )
+    def test_matches_per_unit_oracle(self, level, lpps):
+        params = LevelParams(*level)
+        got = higher_coeffs_analytic(params, lpps, 128, terms=2000)
+        want = _per_unit_oracle(params, lpps, 128, 2000)
+        assert max(abs(w) for w in want) > 1e-4
+        with mp.workprec(160):
+            for lpp, g, w in zip(lpps, got, want):
+                assert abs(g.to_mpc() - w) <= 1e-35 * max(1, abs(w)), lpp
 
 
 class TestClassicalReduction:

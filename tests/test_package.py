@@ -42,6 +42,15 @@ def test_one_congruence_engine_in_padic():
     assert callers == {"akc_check", "integrality_bound_check"}
 
 
+def test_one_bucket_loop_in_higher_coeffs_analytic():
+    """The Moebius series is bucketed by arith.fold: higher_coeffs_analytic adds into no subscript itself."""
+    tree = ast.parse((Path(asaikit.__file__).parent / "eisenstein.py").read_text())
+    [fn] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "higher_coeffs_analytic"]
+    calls = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "fold" in calls
+    assert not [n for n in ast.walk(fn) if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Subscript)]
+
+
 def test_bench_tracer_targets_resolve():
     """Every function the benchmark tracer wraps by name still exists, methods on their own class."""
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"

@@ -319,14 +319,30 @@ class TestMeasureFile:
 
     @pytest.mark.parametrize(
         "extra",
-        ["entry 0 3 0 1 1000", "entry 0 5 1 1 1", "entry 2 3 1 2 1/16"],
-        ids=["imprimitive", "not-p-power", "repeated"],
+        [
+            "entry 0 3 0 1 1000",
+            "entry 0 5 1 1 1",
+            "entry 2 3 1 2 1/16",
+            "entry 0 3 2 2 1",
+            "entry 1 3 1 2 1",
+            "entry 4 3 1 2 1",
+            "entry -2 3 1 2 1",
+        ],
+        ids=["imprimitive", "not-p-power", "repeated", "index-past-phi", "odd-weight", "weight-above-n", "negative-weight"],
     )
     def test_unread_entry_rejected(self, extra):
         text = dirac_measure_table(3, 2, 4, 1).dumps()
         MeasureTable.loads(text)
         with pytest.raises(ValueError):
             MeasureTable.loads(text + extra + "\n")
+
+    def test_negative_character_index_rejected(self):
+        # plain indexing would read index -1 mod 3 as character 1, and the
+        # edited table would load equal to the original
+        text = dirac_measure_table(3, 2, 4, 1).dumps()
+        assert "entry 0 3 1 2 1\n" in text
+        with pytest.raises(ValueError):
+            MeasureTable.loads(text.replace("entry 0 3 1 2 1\n", "entry 0 3 -1 2 1\n"))
 
     def test_prime_below_two_rejected(self):
         with pytest.raises(ValueError):
