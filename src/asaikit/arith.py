@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: rationals, cyclotomic fields, Bernoulli numbers,
-multiplicative tables, and arbitrary-precision complex values.
+multiplicative tables, midpoint-radius complex balls and the truncated series path.
 
 Everything here is immutable and pure.  Rational numbers are stdlib
 ``fractions.Fraction`` (always lowest terms, positive denominator);
@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, inf, isqrt
+from math import gcd, hypot, inf, isqrt, nextafter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpc_neg, to_float
 
 Rational = Fraction
 
@@ -35,8 +36,7 @@ __all__ = [
     "CyclotomicNumber",
     "cyclotomic_mul",
     "embed_complex",
-    "BigComplex",
-    "SeriesValue",
+    "Ball",
     "to_mpf",
     "root_table",
     "power_terms",
@@ -45,6 +45,7 @@ __all__ = [
     "frequency_sum",
     "character_sum",
     "power_tail",
+    "series_ball",
     "bessel_k_moment_check",
     "BesselMomentReport",
 ]
@@ -454,7 +455,7 @@ class CyclotomicNumber:
         terms = [f"{c}*z{self.order}^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Cyc(" + " + ".join(terms) + ")"
 
-    def embed(self, prec: int = 53) -> "BigComplex":
+    def embed(self, prec: int = 53) -> "Ball":
         return embed_complex(self, prec)
 
 
@@ -533,93 +534,95 @@ def cyclotomic_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-precision complex values
+# midpoint-radius complex balls
 
 
-class BigComplex:
-    """Complex number at a recorded binary precision (>= 53 bits).
+_SLACK = 1 + 2.0**-50  # covers the float roundings of a few nonnegative sums and products
 
-    Arithmetic propagates the minimum precision of the operands.
+
+def _up(x: float) -> float:
+    """A float radius pushed past the roundings of the float operations that formed it."""
+    return nextafter(x * _SLACK, inf)
+
+
+def _mag(z) -> float:
+    """|z| as a float, from the float real and imaginary parts (no mpf square root)."""
+    if hasattr(z, "_mpc_"):
+        re, im = z._mpc_
+        return hypot(to_float(re), to_float(im))
+    return abs(to_float(z._mpf_) if hasattr(z, "_mpf_") else float(z))
+
+
+class Ball:
+    """Complex midpoint-radius ball: the value lies within ``rad`` of ``mid``.
+
+    ``mid`` is an ``mpc``; ``rad`` is a float rounded up.  Arithmetic runs at
+    the working precision p and adds to the radius the rounding of the
+    midpoint operation, 2^(1-p) |result| (twice the round-to-nearest error of
+    each part, which also covers the float magnitude).  A scalar operand is
+    taken as exact.
     """
 
-    __slots__ = ("re", "im", "precision")
+    __slots__ = ("mid", "rad")
 
-    def __init__(self, re, im=0, precision: int = 53):
-        if precision < 53:
-            raise ValueError("precision must be at least 53 bits")
-        self.precision = precision
-        with mp.workprec(precision):
-            self.re = to_mpf(re)
-            self.im = to_mpf(im)
+    def __init__(self, mid, rad: float = 0.0):
+        self.mid = mid
+        self.rad = rad
 
     @staticmethod
-    def from_mpc(z, precision: int) -> "BigComplex":
-        return BigComplex(z.real, z.imag, precision)
+    def from_mpc(z, prec: int, rad: float = 0.0) -> "Ball":
+        """z rounded to ``prec`` bits, with radius ``rad`` plus that rounding."""
+        with mp.workprec(prec):
+            mid = mp.make_mpc((mpmath.mpf(z.real)._mpf_, mpmath.mpf(z.imag)._mpf_))
+        return Ball(mid, _up(rad + _mag(mid) * 2.0 ** (1 - prec)))
 
     def to_mpc(self):
-        # assemble from the raw mantissas: no rounding at the ambient precision
-        return mp.make_mpc((self.re._mpf_, self.im._mpf_))
+        return self.mid
 
-    def _pair(self, other):
-        if isinstance(other, BigComplex):
-            return other, min(self.precision, other.precision)
-        return BigComplex(other, 0, self.precision), self.precision
+    @staticmethod
+    def _rounded(mid, rad: float) -> "Ball":
+        return Ball(mid, _up(rad + _mag(mid) * 2.0 ** (1 - mp.prec)))
 
     def __add__(self, other):
-        o, prec = self._pair(other)
-        with mp.workprec(prec):
-            return BigComplex(self.re + o.re, self.im + o.im, prec)
+        if isinstance(other, Ball):
+            return Ball._rounded(self.mid + other.mid, self.rad + other.rad)
+        return Ball._rounded(self.mid + other, self.rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BigComplex(-self.re, -self.im, self.precision)
+        return Ball(mp.make_mpc(mpc_neg(self.mid._mpc_)), self.rad)  # exact: no rounding
 
     def __sub__(self, other):
-        o, prec = self._pair(other)
-        with mp.workprec(prec):
-            return BigComplex(self.re - o.re, self.im - o.im, prec)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, Ball):
+            return Ball._rounded(self.mid - other.mid, self.rad + other.rad)
+        return Ball._rounded(self.mid - other, self.rad)
 
     def __mul__(self, other):
-        o, prec = self._pair(other)
-        with mp.workprec(prec):
-            return BigComplex(
-                self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re, prec
-            )
+        if isinstance(other, Ball):
+            rad = _mag(self.mid) * other.rad + _mag(other.mid) * self.rad + self.rad * other.rad
+            return Ball._rounded(self.mid * other.mid, rad)
+        return Ball._rounded(self.mid * other, _mag(other) * self.rad)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o, prec = self._pair(other)
-        with mp.workprec(prec):
-            z = self.to_mpc() / o.to_mpc()
-        return BigComplex.from_mpc(z, prec)
-
-    def __rtruediv__(self, other):
-        o, prec = self._pair(other)
-        with mp.workprec(prec):
-            z = o.to_mpc() / self.to_mpc()
-        return BigComplex.from_mpc(z, prec)
-
-    def conjugate(self) -> "BigComplex":
-        return BigComplex(self.re, -self.im, self.precision)
-
-    def abs(self):
-        with mp.workprec(self.precision):
-            return mpmath.hypot(self.re, self.im)
-
-    def __abs__(self):
-        return self.abs()
-
-    def __repr__(self):
-        return f"BigComplex({self.re}, {self.im}, prec={self.precision})"
+    def __truediv__(self, other: "Ball") -> "Ball":
+        """Quotient by a ball that excludes 0."""
+        den = _mag(other.mid) * (1 - 2.0**-50) - other.rad
+        if den <= 0:
+            raise ZeroDivisionError("the divisor ball contains 0")
+        q = self.mid / other.mid
+        return Ball._rounded(q, (self.rad + _mag(q) * other.rad) / den)
 
 
-def embed_complex(a: CyclotomicNumber, prec: int = 53) -> BigComplex:
-    """Evaluate the coefficient polynomial at exp(2*pi*i/m) (the fixed embedding)."""
+def embed_complex(a: CyclotomicNumber, prec: int = 53) -> Ball:
+    """Evaluate the coefficient polynomial at exp(2*pi*i/m) (the fixed embedding).
+
+    Horner's rule runs at w = prec + 16 bits.  As |zeta| = 1, every partial
+    value is at most S = sum |c|, and each of the n steps moves the result by
+    at most 5 S 2^(-w): zeta (two units), the coefficient, the product and the
+    sum.  The radius counts 8 (n + 1) S 2^(-w).
+    """
     if prec < 53:
         raise ValueError("prec must be at least 53 bits")
     with mp.workprec(prec + 16):
@@ -627,18 +630,13 @@ def embed_complex(a: CyclotomicNumber, prec: int = 53) -> BigComplex:
         acc = mpmath.mpc(0)
         for c in reversed(a.coeffs):
             acc = acc * zeta + to_mpf(c)
-    return BigComplex.from_mpc(acc, prec)
+    mass = sum(abs(float(c)) for c in a.coeffs)
+    return Ball.from_mpc(acc, prec, 8 * (len(a.coeffs) + 1) * mass * 2.0 ** (-prec - 16))
 
 
 # ---------------------------------------------------------------------------
 # truncated Dirichlet series sum a(r) r^(-s): residue buckets mod q combined with
 # roots of unity, at the caller's working precision, terms added in the order given
-
-
-@dataclass(frozen=True)
-class SeriesValue:
-    value: BigComplex
-    tail_bound: float
 
 
 def to_mpf(x) -> mpmath.mpf:
@@ -714,14 +712,29 @@ def character_sum(W: Sequence, chi, coprime_to: int = 1):
     return acc
 
 
-def power_tail(pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: Fraction | int) -> float:
-    """Tail of sum_(r>R) |a(r)| r^(-s), s > k + 1, with the empirical majorant
-    max_(r<=R) |a(r)|/r^k: max * R^(k+1-s)/(s-k-1), a bound only if it holds beyond R."""
+def power_tail(pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: Fraction | int) -> tuple[float, float]:
+    """(tail, mass) for sum a(r) r^(-s), r <= R, s > k + 1, from the empirical majorant
+    A = max_(r<=R) |a(r)|/r^k.  The tail A R^(k+1-s)/(s-k-1) bounds sum_(r>R) |a(r)| r^(-s)
+    only if A holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s)."""
     s = float(s)
     amax = 0.0
     for r, a in pairs:
         amax = max(amax, abs(a.numerator / a.denominator) / float(r) ** k)
-    return amax * float(R) ** (k + 1 - s) / (s - k - 1)
+    return amax * float(R) ** (k + 1 - s) / (s - k - 1), amax * (s - k) / (s - k - 1)
+
+
+def series_ball(acc, prec: int, tail: float, mass: float, R: int, q: int, s) -> Ball:
+    """A truncated series sum_(r<=R) a(r) w(r) r^(-s), |w(r)| <= 1, as a Ball at ``prec`` bits.
+
+    ``acc`` is the sum formed at the working precision p from buckets mod q
+    (``fold``, then ``frequency_sum`` or ``character_sum``), and ``mass``
+    bounds sum_(r<=R) |a(r)| r^(-s).  A sum of n rounded values errs by at
+    most n units of 2^(-p) times their absolute sum, so the terms, the bucket
+    sums and the root products err by at most (R + 2q + 8) 2^(-p) mass; s
+    rounded to p bits moves a term r^(-s) by at most s ln(r) <= s R more.
+    The radius is ``tail`` plus (R (1 + s) + q) 2^(3-p) mass, which covers both.
+    """
+    return Ball.from_mpc(acc, prec, tail + (R * (1 + float(s)) + q) * mass * 2.0 ** (3 - mp.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +743,8 @@ def power_tail(pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: F
 
 @dataclass(frozen=True)
 class BesselMomentReport:
-    lhs: BigComplex
-    rhs: BigComplex
+    lhs: mpmath.mpf
+    rhs: mpmath.mpf
     rel_err: float
     kernel_rel_err: float
     agree: bool
@@ -782,8 +795,8 @@ def bessel_k_moment_check(nu: int, mu: Fraction | int, a: Fraction | int) -> Bes
         want = mpmath.besselk(nu, af)
         kernel_rel = abs(kernel - want) / want
     return BesselMomentReport(
-        lhs=BigComplex(lhs, 0, 80),
-        rhs=BigComplex(rhs, 0, 80),
+        lhs=lhs,
+        rhs=rhs,
         rel_err=float(rel),
         kernel_rel_err=float(kernel_rel),
         agree=bool(rel < 1e-6 and kernel_rel < 1e-6),

@@ -21,9 +21,8 @@ import mpmath
 from mpmath import mp
 
 from .arith import (
-    BigComplex,
+    Ball,
     CyclotomicNumber,
-    SeriesValue,
     bernoulli_number,
     bernoulli_polynomial,
     character_sum,
@@ -31,6 +30,7 @@ from .arith import (
     factorize,
     fold,
     power_terms,
+    series_ball,
     vp,
 )
 
@@ -491,11 +491,12 @@ class TranscendentalValue:
     two_pi_i_power: int
     algebraic: CyclotomicNumber
 
-    def numeric(self, prec: int = 53) -> BigComplex:
+    def numeric(self, prec: int = 53) -> Ball:
+        """The value at ``prec`` bits; the radius bounds the embedding's rounding."""
         with mp.workprec(prec + 16):
             two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
-            z = self.algebraic.embed(prec + 16).to_mpc() * two_pi_i**self.two_pi_i_power
-        return BigComplex.from_mpc(z, prec)
+            z = self.algebraic.embed(prec + 16) * two_pi_i**self.two_pi_i_power
+        return Ball.from_mpc(z.mid, prec, z.rad)
 
     def __eq__(self, other):
         return (
@@ -524,17 +525,22 @@ def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
     return TranscendentalValue(k, alg)
 
 
-def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> SeriesValue:
-    """sum_{n<=terms} psi(n) n^(-s) for rational s > 1, with the integral tail bound terms^(1-s)/(s-1)."""
+def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> Ball:
+    """sum_{n<=terms} psi(n) n^(-s) for rational s > 1.
+
+    The radius holds the integral tail bound terms^(1-s)/(s-1) and the
+    rounding, over the mass sum n^(-s) <= s/(s-1).
+    """
     s = Fraction(s)
     if s <= 1:
         raise ValueError("need s > 1")
     M = psi.modulus
+    sf = float(s)
     with mp.workprec(prec + 16):
         W = fold(power_terms(((n, 1) for n in range(1, terms + 1) if gcd(n, M) == 1), s), M)
-        acc = character_sum(W, psi)
-    tail = terms ** (1 - float(s)) / (float(s) - 1)
-    return SeriesValue(BigComplex.from_mpc(acc, prec), tail)
+        return series_ball(
+            character_sum(W, psi), prec, terms ** (1 - sf) / (sf - 1), sf / (sf - 1), terms, M, s
+        )
 
 
 @dataclass(frozen=True)

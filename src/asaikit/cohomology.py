@@ -20,8 +20,7 @@ import mpmath
 from mpmath import mp
 
 from .arith import (
-    BigComplex,
-    SeriesValue,
+    Ball,
     _binomial,
     _split_order,
     character_sum,
@@ -31,7 +30,7 @@ from .arith import (
     power_tail,
     power_terms,
     root_table,
-    to_mpf,
+    series_ball,
     vp,
 )
 from .asai import MockEigenform
@@ -143,13 +142,6 @@ class QuadCoeff:
         if self.D % p == 0 or p == 2:
             raise ValueError("valuation rule requires p odd and unramified")
         return min(vp(self.x, p), vp(self.y, p))
-
-    def embed(self, prec: int) -> BigComplex:
-        with mp.workprec(prec + 8):
-            sq = mpmath.sqrt(mpmath.mpf(self.D))
-            re = to_mpf(self.x)
-            im = to_mpf(self.y) * sq
-        return BigComplex(re, im, prec)
 
     def __repr__(self):
         return f"({self.x}+{self.y}w{self.D})"
@@ -528,18 +520,18 @@ def psi_identity_check(n: int) -> PsiIdentityReport:
 
 def pairing_series(
     f: MockEigenform, b: Fraction, s_prime, R: int, prec: int = 64
-) -> SeriesValue:
-    """sum_(r>=1) (e(r b) + e(-r b)) c(r) r^(-s'), truncated at R."""
+) -> Ball:
+    """sum_(r>=1) (e(r b) + e(-r b)) c(r) r^(-s'), truncated at R; the radius holds the tail."""
     s_prime = Fraction(s_prime)
     if s_prime <= f.k + 1:
         raise ValueError("need s' > k + 1")
     b = Fraction(b)
     f.tabulate(R)
+    tail, mass = power_tail(f.nonzero(R, "c"), f.k, R, s_prime)
     with mp.workprec(prec + 16):
         W = fold(power_terms(f.nonzero(R, "c"), s_prime), b.denominator)
         acc = frequency_sum(W, b) + frequency_sum(W, -b)
-    tail = 2 * power_tail(f.nonzero(R, "c"), f.k, R, s_prime)
-    return SeriesValue(BigComplex.from_mpc(acc, prec), tail)
+        return series_ball(acc, prec, 2 * tail, 2 * mass, R, 2 * b.denominator, s_prime)
 
 
 @dataclass(frozen=True)
@@ -548,9 +540,9 @@ class RationalityReport:
     G'_inf(0) sqrt(D)^s' / (G(chibar^2) (2 pi)^(4n-3m+4)) of both sides;
     ``rel_gap`` and ``algebraic_claim`` do not depend on it."""
 
-    value: BigComplex
-    lhs: BigComplex
-    rhs: BigComplex
+    value: Ball
+    lhs: Ball
+    rhs: Ball
     gap: float
     rel_gap: float
     algebraic_claim: bool
@@ -563,7 +555,7 @@ def rationality_ratio(
     m: int,
     R: int,
     prec: int,
-    omega_f: BigComplex,
+    omega_f: Ball,
     tol: float = 1e-8,
 ) -> RationalityReport:
     """Assemble both sides of the twisted-value identity and report the gap.
@@ -574,7 +566,8 @@ def rationality_ratio(
     full identity carry the common factor named in ``RationalityReport``,
     which cancels and is left out.  ``value`` divides the left side by the
     user-supplied period; ``algebraic_claim`` only records numerical
-    consistency at the requested tolerance.
+    consistency at the requested tolerance, or within four times the right
+    side's radius (its tails).
     """
     if m % 2 or not 0 <= m <= n - 2:
         raise ValueError("m must be even with 0 <= m <= n-2")
@@ -589,45 +582,44 @@ def rationality_ratio(
     if Cc != 1:
         raise ValueError("chi must have p-power conductor")
     chi0 = chi.primitive()
+    f.tabulate(R)
+    tail, mass = power_tail(f.nonzero(R), f.k, R, s_prime)
     with mp.workprec(prec + 16):
         # left side
-        f.tabulate(R)
-        g_chi = gauss_sum(chi).value.embed(prec + 16).to_mpc()
+        g_chi = gauss_sum(chi).value.embed(prec + 16)
         chibar = chi0.inverse()
         psi = chibar * chibar
         twisted = character_sum(fold(power_terms(f.nonzero(R), s_prime), chi0.modulus), chibar)
-        lhs = g_chi * twisted
+        lhs = g_chi * series_ball(twisted, mp.prec, tail, mass, R, chi0.modulus, s_prime)
         # right side: normalized_L is L(k_l, chibar^2) / (G(chibar^2) (2 pi)^k_l)
         lval = (
-            normalized_L(chi0, k_l).value.embed(prec + 16).to_mpc()
-            * gauss_sum(psi).value.embed(prec + 16).to_mpc()
+            normalized_L(chi0, k_l).value.embed(prec + 16)
+            * gauss_sum(psi).value.embed(prec + 16)
             * (2 * mpmath.pi) ** k_l
         )
         psi0 = psi.primitive()
         for q, _ in factorize(f.N):  # remove the level-N Euler factors
             t = psi0.exponent_of(q)
             if t is not None:
-                lval *= 1 - root_table(psi0.value_order, mp.prec)[t] * mpmath.mpf(q) ** (-k_l)
-        pair_acc = mpmath.mpc(0)
-        tail = 0.0
+                lval = lval * (1 - root_table(psi0.value_order, mp.prec)[t] * mpmath.mpf(q) ** (-k_l))
+        pair_acc = Ball(mpmath.mpc(0))
         for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
             w = root_table(chi0.value_order, mp.prec)[chi0.exponent_of(a)]
             pv = pairing_series(f, Fraction(a, p**j_chi) if j_chi else Fraction(0), s_prime, R, prec + 16)
-            pair_acc += w * pv.value.to_mpc()
-            tail += pv.tail_bound
+            pair_acc = pair_acc + pv * w
         if j_chi == 0:
             # the single class pairs with itself, so the cosine form double counts
-            pair_acc /= 2
+            pair_acc = pair_acc * 0.5
         rhs = lval * pair_acc
-        gap = float(abs(lhs - rhs))
-        rel = gap / max(float(abs(lhs)), 1e-300)
-        tail_abs = tail * float(abs(lval))
-        consistent = gap <= max(tol * max(float(abs(lhs)), float(abs(rhs))), 4 * tail_abs)
-        value = lhs / omega_f.to_mpc()
+        gap = float(abs((lhs - rhs).mid))
+        lhs_abs, rhs_abs = float(abs(lhs.mid)), float(abs(rhs.mid))
+        rel = gap / max(lhs_abs, 1e-300)
+        consistent = gap <= max(tol * max(lhs_abs, rhs_abs), 4 * rhs.rad)
+        value = lhs / omega_f
     return RationalityReport(
-        BigComplex.from_mpc(value, prec),
-        BigComplex.from_mpc(lhs, prec),
-        BigComplex.from_mpc(rhs, prec),
+        Ball.from_mpc(value.mid, prec, value.rad),
+        Ball.from_mpc(lhs.mid, prec, lhs.rad),
+        Ball.from_mpc(rhs.mid, prec, rhs.rad),
         gap,
         rel,
         consistent,

@@ -2,10 +2,12 @@
 
 The coset values interpolate the twisted coefficient series
 P_s(b) = sum d(r) e(r b) r^(-s); everything is evaluated in the region of
-absolute convergence s > k+1.  Series are truncated at R with explicit tail
-bounds; the majorant constant is taken from the computed range of |d(r)|/r^k
-rather than an unconditional growth bound, so the bound is honest for
-synthetic eigen-data as well.
+absolute convergence s > k+1.  Every value is an ``arith.Ball``: a series
+truncated at R carries its tail bound and its rounding in the radius, and
+coset values, character integrals and the closed form propagate those radii
+through Ball arithmetic.  The tail's majorant constant is taken from the
+computed range of |d(r)|/r^k rather than an unconditional growth bound, so
+it is not a proof beyond R, for synthetic eigen-data as for real.
 
 Evaluation strategy (the series helpers of ``arith``): one pass over the
 nonzero support of d (a few thousand r at R = 1e5) stores (r, d(r) r^(-s))
@@ -24,8 +26,7 @@ import mpmath
 from mpmath import mp
 
 from .arith import (
-    BigComplex,
-    SeriesValue,
+    Ball,
     _split_order,
     character_sum,
     fold,
@@ -33,6 +34,7 @@ from .arith import (
     power_tail,
     power_terms,
     root_table,
+    series_ball,
     to_mpf,
     vp,
 )
@@ -41,16 +43,13 @@ from .characters import DirichletCharacter, gauss_sum
 
 __all__ = [
     "DistParams",
-    "CosetValue",
-    "SeriesValue",
     "P_s",
     "mu_tilde",
     "mu_symmetrized",
-    "DistRelationReport",
+    "IdentityReport",
     "verify_distribution_relation",
     "integrate_character",
     "interpolation_rhs",
-    "InterpolationReport",
     "check_interpolation",
 ]
 
@@ -77,7 +76,7 @@ class DistParams:
         f.tabulate(R)
         with mp.workprec(prec + 16):
             self._terms = list(power_terms(f.nonzero(R), s))  # nonzero (r, d(r) r^(-s))
-        self._tail0 = power_tail(f.nonzero(R), f.k, R, s)
+        self._tail0, self._mass = power_tail(f.nonzero(R), f.k, R, s)
         self._buckets: dict[int, list] = {}
 
     def tail_bound(self) -> float:
@@ -90,25 +89,20 @@ class DistParams:
                 self._buckets[q] = fold(self._terms, q)
         return self._buckets[q]
 
-
-@dataclass(frozen=True)
-class CosetValue:
-    a: int
-    j: int
-    value: BigComplex
-    tail_bound: float
+    def _series(self, acc, q: int) -> Ball:
+        """A root-of-unity combination of the buckets mod q as a Ball at the working precision."""
+        return series_ball(acc, self.prec, self.tail_bound(), self._mass, self.R, q, self.s)
 
 
-def P_s(params: DistParams, b: Fraction | int) -> SeriesValue:
-    """sum_{r<=R} d(r) e(r b) r^(-s), with attached tail bound (periodic in b)."""
+def P_s(params: DistParams, b: Fraction | int) -> Ball:
+    """sum_{r<=R} d(r) e(r b) r^(-s), periodic in b; the radius holds the tail."""
     b = Fraction(b)
     W = params._bucket(b.denominator)
     with mp.workprec(params.prec + 16):
-        acc = frequency_sum(W, b)
-    return SeriesValue(BigComplex.from_mpc(acc, params.prec), params.tail_bound())
+        return params._series(frequency_sum(W, b), b.denominator)
 
 
-def mu_tilde(params: DistParams, a: int, j: int) -> CosetValue:
+def mu_tilde(params: DistParams, a: int, j: int) -> Ball:
     """Coset value p^(j(s-1))/kappa^j * sum_i B_i P_s(a p^i / p^j) p^(-i s)."""
     p, s = params.p, params.s
     if j < 1:
@@ -121,95 +115,81 @@ def mu_tilde(params: DistParams, a: int, j: int) -> CosetValue:
     with mp.workprec(params.prec + 16):
         sf = to_mpf(s)
         pref = mpmath.mpf(p) ** (j * sf - j) / to_mpf(od.kappa) ** j
-        acc = mpmath.mpc(0)
-        tail = 0.0
-        base_tail = params.tail_bound()
+        acc = Ball(mpmath.mpc(0))
         for i in range(4):
             if od.B[i] == 0:
                 continue
-            piece = P_s(params, Fraction(a * p**i, p**j))
             w = to_mpf(od.B[i]) * mpmath.mpf(p) ** (-i * sf)
-            acc += w * piece.value.to_mpc()
-            tail += abs(float(w)) * base_tail
-        acc *= pref
-        tail *= abs(float(pref))
-    return CosetValue(a % p**j, j, BigComplex.from_mpc(acc, params.prec), tail)
+            acc = acc + P_s(params, Fraction(a * p**i, p**j)) * w
+        acc = acc * pref
+    return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 
-def mu_symmetrized(params: DistParams, a: int, j: int) -> CosetValue:
+def mu_symmetrized(params: DistParams, a: int, j: int) -> Ball:
     """mu_tilde(a) + mu_tilde(-a): even in a by construction."""
     plus = mu_tilde(params, a, j)
     minus = mu_tilde(params, (-a) % params.p**j, j)
-    return CosetValue(
-        a % params.p**j,
-        j,
-        plus.value + minus.value,
-        plus.tail_bound + minus.tail_bound,
-    )
+    with mp.workprec(params.prec):
+        return plus + minus
 
 
 @dataclass(frozen=True)
-class DistRelationReport:
-    lhs: BigComplex
-    rhs: BigComplex
+class IdentityReport:
+    """Both sides of an identity; ``gap`` is |lhs - rhs| of the midpoints, ``bound`` the radius of lhs - rhs."""
+
+    lhs: Ball
+    rhs: Ball
     gap: float
     bound: float
     passed: bool
 
 
-def verify_distribution_relation(params: DistParams, a: int, j: int) -> DistRelationReport:
+def verify_distribution_relation(params: DistParams, a: int, j: int) -> IdentityReport:
     """Refine the coset a + p^j Z_p into p cosets one level deeper and compare."""
     p = params.p
     rhs = mu_tilde(params, a, j)
     with mp.workprec(params.prec + 16):
-        acc = mpmath.mpc(0)
-        tail = rhs.tail_bound
+        acc = Ball(mpmath.mpc(0))
         for t in range(p):
-            piece = mu_tilde(params, a + t * p**j, j + 1)
-            acc += piece.value.to_mpc()
-            tail += piece.tail_bound
-        gap = float(abs(acc - rhs.value.to_mpc()))
-    return DistRelationReport(
-        BigComplex.from_mpc(acc, params.prec), rhs.value, gap, tail, gap <= tail
-    )
+            acc = acc + mu_tilde(params, a + t * p**j, j + 1)
+        diff = acc - rhs
+        gap = float(abs(diff.mid))
+    return IdentityReport(Ball.from_mpc(acc.mid, params.prec, acc.rad), rhs, gap, diff.rad, gap <= diff.rad)
 
 
 def integrate_character(
     params: DistParams, chi: DirichletCharacter, j: int, symmetrized: bool = False
-) -> SeriesValue:
+) -> Ball:
     """sum_{a mod p^j} chi(a) mu_s(a + p^j Z_p), the direct weighted coset sum."""
     q = params.p**j
     if chi.modulus != 1 and q % chi.modulus:
         raise ValueError("need j >= j_chi")
     with mp.workprec(params.prec + 16):
         roots = root_table(chi.value_order, mp.prec)
-        acc = mpmath.mpc(0)
-        tail = 0.0
+        acc = Ball(mpmath.mpc(0))
         for a in range(1, q + 1):
             if gcd(a, params.p) != 1:
                 continue
             t = chi.exponent_of(a)
             if t is None:
                 continue
-            piece = (mu_symmetrized if symmetrized else mu_tilde)(params, a, j)
-            acc += roots[t] * piece.value.to_mpc()
-            tail += piece.tail_bound
-    return SeriesValue(BigComplex.from_mpc(acc, params.prec), tail)
+            acc = acc + (mu_symmetrized if symmetrized else mu_tilde)(params, a, j) * roots[t]
+    return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 
-def twisted_asai_series(params: DistParams, chi: DirichletCharacter) -> SeriesValue:
+def twisted_asai_series(params: DistParams, chi: DirichletCharacter) -> Ball:
     """G(s, chi, f) = sum_{r<=R, gcd(r,p)=1} chi(r) d(r) r^(-s) (p-deprived twist)."""
     p = params.p
     chi0 = chi.primitive()
     C = chi0.modulus
     # the bucket modulus must detect p | r; p-power conductors already do
-    W = params._bucket(C if C % p == 0 else C * p)
+    q = C if C % p == 0 else C * p
+    W = params._bucket(q)
     with mp.workprec(params.prec + 16):
-        acc = character_sum(W, chi0, coprime_to=p)
-    return SeriesValue(BigComplex.from_mpc(acc, params.prec), params.tail_bound())
+        return params._series(character_sum(W, chi0, coprime_to=p), q)
 
 
-def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> SeriesValue:
+def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> Ball:
     """Closed form p^(j_chi (s-1)) / kappa^j_chi * G(chi) * G(s, chibar, f).
 
     For the principal character the same computation carries the extra factor
@@ -227,31 +207,18 @@ def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> SeriesValu
         sf = to_mpf(s)
         kf = to_mpf(od.kappa)
         pref = mpmath.mpf(p) ** (j_chi * (sf - 1)) / kf**j_chi
-        gval = gauss_sum(chi).value.embed(params.prec + 16).to_mpc()
-        acc = pref * gval * series.value.to_mpc()
-        scale = abs(float(pref)) * float(abs(gval))
+        acc = gauss_sum(chi).value.embed(params.prec + 16) * pref * series
         if j_chi == 0:
-            corr = (kf - mpmath.mpf(p) ** (sf - 1)) / (kf * (1 - kf * mpmath.mpf(p) ** (-sf)))
-            acc *= corr
-            scale *= abs(float(corr))
-    return SeriesValue(BigComplex.from_mpc(acc, params.prec), series.tail_bound * scale)
+            acc = acc * ((kf - mpmath.mpf(p) ** (sf - 1)) / (kf * (1 - kf * mpmath.mpf(p) ** (-sf))))
+    return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    lhs: BigComplex
-    rhs: BigComplex
-    gap: float
-    bound: float
-    passed: bool
-
-
-def check_interpolation(params: DistParams, chi: DirichletCharacter) -> InterpolationReport:
+def check_interpolation(params: DistParams, chi: DirichletCharacter) -> IdentityReport:
     """Two-sided check: direct coset sum against the closed form."""
     level = max(_split_order(chi.modulus, params.p)[0], 1)
     lhs = integrate_character(params, chi, level)
     rhs = interpolation_rhs(params, chi)
     with mp.workprec(params.prec + 16):
-        gap = float(abs(lhs.value.to_mpc() - rhs.value.to_mpc()))
-    bound = lhs.tail_bound + rhs.tail_bound
-    return InterpolationReport(lhs.value, rhs.value, gap, bound, gap <= max(bound, 1e-30))
+        diff = lhs - rhs
+        gap = float(abs(diff.mid))
+    return IdentityReport(lhs, rhs, gap, diff.rad, gap <= max(diff.rad, 1e-30))

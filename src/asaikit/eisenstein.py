@@ -26,7 +26,7 @@ from mpmath import mp
 
 from .arith import (
     ArithTables,
-    BigComplex,
+    Ball,
     CyclotomicNumber,
     bernoulli_number,
     euler_phi,
@@ -337,7 +337,7 @@ def _mobius_table(bound: int) -> ArithTables:
 
 def higher_coeffs_analytic(
     params: LevelParams, lpps: tuple[int, ...], prec: int = 128, terms: int | None = None
-) -> list[BigComplex]:
+) -> list[Ball]:
     """Coefficients of q^lpp from truncated Moebius series, one pass for all lpps.
 
     (1/2) sum over units v = +-1 mod p^j, units n, of zeta_plus^n(k)
@@ -346,12 +346,21 @@ def higher_coeffs_analytic(
 
     The terms are the integers nearest mu(m) 2^F m^(-k), F = prec + 48 (the
     working precision prec + 16, plus 32 bits), so a bucket of n terms sums
-    exactly to within the radius n/2 * 2^(-F) of its truncated series, and
-    each coset mass below is rounded to a float once.  The v-range is the
-    subgroup H = {v = +-1 mod p^j}, so the zeta_plus mass seen from a unit w
-    is the sum over the coset w^(-1) H: the buckets mod p^j at +-w^(-1), one
-    mass per coset (a single one at j = 0).  No bound on the truncation tail
-    is returned.
+    exactly to within the radius n/2 * 2^(-F) of its truncated series.  The
+    v-range is the subgroup H = {v = +-1 mod p^j}, so the zeta_plus mass seen
+    from a unit w is the sum over the coset w^(-1) H: the buckets mod p^j at
+    +-w^(-1), one mass per coset (a single one at j = 0).  The divisor sums
+    sigma_w = sum_d d^(k-1) (e(w d/M) + e(-w d/M)) are added per coset before
+    the one product with its mass.
+
+    The returned radius is proved.  As |mu| <= 1, a coset mass is off by at
+    most the truncation tail T^(1-k)/(k-1) (T = ``terms``), plus the fold
+    radius T/2 * 2^(-F) and its rounding to w = prec + 16 bits.  Each
+    |sigma_w| <= 2 sigma_(k-1)(lpp), so the coefficient moves by at most
+    phi(M) 2 sigma_(k-1)(lpp) |kappa|/2 times that.  The masses are below
+    zeta(k) < 2 and a coset holds at most phi(M) units, so rounding the root
+    sums, the products and the scaling by kappa adds at most
+    16 (phi(M) + tau(lpp) + 4) 2^(-w) to the factor.
     """
     M = params.modulus
     k = params.k
@@ -360,29 +369,35 @@ def higher_coeffs_analytic(
         # each bucket tail is below terms^(1-k)/(k-1); enough for ~1e-12 absolute
         terms = 20000 if k <= 4 else 4000
     units = _unit_group(M).units
+    phi = len(units)
     tables = _mobius_table(terms)
     with mp.workprec(prec + 16):
         F = mp.prec + 32
         moebius = ((m, mu) for m in range(1, terms + 1) if (mu := tables.mobius(m)) and gcd(m, M) == 1)
         W = fold(fixed_power_terms(moebius, k, F), q)
         roots = root_table(M, mp.prec)
-        zmass = {}
-        for c in range(q):
-            if gcd(c, q) == 1 and c not in zmass:
-                zmass[c] = zmass[-c % q] = mpmath.mpf((sum(W[t] for t in {c, -c % q}), -F))
+        cosets = {}  # +-c mod q -> the coset's units w (w^(-1) = +-c) and its mass
+        for w in units:
+            c = pow(w, -1, q)
+            key = min(c, -c % q)
+            if key not in cosets:
+                cosets[key] = ([], mpmath.mpf((sum(W[t] for t in {c, -c % q}), -F)))
+            cosets[key][0].append(w)
         kappa = (-2j * mpmath.pi) ** k / (mpmath.factorial(k - 1) * mpmath.mpf(M) ** k)
+        mass_err = terms ** (1 - k) / (k - 1) + terms * 2.0 ** (-F - 1) + 2.0 ** (2 - mp.prec)
         out = []
         for lpp in lpps:
-            divisors = [d for d in range(1, lpp + 1) if lpp % d == 0]
+            powers = [(d, d ** (k - 1)) for d in range(1, lpp + 1) if lpp % d == 0]
             total = mpmath.mpc(0)
-            for w in units:
+            for ws, mass in cosets.values():
                 sig = mpmath.mpc(0)
-                for d in divisors:
-                    sig += mpmath.mpf(d) ** (k - 1) * (
-                        roots[w * d % M] + (-1) ** k * roots[(-w * d) % M]
-                    )
-                total += zmass[pow(w, -1, q)] * sig
-            out.append(BigComplex.from_mpc(total * kappa / 2, prec))
+                for d, dk in powers:
+                    sig += dk * sum(roots[w * d % M] + roots[-w * d % M] for w in ws)
+                total += mass * sig
+            sigma = sum(dk for _, dk in powers)
+            rounding = (phi + len(powers) + 4) * 2.0 ** (4 - mp.prec)
+            rad = phi * sigma * float(abs(kappa)) * (mass_err + rounding)
+            out.append(Ball.from_mpc(total * kappa / 2, prec, rad))
     return out
 
 

@@ -205,14 +205,13 @@ class MeasureTable:
 
     p: int
     n: int
-    kappa: Fraction
     entries: dict[tuple[int, DirichletCharacter], CyclotomicNumber] = field(default_factory=dict)
 
     def ms(self) -> list[int]:
         return sorted({m for (m, _) in self.entries})
 
     def dumps(self) -> str:
-        lines = [f"p {self.p}", f"n {self.n}", f"kappa {self.kappa}"]
+        lines = [f"p {self.p}", f"n {self.n}"]
         for (m, ch), val in sorted(
             self.entries.items(), key=lambda kv: (kv[0][0], kv[0][1].modulus, kv[0][1].exps)
         ):
@@ -223,11 +222,12 @@ class MeasureTable:
 
     @staticmethod
     def loads(text: str) -> "MeasureTable":
-        """Parse ``dumps`` output, rejecting any entry that no level view reads.
+        """Parse ``dumps`` output, rejecting any line that nothing reads.
 
-        An entry key (m, chi) must have m in {0, 2, ..., n} and name, by an
-        index in 0..phi(modulus) - 1, a primitive character whose modulus is a
-        power of p; each key may appear only once.
+        The header is one ``p`` line and one ``n`` line.  An entry key (m, chi)
+        must have m in {0, 2, ..., n} and name, by an index in
+        0..phi(modulus) - 1, a primitive character whose modulus is a power of
+        p; each key may appear only once.
         """
         header: dict[str, str] = {}
         rows = []
@@ -238,9 +238,13 @@ class MeasureTable:
             parts = line.split()
             if parts[0] == "entry":
                 rows.append(parts[1:])
+            elif parts[0] not in ("p", "n") or len(parts) != 2:
+                raise ValueError(f"unexpected header line {line!r}: the header is one p and one n line")
+            elif parts[0] in header:
+                raise ValueError(f"repeated header {parts[0]}")
             else:
                 header[parts[0]] = parts[1]
-        for key in ("p", "n", "kappa"):
+        for key in ("p", "n"):
             if key not in header:
                 raise ValueError(f"measure table missing header {key}")
         p, n = int(header["p"]), int(header["n"])
@@ -262,7 +266,7 @@ class MeasureTable:
             if (m, ch) in entries:
                 raise ValueError(f"repeated entry for m = {m}, character {idx} mod {cond}")
             entries[(m, ch)] = CyclotomicNumber(order, [Fraction(x) for x in row[4:]])
-        return MeasureTable(p, n, Fraction(header["kappa"]), entries)
+        return MeasureTable(p, n, entries)
 
 
 def dirac_measure_table(p: int, n: int, u: int, j_max: int) -> MeasureTable:
@@ -275,7 +279,7 @@ def dirac_measure_table(p: int, n: int, u: int, j_max: int) -> MeasureTable:
     """
     if gcd(u, p) != 1:
         raise ValueError("u must be a unit")
-    t = MeasureTable(p, n, Fraction(1))
+    t = MeasureTable(p, n)
     for j in range(0, j_max + 1):
         for ch in enumerate_characters(p**j if j else 1):
             if not ch.is_primitive:

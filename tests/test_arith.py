@@ -10,7 +10,7 @@ from mpmath import mp
 
 from asaikit.arith import (
     ArithTables,
-    BigComplex,
+    Ball,
     CyclotomicNumber,
     bernoulli_number,
     bernoulli_polynomial,
@@ -182,26 +182,77 @@ class TestEmbedding:
             deg = euler_phi(m)
             a = CyclotomicNumber(m, [F(rng.randint(-5, 5)) for _ in range(deg)])
             b = CyclotomicNumber(m, [F(rng.randint(-5, 5)) for _ in range(deg)])
-            lhs = embed_complex(a * b, prec)
-            rhs = embed_complex(a, prec) * embed_complex(b, prec)
-            assert float((lhs - rhs).abs()) < 2.0 ** (-prec + 8)
+            with mp.workprec(prec):
+                diff = embed_complex(a * b, prec) - embed_complex(a, prec) * embed_complex(b, prec)
+            assert float(abs(diff.to_mpc())) < 2.0 ** (-prec + 8)
 
 
-class TestBigComplex:
-    def test_min_precision_propagation(self):
-        a = BigComplex(1, 2, 128)
-        b = BigComplex(3, 4, 64)
-        assert (a * b).precision == 64
-        assert (a + b).precision == 64
+GAUSSIAN = st.tuples(*[st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)] * 2)
+BALL_PREC = st.sampled_from([64, 96, 128, 200])
+START_RAD = st.just(0.0) | st.floats(min_value=0, max_value=1e-3)
+UNIT = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
-    def test_minimum_precision_enforced(self):
-        with pytest.raises(ValueError):
-            BigComplex(1, 0, 40)
 
-    def test_division(self):
-        a = BigComplex(1, 1, 80)
-        q = a / a
-        assert abs(q.to_mpc() - 1) < 2.0**-70
+def _parts(z) -> tuple[F, F]:
+    """The exact real and imaginary parts of an mpc."""
+    return tuple(F((-1) ** sign * man) * F(2) ** exp for sign, man, exp, _ in (z.real._mpf_, z.imag._mpf_))
+
+
+def _ball(x, prec, rad, unit):
+    """A Ball at prec bits around the Gaussian rational x, and an exact point on its rim.
+
+    The midpoint starts from an approximation of x 64 bits finer, whose exact
+    distance to x joins the starting radius; the point is x + rad * unit.
+    """
+    with mp.workprec(prec + 64):
+        z = mpmath.mpc(*(mpmath.mpf(c.numerator) / c.denominator for c in x))
+    re, im = _parts(z)
+    ball = Ball.from_mpc(z, prec, float(abs(re - x[0]) + abs(im - x[1])) * (1 + 2.0**-40) + rad)
+    return ball, (x[0] + unit[0] * F(rad), x[1] + unit[1] * F(rad))
+
+
+def _encloses(ball, x) -> bool:
+    re, im = _parts(ball.mid)
+    return (re - x[0]) ** 2 + (im - x[1]) ** 2 <= F(ball.rad) ** 2
+
+
+class TestBall:
+    """Every Ball operation encloses the exact result, computed in Fractions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=GAUSSIAN, prec=BALL_PREC, rad=START_RAD, unit=UNIT)
+    def test_from_mpc_rounding(self, x, prec, rad, unit):
+        b, (a, c) = _ball(x, prec, rad, unit)
+        assert _encloses(b, (a, c))
+        assert all(part._mpf_[3] <= prec for part in (b.mid.real, b.mid.imag))
+        assert _encloses(-b, (-a, -c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=GAUSSIAN, y=GAUSSIAN, prec=BALL_PREC, rx=START_RAD, ry=START_RAD, ux=UNIT, uy=UNIT)
+    def test_ball_operations(self, x, y, prec, rx, ry, ux, uy):
+        (bx, (a, b)), (by, (c, d)) = _ball(x, prec, rx, ux), _ball(y, prec, ry, uy)
+        with mp.workprec(prec):
+            assert _encloses(bx + by, (a + c, b + d))
+            assert _encloses(bx - by, (a - c, b - d))
+            assert _encloses(bx * by, (a * c - b * d, a * d + b * c))
+            if float(abs(by.mid)) > 2 * by.rad:
+                n = c * c + d * d
+                assert _encloses(bx / by, ((a * c + b * d) / n, (b * c - a * d) / n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=GAUSSIAN, t=st.integers(-(10**6), 10**6), prec=BALL_PREC, rad=START_RAD, unit=UNIT)
+    def test_scalar_operations(self, x, t, prec, rad, unit):
+        bx, (a, b) = _ball(x, prec, rad, unit)
+        with mp.workprec(prec):
+            assert _encloses(bx + t, (a + t, b))
+            assert _encloses(t + bx, (a + t, b))
+            assert _encloses(bx - t, (a - t, b))
+            assert _encloses(bx * t, (a * t, b * t))
+            assert _encloses(bx * mpmath.mpf(t), (a * t, b * t))
+
+    def test_divisor_containing_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            Ball(mpmath.mpc(1)) / Ball(mpmath.mpc(1e-3), 1e-2)
 
 
 class TestArithTables:
@@ -257,7 +308,7 @@ class TestBessel:
     def test_scaling_in_a(self):
         r1 = bessel_k_moment_check(0, 2, 1)
         r2 = bessel_k_moment_check(0, 2, 2)
-        ratio = float(r2.lhs.to_mpc().real / r1.lhs.to_mpc().real)
+        ratio = float(r2.lhs / r1.lhs)
         assert abs(ratio - 2.0**-2) < 1e-6
 
     def test_divergent_parameters_rejected(self):
@@ -268,7 +319,7 @@ class TestBessel:
         """int K_0(t) t dt = 1, int K_1(t) t^2 dt = 2, int K_0(t) t^2 dt = pi/2."""
         with mp.workprec(80):
             for nu, mu, want in ((0, 2, mpmath.mpf(1)), (1, 3, mpmath.mpf(2)), (0, 3, mpmath.pi / 2)):
-                lhs = bessel_k_moment_check(nu, mu, 1).lhs.to_mpc().real
+                lhs = bessel_k_moment_check(nu, mu, 1).lhs
                 assert abs(lhs - want) / want < 1e-20, (nu, mu)
 
     @settings(max_examples=40, deadline=None)

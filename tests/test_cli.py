@@ -250,7 +250,7 @@ class TestKummerCommand:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("kappa 1\n", "kappa 1/0\n"), ("entry 2 1 0 1 1/16\n", "entry 2 1 0 1 1/0\n")],
+        [("n 2\n", "n 2\nkappa 1/0\n"), ("entry 2 1 0 1 1/16\n", "entry 2 1 0 1 1/0\n")],
         ids=["kappa", "entry"],
     )
     def test_zero_denominator_exit_2(self, old, new, tmp_path, capsys):
@@ -287,6 +287,16 @@ class TestKummerCommand:
         open(path, "w").write(dirac_measure_table(3, 2, 4, 1).dumps() + extra)
         assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
         assert "error: malformed measure table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", ["kappa 7/3\n", "bogus 5\n", "p 3\n"], ids=["kappa", "unknown-key", "repeated-p"]
+    )
+    def test_unread_header_exit_2(self, extra, tmp_path, capsys):
+        path = str(tmp_path / "header.mt")
+        open(path, "w").write(dirac_measure_table(3, 2, 4, 2).dumps() + extra)
+        assert run(["kummer", path, "--j", "2", "--depth", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "error: malformed measure table" in out.err
 
     def test_negative_character_index_exit_2(self, tmp_path, capsys):
         text = dirac_measure_table(3, 2, 4, 1).dumps()

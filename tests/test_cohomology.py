@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from asaikit.arith import BigComplex, _binomial
+from asaikit.arith import Ball, _binomial
 from asaikit.asai import asai_coeff, coeff_principal
 from asaikit.characters import enumerate_characters
 from asaikit.cohomology import (
@@ -313,19 +313,19 @@ class TestPairingSeries:
             want = 2 * sum(
                 mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(r) ** 6 for r, c in cs if c
             )
-            assert abs(v.value.to_mpc() - want) < 1e-27
+            assert abs(v.to_mpc() - want) < 1e-27
 
     def test_even_in_b(self):
         f = acceptance_mock(5, 5, R=2000)
         v1 = pairing_series(f, F(2, 5), F(6), 2000, 96)
         v2 = pairing_series(f, F(-2, 5), F(6), 2000, 96)
         with mp.workprec(160):
-            assert abs(v1.value.to_mpc() - v2.value.to_mpc()) < 1e-25
+            assert abs(v1.to_mpc() - v2.to_mpc()) < 1e-25
 
     def test_tail_monotone_under_refinement(self):
         f = acceptance_mock(5, 5, R=4000)
-        t1 = pairing_series(f, F(1, 5), F(6), 2000, 96).tail_bound
-        t2 = pairing_series(f, F(1, 5), F(6), 4000, 96).tail_bound
+        t1 = pairing_series(f, F(1, 5), F(6), 2000, 96).rad
+        t2 = pairing_series(f, F(1, 5), F(6), 4000, 96).rad
         assert t2 <= t1
 
 
@@ -339,7 +339,7 @@ class TestRationalityRatio:
             if c.is_even and c.is_primitive and not (c * c).is_trivial
         ][0]
         rep = rationality_ratio(
-            f, chi, 2, 0, 40000, 128, BigComplex(1.0, 0, 128), tol=1e-8
+            f, chi, 2, 0, 40000, 128, Ball(mpmath.mpc(1)), tol=1e-8
         )
         assert rep.algebraic_claim, rep.rel_gap
 
@@ -347,15 +347,15 @@ class TestRationalityRatio:
         f = acceptance_mock(22, 5, k=4, R=40000)
         triv = enumerate_characters(1)[0]
         rep = rationality_ratio(
-            f, triv, 2, 0, 40000, 128, BigComplex(1.0, 0, 128), tol=1e-8
+            f, triv, 2, 0, 40000, 128, Ball(mpmath.mpc(1)), tol=1e-8
         )
         assert rep.algebraic_claim, rep.rel_gap
 
     def test_period_scaling(self):
         f = acceptance_mock(23, 5, k=4, R=5000)
         triv = enumerate_characters(1)[0]
-        r1 = rationality_ratio(f, triv, 2, 0, 5000, 96, BigComplex(1.0, 0, 96), tol=1e-3)
-        r2 = rationality_ratio(f, triv, 2, 0, 5000, 96, BigComplex(2.0, 0, 96), tol=1e-3)
+        r1 = rationality_ratio(f, triv, 2, 0, 5000, 96, Ball(mpmath.mpc(1)), tol=1e-3)
+        r2 = rationality_ratio(f, triv, 2, 0, 5000, 96, Ball(mpmath.mpc(2)), tol=1e-3)
         with mp.workprec(110):
             assert abs(r1.value.to_mpc() - 2 * r2.value.to_mpc()) < 1e-15
 
@@ -363,7 +363,7 @@ class TestRationalityRatio:
         # trivial chi, N = 1, n = 2, m = 0: lhs = sum d(r) r^-6 and rhs = zeta(6) sum c(r) r^-6
         f = acceptance_mock(23, 5, k=4, R=5000)
         triv = enumerate_characters(1)[0]
-        rep = rationality_ratio(f, triv, 2, 0, 5000, 96, BigComplex(1.0, 0, 96), tol=1e-3)
+        rep = rationality_ratio(f, triv, 2, 0, 5000, 96, Ball(mpmath.mpc(1)), tol=1e-3)
         with mp.workprec(160):
             d_sum, c_sum = (
                 sum(mpmath.mpf(x.numerator) / x.denominator / mpmath.mpf(r) ** 6 for r, x in enumerate(xs, 1))
@@ -376,6 +376,6 @@ class TestRationalityRatio:
         f = acceptance_mock(24, 5, k=4, R=2000)
         triv = enumerate_characters(1)[0]
         with pytest.raises(ValueError):
-            rationality_ratio(f, triv, 2, 1, 2000, 96, BigComplex(1, 0, 96))
+            rationality_ratio(f, triv, 2, 1, 2000, 96, Ball(mpmath.mpc(1)))
         with pytest.raises(ValueError):
-            rationality_ratio(f, triv, 3, 0, 2000, 96, BigComplex(1, 0, 96))
+            rationality_ratio(f, triv, 3, 0, 2000, 96, Ball(mpmath.mpc(1)))

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -242,6 +244,37 @@ class TestAnalyticCosetMass:
         with mp.workprec(160):
             for lpp, g, w in zip(lpps, got, want):
                 assert abs(g.to_mpc() - w) <= 1e-35 * max(1, abs(w)), lpp
+
+
+def _bench_level_grid(j):
+    """Criterion 07's levels (N, p, k) at j, as the benchmark draws them."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("asaikit_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads._level_grid(j)
+
+
+class TestAnalyticRadius:
+    """The proved radius of the Moebius route encloses the exact route's coefficient."""
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_radius_encloses_exact_route(self, j):
+        lpps = (1, 2, 3, 4, 5)
+        for N, p, k in _bench_level_grid(j):
+            params = LevelParams(N, p, j, k)
+            if j:
+                exact = [higher_coeff_exact(params, lpp) for lpp in lpps]
+            else:
+                exact = classical_reduction(params, len(lpps)).coeffs[1:]
+            for lpp, e, a in zip(lpps, exact, higher_coeffs_analytic(params, lpps, 128)):
+                with mp.workprec(200):
+                    want = e.embed(200)
+                    gap = abs(want.to_mpc() - a.to_mpc())
+                    size = max(1, abs(a.to_mpc()))
+                assert gap + want.rad <= a.rad, (N, p, k, lpp)
+                # the bound alone meets criterion 07's tolerance
+                assert a.rad <= 1e-8 * size, (N, p, k, lpp)
 
 
 class TestClassicalReduction:

@@ -81,3 +81,22 @@ def test_python_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout and cache.exists()
+
+
+def test_no_hand_kept_tails():
+    """Error bounds travel in Ball radii: distribution and cohomology add no tail by hand,
+    and no module but arith defines a value class with a to_mpc midpoint."""
+    src = Path(asaikit.__file__).parent
+    for name in ("distribution.py", "cohomology.py"):
+        tree = ast.parse((src / name).read_text())
+        summed = [n.target.id for n in ast.walk(tree) if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)]
+        assert not [t for t in summed if "tail" in t], name
+    owners = [
+        f"{path.name}:{cls.name}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "arith.py"
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(fn, ast.FunctionDef) and fn.name == "to_mpc" for fn in cls.body)
+    ]
+    assert not owners

@@ -221,7 +221,7 @@ class TestAkc:
 def _random_rational_table(p, j, data):
     """m in {0, 2} and every primitive character of conductor dividing p^j, random rational values."""
     values = st.builds(F, st.integers(-50, 50), st.sampled_from((1, 2, 3, 5, 9, 25)))
-    tab = MeasureTable(p, 2, F(1))
+    tab = MeasureTable(p, 2)
     for jj in range(j + 1):
         for ch in enumerate_characters(p**jj):
             if ch.is_primitive:
@@ -294,7 +294,7 @@ class TestBoundsAndMellin:
         assert len(mt) == euler_phi(5) + 1 - 1  # all chars of conductor <= 5
 
     def test_empty_character_set(self):
-        tab = MeasureTable(5, 2, F(1))
+        tab = MeasureTable(5, 2)
         assert mellin_table(tab) == {}
 
 
@@ -302,14 +302,16 @@ class TestMeasureFile:
     def test_round_trip(self):
         tab = dirac_measure_table(5, 2, 7, 2)
         tab2 = MeasureTable.loads(tab.dumps())
-        assert tab2.p == tab.p and tab2.n == tab.n and tab2.kappa == tab.kappa
+        assert tab2.p == tab.p and tab2.n == tab.n
         assert set(tab2.entries) == set(tab.entries)
         for k, v in tab.entries.items():
             assert tab2.entries[k] == v
 
     def test_missing_header(self):
         with pytest.raises(ValueError):
-            MeasureTable.loads("p 5\nn 2\n")
+            MeasureTable.loads("p 5\n")
+        with pytest.raises(ValueError):
+            MeasureTable.loads("n 2\n")
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from([(3, 1), (3, 2), (5, 1)]), st.data())
@@ -336,6 +338,18 @@ class TestMeasureFile:
         with pytest.raises(ValueError):
             MeasureTable.loads(text + extra + "\n")
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["kappa 7/3", "bogus 5", "p 3", "n", "n 2 4"],
+        ids=["kappa", "unknown-key", "repeated-p", "no-value", "two-values"],
+    )
+    def test_unread_header_rejected(self, extra):
+        # no checker reads kappa, and a later p or n would overwrite the first
+        text = dirac_measure_table(3, 2, 4, 1).dumps()
+        assert text.startswith("p 3\nn 2\nentry")
+        with pytest.raises(ValueError):
+            MeasureTable.loads(text + extra + "\n")
+
     def test_negative_character_index_rejected(self):
         # plain indexing would read index -1 mod 3 as character 1, and the
         # edited table would load equal to the original
@@ -346,4 +360,4 @@ class TestMeasureFile:
 
     def test_prime_below_two_rejected(self):
         with pytest.raises(ValueError):
-            MeasureTable.loads("p 1\nn 2\nkappa 1\nentry 0 1 0 1 1\n")
+            MeasureTable.loads("p 1\nn 2\nentry 0 1 0 1 1\n")
