@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, hypot, inf, isqrt, nextafter
+from math import gcd, hypot, inf, isqrt, lcm, nextafter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import mpmath
@@ -44,8 +44,7 @@ __all__ = [
     "fold",
     "frequency_sum",
     "character_sum",
-    "power_tail",
-    "series_ball",
+    "TruncatedSeries",
     "bessel_k_moment_check",
     "BesselMomentReport",
 ]
@@ -712,29 +711,65 @@ def character_sum(W: Sequence, chi, coprime_to: int = 1):
     return acc
 
 
-def power_tail(pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: Fraction | int) -> tuple[float, float]:
-    """(tail, mass) for sum a(r) r^(-s), r <= R, s > k + 1, from the empirical majorant
-    A = max_(r<=R) |a(r)|/r^k.  The tail A R^(k+1-s)/(s-k-1) bounds sum_(r>R) |a(r)| r^(-s)
-    only if A holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s)."""
-    s = float(s)
-    amax = 0.0
-    for r, a in pairs:
-        amax = max(amax, abs(a.numerator / a.denominator) / float(r) ** k)
-    return amax * float(R) ** (k + 1 - s) / (s - k - 1), amax * (s - k) / (s - k - 1)
+class TruncatedSeries:
+    """sum_(r<=R) a(r) w(r) r^(-s), s > k + 1, for weights |w(r)| <= 1, as Balls at ``prec`` bits.
 
-
-def series_ball(acc, prec: int, tail: float, mass: float, R: int, q: int, s) -> Ball:
-    """A truncated series sum_(r<=R) a(r) w(r) r^(-s), |w(r)| <= 1, as a Ball at ``prec`` bits.
-
-    ``acc`` is the sum formed at the working precision p from buckets mod q
-    (``fold``, then ``frequency_sum`` or ``character_sum``), and ``mass``
-    bounds sum_(r<=R) |a(r)| r^(-s).  A sum of n rounded values errs by at
-    most n units of 2^(-p) times their absolute sum, so the terms, the bucket
-    sums and the root products err by at most (R + 2q + 8) 2^(-p) mass; s
-    rounded to p bits moves a term r^(-s) by at most s ln(r) <= s R more.
-    The radius is ``tail`` plus (R (1 + s) + q) 2^(3-p) mass, which covers both.
+    The terms (r, a(r) r^(-s)) of the nonzero ``pairs`` are built once at the
+    working precision prec + 16, and the residue buckets once per modulus.
+    The tail A R^(k+1-s)/(s-k-1) uses the empirical majorant
+    A = max_(r<=R) |a(r)|/r^k, so it bounds sum_(r>R) |a(r)| r^(-s) only if A
+    holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s).
     """
-    return Ball.from_mpc(acc, prec, tail + (R * (1 + float(s)) + q) * mass * 2.0 ** (3 - mp.prec))
+
+    def __init__(self, pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: Fraction | int, prec: int):
+        pairs = list(pairs)
+        self.R, self.s, self.prec = R, Fraction(s), prec
+        if self.s <= k + 1:
+            raise ValueError(f"need s > {k + 1} for absolute convergence")
+        with mp.workprec(prec + 16):
+            self.terms = list(power_terms(pairs, self.s))
+        sf = float(self.s)
+        amax = 0.0
+        for r, a in pairs:
+            amax = max(amax, abs(a.numerator / a.denominator) / float(r) ** k)
+        self.tail = amax * float(R) ** (k + 1 - sf) / (sf - k - 1)
+        self.mass = amax * (sf - k) / (sf - k - 1)
+        self._buckets: dict[int, list] = {}
+
+    def _bucket(self, q: int) -> list:
+        if q not in self._buckets:
+            with mp.workprec(self.prec + 16):
+                self._buckets[q] = fold(self.terms, q)
+        return self._buckets[q]
+
+    def _ball(self, acc, n: int, q: int) -> Ball:
+        """``acc``, a sum of n root-of-unity combinations of the buckets mod q, as a Ball.
+
+        A sum of m rounded values errs by at most m units of 2^(-p) times their
+        absolute sum, so the terms, the bucket sums and the root products of one
+        combination err by at most (R + 2q + 8) 2^(-p) mass; s rounded to p bits
+        moves a term r^(-s) by at most s ln(r) <= s R more.  The radius is n tails
+        plus (R (1 + s) + n q) 2^(3-p) n mass, which covers both.
+        """
+        rounding = (self.R * (1 + float(self.s)) + n * q) * (n * self.mass) * 2.0 ** (3 - mp.prec)
+        return Ball.from_mpc(acc, self.prec, n * self.tail + rounding)
+
+    def at(self, *bs: Fraction | int) -> Ball:
+        """sum over b in ``bs`` of sum_(r<=R) a(r) e(r b) r^(-s), added before the one rounding."""
+        bs = [Fraction(b) for b in bs]
+        q = lcm(*(b.denominator for b in bs))
+        W = self._bucket(q)
+        with mp.workprec(self.prec + 16):
+            acc = frequency_sum(W, bs[0])
+            for b in bs[1:]:
+                acc += frequency_sum(W, b)
+            return self._ball(acc, len(bs), q)
+
+    def twisted(self, chi, q: int, coprime_to: int = 1) -> Ball:
+        """sum_(r<=R) chi(r) a(r) r^(-s) over r prime to ``coprime_to``, from the buckets mod q."""
+        W = self._bucket(q)
+        with mp.workprec(self.prec + 16):
+            return self._ball(character_sum(W, chi, coprime_to), 1, q)
 
 
 # ---------------------------------------------------------------------------

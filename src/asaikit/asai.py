@@ -549,33 +549,50 @@ def dump_eigenform(f: MockEigenform) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_VALUES = {"k": 1, "N": 1, "D": 1, "p": 1, "satake": 4}
+
+
 def load_eigenform(text: str) -> MockEigenform:
-    header: dict[str, str] = {}
-    raw: dict[int, list[Fraction]] = {}
+    """Parse ``dump_eigenform`` output, rejecting any line that nothing reads.
+
+    The header is one line each of ``k``, ``N``, ``D``, ``p`` (one value) and
+    ``satake`` (four values).  A record ``l <l> <tag> <value>`` must be at a
+    prime l other than p, tagged as l splits in the field, with one record per
+    prime ideal above l.
+    """
+    header: dict[str, list[str]] = {}
+    records = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "l":
-            l = int(parts[1])
-            raw.setdefault(l, []).append(Fraction(parts[3]))
-        elif parts[0] == "satake":
-            header["satake"] = " ".join(parts[1:])
+        key, *values = line.split()
+        if key == "l":
+            if len(values) != 3:
+                raise ValueError(f"a record is 'l <prime> <tag> <value>', got {line!r}")
+            records.append(values)
+        elif _HEADER_VALUES.get(key) != len(values):
+            raise ValueError(f"unexpected header line {line!r}")
+        elif key in header:
+            raise ValueError(f"repeated header {key}")
         else:
-            header[parts[0]] = parts[1]
-    for key in ("k", "N", "D", "p", "satake"):
+            header[key] = values
+    for key in _HEADER_VALUES:
         if key not in header:
             raise ValueError(f"eigenform file is missing the {key} header")
-    satake = tuple(Fraction(x) for x in header["satake"].split())
-    if len(satake) != 4:
-        raise ValueError("satake header must carry four values")
-    field = QuadFieldData(int(header["D"]))
-    eigen = {l: tuple(cs) for l, cs in raw.items()}
-    for l, cs in eigen.items():
+    k, N, D, p = (int(header[key][0]) for key in ("k", "N", "D", "p"))
+    field = QuadFieldData(D)
+    raw: dict[int, list[Fraction]] = {}
+    for l, tag, c in records:
+        l = int(l)
+        if l < 2 or l == p or factorize(l) != [(l, 1)]:
+            raise ValueError(f"a record at l = {l}, which is not a prime other than p = {p}")
+        if tag != field.splitting(l):
+            raise ValueError(f"the record at l = {l} is tagged {tag}, but l is {field.splitting(l)}")
+        raw.setdefault(l, []).append(Fraction(c))
+    for l, cs in raw.items():
         want = 2 if field.splitting(l) == SPLIT else 1
         if len(cs) != want:
             raise ValueError(f"prime {l} needs {want} eigenvalue record(s), found {len(cs)}")
-    return MockEigenform(
-        int(header["k"]), int(header["N"]), field, eigen, int(header["p"]), satake
-    )
+    satake = tuple(Fraction(x) for x in header["satake"])
+    return MockEigenform(k, N, field, {l: tuple(cs) for l, cs in raw.items()}, p, satake)

@@ -25,19 +25,15 @@ from .arith import (
     CyclotomicNumber,
     bernoulli_number,
     bernoulli_polynomial,
-    character_sum,
+    TruncatedSeries,
     euler_phi,
     factorize,
-    fold,
-    power_terms,
-    series_ball,
     vp,
 )
 
 __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
-    "GaussSumResult",
     "gauss_sum",
     "GeneralizedGaussSum",
     "generalized_gauss_sum",
@@ -325,17 +321,10 @@ def _components(chi: DirichletCharacter) -> tuple[tuple[int, int, DirichletChara
 # Gauss sums
 
 
-@dataclass(frozen=True)
-class GaussSumResult:
-    value: CyclotomicNumber
-    conductor: int
-
-
 @lru_cache(maxsize=4096)
-def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
+def gauss_sum(chi: DirichletCharacter) -> CyclotomicNumber:
     """G(chi) = sum_a chi0(a) e(a/C) over the primitive character chi0 attached to chi."""
-    chi0 = chi.primitive()
-    return GaussSumResult(unit_sum_twisted_direct(chi0, 1), chi0.modulus)
+    return unit_sum_twisted_direct(chi.primitive(), 1)
 
 
 @dataclass(frozen=True)
@@ -456,7 +445,7 @@ def unit_sum_twisted(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
         return CyclotomicNumber.from_rational(0)
     rat, out, chi0s = factors
     for chi0 in chi0s:
-        out = out * gauss_sum(chi0).value
+        out = out * gauss_sum(chi0)
     return out * rat
 
 
@@ -519,7 +508,7 @@ def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
     if not psi.is_even:
         raise ValueError("psi must be even")
     C = psi.modulus
-    g = gauss_sum(psi).value
+    g = gauss_sum(psi)
     b = generalized_bernoulli(k, psi.inverse())
     alg = -(g * b) * Fraction(1, 2 * factorial(k) * C**k)
     return TranscendentalValue(k, alg)
@@ -528,19 +517,12 @@ def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
 def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> Ball:
     """sum_{n<=terms} psi(n) n^(-s) for rational s > 1.
 
-    The radius holds the integral tail bound terms^(1-s)/(s-1) and the
-    rounding, over the mass sum n^(-s) <= s/(s-1).
+    The series of (n, 1) at k = 0: its radius holds the integral tail bound
+    terms^(1-s)/(s-1) and the rounding, over the mass sum n^(-s) <= s/(s-1).
     """
-    s = Fraction(s)
-    if s <= 1:
-        raise ValueError("need s > 1")
     M = psi.modulus
-    sf = float(s)
-    with mp.workprec(prec + 16):
-        W = fold(power_terms(((n, 1) for n in range(1, terms + 1) if gcd(n, M) == 1), s), M)
-        return series_ball(
-            character_sum(W, psi), prec, terms ** (1 - sf) / (sf - 1), sf / (sf - 1), terms, M, s
-        )
+    pairs = ((n, 1) for n in range(1, terms + 1) if gcd(n, M) == 1)
+    return TruncatedSeries(pairs, 0, terms, s, prec).twisted(psi, M)
 
 
 @dataclass(frozen=True)

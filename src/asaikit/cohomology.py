@@ -23,14 +23,9 @@ from .arith import (
     Ball,
     _binomial,
     _split_order,
-    character_sum,
+    TruncatedSeries,
     factorize,
-    fold,
-    frequency_sum,
-    power_tail,
-    power_terms,
     root_table,
-    series_ball,
     vp,
 )
 from .asai import MockEigenform
@@ -522,16 +517,8 @@ def pairing_series(
     f: MockEigenform, b: Fraction, s_prime, R: int, prec: int = 64
 ) -> Ball:
     """sum_(r>=1) (e(r b) + e(-r b)) c(r) r^(-s'), truncated at R; the radius holds the tail."""
-    s_prime = Fraction(s_prime)
-    if s_prime <= f.k + 1:
-        raise ValueError("need s' > k + 1")
-    b = Fraction(b)
     f.tabulate(R)
-    tail, mass = power_tail(f.nonzero(R, "c"), f.k, R, s_prime)
-    with mp.workprec(prec + 16):
-        W = fold(power_terms(f.nonzero(R, "c"), s_prime), b.denominator)
-        acc = frequency_sum(W, b) + frequency_sum(W, -b)
-        return series_ball(acc, prec, 2 * tail, 2 * mass, R, 2 * b.denominator, s_prime)
+    return TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, prec).at(b, -b)
 
 
 @dataclass(frozen=True)
@@ -583,18 +570,19 @@ def rationality_ratio(
         raise ValueError("chi must have p-power conductor")
     chi0 = chi.primitive()
     f.tabulate(R)
-    tail, mass = power_tail(f.nonzero(R), f.k, R, s_prime)
+    # both series at prec + 16, the working precision of the assembly
+    d_series = TruncatedSeries(f.nonzero(R), f.k, R, s_prime, prec + 16)
+    c_series = TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, prec + 16)
     with mp.workprec(prec + 16):
         # left side
-        g_chi = gauss_sum(chi).value.embed(prec + 16)
+        g_chi = gauss_sum(chi).embed(prec + 16)
         chibar = chi0.inverse()
         psi = chibar * chibar
-        twisted = character_sum(fold(power_terms(f.nonzero(R), s_prime), chi0.modulus), chibar)
-        lhs = g_chi * series_ball(twisted, mp.prec, tail, mass, R, chi0.modulus, s_prime)
+        lhs = g_chi * d_series.twisted(chibar, chi0.modulus)
         # right side: normalized_L is L(k_l, chibar^2) / (G(chibar^2) (2 pi)^k_l)
         lval = (
             normalized_L(chi0, k_l).value.embed(prec + 16)
-            * gauss_sum(psi).value.embed(prec + 16)
+            * gauss_sum(psi).embed(prec + 16)
             * (2 * mpmath.pi) ** k_l
         )
         psi0 = psi.primitive()
@@ -605,8 +593,8 @@ def rationality_ratio(
         pair_acc = Ball(mpmath.mpc(0))
         for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
             w = root_table(chi0.value_order, mp.prec)[chi0.exponent_of(a)]
-            pv = pairing_series(f, Fraction(a, p**j_chi) if j_chi else Fraction(0), s_prime, R, prec + 16)
-            pair_acc = pair_acc + pv * w
+            b = Fraction(a, p**j_chi) if j_chi else Fraction(0)
+            pair_acc = pair_acc + c_series.at(b, -b) * w
         if j_chi == 0:
             # the single class pairs with itself, so the cosine form double counts
             pair_acc = pair_acc * 0.5

@@ -9,11 +9,13 @@ through Ball arithmetic.  The tail's majorant constant is taken from the
 computed range of |d(r)|/r^k rather than an unconditional growth bound, so
 it is not a proof beyond R, for synthetic eigen-data as for real.
 
-Evaluation strategy (the series helpers of ``arith``): one pass over the
-nonzero support of d (a few thousand r at R = 1e5) stores (r, d(r) r^(-s))
-in ascending r; P_s at rationals with denominator q and the character twists
-are then root-of-unity combinations of the q residue buckets, so whole
-families of coset values cost almost nothing beyond that pass.
+Evaluation strategy: ``DistParams.series`` is one ``arith.TruncatedSeries``
+over the nonzero support of d (a few thousand r at R = 1e5).  It stores the
+terms (r, d(r) r^(-s)) once, in ascending r, with the tail and the mass; P_s
+at rationals with denominator q (``at``) and the character twists
+(``twisted``) are then root-of-unity combinations of the q residue buckets,
+folded once per q, so whole families of coset values cost almost nothing
+beyond that pass.
 """
 
 from __future__ import annotations
@@ -25,19 +27,7 @@ from math import gcd
 import mpmath
 from mpmath import mp
 
-from .arith import (
-    Ball,
-    _split_order,
-    character_sum,
-    fold,
-    frequency_sum,
-    power_tail,
-    power_terms,
-    root_table,
-    series_ball,
-    to_mpf,
-    vp,
-)
+from .arith import Ball, TruncatedSeries, _split_order, root_table, to_mpf, vp
 from .asai import MockEigenform, OrdinaryData, ordinary_data
 from .characters import DirichletCharacter, gauss_sum
 
@@ -74,32 +64,16 @@ class DistParams:
         self.prec = prec
         self.ordinary: OrdinaryData = ordinary_data(f)
         f.tabulate(R)
-        with mp.workprec(prec + 16):
-            self._terms = list(power_terms(f.nonzero(R), s))  # nonzero (r, d(r) r^(-s))
-        self._tail0, self._mass = power_tail(f.nonzero(R), f.k, R, s)
-        self._buckets: dict[int, list] = {}
+        self.series = TruncatedSeries(f.nonzero(R), f.k, R, s, prec)  # nonzero d(r)
 
     def tail_bound(self) -> float:
         """Tail bound for sum_{r>R} |d(r)| r^(-s) with the empirical majorant."""
-        return self._tail0
-
-    def _bucket(self, q: int) -> list:
-        if q not in self._buckets:
-            with mp.workprec(self.prec + 16):
-                self._buckets[q] = fold(self._terms, q)
-        return self._buckets[q]
-
-    def _series(self, acc, q: int) -> Ball:
-        """A root-of-unity combination of the buckets mod q as a Ball at the working precision."""
-        return series_ball(acc, self.prec, self.tail_bound(), self._mass, self.R, q, self.s)
+        return self.series.tail
 
 
 def P_s(params: DistParams, b: Fraction | int) -> Ball:
     """sum_{r<=R} d(r) e(r b) r^(-s), periodic in b; the radius holds the tail."""
-    b = Fraction(b)
-    W = params._bucket(b.denominator)
-    with mp.workprec(params.prec + 16):
-        return params._series(frequency_sum(W, b), b.denominator)
+    return params.series.at(b)
 
 
 def mu_tilde(params: DistParams, a: int, j: int) -> Ball:
@@ -183,10 +157,7 @@ def twisted_asai_series(params: DistParams, chi: DirichletCharacter) -> Ball:
     chi0 = chi.primitive()
     C = chi0.modulus
     # the bucket modulus must detect p | r; p-power conductors already do
-    q = C if C % p == 0 else C * p
-    W = params._bucket(q)
-    with mp.workprec(params.prec + 16):
-        return params._series(character_sum(W, chi0, coprime_to=p), q)
+    return params.series.twisted(chi0, C if C % p == 0 else C * p, coprime_to=p)
 
 
 def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> Ball:
@@ -207,7 +178,7 @@ def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> Ball:
         sf = to_mpf(s)
         kf = to_mpf(od.kappa)
         pref = mpmath.mpf(p) ** (j_chi * (sf - 1)) / kf**j_chi
-        acc = gauss_sum(chi).value.embed(params.prec + 16) * pref * series
+        acc = gauss_sum(chi).embed(params.prec + 16) * pref * series
         if j_chi == 0:
             acc = acc * ((kf - mpmath.mpf(p) ** (sf - 1)) / (kf * (1 - kf * mpmath.mpf(p) ** (-sf))))
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -35,3 +36,25 @@ def dist_params_small():
 def dist_params_p5():
     f = acceptance_mock(8, 5, R=10_000)
     return DistParams(f, 5, F(5), 10_000, 128)
+
+
+# Edits of a dump_eigenform text at p = 5 over Q(i) (D = 4; 13 splits, 4 is
+# not prime) that each add a line nothing reads; load_eigenform must reject them.
+def _append(*lines):
+    return lambda text: text + "".join(line + "\n" for line in lines)
+
+
+def _extend_first(prefix):
+    """Add a token after the value of the first line starting with ``prefix``."""
+    return lambda text: re.sub(f"^({prefix}.*)$", r"\1 0", text, count=1, flags=re.M)
+
+
+UNREAD_EIGENFORM_EDITS = {
+    "unknown-header": _append("bogus 5"),
+    "repeated-header": lambda text: text.replace("N 1\n", "N 7\nN 1\n"),
+    "wrong-tag": lambda text: text.replace("l 13 split ", "l 13 inert "),
+    "record-extra-token": _extend_first("l 13 split "),
+    "header-extra-token": _extend_first("k "),
+    "non-prime": _append("l 4 ramified 1"),
+    "at-p": _append("l 5 split 1", "l 5 split 2"),
+}

@@ -28,6 +28,7 @@ from asaikit.arith import (
     power_terms,
     primes_up_to,
     vp,
+    TruncatedSeries,
     _binomial,
 )
 from asaikit.characters import enumerate_characters
@@ -365,9 +366,9 @@ SERIES_S = st.sampled_from([F(3), F(7, 2)])
 SERIES_PREC = 80
 
 
-def _direct_sum(pairs, s, weight):
-    """sum a(r) weight(r) r^(-s) term by term at 64 extra bits, plus sum |a(r)| r^(-s)."""
-    with mp.workprec(SERIES_PREC + 64):
+def _direct_sum(pairs, s, weight, prec=SERIES_PREC + 64):
+    """sum a(r) weight(r) r^(-s) term by term at ``prec`` bits, plus sum |a(r)| r^(-s)."""
+    with mp.workprec(prec):
         sf = mpmath.mpf(s.numerator) / s.denominator
         acc = mpmath.mpc(0)
         mass = mpmath.mpf(0)
@@ -378,8 +379,16 @@ def _direct_sum(pairs, s, weight):
     return acc, mass
 
 
+def _rounding_encloses(ball, series, pairs, s, weight):
+    """|direct - mid| <= rad - tail: the rounding part of the radius alone covers the truncated sum."""
+    want, _ = _direct_sum(pairs, s, weight, 320)
+    with mp.workprec(320):
+        assert abs(want - ball.mid) <= ball.rad - series.tail
+
+
 class TestSeriesPath:
-    """fold/frequency_sum/character_sum against a direct per-term sum."""
+    """fold/frequency_sum/character_sum against a direct per-term sum, and the same
+    pairs through TruncatedSeries (k = 0, R = 500) at 64, 96 and 128 bits."""
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=SPARSE_PAIRS, s=SERIES_S, q=st.integers(1, 30), c=st.integers(0, 10**6))
@@ -387,9 +396,17 @@ class TestSeriesPath:
         b = F(c % q, q)
         with mp.workprec(SERIES_PREC):
             got = frequency_sum(fold(power_terms(pairs, s), q), b)
-        want, mass = _direct_sum(pairs, s, lambda r: mpmath.expjpi(2 * mpmath.mpf(r * b.numerator) / b.denominator))
+
+        def e(r, b):
+            return mpmath.expjpi(2 * mpmath.mpf(r * b.numerator) / b.denominator)
+
+        want, mass = _direct_sum(pairs, s, lambda r: e(r, b))
         with mp.workprec(SERIES_PREC + 64):
             assert abs(got - want) <= mpmath.ldexp(mass, -SERIES_PREC + 8)
+        for prec in (64, 96, 128):
+            series = TruncatedSeries(pairs, 0, 500, s, prec)
+            _rounding_encloses(series.at(b), series, pairs, s, lambda r: e(r, b))
+            _rounding_encloses(series.at(b, -b), series, pairs, s, lambda r: e(r, b) + e(r, -b))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -410,11 +427,14 @@ class TestSeriesPath:
         def weight(r):
             if gcd(r, coprime_to) != 1:
                 return 0
-            return chi.value(r).embed(SERIES_PREC + 64).to_mpc()
+            return chi.value(r).embed(mp.prec).to_mpc()
 
         want, mass = _direct_sum(pairs, s, weight)
         with mp.workprec(SERIES_PREC + 64):
             assert abs(got - want) <= mpmath.ldexp(mass, -SERIES_PREC + 8)
+        for prec in (64, 96, 128):
+            series = TruncatedSeries(pairs, 0, 500, s, prec)
+            _rounding_encloses(series.twisted(chi, q, coprime_to), series, pairs, s, weight)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from asaikit import asai as asai_module
 from asaikit.arith import _poly_mul_frac, vp
+from tests.conftest import UNREAD_EIGENFORM_EDITS
 from asaikit.asai import (
     FormalDirichletSeries,
     MockEigenform,
@@ -301,6 +302,14 @@ class TestEigenformFile:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             load_eigenform("k 2\nN 1\n")
+
+    @pytest.mark.parametrize("edit", UNREAD_EIGENFORM_EDITS.values(), ids=UNREAD_EIGENFORM_EDITS)
+    def test_unread_line_rejected(self, edit):
+        text = dump_eigenform(sample_form(bound=30))
+        assert "l 13 split " in text and "N 1\n" in text
+        load_eigenform(text)  # the unedited file loads
+        with pytest.raises(ValueError):
+            load_eigenform(edit(text))
 
     def test_wrong_record_count_rejected(self):
         f = sample_form(bound=30)

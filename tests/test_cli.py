@@ -11,6 +11,7 @@ from asaikit import cli
 from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
+from tests.conftest import UNREAD_EIGENFORM_EDITS
 
 
 def run(args):
@@ -67,7 +68,13 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "suite, flag, value",
-        [("asai", "--R", "5"), ("padic", "--prec", "64"), ("characters", "--seed", "3")],
+        [
+            ("asai", "--R", "5"),
+            ("padic", "--prec", "64"),
+            ("characters", "--seed", "3"),
+            ("cohomology", "--prec", "96"),
+            ("cohomology", "--eigenform", "F"),
+        ],
     )
     def test_flag_the_suite_does_not_read_exit_2(self, suite, flag, value, tmp_path, capsys):
         cache = str(tmp_path / "c.json")
@@ -123,6 +130,16 @@ class TestVerify:
         ):
             assert verify(form, *argv) == 2, argv
         assert "missing the D header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", UNREAD_EIGENFORM_EDITS.values(), ids=UNREAD_EIGENFORM_EDITS)
+    def test_unread_eigenform_line_exit_2(self, edit, tmp_path, capsys):
+        f = random_mock_eigenform(random.Random(1), k=2, N=1, p=5, prime_bound=600)
+        path = tmp_path / "f.txt"
+        path.write_text(edit(dump_eigenform(f)))
+        cache = str(tmp_path / "c.json")
+        assert run(["verify", "distribution", "--eigenform", str(path), "--R", "500", "--cache", cache]) == 2
+        assert "malformed eigenform file" in capsys.readouterr().err
+        assert not os.path.exists(cache)
 
     def test_one_flag_per_config_field(self):
         parser = build_parser()

@@ -8,7 +8,7 @@ from mpmath import mp
 
 from asaikit.asai import MockEigenform, QuadFieldData, asai_coeff, random_mock_eigenform
 from tests.conftest import acceptance_mock
-from asaikit.arith import Ball
+from asaikit.arith import Ball, TruncatedSeries
 from asaikit.characters import enumerate_characters, gauss_sum
 from asaikit.distribution import (
     DistParams,
@@ -96,9 +96,7 @@ class TestMuTilde:
         # cannot be scaled coherently, so check linearity through the terms
         params = DistParams(f1, 3, F(5), 200, 96)
         v = mu_tilde(params, 1, 1)
-        with mp.workprec(160):
-            params._terms = [(r, 2 * t) for r, t in params._terms]
-        params._buckets = {}
+        params.series = TruncatedSeries(((r, 2 * d) for r, d in f1.nonzero(200)), f1.k, 200, F(5), 96)
         v2 = mu_tilde(params, 1, 1)
         with mp.workprec(160):
             assert abs(v2.to_mpc() - 2 * v.to_mpc()) < 1e-25

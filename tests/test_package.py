@@ -100,3 +100,29 @@ def test_no_hand_kept_tails():
         and any(isinstance(fn, ast.FunctionDef) and fn.name == "to_mpc" for fn in cls.body)
     ]
     assert not owners
+
+
+def test_one_truncated_series_path():
+    """Truncated Dirichlet series go through arith.TruncatedSeries: outside arith no module
+    calls power_terms, frequency_sum or character_sum, only higher_coeffs_analytic calls
+    fold, and the helpers power_tail and series_ball are gone."""
+    src = Path(asaikit.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("eisenstein.py", "higher_coeffs_analytic"):
+                allowed.update(id(node) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("power_terms", "frequency_sum", "character_sum") or (name == "fold" and id(node) not in allowed):
+                offenders.append(f"{path.name}:{node.lineno}:{name}")
+    assert not offenders
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, "power_tail") and not hasattr(mod, "series_ball"), module
