@@ -3,12 +3,15 @@ multiplicative tables, midpoint-radius complex balls and the truncated series pa
 
 Everything here is immutable and pure.  Rational numbers are stdlib
 ``fractions.Fraction`` (always lowest terms, positive denominator);
-cyclotomic numbers are coefficient vectors reduced modulo the m-th
-cyclotomic polynomial, so equality of values is equality of vectors.
+cyclotomic numbers are integer coefficient vectors over one positive
+denominator, reduced modulo the m-th cyclotomic polynomial and kept in
+lowest terms, so equality of values is equality of vectors.  Floats are
+refused wherever an exact value is expected.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,21 +66,22 @@ def _split_order(m: int, p: int) -> tuple[int, int]:
     return a, m
 
 
+def _vp_int(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def vp(x: Fraction | int, p: int) -> Fraction | float:
     """p-adic valuation of a rational, with vp(0) = +inf."""
     if x == 0:
         return inf
-    x = Fraction(x)
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return Fraction(v)
+    if not isinstance(x, int):
+        x = Fraction(x)
+    return Fraction(_vp_int(x.numerator, p) - _vp_int(x.denominator, p))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -248,54 +252,72 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num[m] = 1
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod_frac(num, cyclotomic_polynomial(d))
+            num, rem = _poly_divmod_monic(num, cyclotomic_polynomial(d))
             assert not rem
     return tuple(num)
-
-
-def _resultant(A: list[Fraction], B: list[Fraction]) -> Fraction:
-    """Resultant of two polynomials over Q (Euclidean algorithm, exact)."""
-    A = _poly_trim([Fraction(c) for c in A])
-    B = _poly_trim([Fraction(c) for c in B])
-    res = Fraction(1)
-    while True:
-        da, db = len(A) - 1, len(B) - 1
-        if db < 0:
-            return Fraction(0) if da >= 0 else res
-        if db == 0:
-            return res * B[0] ** da
-        _, R = _poly_divmod_frac(A, B)
-        dr = len(R) - 1
-        if dr < 0:
-            return Fraction(0)
-        res *= Fraction(-1) ** (da * db) * B[-1] ** (da - dr)
-        A, B = B, R
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
 
-class CyclotomicNumber:
-    """Element of Q(zeta_m): coefficient vector of length phi(m) modulo Phi_m."""
+def _check_rational(x) -> None:
+    """Exact values are ints or Fractions: a float (already rounded) is refused, not converted."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact arithmetic takes int or Fraction values, not {type(x).__name__}")
 
-    __slots__ = ("order", "coeffs")
+
+def _vp_min(num: Iterable[int], den: int, p: int) -> Fraction | float:
+    """min_i vp(num_i / den) for integers num_i and den > 0; +inf when every num_i is 0."""
+    least = min((_vp_int(n, p) for n in num if n), default=None)
+    return inf if least is None else Fraction(least - _vp_int(den, p))
+
+
+class CyclotomicNumber:
+    """Element of Q(zeta_m): sum_i num[i] zeta_m^i / den, i < phi(m), reduced modulo Phi_m.
+
+    ``num`` is a tuple of ints and ``den`` a positive int, in canonical form
+    gcd(den, *num) = 1 (zero is (0, ..., 0) / 1), so equality of values is
+    equality of (num, den).  Arithmetic runs on the integers and divides out
+    the gcd once per result; ``coeffs`` gives the coefficients as Fractions.
+    """
+
+    __slots__ = ("order", "num", "den")
     __hash__ = None  # equality lifts across orders; not hashable
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction]):
+    def __init__(self, order: int, coeffs: Sequence[Fraction | int]):
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
+        for c in coeffs:
+            _check_rational(c)
+        # each coefficient is in lowest terms, so gcd(den, *num) = 1 already
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @staticmethod
+    def _make(order: int, num: tuple[int, ...], den: int) -> "CyclotomicNumber":
+        """num / den (den > 0) in canonical form, without the checks of the public constructor."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+        out = object.__new__(CyclotomicNumber)
+        out.order = order
+        out.num = num
+        out.den = den
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(x: Fraction | int, order: int = 1) -> "CyclotomicNumber":
-        c = [Fraction(0)] * euler_phi(order)
-        c[0] = Fraction(x)
-        return CyclotomicNumber(order, c)
+        _check_rational(x)
+        num = [0] * euler_phi(order)
+        num[0] = x.numerator
+        return CyclotomicNumber._make(order, tuple(num), x.denominator)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "CyclotomicNumber":
@@ -303,35 +325,47 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_exponents(order: int, weights: Mapping[int, Fraction | int]) -> "CyclotomicNumber":
-        """sum_e weights[e] * zeta_order^e, reduced modulo Phi_order.
-
-        Integer weights are reduced in integer arithmetic (the common case
-        for character-sum histograms) before the final conversion.
-        """
-        if all(isinstance(w, int) for w in weights.values()):
-            poly = [0] * order
-        else:
-            poly = [Fraction(0)] * order
+        """sum_e weights[e] * zeta_order^e, reduced modulo Phi_order over one common denominator."""
+        for w in weights.values():
+            _check_rational(w)
+        den = lcm(*(w.denominator for w in weights.values()))
+        poly = [0] * order
         for e, w in weights.items():
-            poly[e % order] += w
-        return CyclotomicNumber(order, _reduce_mod_cyclotomic(poly, order))
+            poly[e % order] += w.numerator * (den // w.denominator)
+        return CyclotomicNumber._make(order, tuple(_reduce_mod_cyclotomic(poly, order)), den)
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients num[i] / den, each a Fraction in lowest terms."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.num))
+        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def degree(self) -> int:
         return euler_phi(self.order)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    def _permuted(self, order: int, step: int) -> "CyclotomicNumber":
+        """sum_i num[i] zeta_order^(i step) / den, reduced; the exponents i step are distinct mod order."""
+        poly = [0] * order
+        for i, c in enumerate(self.num):
+            if c:
+                poly[i * step % order] = c
+        return CyclotomicNumber._make(order, tuple(_reduce_mod_cyclotomic(poly, order)), self.den)
 
     def lift(self, order: int) -> "CyclotomicNumber":
         """Rewrite in Q(zeta_order) for a multiple of the current order."""
@@ -339,26 +373,21 @@ class CyclotomicNumber:
             return self
         if order % self.order:
             raise ValueError("can only lift to a multiple of the current order")
-        step = order // self.order
-        return CyclotomicNumber.from_exponents(
-            order, {i * step: c for i, c in enumerate(self.coeffs) if c}
-        )
+        return self._permuted(order, order // self.order)
 
     def galois(self, t: int) -> "CyclotomicNumber":
         """Apply the automorphism zeta -> zeta^t (t coprime to the order)."""
         if gcd(t, self.order) != 1:
             raise ValueError("galois exponent must be a unit modulo the order")
-        return CyclotomicNumber.from_exponents(
-            self.order, {i * t: c for i, c in enumerate(self.coeffs) if c}
-        )
+        return self._permuted(self.order, t)
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1 % self.order) if self.order > 1 else self
 
     def norm(self) -> Fraction:
-        """Product of all Galois conjugates, via the resultant with Phi_m."""
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        return _resultant(phi, list(self.coeffs))
+        """Product of all Galois conjugates: det(multiplication by num) / den^phi."""
+        det, _ = _bareiss_solve(_multiplication_matrix(self))
+        return Fraction(det, self.den ** len(self.num))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -372,30 +401,38 @@ class CyclotomicNumber:
         m = self.order * other.order // gcd(self.order, other.order)
         return self.lift(m), other.lift(m)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op(self, other) for op = add or sub, coefficientwise over the lcm of the denominators."""
         a, b = self._coerced(other)
         if a is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        an, bn, den = a.num, b.num, a.den
+        if den != b.den:
+            g = gcd(den, b.den)
+            sa, sb = b.den // g, den // g
+            an = [c * sa for c in an]
+            bn = [c * sb for c in bn]
+            den *= sa
+        return CyclotomicNumber._make(a.order, tuple(map(op, an, bn)), den)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return CyclotomicNumber._make(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._coerced(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CyclotomicNumber(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CyclotomicNumber(self.order, [c * q for c in self.coeffs])
+            n = other.numerator
+            return CyclotomicNumber._make(self.order, tuple(c * n for c in self.num), self.den * other.denominator)
         a, b = self._coerced(other)
         if a is NotImplemented:
             return NotImplemented
@@ -404,22 +441,20 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm with Phi_m."""
+        """Multiplicative inverse, from num y = 1 solved by fraction-free elimination on the integers."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
         if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s = _poly_xgcd_mod(list(self.coeffs), phi)
-        if len(g) != 1:
-            raise ZeroDivisionError("element is a zero divisor (should not happen mod Phi_m)")
-        inv = [c / g[0] for c in s]
-        return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv, self.order))
+            return CyclotomicNumber.from_rational(Fraction(self.den, self.num[0]), self.order)
+        # sol = det y, det the determinant of multiplication by num: (num / den)^(-1) = den sol / det
+        det, sol = _bareiss_solve(_multiplication_matrix(self))
+        if det < 0:
+            det, sol = -det, [-c for c in sol]
+        return CyclotomicNumber._make(self.order, tuple(self.den * c for c in sol), det)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CyclotomicNumber(self.order, [c / q for c in self.coeffs])
+            return self * (1 / Fraction(other))
         a, b = self._coerced(other)
         if a is NotImplemented:
             return NotImplemented
@@ -442,15 +477,15 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] == other.numerator and self.den == other.denominator
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._coerced(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyc({self.coeffs[0]})"
+            return f"Cyc({self.as_rational()})"
         terms = [f"{c}*z{self.order}^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Cyc(" + " + ".join(terms) + ")"
 
@@ -458,44 +493,44 @@ class CyclotomicNumber:
         return embed_complex(self, prec)
 
 
-def _reduce_mod_cyclotomic(poly: list, order: int) -> list:
-    """Reduce a little-endian coefficient list modulo Phi_order; return phi(order) coefficients.
-
-    Works for integer or Fraction coefficients (Phi has integer entries).
-    """
+@lru_cache(maxsize=None)
+def _cyclotomic_taps(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(order), the nonzero (j, c_j) of Phi_order = x^phi + sum_(j < phi) c_j x^j)."""
     phi_poly = cyclotomic_polynomial(order)
     d = len(phi_poly) - 1
-    nz = [(j, phi_poly[j]) for j in range(d) if phi_poly[j]]
-    for i in range(len(poly) - 1, d - 1, -1):
-        c = poly[i]
-        if c:
-            poly[i] = 0
-            for j, pj in nz:
-                poly[i - d + j] -= c * pj
+    return d, tuple((j, c) for j, c in enumerate(phi_poly[:d]) if c)
+
+
+def _reduce_mod_cyclotomic(poly: list, order: int) -> list:
+    """Reduce a little-endian integer coefficient list modulo Phi_order; return phi(order) coefficients.
+
+    The list is folded modulo x^order - 1 first (a multiple of Phi_order), so
+    only the exponents from phi(order) to order - 1 take the taps of Phi.
+    """
+    d, taps = _cyclotomic_taps(order)
+    if len(poly) > order:
+        for i in range(order, len(poly)):
+            poly[i % order] += poly[i]
+        del poly[order:]
+    if any(poly[d:]):
+        for i in range(len(poly) - 1, d - 1, -1):
+            c = poly[i]
+            if c:
+                poly[i] = 0
+                for j, pj in taps:
+                    poly[i - d + j] -= c * pj
     out = poly[:d]
     out += [0] * (d - len(out))
     return out
 
 
-def _poly_xgcd_mod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*a = g modulo b and g = gcd(a, b) (b = Phi_m is squarefree)."""
-    r0, r1 = _poly_trim(list(b)), _poly_trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod_frac(r0, r1)
-        s = _poly_sub(s0, _poly_mul_frac(q, s1))
-        r0, s0, r1, s1 = r1, s1, r, s
-    return r0, s0
-
-
-def _poly_divmod_frac(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and remainder over Q; by a monic divisor, integer coefficients stay int."""
+def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials by a monic divisor."""
     num = list(num)
     dd = len(den) - 1
-    inv = 1 if den[-1] == 1 else Fraction(1, den[-1])
     q = [0] * max(len(num) - dd, 1)
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] * inv
+        c = num[i]
         if c:
             q[i - dd] = c
             for j in range(dd + 1):
@@ -515,21 +550,72 @@ def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
+def _multiplication_matrix(x: CyclotomicNumber) -> list[list[int]]:
+    """The integer matrix of y -> num y on the power basis: column j is num zeta^j reduced."""
+    d, taps = _cyclotomic_taps(x.order)
+    col = list(x.num)
+    cols = [col]
+    for _ in range(d - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            for j, c in taps:
+                col[j] -= top * c
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def _bareiss_solve(rows: list[list[int]]) -> tuple[int, list[int] | None]:
+    """(det A, det A times A^(-1) e_0) for a square integer matrix A; (0, None) when A is singular.
+
+    Bareiss's fraction-free elimination: every entry stays an integer (a
+    minor of A) and every division is exact, and so is each step of the back
+    substitution, as det A times A^(-1) e_0 is integral by Cramer's rule.
+    """
+    n = len(rows)
+    a = [row + [int(i == 0)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        rk = a[k]
+        akk = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            aik = ri[k]
+            a[i] = ri[: k + 1] + [(akk * x - aik * y) // prev for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
+        prev = akk
+    det = sign * a[-1][n - 1]
+    if not det:
+        return 0, None
+    sol = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = a[i]
+        acc = det * ri[n] - sum(ri[j] * sol[j] for j in range(i + 1, n))
+        sol[i] = acc // ri[i]
+    return det, sol
 
 
 def cyclotomic_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
-    """Product in Q(zeta_m); both operands must already have the same order."""
+    """Product in Q(zeta_m); both operands must already have the same order.
+
+    The schoolbook product of the integer numerators, reduced modulo Phi_m,
+    over the product of the denominators.
+    """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}; lift first")
-    prod = _poly_mul_frac(list(a.coeffs), list(b.coeffs))
-    if not prod:
-        return CyclotomicNumber.from_rational(0, a.order)
-    return CyclotomicNumber(a.order, _reduce_mod_cyclotomic(prod, a.order))
+    an, bn = a.num, b.num
+    prod = [0] * (2 * len(an) - 1)
+    terms = [(j, y) for j, y in enumerate(bn) if y]
+    for i, x in enumerate(an):
+        if x:
+            for j, y in terms:
+                prod[i + j] += x * y
+    return CyclotomicNumber._make(a.order, tuple(_reduce_mod_cyclotomic(prod, a.order)), a.den * b.den)
 
 
 # ---------------------------------------------------------------------------

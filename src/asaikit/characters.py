@@ -26,6 +26,7 @@ from .arith import (
     bernoulli_number,
     bernoulli_polynomial,
     TruncatedSeries,
+    _vp_min,
     euler_phi,
     factorize,
     vp,
@@ -558,13 +559,11 @@ def normalized_L(chi: DirichletCharacter, k: int) -> NormalizedLValue:
     value = b * (sign * Fraction(1, 2 * factorial(k) * C**k))
     # p-denominator report (lower bound via the power basis of Z[zeta])
     if C == 1:
-        v_low = Fraction(0) if all(c.denominator == 1 for c in value.coeffs) else min(
-            vp(c, q) for c in value.coeffs for q, _ in factorize(max(c.denominator, 2))
-        )
+        v_low = min((_vp_min(value.num, value.den, q) for q, _ in factorize(value.den)), default=0)
         j_chi = 0
     else:
         p, _ = factorize(C)[0]
         j_chi = factorize(chi.conductor())[0][1] if chi.conductor() > 1 else 0
-        v_low = min(vp(c, p) for c in value.coeffs)
+        v_low = _vp_min(value.num, value.den, p)
     bound = Fraction(-(j_chi * (k + 1)))
     return NormalizedLValue(value, C, Fraction(v_low), bound, v_low >= bound)

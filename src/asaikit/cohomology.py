@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, inf
+from math import factorial, gcd, inf, lcm
 
 import mpmath
 from mpmath import mp
@@ -24,9 +24,10 @@ from .arith import (
     _binomial,
     _split_order,
     TruncatedSeries,
+    _check_rational,
+    _vp_min,
     factorize,
     root_table,
-    vp,
 )
 from .asai import MockEigenform
 from .characters import DirichletCharacter, gauss_sum, normalized_L
@@ -54,89 +55,133 @@ __all__ = [
 
 
 class QuadCoeff:
-    """x + y sqrt(-D) with rational x, y."""
+    """(a + b sqrt(-D)) / den with integers a, b and den > 0, gcd(a, b, den) = 1.
 
-    __slots__ = ("x", "y", "D")
+    The public constructor takes the rational parts x = a/den and y = b/den
+    (ints or Fractions); zero is (0 + 0 sqrt(-D)) / 1.  Arithmetic runs on
+    the integers and divides out one gcd per result.
+    """
+
+    __slots__ = ("a", "b", "den", "D")
     __hash__ = None
 
     def __init__(self, x, y, D: int):
-        self.x = x if type(x) is Fraction else Fraction(x)
-        self.y = y if type(y) is Fraction else Fraction(y)
+        _check_rational(x)
+        _check_rational(y)
+        # x and y are in lowest terms, so gcd(a, b, den) = 1 already
+        den = lcm(x.denominator, y.denominator)
+        self.a = x.numerator * (den // x.denominator)
+        self.b = y.numerator * (den // y.denominator)
+        self.den = den
         self.D = D
+
+    @staticmethod
+    def _make(a: int, b: int, den: int, D: int) -> "QuadCoeff":
+        """(a + b sqrt(-D)) / den (den > 0) in canonical form."""
+        g = gcd(a, b, den)
+        if g != 1:
+            a //= g
+            b //= g
+            den //= g
+        out = object.__new__(QuadCoeff)
+        out.a = a
+        out.b = b
+        out.den = den
+        out.D = D
+        return out
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.b, self.den)
 
     @staticmethod
     def zero(D: int) -> "QuadCoeff":
         return QuadCoeff(0, 0, D)
 
     def is_zero(self) -> bool:
-        return not self.x and not self.y
+        return not self.a and not self.b
 
     def conj(self) -> "QuadCoeff":
-        return QuadCoeff(self.x, -self.y, self.D)
+        return QuadCoeff._make(self.a, -self.b, self.den, self.D)
 
     def _check(self, other: "QuadCoeff"):
         if self.D != other.D:
             raise ValueError("mixed field discriminants")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, for sign = 1 or -1."""
         if isinstance(other, (int, Fraction)):
-            return QuadCoeff(self.x + other, self.y, self.D)
+            other = QuadCoeff(other, 0, self.D)
+        if not isinstance(other, QuadCoeff):
+            return NotImplemented
         self._check(other)
-        return QuadCoeff(self.x + other.x, self.y + other.y, self.D)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return QuadCoeff._make(self.a + sign * other.a, self.b + sign * other.b, d1, self.D)
+        a = self.a * d2 + sign * other.a * d1
+        return QuadCoeff._make(a, self.b * d2 + sign * other.b * d1, d1 * d2, self.D)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadCoeff(-self.x, -self.y, self.D)
+        return QuadCoeff._make(-self.a, -self.b, self.den, self.D)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadCoeff(self.x - other, self.y, self.D)
-        self._check(other)
-        return QuadCoeff(self.x - other.x, self.y - other.y, self.D)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, QuadCoeff):
+            self._check(other)
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            return QuadCoeff._make(a1 * a2 - self.D * b1 * b2, a1 * b2 + b1 * a2, self.den * other.den, self.D)
         if isinstance(other, (int, Fraction)):
-            return QuadCoeff(self.x * other, self.y * other, self.D)
-        self._check(other)
-        return QuadCoeff(
-            self.x * other.x - self.D * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-            self.D,
-        )
+            n = other.numerator
+            return QuadCoeff._make(self.a * n, self.b * n, self.den * other.denominator, self.D)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadCoeff":
-        n = self.x * self.x + self.D * self.y * self.y
+        """den (a - b sqrt(-D)) / (a^2 + D b^2)."""
+        n = self.a * self.a + self.D * self.b * self.b
         if not n:
             raise ZeroDivisionError("inverse of zero")
-        return QuadCoeff(self.x / n, -self.y / n, self.D)
+        s = self.den if n > 0 else -self.den
+        return QuadCoeff._make(s * self.a, -s * self.b, abs(n), self.D)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadCoeff(self.x / other, self.y / other, self.D)
-        self._check(other)
+            return self * (1 / Fraction(other))
+        if not isinstance(other, QuadCoeff):
+            return NotImplemented
         return self * other.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.y == 0 and self.x == other
+            return not self.b and self.a == other.numerator and self.den == other.denominator
         return (
             isinstance(other, QuadCoeff)
             and self.D == other.D
-            and self.x == other.x
-            and self.y == other.y
+            and self.a == other.a
+            and self.b == other.b
+            and self.den == other.den
         )
 
     def valuation(self, p: int) -> Fraction | float:
-        """min(vp(x), vp(y)): valid for p unramified and odd (p not dividing 2D)."""
+        """min(vp(x), vp(y)) = min(vp(a), vp(b)) - vp(den): valid for p unramified and odd (p not dividing 2D)."""
         if self.D % p == 0 or p == 2:
             raise ValueError("valuation rule requires p odd and unramified")
-        return min(vp(self.x, p), vp(self.y, p))
+        return _vp_min((self.a, self.b), self.den, p)
 
     def __repr__(self):
         return f"({self.x}+{self.y}w{self.D})"
@@ -234,9 +279,9 @@ def _entry(e):
     then multiply on the cheaper scalar paths.
     """
     if isinstance(e, QuadCoeff):
-        if e.y:
+        if e.b:
             return e
-        e = e.x
+        return e.a if e.den == 1 else Fraction(e.a, e.den)
     e = Fraction(e)
     return e.numerator if e.denominator == 1 else e
 

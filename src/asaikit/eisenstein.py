@@ -28,13 +28,13 @@ from .arith import (
     ArithTables,
     Ball,
     CyclotomicNumber,
+    _vp_min,
     bernoulli_number,
     euler_phi,
     factorize,
     fixed_power_terms,
     fold,
     root_table,
-    vp,
 )
 from .asai import FUNDAMENTAL_D, QuadFieldData
 from .characters import (
@@ -453,10 +453,9 @@ class QExpansion:
 def _p_denominator_exponent(coeffs, p: int) -> int:
     worst = 0
     for c in coeffs:
-        for q in c.coeffs:
-            v = vp(q, p)
-            if v < 0:
-                worst = max(worst, -int(v))
+        v = _vp_min(c.num, c.den, p)
+        if v < 0:
+            worst = max(worst, -int(v))
     return worst
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, inf
 
 from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, euler_phi, vp
 from .characters import DirichletCharacter, enumerate_characters
@@ -72,8 +72,7 @@ def padic_valuation(x: CyclotomicNumber, p: int) -> Fraction | float:
         )
     q = p**a
     e = euler_phi(q)
-    den = lcm(*(c.denominator for c in x.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    ints, den = x.num, x.den
     # zeta_n = zeta_q^u zeta_m'^v: zeta_n^i goes to zeta_q^(iu) w^(t iv)
     u, v = pow(m_prime, -1, q), pow(q, -1, m_prime)
     least, T = inf, 24

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -27,6 +28,7 @@ from asaikit.arith import (
     kronecker_symbol,
     power_terms,
     primes_up_to,
+    to_mpf,
     vp,
     TruncatedSeries,
     _binomial,
@@ -164,6 +166,180 @@ class TestCyclotomic:
         z = CyclotomicNumber.zeta(5)
         g = z + z**4
         assert g.conjugate() == g
+
+
+class TestFloatsRejected:
+    """A float is already rounded: the exact kernel refuses it rather than converting it."""
+
+    def test_coefficients(self):
+        with pytest.raises(TypeError):
+            CyclotomicNumber(3, [0.1, 0])
+
+    def test_weights(self):
+        with pytest.raises(TypeError):
+            CyclotomicNumber.from_exponents(5, {1: 1.5})
+
+    def test_rational(self):
+        with pytest.raises(TypeError):
+            CyclotomicNumber.from_rational(0.5, 4)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_scalars(self, op):
+        with pytest.raises(TypeError):
+            op(CyclotomicNumber.zeta(5), 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, CyclotomicNumber.zeta(5))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a Fraction oracle: schoolbook products reduced by
+# long division modulo cyclotomic_polynomial(m), on orders up to 60
+
+SMALL_RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _vectors(m: int, n: int):
+    """n coefficient vectors of length phi(m) for order m."""
+    vec = st.lists(SMALL_RATIONAL, min_size=euler_phi(m), max_size=euler_phi(m)).map(tuple)
+    return st.tuples(st.just(m), *[vec] * n)
+
+
+ONE_VECTOR = st.integers(1, 60).flatmap(lambda m: _vectors(m, 1))
+TWO_VECTORS = st.integers(1, 60).flatmap(lambda m: _vectors(m, 2))
+
+
+def _oracle_reduce(poly, m: int) -> tuple:
+    """poly modulo Phi_m by long division over Q, as phi(m) Fractions."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    poly = [F(c) for c in poly] + [F(0)] * max(0, d - len(poly))
+    for i in range(len(poly) - 1, d - 1, -1):
+        c = poly[i]
+        for j in range(d + 1):
+            poly[i - d + j] -= c * phi[j]
+    return tuple(poly[:d])
+
+
+def _oracle_mul(a: tuple, b: tuple, m: int) -> tuple:
+    prod = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _oracle_reduce(prod, m)
+
+
+def _oracle_spread(c: tuple, m: int, step: int) -> tuple:
+    """sum_i c_i x^(i step) modulo Phi_m."""
+    poly = [F(0)] * m
+    for i, x in enumerate(c):
+        poly[i * step % m] += x
+    return _oracle_reduce(poly, m)
+
+
+def _canonical_form(x: CyclotomicNumber) -> bool:
+    return (
+        len(x.num) == euler_phi(x.order)
+        and all(type(c) is int for c in x.num)
+        and type(x.den) is int
+        and x.den > 0
+        and gcd(x.den, *x.num) == 1
+    )
+
+
+class TestIntegerKernel:
+    """The integer kernel against a Fraction oracle built from the same random rationals."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(TWO_VECTORS)
+    def test_ring_operations(self, data):
+        m, u, v = data
+        a, b = CyclotomicNumber(m, u), CyclotomicNumber(m, v)
+        for got, want in (
+            (a + b, tuple(x + y for x, y in zip(u, v))),
+            (a - b, tuple(x - y for x, y in zip(u, v))),
+            (a * b, _oracle_mul(u, v, m)),
+            (cyclotomic_mul(a, b), _oracle_mul(u, v, m)),
+            (-a, tuple(-x for x in u)),
+        ):
+            assert _canonical_form(got)
+            assert got.coeffs == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(TWO_VECTORS)
+    def test_division(self, data):
+        m, u, v = data
+        assume(any(v))
+        q = CyclotomicNumber(m, u) / CyclotomicNumber(m, v)
+        assert _canonical_form(q)
+        assert _oracle_mul(q.coeffs, v, m) == u
+
+    @settings(max_examples=30, deadline=None)
+    @given(ONE_VECTOR, SMALL_RATIONAL, st.integers(-7, 7))
+    def test_scalars(self, data, r, n):
+        m, u = data
+        a = CyclotomicNumber(m, u)
+        for got, want in (
+            (a * r, tuple(x * r for x in u)),
+            (r * a, tuple(x * r for x in u)),
+            (a * n, tuple(x * n for x in u)),
+            (a + r, (u[0] + r,) + u[1:]),
+            (r - a, (r - u[0],) + tuple(-x for x in u[1:])),
+        ):
+            assert _canonical_form(got)
+            assert got.coeffs == want
+        if r:
+            assert (a / r).coeffs == tuple(x / r for x in u)
+        assert CyclotomicNumber.from_rational(r, m).coeffs == (r,) + (F(0),) * (euler_phi(m) - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ONE_VECTOR, st.integers(1, 4), st.integers(-60, 60))
+    def test_galois_and_lift(self, data, k, t):
+        m, u = data
+        a = CyclotomicNumber(m, u)
+        lifted = a.lift(k * m)
+        assert _canonical_form(lifted)
+        assert lifted.coeffs == _oracle_spread(u, k * m, k)
+        assume(gcd(t, m) == 1)
+        g = a.galois(t)
+        assert _canonical_form(g)
+        assert g.coeffs == _oracle_spread(u, m, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(TWO_VECTORS, st.integers(2, 3))
+    def test_equality(self, data, k):
+        m, u, v = data
+        a = CyclotomicNumber(m, u)
+        assert a == CyclotomicNumber(m, list(u))
+        assert a == a.lift(k * m) and a.lift(k * m) == a
+        assert (a == CyclotomicNumber(m, v)) == (u == v)
+        assert a != a + F(1, 7)
+        assert (a == u[0]) == (not any(u[1:]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ONE_VECTOR)
+    def test_coeffs_round_trip(self, data):
+        m, u = data
+        a = CyclotomicNumber(m, u)
+        assert _canonical_form(a)
+        assert a.coeffs == u and all(type(c) is F for c in a.coeffs)
+        b = CyclotomicNumber(m, a.coeffs)
+        assert (b.num, b.den) == (a.num, a.den)
+        assert a.is_zero() == ((a.num, a.den) == ((0,) * euler_phi(m), 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ONE_VECTOR)
+    def test_embed(self, data):
+        m, u = data
+        ball = CyclotomicNumber(m, u).embed(80)
+        with mp.workprec(200):
+            want = sum((to_mpf(c) * mpmath.expjpi(mpmath.mpf(2 * i) / m) for i, c in enumerate(u)), mpmath.mpc(0))
+            assert abs(ball.to_mpc() - want) <= ball.rad + 2.0**-150
+
+    def test_cross_order_sum(self):
+        u, v = (F(1, 2), F(-3), F(0), F(5, 6)), (F(2), F(0), F(1, 4), F(-1))
+        s = CyclotomicNumber(12, u) + CyclotomicNumber(10, v)
+        assert s.order == 60 and _canonical_form(s)
+        assert s.coeffs == tuple(x + y for x, y in zip(_oracle_spread(u, 60, 5), _oracle_spread(v, 60, 6)))
 
 
 class TestEmbedding:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import reduce
+from math import gcd
 
 import mpmath
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from asaikit.arith import Ball, _binomial
+from asaikit.arith import Ball, _binomial, vp
 from asaikit.asai import asai_coeff, coeff_principal
 from asaikit.characters import enumerate_characters
 from asaikit.cohomology import (
@@ -135,6 +136,58 @@ class TestQuadCoeff:
         assert QuadCoeff(F(0), F(75), D).valuation(5) == 2
         with pytest.raises(ValueError):
             QuadCoeff(F(1), F(1), 15).valuation(5)  # ramified
+
+
+QUAD_RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+QUAD = st.builds(lambda x, y: QuadCoeff(x, y, D), QUAD_RATIONAL, QUAD_RATIONAL)
+
+
+def _quad_canonical(c: QuadCoeff) -> bool:
+    return all(type(v) is int for v in (c.a, c.b, c.den)) and c.den > 0 and gcd(c.a, c.b, c.den) == 1
+
+
+class TestQuadKernel:
+    """The integer form (a + b sqrt(-D)) / den against the Fraction formulas on x and y."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(QUAD, QUAD, QUAD_RATIONAL, st.integers(-9, 9))
+    def test_against_fraction_formulas(self, u, v, r, n):
+        for got, want in (
+            (u * v, (u.x * v.x - D * u.y * v.y, u.x * v.y + u.y * v.x)),
+            (u + v, (u.x + v.x, u.y + v.y)),
+            (u - v, (u.x - v.x, u.y - v.y)),
+            (u * r, (u.x * r, u.y * r)),
+            (n * u, (u.x * n, u.y * n)),
+            (u + r, (u.x + r, u.y)),
+            (r - u, (r - u.x, -u.y)),
+            (u.conj(), (u.x, -u.y)),
+        ):
+            assert _quad_canonical(got)
+            assert (got.x, got.y) == want
+        if not v.is_zero():
+            q = u / v
+            assert _quad_canonical(q) and q * v == u
+        if r:
+            assert ((u / r).x, (u / r).y) == (u.x / r, u.y / r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(QUAD)
+    def test_round_trip_and_valuation(self, u):
+        assert _quad_canonical(u)
+        assert QuadCoeff(u.x, u.y, D) == u
+        assert u.is_zero() == ((u.a, u.b, u.den) == (0, 0, 1))
+        for p in (5, 7):
+            want = min(vp(u.x, p), vp(u.y, p))
+            assert u.valuation(p) == want
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            QuadCoeff(0.5, 1, D)
+        with pytest.raises(TypeError):
+            QuadCoeff(1, 0.25, D)
+        for op in (lambda c: c * 0.5, lambda c: 0.5 * c, lambda c: c + 0.5, lambda c: c - 0.5, lambda c: c / 0.5):
+            with pytest.raises(TypeError):
+                op(QuadCoeff(1, 2, D))
 
 
 class TestAction:

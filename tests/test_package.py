@@ -126,3 +126,46 @@ def test_one_truncated_series_path():
     for module in MODULES:
         mod = importlib.import_module(module)
         assert not hasattr(mod, "power_tail") and not hasattr(mod, "series_ball"), module
+
+
+def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Module functions by name and class methods as Class.method."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{fn.name}", fn) for fn in node.body if isinstance(fn, ast.FunctionDef))
+    return out
+
+
+def test_integer_exact_kernel():
+    """The cyclotomic product and sum and the QuadCoeff product and sum run on integers:
+    they construct no Fraction and read no Fraction view (coeffs, x, y) of an operand."""
+    src = Path(asaikit.__file__).parent
+    pinned = {
+        "arith.py": (
+            "cyclotomic_mul",
+            "_reduce_mod_cyclotomic",
+            "CyclotomicNumber._make",
+            "CyclotomicNumber._coerced",
+            "CyclotomicNumber._combine",
+            "CyclotomicNumber.__add__",
+            "CyclotomicNumber.__sub__",
+            "CyclotomicNumber.lift",
+            "CyclotomicNumber._permuted",
+        ),
+        "cohomology.py": ("QuadCoeff._make", "QuadCoeff._combine", "QuadCoeff.__add__", "QuadCoeff.__mul__"),
+    }
+    offenders = []
+    for name, functions in pinned.items():
+        defs = _methods(ast.parse((src / name).read_text()))
+        for fn_name in functions:
+            for node in ast.walk(defs[fn_name]):
+                called = isinstance(node, ast.Call) and "Fraction" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                )
+                if called or (isinstance(node, ast.Attribute) and node.attr in ("coeffs", "x", "y")):
+                    offenders.append(f"{name}:{fn_name}:{node.lineno}")
+    assert not offenders
