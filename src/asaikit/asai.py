@@ -28,7 +28,6 @@ from .arith import (
 __all__ = [
     "QuadFieldData",
     "MockEigenform",
-    "FormalDirichletSeries",
     "OrdinaryData",
     "hecke_power",
     "coeff_principal",
@@ -274,65 +273,7 @@ def asai_coeff(f: MockEigenform, r: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# truncated Dirichlet series
-
-
-class FormalDirichletSeries:
-    """Finite array of exact coefficients indexed 1..bound."""
-
-    __slots__ = ("bound", "coeffs")
-
-    def __init__(self, bound: int, coeffs=None):
-        self.bound = bound
-        if coeffs is None:
-            self.coeffs = [Fraction(0)] * (bound + 1)
-        else:
-            self.coeffs = list(coeffs)
-            if len(self.coeffs) != bound + 1:
-                raise ValueError("coefficient array must have length bound + 1")
-
-    @staticmethod
-    def one(bound: int) -> "FormalDirichletSeries":
-        s = FormalDirichletSeries(bound)
-        s.coeffs[1] = Fraction(1)
-        return s
-
-    @staticmethod
-    def from_local_factor(bound: int, l: int, inv_poly: list[Fraction]) -> "FormalDirichletSeries":
-        """Series with l-power support whose generating function is 1/inv_poly(l^-s)."""
-        e_max = 0
-        le = 1
-        while le * l <= bound:
-            le *= l
-            e_max += 1
-        inv = _power_series_inverse(inv_poly, e_max)
-        s = FormalDirichletSeries(bound)
-        le = 1
-        for e in range(e_max + 1):
-            s.coeffs[le] = inv[e]
-            le *= l
-        return s
-
-    def __mul__(self, other: "FormalDirichletSeries") -> "FormalDirichletSeries":
-        if self.bound != other.bound:
-            raise ValueError("bound mismatch")
-        out = FormalDirichletSeries(self.bound)
-        oc = out.coeffs
-        for a in range(1, self.bound + 1):
-            ca = self.coeffs[a]
-            if ca:
-                for b in range(1, self.bound // a + 1):
-                    cb = other.coeffs[b]
-                    if cb:
-                        oc[a * b] += ca * cb
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalDirichletSeries)
-            and self.bound == other.bound
-            and self.coeffs == other.coeffs
-        )
+# local Euler factors
 
 
 def _power_series_inverse(poly: list[Fraction], order: int) -> list[Fraction]:
@@ -411,16 +352,27 @@ def euler_vs_coefficients(f: MockEigenform, R: int) -> EulerComparisonReport:
     Comparison runs over r <= R coprime to N (factors at l | N are excluded
     from both sides).
     """
-    series = FormalDirichletSeries.one(R)
+    coeffs = [Fraction(0)] * (R + 1)
+    coeffs[1] = Fraction(1)
     for l in primes_up_to(R):
         if f.N % l == 0:
             continue
-        series = series * FormalDirichletSeries.from_local_factor(R, l, local_asai_factor(f, l, None))
+        top = 1
+        while l ** (top + 1) <= R:
+            top += 1
+        inv = _power_series_inverse(local_asai_factor(f, l, None), top)
+        # the support so far is prime to l, and descending r reads each c(r) before it is written
+        for r in range(R // l, 0, -1):
+            if coeffs[r]:
+                n, e = r * l, 1
+                while n <= R:
+                    coeffs[n] += coeffs[r] * inv[e]
+                    n, e = n * l, e + 1
     for r in range(1, R + 1):
         if gcd(r, f.N) != 1:
             continue
         expected = asai_coeff(f, r)
-        got = series.coeffs[r]
+        got = coeffs[r]
         if expected != got:
             return EulerComparisonReport(False, r, expected, got)
     return EulerComparisonReport(True, None, None, None)

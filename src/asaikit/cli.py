@@ -368,22 +368,10 @@ def _suite_distribution(
                     gap = float(abs(v1.to_mpc() - v2.to_mpc()))
                 yield f"p={p} chi={chi.exps}", gap <= tol, gap
 
-    def parity():
-        for p in primes:
-            params = run_for(p)
-            for chi in characters.enumerate_characters(p * p):
-                sym = distribution.integrate_character(params, chi, 2, symmetrized=True)
-                plain = distribution.integrate_character(params, chi, 2)
-                with mp.workprec(precision_bits + 16):
-                    want = 0 if chi.is_odd else 2 * plain.to_mpc()
-                    gap = float(abs(sym.to_mpc() - want))
-                yield f"p={p} chi={chi.exps}", gap <= tol, gap
-
     return [
         ("distribution-relation", "coset refinement sums match", dist_relation()),
         ("interpolation-identity", "coset sum = p^(j(s-1))/kappa^j G(chi) G(s,chibar,f)", interpolation()),
         ("j-independence", "character integral stable in the level", j_independence()),
-        ("parity-and-symmetrization", "even: factor 2; odd: zero", parity()),
     ]
 
 
@@ -660,18 +648,12 @@ def cmd_eisenstein(args) -> int:
         )
         return 2
     try:
-        params = eisenstein.LevelParams(args.N, args.p, args.j, args.k)
+        exp = eisenstein.qexpansion(eisenstein.LevelParams(args.N, args.p, args.j, args.k), args.T)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    exp = eisenstein.qexpansion(params, args.T)
-    text = eisenstein.dump_qexpansion(exp)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    if not _emit(eisenstein.dump_qexpansion(exp), args.out):
+        return 2
     print(f"a_0 = {exp.coeffs[0]}  c_j = {exp.c_j}")
     return 0
 
@@ -726,9 +708,16 @@ def cmd_report(args) -> int:
     if not os.path.exists(cache):
         print(f"error: no cached runs found at {cache}; run `verify` first", file=sys.stderr)
         return 2
-    with open(cache) as fh:
-        data = json.load(fh)
-    rows = data["results"]
+    try:
+        with open(cache) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read the report cache {cache}: {exc}", file=sys.stderr)
+        return 2
+    rows = data.get("results") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(map(_is_row, rows)):
+        print(f"error: {cache} holds no list of result rows; rerun `verify`", file=sys.stderr)
+        return 2
     if args.format == "json":
         payload = json.dumps(data, indent=2)
     else:
@@ -739,13 +728,33 @@ def cmd_report(args) -> int:
                 f"{r['suite']},{r['name']},\"{r['anchor']}\",{r['status']},{gap},{r['runtime']:.3f}"
             )
         payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return 0 if _emit(payload, args.out) else 2
+
+
+def _is_row(row) -> bool:
+    """Whether a cached row has the fields `report` prints, as `_run_check` writes them."""
+    return (
+        isinstance(row, dict)
+        and all(isinstance(row.get(key), str) for key in ("suite", "name", "anchor", "status"))
+        and isinstance(row.get("runtime"), (int, float))
+        and "gap" in row
+        and (row["gap"] is None or isinstance(row["gap"], (int, float)))
+    )
+
+
+def _emit(text: str, out: str | None) -> bool:
+    """Write text to the file ``out``, or to stdout without one; False, after an error line, if it cannot."""
+    if not out:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {out}")
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

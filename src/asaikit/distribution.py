@@ -35,7 +35,6 @@ __all__ = [
     "DistParams",
     "P_s",
     "mu_tilde",
-    "mu_symmetrized",
     "IdentityReport",
     "verify_distribution_relation",
     "integrate_character",
@@ -99,14 +98,6 @@ def mu_tilde(params: DistParams, a: int, j: int) -> Ball:
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 
-def mu_symmetrized(params: DistParams, a: int, j: int) -> Ball:
-    """mu_tilde(a) + mu_tilde(-a): even in a by construction."""
-    plus = mu_tilde(params, a, j)
-    minus = mu_tilde(params, (-a) % params.p**j, j)
-    with mp.workprec(params.prec):
-        return plus + minus
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Both sides of an identity; ``gap`` is |lhs - rhs| of the midpoints, ``bound`` the radius of lhs - rhs."""
@@ -131,9 +122,7 @@ def verify_distribution_relation(params: DistParams, a: int, j: int) -> Identity
     return IdentityReport(Ball.from_mpc(acc.mid, params.prec, acc.rad), rhs, gap, diff.rad, gap <= diff.rad)
 
 
-def integrate_character(
-    params: DistParams, chi: DirichletCharacter, j: int, symmetrized: bool = False
-) -> Ball:
+def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> Ball:
     """sum_{a mod p^j} chi(a) mu_s(a + p^j Z_p), the direct weighted coset sum."""
     q = params.p**j
     if chi.modulus != 1 and q % chi.modulus:
@@ -147,7 +136,7 @@ def integrate_character(
             t = chi.exponent_of(a)
             if t is None:
                 continue
-            acc = acc + (mu_symmetrized if symmetrized else mu_tilde)(params, a, j) * roots[t]
+            acc = acc + mu_tilde(params, a, j) * roots[t]
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 

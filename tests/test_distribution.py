@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -16,7 +17,6 @@ from asaikit.distribution import (
     check_interpolation,
     integrate_character,
     interpolation_rhs,
-    mu_symmetrized,
     mu_tilde,
     twisted_asai_series,
     verify_distribution_relation,
@@ -197,22 +197,39 @@ class TestCharacterIntegral:
             assert abs(vals[0] - vals[1]) < 1e-9
             assert abs(vals[0] - vals[2]) < 1e-7
 
-    def test_odd_character_symmetrized_vanishes(self, dist_params_small):
-        odd = [c for c in enumerate_characters(9) if c.is_odd][0]
-        v = integrate_character(dist_params_small, odd, 2, symmetrized=True)
-        assert abs(v.to_mpc()) < 1e-25
 
-    def test_even_character_factor_two(self, dist_params_small):
-        even = [c for c in enumerate_characters(9) if c.is_even and not c.is_trivial][0]
-        v1 = integrate_character(dist_params_small, even, 2)
-        v2 = integrate_character(dist_params_small, even, 2, symmetrized=True)
-        with mp.workprec(160):
-            assert abs(v2.to_mpc() - 2 * v1.to_mpc()) < 1e-28
+def _row_gaps(params: DistParams) -> tuple[float, float, float]:
+    """Worst gaps of the rows distribution-relation, interpolation-identity and j-independence, as `verify` runs them."""
+    p = params.p
+    relation = max(
+        verify_distribution_relation(params, a, j).gap for j in (1, 2) for a in range(1, p**j) if a % p
+    )
+    interpolation = max(
+        check_interpolation(params, chi).gap for M in (1, p, p * p) for chi in enumerate_characters(M)
+    )
+    with mp.workprec(params.prec + 16):
+        level_gap = max(
+            float(abs(integrate_character(params, chi, 1).to_mpc() - integrate_character(params, chi, 2).to_mpc()))
+            for chi in enumerate_characters(p)
+        )
+    return relation, interpolation, level_gap
 
-    def test_symmetrized_even_in_a(self, dist_params_small):
-        v1 = mu_symmetrized(dist_params_small, 2, 2)
-        v2 = mu_symmetrized(dist_params_small, 7, 2)  # -2 mod 9
-        assert abs(v1.to_mpc() - v2.to_mpc()) == 0
+
+class TestNegativeControls:
+    """Each distribution row of `verify` fails on wrong ordinary data (the classes above pass it the true data)."""
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda od: dataclasses.replace(od, B=(od.B[0], od.B[1] + 1, *od.B[2:])),
+            lambda od: dataclasses.replace(od, kappa=2 * od.kappa),
+        ],
+        ids=["B1+1", "2kappa"],
+    )
+    def test_rows_fail_on_wrong_data(self, wrong):
+        params = DistParams(acceptance_mock(7, 3, R=10_000), 3, F(5), 10_000, 128)  # as dist_params_small
+        params.ordinary = wrong(params.ordinary)
+        assert min(_row_gaps(params)) > 1
 
 
 class TestTailBounds:

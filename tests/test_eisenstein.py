@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from asaikit.arith import ArithTables, CyclotomicNumber, bernoulli_number
+from asaikit.arith import ArithTables, bernoulli_number
 from asaikit.eisenstein import (
     IntMatrix2,
     LevelParams,
@@ -16,12 +16,10 @@ from asaikit.eisenstein import (
     constant_term,
     dump_qexpansion,
     enumerate_lambda,
-    gamma0_beta_contains,
     higher_coeff_exact,
     higher_coeffs_analytic,
     membership_two_ways,
     qexpansion,
-    sigma_twisted,
 )
 
 
@@ -52,9 +50,9 @@ class TestLevelParams:
 class TestMembership:
     def test_known_members(self):
         params = LevelParams(2, 3, 1, 4)
-        assert gamma0_beta_contains(params, IntMatrix2(1, 1, 0, 1))
+        assert membership_two_ways(params, IntMatrix2(1, 1, 0, 1)) == (True, True)
         M = params.modulus
-        assert gamma0_beta_contains(params, IntMatrix2(1, 0, M, 1))
+        assert membership_two_ways(params, IntMatrix2(1, 0, M, 1)) == (True, True)
 
     def test_shallow_level_rejected(self):
         params = LevelParams(1, 3, 1, 4)
@@ -122,25 +120,6 @@ class TestLambda:
                 if (c, d) != (0, 0) and gcd(c, d) == 1:
                     brute.add((c, d) if (c > 0 or (c == 0 and d > 0)) else (-c, -d))
         assert set(lam) == brute
-
-
-class TestSigma:
-    def test_vanishes_off_level_multiples(self):
-        params = LevelParams(1, 3, 1, 4)
-        for l in (1, 2, 5, 8, 10):
-            assert sigma_twisted(params, 1, l).is_zero()
-
-    def test_at_the_level(self):
-        params = LevelParams(1, 3, 1, 4)
-        z = CyclotomicNumber.zeta(9)
-        assert sigma_twisted(params, 2, 9) == z**2 + z**-2
-
-    def test_classical_limit(self):
-        # N = 1, j = 0: sigma reduces to 2 sigma_(k-1)(l) for even k
-        params = LevelParams(1, 3, 0, 4)
-        for l in (1, 2, 6):
-            want = 2 * sum(d**3 for d in range(1, l + 1) if l % d == 0)
-            assert sigma_twisted(params, 0, l) == want
 
 
 class TestConstantTerm:

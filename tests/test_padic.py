@@ -16,7 +16,6 @@ from asaikit.padic import (
     integrality_bound_check,
     kummer_check,
     level_view,
-    mellin_table,
     padic_valuation,
     single_m_weights,
     _teichmueller_root,
@@ -285,17 +284,6 @@ class TestBoundsAndMellin:
         assert integrality_bound_check(one, 2, 0, 1, 0, 5)
         past = CyclotomicNumber.from_rational(F(1, 5 ** (1 * (4 * 2 - 0 + 3) + 0 + 1)))
         assert not integrality_bound_check(past, 2, 0, 1, 0, 5)
-
-    def test_mellin_is_zero_slice(self):
-        tab = dirac_measure_table(5, 2, 7, 1)
-        mt = mellin_table(tab)
-        for ch, val in mt.items():
-            assert val == ch.value(7)
-        assert len(mt) == euler_phi(5) + 1 - 1  # all chars of conductor <= 5
-
-    def test_empty_character_set(self):
-        tab = MeasureTable(5, 2)
-        assert mellin_table(tab) == {}
 
 
 class TestMeasureFile:
