@@ -801,7 +801,8 @@ class TruncatedSeries:
     """sum_(r<=R) a(r) w(r) r^(-s), s > k + 1, for weights |w(r)| <= 1, as Balls at ``prec`` bits.
 
     The terms (r, a(r) r^(-s)) of the nonzero ``pairs`` are built once at the
-    working precision prec + 16, and the residue buckets once per modulus.
+    working precision prec + 16, the residue buckets once per modulus, and the
+    value ``at(b)`` at one frequency once per b mod 1.
     The tail A R^(k+1-s)/(s-k-1) uses the empirical majorant
     A = max_(r<=R) |a(r)|/r^k, so it bounds sum_(r>R) |a(r)| r^(-s) only if A
     holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s).
@@ -821,6 +822,7 @@ class TruncatedSeries:
         self.tail = amax * float(R) ** (k + 1 - sf) / (sf - k - 1)
         self.mass = amax * (sf - k) / (sf - k - 1)
         self._buckets: dict[int, list] = {}
+        self._values: dict[tuple[int, int], Ball] = {}  # at(b) for one b, by (q, numerator mod q)
 
     def _bucket(self, q: int) -> list:
         if q not in self._buckets:
@@ -841,15 +843,24 @@ class TruncatedSeries:
         return Ball.from_mpc(acc, self.prec, n * self.tail + rounding)
 
     def at(self, *bs: Fraction | int) -> Ball:
-        """sum over b in ``bs`` of sum_(r<=R) a(r) e(r b) r^(-s), added before the one rounding."""
+        """sum over b in ``bs`` of sum_(r<=R) a(r) e(r b) r^(-s), added before the one rounding.
+
+        The value at one frequency depends on b mod 1 only, and is kept.
+        """
         bs = [Fraction(b) for b in bs]
         q = lcm(*(b.denominator for b in bs))
+        key = (q, bs[0].numerator % q) if len(bs) == 1 else None
+        if key in self._values:
+            return self._values[key]
         W = self._bucket(q)
         with mp.workprec(self.prec + 16):
             acc = frequency_sum(W, bs[0])
             for b in bs[1:]:
                 acc += frequency_sum(W, b)
-            return self._ball(acc, len(bs), q)
+            value = self._ball(acc, len(bs), q)
+        if key is not None:
+            self._values[key] = value
+        return value
 
     def twisted(self, chi, q: int, coprime_to: int = 1) -> Ball:
         """sum_(r<=R) chi(r) a(r) r^(-s) over r prime to ``coprime_to``, from the buckets mod q."""

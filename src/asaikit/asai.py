@@ -162,13 +162,22 @@ class MockEigenform:
 
         c is multiplicative, so its support is the set of products of coprime
         prime powers with nonzero local value; a depth-first walk over the
-        primes builds exactly those.  Every prime <= bound is visited, so
-        missing eigen-data raises ``KeyError`` as a pointwise lookup would.
+        primes builds exactly those.
+
+        A prime l is skipped when l^2 > bound, l does not divide D, l != p and
+        its eigen entry is all zero: only l^1 fits below the bound, and there
+        c(l) is c(L) c(Lbar) or c(L), so zero.  A ramified l (c(l) = c(L^2),
+        nonzero even when c(L) = 0) and p (Satake data) are always visited, and
+        so is every prime without an eigen entry: missing eigen-data still
+        raises ``KeyError`` as a pointwise lookup would.
         """
         if bound <= self._bound:
             return
         local = []  # per prime l: the (l^e, c(l^e)) with c(l^e) != 0, l^e <= bound
         for l in primes_up_to(bound):
+            cs = self.eigen.get(l)
+            if l * l > bound and self.field.D % l and l != self.p and cs is not None and not any(cs):
+                continue
             powers = []
             le, e = l, 1
             while le <= bound:

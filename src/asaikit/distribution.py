@@ -15,7 +15,9 @@ terms (r, d(r) r^(-s)) once, in ascending r, with the tail and the mass; P_s
 at rationals with denominator q (``at``) and the character twists
 (``twisted``) are then root-of-unity combinations of the q residue buckets,
 folded once per q, so whole families of coset values cost almost nothing
-beyond that pass.
+beyond that pass.  The series keeps each P_s(b) by b mod 1, so the coset
+values that ``mu_tilde``, ``verify_distribution_relation`` and
+``integrate_character`` share are summed once.
 """
 
 from __future__ import annotations

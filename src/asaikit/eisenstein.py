@@ -182,17 +182,9 @@ def constant_term(params: LevelParams) -> CyclotomicNumber:
     """
     M = params.modulus
     k = params.k
+    _check_orthogonality(M)
     chars = enumerate_characters(M)
     phi = len(chars)
-    units = _unit_group(M).units
-    # full unit sums of each character: phi at the trivial one, 0 elsewhere
-    for ch in chars:
-        total = CyclotomicNumber.from_exponents(ch.value_order, _exponent_histogram(ch, units))
-        if ch.is_trivial:
-            if total != phi:
-                raise AssertionError("orthogonality failed at the trivial character")
-        elif not total.is_zero():
-            raise AssertionError(f"orthogonality failed at {ch}")
     vs = _v_range(params, plus_minus=True)
     acc = CyclotomicNumber.from_rational(0)
     for psi1 in chars:
@@ -204,6 +196,24 @@ def constant_term(params: LevelParams) -> CyclotomicNumber:
         acc = acc + t_sum * Fraction(parity)
     acc = acc * Fraction(phi, 2 * phi * phi)
     return CyclotomicNumber.from_rational(acc.as_rational()) if acc.is_rational() else acc
+
+
+@lru_cache(maxsize=None)
+def _check_orthogonality(M: int) -> None:
+    """Check that each character mod M sums over the units to phi(M) if trivial, else to 0.
+
+    Raises ``AssertionError`` on a failure, which is not cached.  The check
+    depends on M alone, so it runs once per modulus.
+    """
+    chars = enumerate_characters(M)
+    units = _unit_group(M).units
+    for ch in chars:
+        total = CyclotomicNumber.from_exponents(ch.value_order, _exponent_histogram(ch, units))
+        if ch.is_trivial:
+            if total != len(chars):
+                raise AssertionError("orthogonality failed at the trivial character")
+        elif not total.is_zero():
+            raise AssertionError(f"orthogonality failed at {ch}")
 
 
 def _exponent_histogram(ch: DirichletCharacter, values) -> dict[int, int]:

@@ -584,6 +584,25 @@ class TestSeriesPath:
             _rounding_encloses(series.at(b), series, pairs, s, lambda r: e(r, b))
             _rounding_encloses(series.at(b, -b), series, pairs, s, lambda r: e(r, b) + e(r, -b))
 
+    @settings(max_examples=30, deadline=None)
+    @given(pairs=SPARSE_PAIRS, s=SERIES_S, q=st.integers(1, 30), c=st.integers(0, 10**6), other=st.integers(1, 30))
+    def test_single_frequency_memo(self, pairs, s, q, c, other):
+        # a kept at(b) is the Ball a fresh series gives, for b, b + 1 and b again;
+        # the sum at(b, -b) and a frequency with another denominator are not read from it
+        def fresh():
+            return TruncatedSeries(pairs, 0, 500, s, 96)
+
+        def parts(ball):
+            return ball.mid, ball.rad
+
+        b, b2 = F(c, q), F(c, other)
+        series = fresh()
+        first = series.at(b)
+        assert series.at(b + 1) is first and series.at(b) is first
+        assert parts(first) == parts(fresh().at(b))
+        assert parts(series.at(b, -b)) == parts(fresh().at(b, -b))
+        assert parts(series.at(b2)) == parts(fresh().at(b2))
+
     @settings(max_examples=60, deadline=None)
     @given(
         pairs=SPARSE_PAIRS,

@@ -3,13 +3,14 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asaikit import asai as asai_module
 from asaikit.arith import _poly_mul_frac, vp
 from tests.conftest import UNREAD_EIGENFORM_EDITS
 from asaikit.asai import (
+    FUNDAMENTAL_D,
     MockEigenform,
     QuadFieldData,
     _power_series_inverse,
@@ -125,24 +126,41 @@ class TestCoefficients:
         }
 
 
+# (p, D) with p split in Q(sqrt(-D)); a ramified l | D has c(l) = c(L^2) != 0 even when c(L) = 0
+SPLIT_PAIRS = [
+    (p, D)
+    for p in (3, 5, 7)
+    for D in FUNDAMENTAL_D
+    if D % p and QuadFieldData(D).splitting(p) == "split"
+]
+
+
 class TestSparseTables:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32),
         k=st.sampled_from((2, 3)),
         N=st.sampled_from((1, 2, 3, 6, 7)),
+        pD=st.sampled_from(SPLIT_PAIRS),
         dense=st.booleans(),
-        bound=st.integers(1, 400),
+        bound=st.integers(1, 600),
     )
-    def test_match_pointwise(self, seed, k, N, dense, bound):
+    # the ramified l = 23 lies above sqrt(bound) with zero eigen-data: tabulate must still visit it
+    @example(seed=0, k=2, N=1, pD=(3, 23), dense=False, bound=100)
+    def test_match_pointwise(self, seed, k, N, pD, dense, bound):
         # dense: eigen-data nonzero at every prime; otherwise the acceptance
         # support 31 <= l <= 80.  Even N exercises the gcd(m, N) = 1 filter.
+        # Bounds below D^2 put a ramified prime between sqrt(bound) and bound.
+        p, D = pD
+        assume(N % p)
+
         def form():
             return random_mock_eigenform(
                 random.Random(seed),
                 k=k,
                 N=N,
-                p=5,
+                D=D,
+                p=p,
                 prime_bound=max(bound, 2),
                 support_bound=None if dense else 80,
                 support_min=2 if dense else 31,
@@ -263,6 +281,14 @@ class TestOrdinaryData:
         od = ordinary_data(f)
         geo = [sum(od.B[i] * od.d_p(e - i) for i in range(4)) for e in range(21)]
         assert geo == [od.kappa**e for e in range(21)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.sampled_from((2, 3)))
+    def test_d_p_is_the_inverse_of_F(self, seed, k):
+        od = ordinary_data(random_mock_eigenform(random.Random(seed), k=k, p=5, prime_bound=30))
+        inv = _power_series_inverse(list(od.F_poly), 20)
+        assert [od.d_p(e) for e in range(21)] == inv
+        assert od.d_p(-1) == 0
 
     def test_non_ordinary_rejected(self):
         # weight 3, all Satake parameters divisible by p: every product has

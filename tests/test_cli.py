@@ -3,11 +3,11 @@ import json
 import os
 import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from asaikit import cli
+from asaikit import asai, cli
 from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
@@ -193,6 +193,21 @@ class TestVerify:
         assert reached == []
         assert (error["status"], error["gap"], error["detail"]) == ("error", None, "RuntimeError: boom")
         assert (count["status"], count["gap"], count["detail"]) == ("pass", None, "7 found")
+
+    def test_ordinary_factorization_fails_on_a_wrong_B1(self, tmp_path, monkeypatch, capsys):
+        # with B_1 + 1 the e = 1 term of sum B_i d_p(e - i) reads kappa + 1, not kappa
+        true_data = asai.ordinary_data
+
+        def shifted(f):
+            od = true_data(f)
+            return replace(od, B=(od.B[0], od.B[1] + 1, od.B[2], od.B[3]))
+
+        monkeypatch.setattr(asai, "ordinary_data", shifted)
+        cache = str(tmp_path / "c.json")
+        assert run(["verify", "asai", "--cache", cache]) == 1
+        status = {row["name"]: row["status"] for row in json.load(open(cache))["results"]}
+        assert status.pop("ordinary-factorization") == "fail"
+        assert set(status.values()) == {"pass"}
 
     @pytest.mark.parametrize("cache", ["", "missing/c.json"])
     def test_unwritable_cache_exit_2(self, cache, tmp_path, monkeypatch, capsys):
