@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: rationals, cyclotomic fields, Bernoulli numbers,
-multiplicative tables, midpoint-radius complex balls and the truncated series path.
+multiplicative tables, midpoint-radius complex balls and the integer fixed-point
+kernel of the truncated series.
 
 Everything here is immutable and pure.  Rational numbers are stdlib
 ``fractions.Fraction`` (always lowest terms, positive denominator);
@@ -16,12 +17,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, hypot, inf, isqrt, lcm, nextafter
+from math import gcd, hypot, inf, isqrt, lcm, log, nextafter, sqrt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import mpc_neg, to_float
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    from_rational,
+    mpc_neg,
+    mpf_mul,
+    mpf_pow,
+    mpf_shift,
+    round_nearest,
+    to_float,
+    to_int,
+)
 
 Rational = Fraction
 
@@ -42,7 +54,7 @@ __all__ = [
     "Ball",
     "to_mpf",
     "root_table",
-    "power_terms",
+    "fixed_root_table",
     "fixed_power_terms",
     "fold",
     "frequency_sum",
@@ -720,8 +732,11 @@ def embed_complex(a: CyclotomicNumber, prec: int = 53) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# truncated Dirichlet series sum a(r) r^(-s): residue buckets mod q combined with
-# roots of unity, at the caller's working precision, terms added in the order given
+# truncated Dirichlet series sum a(r) r^(-s) on one integer fixed-point kernel:
+# every term is the integer nearest a(r) r^(-s) 2^F, a residue bucket mod q is
+# the exact sum of its terms, and a frequency or character combination of the
+# buckets is an exact integer sum of products with the integers nearest
+# 2^F e(t/n), so a value is rounded once, when it becomes an mpc
 
 
 def to_mpf(x) -> mpmath.mpf:
@@ -738,109 +753,162 @@ def root_table(n: int, prec: int) -> tuple:
         return tuple(mpmath.expjpi(mpmath.mpf(2 * t) / n) for t in range(n))
 
 
-def power_terms(pairs: Iterable[tuple[int, Fraction | int]], s: Fraction | int) -> Iterator[tuple]:
-    """Lazily yield (r, a r^(-s)) for rational s; integer s takes the integer power.
+def _fixed(x: tuple, F: int) -> int:
+    """The integer nearest x 2^F for a raw mpf x."""
+    return to_int(mpf_shift(x, F), round_nearest)
 
-    a = +-1 (Moebius coefficients) gives +-r^(-s) itself, with no rounded product.
+
+@lru_cache(maxsize=64)
+def fixed_root_table(n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The integers nearest 2^F cos(2 pi t/n) and 2^F sin(2 pi t/n), for 0 <= t < n.
+
+    Each is rounded from e(t/n) at F + 16 bits, which errs by at most
+    (2 pi + 2) 2^(-F-16) (the rounded angle and the evaluation), so every
+    coordinate lies within 1/2 + 2^(-12) < 1 of its target.
+    """
+    with mp.workprec(F + 16):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / n)._mpc_ for t in range(n)]
+    return tuple(_fixed(re, F) for re, _ in roots), tuple(_fixed(im, F) for _, im in roots)
+
+
+def fixed_power_terms(
+    pairs: Iterable[tuple[int, Fraction | int]], s: Fraction | int, F: int
+) -> Iterator[tuple[int, int]]:
+    """Lazily yield (r, the integer nearest a 2^F r^(-s)) for rational a and s > 0.
+
+    For integer s the rounding is exact integer division, so each term lies
+    within 1/2 of a 2^F r^(-s).  Other s take one mpf at w = F + 16 bits, where
+    the rounded exponent moves r^(-s) by at most 1.01 s ln r units of 2^(-w),
+    the logarithm and exponential of the power by s ln r 2^(-9) + 2 more, and a
+    and the product by 2 more; so each term lies within
+    1/2 + (2 s ln r + 8) 2^(-16) |a r^(-s)| of a 2^F r^(-s).
     """
     s = Fraction(s)
-    e = -int(s) if s.denominator == 1 else -to_mpf(s)
-    for r, a in pairs:
-        t = mpmath.mpf(r) ** e
-        yield r, (t if a == 1 else -t if a == -1 else to_mpf(a) * t)
-
-
-def fixed_power_terms(pairs: Iterable[tuple[int, int]], k: int, F: int) -> Iterator[tuple[int, int]]:
-    """Lazily yield (r, the integer nearest a 2^F r^(-k)) for integers a and k >= 0.
-
-    Each term is exact to within 1/2, so a bucket of n such terms lies within
-    n/2 of 2^F times its exact sum.
-    """
     one = 1 << F
+    if s.denominator == 1:
+        e = s.numerator
+        for r, a in pairs:
+            d = r**e
+            if type(a) is not int:  # a Fraction; the Moebius coefficients skip this
+                a, d = a.numerator, a.denominator * d
+            yield r, (a * one + (d >> 1)) // d
+        return
+    w = F + 16
+    e = from_rational(-s.numerator, s.denominator, w, round_nearest)
     for r, a in pairs:
-        d = r**k
-        yield r, (a * one + (d >> 1)) // d
+        t = mpf_pow(from_int(r), e, w, round_nearest)
+        if a != 1:
+            t = mpf_mul(from_rational(a.numerator, a.denominator, w, round_nearest), t, w, round_nearest)
+        yield r, _fixed(t, F)
 
 
-def fold(terms: Iterable[tuple[int, mpmath.mpf | int]], q: int) -> list:
-    """Residue buckets W[t] = sum of the terms with r = t mod q (integer terms sum exactly)."""
+def fold(terms: Iterable[tuple[int, int]], q: int) -> list[int]:
+    """Residue buckets W[t] = sum of the integer terms with r = t mod q, summed exactly."""
     W = [0] * q
     for r, t in terms:
         W[r % q] += t
     return W
 
 
-def frequency_sum(W: Sequence, b: Fraction | int):
-    """sum_t W[t] e(t b) for buckets W mod q, where the denominator of b divides q."""
+def frequency_sum(W: Sequence[int], b: Fraction | int, F: int) -> tuple[int, int]:
+    """sum_t W[t] rho(t b) for integer buckets W mod q, as integers (real, imaginary).
+
+    rho is ``fixed_root_table(q, F)``, 2^F e(.) to within one unit per
+    coordinate, so the sum lies within sqrt(2) sum_t |W[t]| of
+    2^F sum_t W[t] e(t b).  The denominator of b must divide q.
+    """
     q = len(W)
     b = Fraction(b)
     if q % b.denominator:
         raise ValueError("the denominator of b must divide the bucket modulus")
     c = b.numerator * (q // b.denominator) % q
-    roots = root_table(q, mp.prec)
-    acc = mpmath.mpc(0)
+    cos, sin = fixed_root_table(q, F)
+    re = im = 0
     for t, w in enumerate(W):
         if w:
-            acc += w * roots[t * c % q]
-    return acc
+            u = t * c % q
+            re += w * cos[u]
+            im += w * sin[u]
+    return re, im
 
 
-def character_sum(W: Sequence, chi, coprime_to: int = 1):
-    """sum_t chi(t) W[t] over t prime to ``coprime_to``; chi's modulus divides len(W)."""
-    roots = root_table(chi.value_order, mp.prec)
-    acc = mpmath.mpc(0)
+def character_sum(W: Sequence[int], chi, F: int, coprime_to: int = 1) -> tuple[int, int]:
+    """sum_t chi(t) W[t] over t prime to ``coprime_to`` with chi(t) = e(.) read from
+    ``fixed_root_table``, as integers (real, imaginary), within sqrt(2) sum_t |W[t]|
+    of 2^F times the sum; chi's modulus divides len(W).
+
+    The buckets are added per value of chi first, exactly, then multiplied once
+    by each root.
+    """
+    n = chi.value_order
+    by_value = [0] * n
     for t, w in enumerate(W):
         if w and gcd(t, coprime_to) == 1:
             e = chi.exponent_of(t)
             if e is not None:
-                acc += roots[e] * w
-    return acc
+                by_value[e] += w
+    cos, sin = fixed_root_table(n, F)
+    return sum(map(operator.mul, by_value, cos)), sum(map(operator.mul, by_value, sin))
 
 
 class TruncatedSeries:
     """sum_(r<=R) a(r) w(r) r^(-s), s > k + 1, for weights |w(r)| <= 1, as Balls at ``prec`` bits.
 
-    The terms (r, a(r) r^(-s)) of the nonzero ``pairs`` are built once at the
-    working precision prec + 16, the residue buckets once per modulus, and the
-    value ``at(b)`` at one frequency once per b mod 1.
+    The series runs on integers at the scale 2^F, F = prec + 48 (the working
+    precision prec + 16, plus 32 bits).  The terms, the integers nearest
+    a(r) r^(-s) 2^F of the nonzero ``pairs`` (``fixed_power_terms``), are built
+    once; the residue buckets mod q, their exact sums, once per modulus; and
+    ``at`` and ``twisted`` combine the buckets with the integer roots of unity
+    of ``fixed_root_table`` in Python integers.  Each value is rounded once, to
+    an mpc, and ``at`` keeps the value at one frequency per b mod 1.
     The tail A R^(k+1-s)/(s-k-1) uses the empirical majorant
     A = max_(r<=R) |a(r)|/r^k, so it bounds sum_(r>R) |a(r)| r^(-s) only if A
     holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s).
+    ``rounding`` is the proved rounding radius of one frequency (see ``_ball``).
     """
 
     def __init__(self, pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: Fraction | int, prec: int):
         pairs = list(pairs)
-        self.R, self.s, self.prec = R, Fraction(s), prec
+        self.s, self.prec = Fraction(s), prec
         if self.s <= k + 1:
             raise ValueError(f"need s > {k + 1} for absolute convergence")
-        with mp.workprec(prec + 16):
-            self.terms = list(power_terms(pairs, self.s))
+        self.F = prec + 48
+        self.terms = list(fixed_power_terms(pairs, self.s, self.F))
         sf = float(self.s)
         amax = 0.0
         for r, a in pairs:
             amax = max(amax, abs(a.numerator / a.denominator) / float(r) ** k)
         self.tail = amax * float(R) ** (k + 1 - sf) / (sf - k - 1)
         self.mass = amax * (sf - k) / (sf - k - 1)
-        self._buckets: dict[int, list] = {}
+        term_err = 0.0 if self.s.denominator == 1 else (2 * sf * log(max(R, 1)) + 8) * 2.0**-16
+        units = len(self.terms) / 2 + self.mass * (sqrt(2) + term_err)
+        self.rounding = units * (1 + 2.0 ** (1 - self.F)) * 2.0**-self.F
+        self._buckets: dict[int, list[int]] = {}
         self._values: dict[tuple[int, int], Ball] = {}  # at(b) for one b, by (q, numerator mod q)
 
-    def _bucket(self, q: int) -> list:
+    def _bucket(self, q: int) -> list[int]:
         if q not in self._buckets:
-            with mp.workprec(self.prec + 16):
-                self._buckets[q] = fold(self.terms, q)
+            self._buckets[q] = fold(self.terms, q)
         return self._buckets[q]
 
-    def _ball(self, acc, n: int, q: int) -> Ball:
-        """``acc``, a sum of n root-of-unity combinations of the buckets mod q, as a Ball.
+    def _ball(self, re: int, im: int, n: int) -> Ball:
+        """(re + i im) 2^(-2F), a sum of n root combinations of the buckets, as a Ball.
 
-        A sum of m rounded values errs by at most m units of 2^(-p) times their
-        absolute sum, so the terms, the bucket sums and the root products of one
-        combination err by at most (R + 2q + 8) 2^(-p) mass; s rounded to p bits
-        moves a term r^(-s) by at most s ln(r) <= s R more.  The radius is n tails
-        plus (R (1 + s) + n q) 2^(3-p) n mass, which covers both.
+        Each term is within 1/2 + e_r of 2^F a(r) r^(-s), with e_r = 0 for
+        integer s and e_r = (2 s ln R + 8) 2^(-16) |a(r) r^(-s)| otherwise, so a
+        bucket W_t is within c_t/2 + term_err m_t of 2^F times its exact sum
+        B_t, for c_t terms of mass m_t in it.  Each root rho is within sqrt(2)
+        of 2^F e(.), so |rho| <= 2^F (1 + 2^(1-F)).  One combination
+        sum_t W_t rho_t then differs from 2^(2F) sum_t B_t e_t by at most
+        sum_t |W_t - 2^F B_t| |rho_t| + 2^F sum_t |B_t| sqrt(2), which is below
+        2^(2F) ``rounding``: count/2 2^(-F) for the terms, mass sqrt(2) 2^(-F)
+        for the roots and term_err mass 2^(-F) for the mpf terms, times
+        1 + 2^(1-F), as sum_t |B_t| <= mass.  The radius is n tails plus n
+        such roundings; ``Ball.from_mpc`` adds the rounding of the one mpc.
         """
-        rounding = (self.R * (1 + float(self.s)) + n * q) * (n * self.mass) * 2.0 ** (3 - mp.prec)
-        return Ball.from_mpc(acc, self.prec, n * self.tail + rounding)
+        scale = -2 * self.F
+        mid = mp.make_mpc(tuple(from_man_exp(x, scale, self.prec, round_nearest) for x in (re, im)))
+        return Ball.from_mpc(mid, self.prec, n * (self.tail + self.rounding))
 
     def at(self, *bs: Fraction | int) -> Ball:
         """sum over b in ``bs`` of sum_(r<=R) a(r) e(r b) r^(-s), added before the one rounding.
@@ -853,20 +921,15 @@ class TruncatedSeries:
         if key in self._values:
             return self._values[key]
         W = self._bucket(q)
-        with mp.workprec(self.prec + 16):
-            acc = frequency_sum(W, bs[0])
-            for b in bs[1:]:
-                acc += frequency_sum(W, b)
-            value = self._ball(acc, len(bs), q)
+        sums = [frequency_sum(W, b, self.F) for b in bs]
+        value = self._ball(sum(re for re, _ in sums), sum(im for _, im in sums), len(bs))
         if key is not None:
             self._values[key] = value
         return value
 
     def twisted(self, chi, q: int, coprime_to: int = 1) -> Ball:
         """sum_(r<=R) chi(r) a(r) r^(-s) over r prime to ``coprime_to``, from the buckets mod q."""
-        W = self._bucket(q)
-        with mp.workprec(self.prec + 16):
-            return self._ball(character_sum(W, chi, coprime_to), 1, q)
+        return self._ball(*character_sum(self._bucket(q), chi, self.F, coprime_to), 1)
 
 
 # ---------------------------------------------------------------------------

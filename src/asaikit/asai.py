@@ -90,6 +90,13 @@ def _squarefree(n: int) -> bool:
     return True
 
 
+def _fraction_tuple(cs) -> tuple[Fraction, ...]:
+    """cs as a tuple of Fractions: a tuple of Fractions is kept as it is (it is immutable)."""
+    if type(cs) is tuple and all(type(c) is Fraction for c in cs):
+        return cs
+    return tuple(Fraction(c) for c in cs)
+
+
 class MockEigenform:
     """Weight-k eigenform surrogate: per-ideal eigenvalues plus Satake data at p.
 
@@ -125,7 +132,7 @@ class MockEigenform:
         self.field = field
         self.p = p
         self.p_satake = (a1, a2, b1, b2)
-        self.eigen = {l: tuple(Fraction(c) for c in cs) for l, cs in eigen.items()}
+        self.eigen = {l: _fraction_tuple(cs) for l, cs in eigen.items()}
         self._cpp: dict[tuple[int, int, int], Fraction] = {}
         # nonzero c(r) and d(r) for r <= _bound, in ascending r
         self._bound = 1
@@ -467,14 +474,13 @@ def random_mock_eigenform(
     field = QuadFieldData(D) if D is not None else default_field_for(p)
     eigen: dict[int, tuple[Fraction, ...]] = {}
     support = prime_bound if support_bound is None else support_bound
+    zero = Fraction(0)
+    zeros = {SPLIT: (zero, zero), INERT: (zero,), RAMIFIED: (zero,)}  # one shared tuple per splitting type
     for l in primes_up_to(max(prime_bound, 2)):
         if l == p:
             continue
         if l > support or l < support_min:
-            if field.splitting(l) == SPLIT:
-                eigen[l] = (Fraction(0), Fraction(0))
-            else:
-                eigen[l] = (Fraction(0),)
+            eigen[l] = zeros[field.splitting(l)]
             continue
 
         def rnd():

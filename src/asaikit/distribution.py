@@ -10,21 +10,27 @@ computed range of |d(r)|/r^k rather than an unconditional growth bound, so
 it is not a proof beyond R, for synthetic eigen-data as for real.
 
 Evaluation strategy: ``DistParams.series`` is one ``arith.TruncatedSeries``
-over the nonzero support of d (a few thousand r at R = 1e5).  It stores the
-terms (r, d(r) r^(-s)) once, in ascending r, with the tail and the mass; P_s
-at rationals with denominator q (``at``) and the character twists
-(``twisted``) are then root-of-unity combinations of the q residue buckets,
-folded once per q, so whole families of coset values cost almost nothing
-beyond that pass.  The series keeps each P_s(b) by b mod 1, so the coset
-values that ``mu_tilde``, ``verify_distribution_relation`` and
-``integrate_character`` share are summed once.
+over the nonzero support of d (a few thousand r at R = 1e5), on the integer
+fixed-point kernel of ``arith``.  It stores each term as the integer nearest
+d(r) r^(-s) 2^F, F = prec + 48, once, in ascending r, with the tail and the
+mass.  The residue buckets mod q are exact integer sums of the terms, folded
+once per q; P_s at rationals with denominator q (``at``) and the character
+twists (``twisted``) multiply the buckets by the integers nearest 2^F e(t/n)
+and add in Python integers, so each value is rounded once, to an mpc.  The
+radius is the tail plus a proved rounding bound: count/2 2^(-F) for the
+terms, mass sqrt(2) 2^(-F) for the roots, and the mpf error of the terms
+when s is not an integer.  The series keeps each P_s(b) by b mod 1, so the
+coset values that ``mu_tilde``, ``verify_distribution_relation`` and
+``integrate_character`` share are summed once, and ``DistParams`` keeps the
+form-only weights of ``mu_tilde`` per level, as Balls that carry their own
+rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 
 import mpmath
 from mpmath import mp
@@ -66,10 +72,46 @@ class DistParams:
         self.ordinary: OrdinaryData = ordinary_data(f)
         f.tabulate(R)
         self.series = TruncatedSeries(f.nonzero(R), f.k, R, s, prec)  # nonzero d(r)
+        self._weights: dict[int, tuple[OrdinaryData, Ball, tuple[tuple[int, Ball], ...]]] = {}
 
     def tail_bound(self) -> float:
         """Tail bound for sum_{r>R} |d(r)| r^(-s) with the empirical majorant."""
         return self.series.tail
+
+    def coset_weights(self, j: int) -> tuple[Ball, tuple[tuple[int, Ball], ...]]:
+        """``mu_tilde``'s level-j factor p^(j(s-1))/kappa^j and its (i, B_i p^(-is)) for B_i != 0.
+
+        They depend on ``ordinary`` and j alone, so they are built once per j
+        (and again if ``ordinary`` is replaced), as Balls at prec + 16 bits
+        whose radii hold their own rounding.
+        """
+        od = self.ordinary
+        kept = self._weights.get(j)
+        if kept is None or kept[0] is not od:
+            p = self.p
+            if vp(od.kappa, p) != 0:
+                raise ValueError("kappa is not a p-adic unit")
+            with mp.workprec(self.prec + 16):
+                pref = _weight(od.kappa**-j, p, j * (self.s - 1))
+                weights = tuple((i, _weight(b, p, -i * self.s)) for i, b in enumerate(od.B) if b)
+            kept = self._weights[j] = (od, pref, weights)
+        return kept[1:]
+
+
+def _weight(x: Fraction, p: int, e: Fraction) -> Ball:
+    """x p^e as a Ball at the working precision w.
+
+    For integer e, x p^e is rational and ``to_mpf`` rounds it twice (the
+    numerator and the quotient), within 2^(2-w) |x p^e|.  Otherwise x and e
+    are rounded twice each, which moves p^e by at most 2.02 |e| ln p units of
+    2^(-w); the power's logarithm and exponential add |e| ln p 2^(-9) + 2 units
+    and the product one, so the radius (3 |e| ln p + 8) 2^(-w) |x p^e| holds.
+    """
+    if e.denominator == 1:
+        v, units = to_mpf(x * Fraction(p) ** int(e)), 4.0
+    else:
+        v, units = to_mpf(x) * mpmath.mpf(p) ** to_mpf(e), 3 * abs(float(e)) * log(p) + 8
+    return Ball.from_mpc(mpmath.mpc(v), mp.prec, float(abs(v)) * units * 2.0**-mp.prec)
 
 
 def P_s(params: DistParams, b: Fraction | int) -> Ball:
@@ -79,22 +121,15 @@ def P_s(params: DistParams, b: Fraction | int) -> Ball:
 
 def mu_tilde(params: DistParams, a: int, j: int) -> Ball:
     """Coset value p^(j(s-1))/kappa^j * sum_i B_i P_s(a p^i / p^j) p^(-i s)."""
-    p, s = params.p, params.s
+    p = params.p
     if j < 1:
         raise ValueError("level j must be >= 1")
     if gcd(a, p) != 1:
         raise ValueError("a must be a unit modulo p")
-    od = params.ordinary
-    if vp(od.kappa, p) != 0:
-        raise ValueError("kappa is not a p-adic unit")
+    pref, weights = params.coset_weights(j)
     with mp.workprec(params.prec + 16):
-        sf = to_mpf(s)
-        pref = mpmath.mpf(p) ** (j * sf - j) / to_mpf(od.kappa) ** j
         acc = Ball(mpmath.mpc(0))
-        for i in range(4):
-            if od.B[i] == 0:
-                continue
-            w = to_mpf(od.B[i]) * mpmath.mpf(p) ** (-i * sf)
+        for i, w in weights:
             acc = acc + P_s(params, Fraction(a * p**i, p**j)) * w
         acc = acc * pref
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)

@@ -1,7 +1,7 @@
 import operator
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, lcm, log
 
 import mpmath
 import pytest
@@ -23,10 +23,10 @@ from asaikit.arith import (
     euler_phi,
     factorize,
     fixed_power_terms,
+    fixed_root_table,
     fold,
     frequency_sum,
     kronecker_symbol,
-    power_terms,
     primes_up_to,
     to_mpf,
     vp,
@@ -532,57 +532,73 @@ def test_vp():
 
 
 # sparse (r, a) pairs, r <= 500, ascending as the form tables yield them; +-1
-# (Moebius coefficients) takes its own branch in power_terms
+# (Moebius coefficients) skips the product with a in fixed_power_terms
 SPARSE_PAIRS = st.dictionaries(
     st.integers(1, 500),
     st.sampled_from([F(1), F(-1)]) | st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
     max_size=40,
 ).map(lambda d: sorted(d.items()))
-SERIES_S = st.sampled_from([F(3), F(7, 2)])
-SERIES_PREC = 80
+SERIES_S = st.sampled_from([F(3), F(5), F(7, 2)])
+SERIES_PRECS = (64, 96, 128)
 
 
-def _direct_sum(pairs, s, weight, prec=SERIES_PREC + 64):
-    """sum a(r) weight(r) r^(-s) term by term at ``prec`` bits, plus sum |a(r)| r^(-s)."""
+def _direct_sum(pairs, s, weight, prec=320):
+    """sum a(r) weight(r) r^(-s) term by term at ``prec`` bits."""
     with mp.workprec(prec):
         sf = mpmath.mpf(s.numerator) / s.denominator
         acc = mpmath.mpc(0)
-        mass = mpmath.mpf(0)
         for r, a in pairs:
-            term = mpmath.mpf(a.numerator) / a.denominator * mpmath.power(r, -sf)
-            acc += weight(r) * term
-            mass += abs(term)
-    return acc, mass
+            acc += weight(r) * (mpmath.mpf(a.numerator) / a.denominator * mpmath.power(r, -sf))
+    return acc
 
 
-def _rounding_encloses(ball, series, pairs, s, weight):
+def _integer_sum_within_rounding(xy, series, want):
+    """The integer sum (re, im) at scale 2^(2F) lies within the series' stated
+    rounding of 2^(2F) times the 320-bit direct sum, before any conversion."""
+    re, im = xy
+    assert isinstance(re, int) and isinstance(im, int)
+    with mp.workprec(640):
+        scale = mpmath.ldexp(1, 2 * series.F)
+        assert abs(mpmath.mpc(re, im) - scale * want) <= scale * series.rounding
+
+
+def _rounding_encloses(ball, series, want):
     """|direct - mid| <= rad - tail: the rounding part of the radius alone covers the truncated sum."""
-    want, _ = _direct_sum(pairs, s, weight, 320)
     with mp.workprec(320):
         assert abs(want - ball.mid) <= ball.rad - series.tail
 
 
+def _e(r, b):
+    with mp.workprec(320):
+        return mpmath.expjpi(2 * mpmath.mpf(r * b.numerator) / b.denominator)
+
+
 class TestSeriesPath:
-    """fold/frequency_sum/character_sum against a direct per-term sum, and the same
-    pairs through TruncatedSeries (k = 0, R = 500) at 64, 96 and 128 bits."""
+    """The integer kernel (fixed_power_terms, fold, fixed_root_table, frequency_sum,
+    character_sum) against a 320-bit direct per-term sum, and the same pairs
+    through TruncatedSeries (k = 0, R = 500), at 64, 96 and 128 bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), F_bits=st.integers(8, 400))
+    def test_root_table_within_one_unit(self, n, F_bits):
+        cos, sin = fixed_root_table(n, F_bits)
+        with mp.workprec(F_bits + 64):
+            for t in range(n):
+                z = mpmath.expjpi(mpmath.mpf(2 * t) / n) * mpmath.ldexp(1, F_bits)
+                assert abs(cos[t] - z.real) < 1 and abs(sin[t] - z.imag) < 1, t
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=SPARSE_PAIRS, s=SERIES_S, q=st.integers(1, 30), c=st.integers(0, 10**6))
     def test_frequency_sum(self, pairs, s, q, c):
         b = F(c % q, q)
-        with mp.workprec(SERIES_PREC):
-            got = frequency_sum(fold(power_terms(pairs, s), q), b)
-
-        def e(r, b):
-            return mpmath.expjpi(2 * mpmath.mpf(r * b.numerator) / b.denominator)
-
-        want, mass = _direct_sum(pairs, s, lambda r: e(r, b))
-        with mp.workprec(SERIES_PREC + 64):
-            assert abs(got - want) <= mpmath.ldexp(mass, -SERIES_PREC + 8)
-        for prec in (64, 96, 128):
+        want = _direct_sum(pairs, s, lambda r: _e(r, b))
+        want2 = _direct_sum(pairs, s, lambda r: _e(r, b) + _e(r, -b))
+        for prec in SERIES_PRECS:
             series = TruncatedSeries(pairs, 0, 500, s, prec)
-            _rounding_encloses(series.at(b), series, pairs, s, lambda r: e(r, b))
-            _rounding_encloses(series.at(b, -b), series, pairs, s, lambda r: e(r, b) + e(r, -b))
+            W = fold(fixed_power_terms(pairs, s, series.F), q)
+            _integer_sum_within_rounding(frequency_sum(W, b, series.F), series, want)
+            _rounding_encloses(series.at(b), series, want)
+            _rounding_encloses(series.at(b, -b), series, want2)
 
     @settings(max_examples=30, deadline=None)
     @given(pairs=SPARSE_PAIRS, s=SERIES_S, q=st.integers(1, 30), c=st.integers(0, 10**6), other=st.integers(1, 30))
@@ -616,42 +632,56 @@ class TestSeriesPath:
         chars = enumerate_characters(M)
         chi = chars[i % len(chars)]
         q = lcm(M, coprime_to) * mult  # the buckets see both chi and gcd(r, coprime_to)
-        with mp.workprec(SERIES_PREC):
-            got = character_sum(fold(power_terms(pairs, s), q), chi, coprime_to)
 
         def weight(r):
             if gcd(r, coprime_to) != 1:
                 return 0
-            return chi.value(r).embed(mp.prec).to_mpc()
+            return chi.value(r).embed(320).to_mpc()
 
-        want, mass = _direct_sum(pairs, s, weight)
-        with mp.workprec(SERIES_PREC + 64):
-            assert abs(got - want) <= mpmath.ldexp(mass, -SERIES_PREC + 8)
-        for prec in (64, 96, 128):
+        want = _direct_sum(pairs, s, weight)
+        for prec in SERIES_PRECS:
             series = TruncatedSeries(pairs, 0, 500, s, prec)
-            _rounding_encloses(series.twisted(chi, q, coprime_to), series, pairs, s, weight)
+            W = fold(fixed_power_terms(pairs, s, series.F), q)
+            _integer_sum_within_rounding(character_sum(W, chi, series.F, coprime_to), series, want)
+            _rounding_encloses(series.twisted(chi, q, coprime_to), series, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        coeffs=st.lists(st.sampled_from([1, -1]) | st.integers(-(10**6), 10**6), min_size=1, max_size=300),
+        coeffs=st.lists(
+            st.sampled_from([1, -1]) | st.integers(-(10**6), 10**6) | st.fractions(max_denominator=50),
+            min_size=1,
+            max_size=300,
+        ),
         k=st.sampled_from([2, 4, 6]),
         q=st.integers(1, 60),
         bits=st.integers(8, 200),
     )
     def test_fixed_point_buckets(self, coeffs, k, q, bits):
-        # terms a(r) r^(-k) for r = 1..len(coeffs): each integer bucket lies within
-        # (terms in the bucket)/2 of 2^bits times its exact sum
+        # terms a(r) r^(-k) for r = 1..len(coeffs), integer or rational a: each
+        # integer bucket lies within (terms in the bucket)/2 of 2^bits times its exact sum
         pairs = list(enumerate(coeffs, start=1))
         W = fold(fixed_power_terms(pairs, k, bits), q)
         exact = [F(0)] * q
         count = [0] * q
         for r, a in pairs:
-            exact[r % q] += F(a * 2**bits, r**k)
+            exact[r % q] += F(a) * 2**bits / r**k
             count[r % q] += 1
         for t in range(q):
             assert isinstance(W[t], int)
             assert abs(W[t] - exact[t]) <= F(count[t], 2), t
 
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=SPARSE_PAIRS, s=st.sampled_from([F(7, 2), F(11, 3), F(9, 4)]), bits=st.integers(40, 200))
+    def test_fixed_point_terms_at_rational_s(self, pairs, s, bits):
+        # one mpf at bits + 16 per term: within 1/2 + (2 s ln r + 8) 2^(-16) |a r^(-s)| of a 2^bits r^(-s)
+        terms = dict(fixed_power_terms(pairs, s, bits))
+        with mp.workprec(bits + 96):
+            sf = mpmath.mpf(s.numerator) / s.denominator
+            for r, a in pairs:
+                exact = mpmath.mpf(a.numerator) / a.denominator * mpmath.power(r, -sf)
+                bound = 0.5 + (2 * float(s) * log(r) + 8) * 2.0**-16 * abs(exact)
+                assert abs(terms[r] - mpmath.ldexp(exact, bits)) <= bound, r
+
     def test_frequency_needs_a_dividing_denominator(self):
         with pytest.raises(ValueError):
-            frequency_sum([mpmath.mpf(1)] * 6, F(1, 4))
+            frequency_sum([1] * 6, F(1, 4), 64)

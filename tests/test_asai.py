@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asaikit import asai as asai_module
+from asaikit import cli
 from asaikit.arith import _poly_mul_frac, vp
 from tests.conftest import UNREAD_EIGENFORM_EDITS
 from asaikit.asai import (
@@ -323,6 +325,21 @@ class TestEigenformFile:
         load_eigenform(text)  # the unedited file loads
         with pytest.raises(ValueError):
             load_eigenform(edit(text))
+
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (3, "6e13ecdf38280c2ef6dbbe22b3500c5211ca5f8b46d9cf43da35ef2ee096de6e"),
+            (5, "523e5b0059fe61bb9f2ad748cf3b9103cae53b899f7905cb5fd834ae79790ae8"),
+        ],
+    )
+    def test_cli_mock_forms_unchanged(self, p, digest):
+        # the sha256 of the file of the CLI's seed-0 mock form at the default R = 1e5,
+        # recorded before the zero eigenvalues shared one tuple per splitting type
+        f = cli._mock_eigenform(0, p, 100_000)
+        assert hashlib.sha256(dump_eigenform(f).encode()).hexdigest() == digest
+        zeros = [cs for l, cs in f.eigen.items() if l > 80 and not any(cs)]
+        assert len({id(cs) for cs in zeros}) <= 3 < len(zeros)
 
     def test_wrong_record_count_rejected(self):
         f = sample_form(bound=30)

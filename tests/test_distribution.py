@@ -101,6 +101,29 @@ class TestMuTilde:
         with mp.workprec(160):
             assert abs(v2.to_mpc() - 2 * v.to_mpc()) < 1e-25
 
+    @pytest.mark.parametrize("s", [F(5), F(11, 2)])
+    def test_coset_weights_enclose_and_are_kept(self, s):
+        f = random_mock_eigenform(random.Random(3), k=2, p=3, prime_bound=200, support_bound=20)
+        params = DistParams(f, 3, s, 200, 96)
+        od = params.ordinary
+        for j in (1, 2):
+            pref, weights = params.coset_weights(j)
+            with mp.workprec(320):
+
+                def exact(x, e):
+                    return mpmath.mpf(x.numerator) / x.denominator * mpmath.power(3, mpmath.mpf(e.numerator) / e.denominator)
+
+                assert abs(pref.mid - exact(od.kappa**-j, j * (s - 1))) <= pref.rad
+                assert [i for i, _ in weights] == [i for i in range(4) if od.B[i]]
+                for i, w in weights:
+                    assert 0 < w.rad and abs(w.mid - exact(od.B[i], -i * s)) <= w.rad
+        # built once per level: kept when the series is replaced, rebuilt with new ordinary data
+        first = params.coset_weights(1)[0]
+        params.series = TruncatedSeries(f.nonzero(200), f.k, 200, s, 96)
+        assert params.coset_weights(1)[0] is first
+        params.ordinary = dataclasses.replace(od, kappa=2 * od.kappa)
+        assert params.coset_weights(1)[0] is not first
+
     def test_rejects_non_units(self, dist_params_small):
         with pytest.raises(ValueError):
             mu_tilde(dist_params_small, 3, 1)

@@ -102,10 +102,15 @@ def test_no_hand_kept_tails():
     assert not owners
 
 
+KERNEL = ("fixed_power_terms", "fold", "fixed_root_table", "frequency_sum", "character_sum")
+
+
 def test_one_truncated_series_path():
-    """Truncated Dirichlet series go through arith.TruncatedSeries: outside arith no module
-    calls power_terms, frequency_sum or character_sum, only higher_coeffs_analytic calls
-    fold, and the helpers power_tail and series_ball are gone."""
+    """Truncated Dirichlet series go through arith.TruncatedSeries: outside arith only
+    higher_coeffs_analytic calls the integer series kernel (fixed_power_terms and fold),
+    the helpers power_terms, power_tail and series_ball are gone, and
+    TruncatedSeries.at and .twisted sum the integer buckets through frequency_sum and
+    character_sum: they call no mpmath function and read no root table themselves."""
     src = Path(asaikit.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
@@ -120,12 +125,26 @@ def test_one_truncated_series_path():
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name in ("power_terms", "frequency_sum", "character_sum") or (name == "fold" and id(node) not in allowed):
+            if name in KERNEL and id(node) not in allowed:
                 offenders.append(f"{path.name}:{node.lineno}:{name}")
     assert not offenders
     for module in MODULES:
         mod = importlib.import_module(module)
-        assert not hasattr(mod, "power_tail") and not hasattr(mod, "series_ball"), module
+        assert not any(hasattr(mod, name) for name in ("power_terms", "power_tail", "series_ball")), module
+    defs = _methods(ast.parse((src / "arith.py").read_text()))
+    for name in ("TruncatedSeries.at", "TruncatedSeries.twisted"):
+        calls = [node for node in ast.walk(defs[name]) if isinstance(node, ast.Call)]
+        names = {getattr(node.func, "id", None) or getattr(node.func, "attr", None) for node in calls}
+        assert names & {"frequency_sum", "character_sum"}, name
+        assert not names & {"root_table", "fixed_root_table"}, name
+        assert not {_dotted_root(node.func) for node in calls} & {"mpmath", "mp"}, name
+
+
+def _dotted_root(node: ast.expr) -> str | None:
+    """The name an attribute chain such as mp.workprec or mpmath.mpc starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return getattr(node, "id", None)
 
 
 def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
