@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import gcd, hypot, inf, isqrt, lcm, log, nextafter, sqrt
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -56,6 +56,7 @@ __all__ = [
     "root_table",
     "fixed_root_table",
     "fixed_power_terms",
+    "mobius_terms",
     "fold",
     "frequency_sum",
     "character_sum",
@@ -762,13 +763,19 @@ def _fixed(x: tuple, F: int) -> int:
 def fixed_root_table(n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The integers nearest 2^F cos(2 pi t/n) and 2^F sin(2 pi t/n), for 0 <= t < n.
 
-    Each is rounded from e(t/n) at F + 16 bits, which errs by at most
-    (2 pi + 2) 2^(-F-16) (the rounded angle and the evaluation), so every
-    coordinate lies within 1/2 + 2^(-12) < 1 of its target.
+    Only t <= n/2 are evaluated: each is rounded from e(t/n) at F + 16 bits,
+    which errs by at most (2 pi + 2) 2^(-F-16) (the rounded angle and the
+    evaluation), so every coordinate lies within 1/2 + 2^(-12) < 1 of its
+    target.  The rest is the mirror cos[n - t] = cos[t], sin[n - t] = -sin[t]:
+    the targets are symmetric and round-to-nearest commutes with negation, so
+    the mirrored entries lie within the same distance of theirs.
     """
     with mp.workprec(F + 16):
-        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / n)._mpc_ for t in range(n)]
-    return tuple(_fixed(re, F) for re, _ in roots), tuple(_fixed(im, F) for _, im in roots)
+        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / n)._mpc_ for t in range(n // 2 + 1)]
+    cos = [_fixed(re, F) for re, _ in roots]
+    sin = [_fixed(im, F) for _, im in roots]
+    mirror = slice((n - 1) // 2, 0, -1)  # n - t for t = n // 2 + 1, ..., n - 1
+    return tuple(cos + cos[mirror]), tuple(sin + [-x for x in sin[mirror]])
 
 
 def fixed_power_terms(
@@ -800,6 +807,47 @@ def fixed_power_terms(
         if a != 1:
             t = mpf_mul(from_rational(a.numerator, a.denominator, w, round_nearest), t, w, round_nearest)
         yield r, _fixed(t, F)
+
+
+_FLIP_SIGN = bytes.maketrans(b"\1\2", b"\2\1")
+_MU_PLUS = bytes.maketrans(b"\1\2", b"\1\0")
+_MU_MINUS = bytes.maketrans(b"\1\2", b"\0\1")
+
+
+@lru_cache(maxsize=8)
+def _mobius_masks(bound: int) -> tuple[bytes, bytes]:
+    """Masks over 0..bound of the m with mu(m) = 1 and of the m with mu(m) = -1.
+
+    Each byte starts at 1 and swaps 1 <-> 2 at every prime factor, so it ends
+    at 1 or 2 by the parity of the number of prime factors; the multiples of
+    each prime square are zeroed.
+    """
+    code = bytearray([1]) * (bound + 1)
+    code[0] = 0
+    for q in primes_up_to(bound):
+        code[q::q] = code[q::q].translate(_FLIP_SIGN)
+        if q * q <= bound:
+            code[q * q :: q * q] = bytes(len(range(q * q, bound + 1, q * q)))
+    return bytes(code.translate(_MU_PLUS)), bytes(code.translate(_MU_MINUS))
+
+
+def mobius_terms(bound: int, k: int, F: int, coprime_to: int = 1) -> Iterator[tuple[int, int]]:
+    """Lazily yield (m, the integer nearest mu(m) 2^F m^(-k)) for the squarefree m <= bound
+    prime to ``coprime_to``, the terms with mu(m) = 1 first.
+
+    The terms are ``fixed_power_terms``' integers, each within 1/2 of
+    mu(m) 2^F m^(-k).  Only the two sign masks are kept per bound; each call
+    copies them, zeroes the multiples of the primes of ``coprime_to`` and walks
+    what is left.
+    """
+    plus, minus = (bytearray(mask) for mask in _mobius_masks(bound))
+    for q, _ in factorize(coprime_to):
+        zero = bytes(len(range(q, bound + 1, q)))
+        plus[q::q] = zero
+        minus[q::q] = zero
+    r = range(bound + 1)
+    pairs = chain(zip(compress(r, plus), repeat(1)), zip(compress(r, minus), repeat(-1)))
+    return fixed_power_terms(pairs, k, F)
 
 
 def fold(terms: Iterable[tuple[int, int]], q: int) -> list[int]:

@@ -580,6 +580,17 @@ class RationalityReport:
     algebraic_claim: bool
 
 
+def _two_pi_power(k: int) -> Ball:
+    """(2 pi)^k at the working precision w, as a Ball whose radius holds its rounding.
+
+    mpmath rounds pi and the power (exact, or at extra precision) once each,
+    so (2 pi)^k is within (1 + 2^(-w))^(k+1) - 1 < (k + 3) 2^(-w) of relative
+    error.
+    """
+    v = (2 * mpmath.pi) ** k
+    return Ball.from_mpc(mpmath.mpc(v), mp.prec, float(v) * (k + 3) * 2.0**-mp.prec)
+
+
 def rationality_ratio(
     f: MockEigenform,
     chi: DirichletCharacter,
@@ -628,13 +639,12 @@ def rationality_ratio(
         lval = (
             normalized_L(chi0, k_l).value.embed(prec + 16)
             * gauss_sum(psi).embed(prec + 16)
-            * (2 * mpmath.pi) ** k_l
+            * _two_pi_power(k_l)
         )
         psi0 = psi.primitive()
-        for q, _ in factorize(f.N):  # remove the level-N Euler factors
-            t = psi0.exponent_of(q)
-            if t is not None:
-                lval = lval * (1 - root_table(psi0.value_order, mp.prec)[t] * mpmath.mpf(q) ** (-k_l))
+        for q, _ in factorize(f.N):  # remove the level-N Euler factors, exact until embedded
+            if gcd(q, psi0.modulus) == 1:
+                lval = lval * (1 - psi0.value(q) * Fraction(1, q**k_l)).embed(prec + 16)
         pair_acc = Ball(mpmath.mpc(0))
         for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
             w = root_table(chi0.value_order, mp.prec)[chi0.exponent_of(a)]

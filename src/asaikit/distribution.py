@@ -79,7 +79,8 @@ class DistParams:
         return self.series.tail
 
     def coset_weights(self, j: int) -> tuple[Ball, tuple[tuple[int, Ball], ...]]:
-        """``mu_tilde``'s level-j factor p^(j(s-1))/kappa^j and its (i, B_i p^(-is)) for B_i != 0.
+        """``mu_tilde``'s level-j factor p^(j(s-1))/kappa^j (also ``interpolation_rhs``'
+        weight at j = j_chi) and its (i, B_i p^(-is)) for B_i != 0.
 
         They depend on ``ordinary`` and j alone, so they are built once per j
         (and again if ``ordinary`` is replaced), as Balls at prec + 16 bits
@@ -192,7 +193,10 @@ def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> Ball:
     For the principal character the same computation carries the extra factor
     (kappa - p^(s-1)) / (kappa (1 - kappa p^(-s))): the frequency-twisted unit
     sums degenerate to Ramanujan sums there, which changes how the p-power
-    part of the series resums.
+    part of the series resums.  The weight p^(j_chi (s-1)) / kappa^j_chi is
+    ``coset_weights``', and the principal factor is Ball arithmetic on
+    kappa, p^(s-1) and kappa p^(-s) built by ``_weight``, so the radius
+    holds the rounding of both.
     """
     p, s = params.p, params.s
     od = params.ordinary
@@ -201,12 +205,12 @@ def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> Ball:
         raise ValueError("character conductor must be a p-power")
     series = twisted_asai_series(params, chi.inverse())
     with mp.workprec(params.prec + 16):
-        sf = to_mpf(s)
-        kf = to_mpf(od.kappa)
-        pref = mpmath.mpf(p) ** (j_chi * (sf - 1)) / kf**j_chi
-        acc = gauss_sum(chi).embed(params.prec + 16) * pref * series
-        if j_chi == 0:
-            acc = acc * ((kf - mpmath.mpf(p) ** (sf - 1)) / (kf * (1 - kf * mpmath.mpf(p) ** (-sf))))
+        acc = gauss_sum(chi).embed(params.prec + 16) * series
+        if j_chi:
+            acc = acc * params.coset_weights(j_chi)[0]
+        else:
+            kappa, kappa_ps = _weight(od.kappa, p, Fraction(0)), _weight(od.kappa, p, -s)
+            acc = acc * (kappa - _weight(Fraction(1), p, s - 1)) / (kappa * (Ball(mpmath.mpc(1)) - kappa_ps))
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 

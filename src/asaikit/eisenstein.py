@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 
 import mpmath
 from mpmath import mp
@@ -32,9 +32,9 @@ from .arith import (
     bernoulli_number,
     euler_phi,
     factorize,
-    fixed_power_terms,
+    fixed_root_table,
     fold,
-    root_table,
+    mobius_terms,
 )
 from .asai import FUNDAMENTAL_D, QuadFieldData
 from .characters import (
@@ -303,11 +303,6 @@ def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
 # higher coefficients, analytic route (independent of all special-value formulas)
 
 
-@lru_cache(maxsize=8)
-def _mobius_table(bound: int) -> ArithTables:
-    return ArithTables(bound)
-
-
 def higher_coeffs_analytic(
     params: LevelParams, lpps: tuple[int, ...], prec: int = 128, terms: int | None = None
 ) -> list[Ball]:
@@ -317,23 +312,41 @@ def higher_coeffs_analytic(
     (-2 pi i)^k / ((k-1)! M^k) sigma_(k-1)^((0, n^(-1) v))(M lpp), with
     zeta_plus^n(k) = sum_(m = n mod M) mu(m) m^(-k) summed to ``terms``.
 
-    The terms are the integers nearest mu(m) 2^F m^(-k), F = prec + 48 (the
-    working precision prec + 16, plus 32 bits), so a bucket of n terms sums
-    exactly to within the radius n/2 * 2^(-F) of its truncated series.  The
+    Everything up to one rounding runs on integers at F = prec + 48 bits (the
+    working precision w = prec + 16, plus 32 bits).  The terms are the
+    integers nearest mu(m) 2^F m^(-k) (``mobius_terms``), so a bucket of n
+    terms sums exactly to within n/2 of 2^F times its truncated series.  The
     v-range is the subgroup H = {v = +-1 mod p^j}, so the zeta_plus mass seen
-    from a unit w is the sum over the coset w^(-1) H: the buckets mod p^j at
-    +-w^(-1), one mass per coset (a single one at j = 0).  The divisor sums
-    sigma_w = sum_d d^(k-1) (e(w d/M) + e(-w d/M)) are added per coset before
-    the one product with its mass.
+    from a unit u is the sum over the coset u^(-1) H: the buckets mod p^j at
+    +-u^(-1), one integer mass W_c per coset c (a single one at j = 0).  The
+    divisor sum of u is sum_d d^(k-1) (e(u d/M) + e(-u d/M)), twice
+    sum_d d^(k-1) cos(2 pi u d/M), so with the integers cos[t] nearest
+    2^F cos(2 pi t/M) (``fixed_root_table``) a coset's sum is the integer
+    C_c = sum_d d^(k-1) sum_(u in c) cos[u d mod M], and the coefficient is
+    kappa 2^(-2F) sum_c W_c C_c, kappa = (-2 pi i)^k / ((k-1)! M^k), real as k
+    is even.  That integer is summed per divisor, as
+    sum_d d^(k-1) (sum_c W_c sum_(u in c) cos[u d mod M]), whose inner sums
+    the lpps share; it is rounded once, to an mpf at w bits, and multiplied
+    by kappa, computed at w + 16 bits.
 
-    The returned radius is proved.  As |mu| <= 1, a coset mass is off by at
-    most the truncation tail T^(1-k)/(k-1) (T = ``terms``), plus the fold
-    radius T/2 * 2^(-F) and its rounding to w = prec + 16 bits.  Each
-    |sigma_w| <= 2 sigma_(k-1)(lpp), so the coefficient moves by at most
-    phi(M) 2 sigma_(k-1)(lpp) |kappa|/2 times that.  The masses are below
-    zeta(k) < 2 and a coset holds at most phi(M) units, so rounding the root
-    sums, the products and the scaling by kappa adds at most
-    16 (phi(M) + tau(lpp) + 4) 2^(-w) to the factor.
+    The returned radius is proved.  Write Z_c and S_c for the exact coset mass
+    and sum_d d^(k-1) sum_(u in c) cos(2 pi u d/M), sigma = sigma_(k-1)(lpp),
+    |c| the units in c (phi(M) in all), T = ``terms``.  As |mu| <= 1,
+    |W_c - 2^F Z_c| <= 2^F E with E = T^(1-k)/(k-1) + T 2^(-F-1) (the
+    truncation tail and the term roundings), and |Z_c| < zeta(k) < 2.  Each
+    cos[t] is within one unit of its target, so |C_c - 2^F S_c| <= |c| sigma
+    and |C_c| <= |c| sigma (2^F + 1).  Hence
+    |sum_c W_c C_c - 2^(2F) sum_c Z_c S_c| <= 2^(2F) phi(M) sigma e_m with
+    e_m = E (1 + 2^(-F)) + 2^(1-F) <= E + 2^(2-F), as E < 1 for every
+    T < 2^(F-1).  The coefficient is kappa sum_c Z_c S_c, whose sum is at
+    most 2 phi(M) sigma, so the integer sum 2^(-2F) sum_c W_c C_c is at most
+    3 phi(M) sigma.  mpmath rounds pi, the power (exact, or at extra
+    precision) and the quotient of kappa once each at w + 16 bits, so kappa's
+    relative error is below (2k + 4) 2^(-w-16); with the rounding of the
+    integer sum to w bits and of the product, that adds at most
+    3 (2 + (2k + 5) 2^(-16)) 2^(-w) phi(M) sigma |kappa|, and the radius is
+    phi(M) sigma |kappa| (E + 2^(2-F) + 3 (2 + (2k + 5) 2^(-16)) 2^(-w)).
+    ``Ball.from_mpc`` adds the rounding to ``prec`` bits.
     """
     M = params.modulus
     k = params.k
@@ -343,34 +356,34 @@ def higher_coeffs_analytic(
         terms = 20000 if k <= 4 else 4000
     units = _unit_group(M).units
     phi = len(units)
-    tables = _mobius_table(terms)
-    with mp.workprec(prec + 16):
-        F = mp.prec + 32
-        moebius = ((m, mu) for m in range(1, terms + 1) if (mu := tables.mobius(m)) and gcd(m, M) == 1)
-        W = fold(fixed_power_terms(moebius, k, F), q)
-        roots = root_table(M, mp.prec)
-        cosets = {}  # +-c mod q -> the coset's units w (w^(-1) = +-c) and its mass
-        for w in units:
-            c = pow(w, -1, q)
-            key = min(c, -c % q)
-            if key not in cosets:
-                cosets[key] = ([], mpmath.mpf((sum(W[t] for t in {c, -c % q}), -F)))
-            cosets[key][0].append(w)
-        kappa = (-2j * mpmath.pi) ** k / (mpmath.factorial(k - 1) * mpmath.mpf(M) ** k)
-        mass_err = terms ** (1 - k) / (k - 1) + terms * 2.0 ** (-F - 1) + 2.0 ** (2 - mp.prec)
-        out = []
-        for lpp in lpps:
-            powers = [(d, d ** (k - 1)) for d in range(1, lpp + 1) if lpp % d == 0]
-            total = mpmath.mpc(0)
-            for ws, mass in cosets.values():
-                sig = mpmath.mpc(0)
-                for d, dk in powers:
-                    sig += dk * sum(roots[w * d % M] + roots[-w * d % M] for w in ws)
-                total += mass * sig
-            sigma = sum(dk for _, dk in powers)
-            rounding = (phi + len(powers) + 4) * 2.0 ** (4 - mp.prec)
-            rad = phi * sigma * float(abs(kappa)) * (mass_err + rounding)
-            out.append(Ball.from_mpc(total * kappa / 2, prec, rad))
+    w = prec + 16
+    F = w + 32
+    W = fold(mobius_terms(terms, k, F, M), q)
+    cos, _ = fixed_root_table(M, F)
+    cosets = {}  # +-c mod q -> the coset's units u (u^(-1) = +-c) and its integer mass
+    for u in units:
+        c = pow(u, -1, q)
+        key = min(c, -c % q)
+        if key not in cosets:
+            cosets[key] = ([], sum(W[t] for t in {c, -c % q}))
+        cosets[key][0].append(u)
+    with mp.workprec(w + 16):
+        kappa = (-1) ** (k // 2) * (2 * mpmath.pi) ** k / (factorial(k - 1) * M**k)
+    mass_err = terms ** (1 - k) / (k - 1) + terms * 2.0 ** (-F - 1) + 2.0 ** (2 - F)
+    rounding = 3 * (2 + (2 * k + 5) * 2.0**-16) * 2.0**-w
+    by_divisor = {}  # d -> sum_c W_c sum_(u in c) cos[u d mod M]
+    out = []
+    for lpp in lpps:
+        divisors = [d for d in range(1, lpp + 1) if lpp % d == 0]
+        for d in divisors:
+            if d not in by_divisor:
+                by_divisor[d] = sum(mass * sum(cos[u * d % M] for u in ws) for ws, mass in cosets.values())
+        total = sum(d ** (k - 1) * by_divisor[d] for d in divisors)
+        sigma = sum(d ** (k - 1) for d in divisors)
+        rad = phi * sigma * float(abs(kappa)) * (mass_err + rounding)
+        with mp.workprec(w):
+            value = mpmath.mpc(mpmath.mpf((total, -2 * F)) * kappa)
+        out.append(Ball.from_mpc(value, prec, rad))
     return out
 
 

@@ -27,6 +27,7 @@ from asaikit.arith import (
     fold,
     frequency_sum,
     kronecker_symbol,
+    mobius_terms,
     primes_up_to,
     to_mpf,
     vp,
@@ -586,6 +587,31 @@ class TestSeriesPath:
             for t in range(n):
                 z = mpmath.expjpi(mpmath.mpf(2 * t) / n) * mpmath.ldexp(1, F_bits)
                 assert abs(cos[t] - z.real) < 1 and abs(sin[t] - z.imag) < 1, t
+
+    @pytest.mark.parametrize("F_bits", [64, 176])
+    def test_root_table_mirror(self, F_bits):
+        for n in range(1, 201):
+            cos, sin = fixed_root_table(n, F_bits)
+            assert len(cos) == len(sin) == n
+            for t in range(1, n):
+                assert cos[n - t] == cos[t] and sin[n - t] == -sin[t], (n, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bound=st.integers(1, 3000),
+        k=st.integers(2, 8),
+        coprime_to=st.integers(1, 10**4),
+        F_bits=st.sampled_from([64, 176]),
+    )
+    def test_mobius_terms(self, bound, k, coprime_to, F_bits):
+        # the sieve-masked terms are fixed_power_terms over the Moebius table, filtered by gcd
+        mob = ArithTables(bound).mobius
+        pairs = [(m, mob(m)) for m in range(1, bound + 1) if mob(m) and gcd(m, coprime_to) == 1]
+        want = list(fixed_power_terms(pairs, k, F_bits))
+        got = list(mobius_terms(bound, k, F_bits, coprime_to))
+        assert sorted(got) == want
+        for q in (1, 2, 3, 5, 6, 10, 15, 30):
+            assert fold(got, q) == fold(want, q), q
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=SPARSE_PAIRS, s=SERIES_S, q=st.integers(1, 30), c=st.integers(0, 10**6))

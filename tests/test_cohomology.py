@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from asaikit.arith import Ball, _binomial, vp
-from asaikit.asai import asai_coeff, coeff_principal
+from asaikit.asai import asai_coeff, coeff_principal, random_mock_eigenform
 from asaikit.characters import enumerate_characters
 from asaikit.cohomology import (
     BiHomogPoly,
     HomogPoly,
     QuadCoeff,
+    _two_pi_power,
     clebsch_project,
     denominator_lemma_check,
     homog_act,
@@ -424,6 +425,22 @@ class TestRationalityRatio:
             )
             assert abs(rep.lhs.to_mpc() - d_sum) < 1e-25
             assert abs(rep.rhs.to_mpc() - mpmath.zeta(6) * c_sum) < 1e-25
+
+    @pytest.mark.parametrize("N", [7, 35])
+    def test_level_euler_factors(self, N):
+        # a level N > 1 removes the exact Euler factors 1 - psi(q) q^(-k_l) at q | N from L(k_l, psi)
+        f = random_mock_eigenform(random.Random(21), k=4, N=N, p=3, prime_bound=5000, support_bound=80)
+        for chi in [c for c in enumerate_characters(9) if c.is_even]:
+            rep = rationality_ratio(f, chi, 2, 0, 5000, 128, Ball(mpmath.mpc(1)), tol=1e-8)
+            assert rep.algebraic_claim, (chi.exps, rep.rel_gap)
+
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_two_pi_power_encloses(self, prec):
+        for k in (1, 2, 4, 6, 12, 30, 64):
+            with mp.workprec(prec):
+                ball = _two_pi_power(k)
+            with mp.workprec(320):
+                assert abs(ball.mid - (2 * mpmath.pi) ** k) <= ball.rad, k
 
     def test_parameter_validation(self):
         f = acceptance_mock(24, 5, k=4, R=2000)

@@ -9,7 +9,8 @@ from mpmath import mp
 
 from asaikit.asai import MockEigenform, QuadFieldData, asai_coeff, random_mock_eigenform
 from tests.conftest import acceptance_mock
-from asaikit.arith import Ball, TruncatedSeries
+from asaikit import distribution
+from asaikit.arith import Ball, TruncatedSeries, _split_order
 from asaikit.characters import enumerate_characters, gauss_sum
 from asaikit.distribution import (
     DistParams,
@@ -280,6 +281,27 @@ class TestInterpolation:
                 for e, c in enumerate(od.F_poly)
             )
             assert abs(series - full * fval) < 1e-9
+
+    @pytest.mark.parametrize("s", [F(5), F(11, 2)])
+    def test_rhs_radius_covers_its_weights(self, monkeypatch, s):
+        # with a radius-0 series, only the weights' rounding separates the right
+        # side from the closed form evaluated at 320 bits: the radius must hold it
+        series = Ball(mpmath.mpc("0.7109375", "-0.28125"))
+        monkeypatch.setattr(distribution, "twisted_asai_series", lambda params, chi: series)
+        for p in (3, 5):
+            f = random_mock_eigenform(random.Random(p), k=2, p=p, prime_bound=200, support_bound=20)
+            params = DistParams(f, p, s, 200, 96)
+            kappa = params.ordinary.kappa
+            for chi in enumerate_characters(p * p):
+                j = _split_order(chi.conductor(), p)[0]
+                rhs = interpolation_rhs(params, chi)
+                with mp.workprec(320):
+                    pf, sf = mpmath.mpf(p), mpmath.mpf(s.numerator) / s.denominator
+                    kf = mpmath.mpf(kappa.numerator) / kappa.denominator
+                    want = pf ** (j * (sf - 1)) / kf**j * gauss_sum(chi).embed(320).mid * series.mid
+                    if j == 0:
+                        want *= (kf - pf ** (sf - 1)) / (kf * (1 - kf * pf ** (-sf)))
+                    assert abs(rhs.mid - want) <= rhs.rad, (p, chi.exps)
 
     def test_identity_all_conductors(self, dist_params_small):
         for M in (1, 3, 9):

@@ -51,6 +51,16 @@ def test_one_bucket_loop_in_higher_coeffs_analytic():
     assert not [n for n in ast.walk(fn) if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Subscript)]
 
 
+def test_higher_coeffs_analytic_on_the_integer_kernel():
+    """The Moebius route builds no Moebius table and no mpc root table: its terms come
+    from arith.mobius_terms through fold, and its roots from fixed_root_table."""
+    tree = ast.parse((Path(asaikit.__file__).parent / "eisenstein.py").read_text())
+    [fn] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "higher_coeffs_analytic"]
+    calls = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert {"fold", "mobius_terms", "fixed_root_table"} <= calls
+    assert not calls & {"root_table", "ArithTables"}
+
+
 def test_bench_tracer_targets_resolve():
     """Every function the benchmark tracer wraps by name still exists, methods on their own class."""
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
