@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from mpmath import mp
 
@@ -64,23 +64,30 @@ class RunConfig:
 def _run_check(suite: str, name: str, anchor: str, cases) -> dict:
     """Drive one check's cases and return its report row.
 
-    ``cases`` is a generator yielding ``(label, ok, gap)`` per case, with
-    ``gap`` None for an exact case.  The row keeps the largest gap; the first
-    case with ``ok`` false ends the check as ``fail`` and its label becomes the
-    detail.  A check that raises is an ``error``.  What the generator returns
-    (a count, say) is the detail of a pass.
+    ``cases`` yields ``(label, ok)`` per exact case and ``(label, gap, bound)``
+    per numeric case, which passes when ``gap <= bound``.  The row keeps the
+    largest gap; the first failing case ends the check as ``fail`` and its
+    label becomes the detail.  A check that raises, or yields a gap that is
+    not finite, is an ``error``.  What the generator returns (a count, say)
+    is the detail of a pass.
     """
     t0 = time.perf_counter()
     status, worst, detail = "pass", None, ""
     try:
         while True:
             try:
-                label, ok, gap = next(cases)
+                case = next(cases)
             except StopIteration as done:
                 detail = done.value or ""
                 break
-            if gap is not None:
+            if len(case) == 3:
+                label, gap, bound = case
+                if not isfinite(gap):
+                    raise FloatingPointError(f"{label}: gap {gap}")
                 worst = gap if worst is None else max(worst, gap)
+                ok = gap <= bound
+            else:
+                label, ok = case
             if not ok:
                 status, detail = "fail", label
                 break
@@ -137,7 +144,7 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
     def bernoulli_recurrence():
         for k in range(2, 31):
             s = sum(arith._binomial(k, i) * arith.bernoulli_number(i) for i in range(k))
-            yield f"k={k}", s == 0, None
+            yield f"k={k}", s == 0
 
     def von_staudt():
         for k in range(2, 31, 2):
@@ -146,7 +153,7 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
             for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
                 if k % (p - 1) == 0:
                     prod *= p
-            yield f"k={k}: {den} != {prod}", den == prod, None
+            yield f"k={k}: {den} != {prod}", den == prod
 
     def ring_axioms():
         for m in (3, 4, 5, 8, 9, 12):
@@ -156,8 +163,8 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
                 for _ in range(3)
             ]
             a, b, c = vals
-            yield f"m={m}", (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c, None
-            yield f"norm m={m}", (a * b).norm() == a.norm() * b.norm(), None
+            yield f"m={m}", (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
+            yield f"norm m={m}", (a * b).norm() == a.norm() * b.norm()
 
     def embedding_hom():
         for m in (5, 8, 12):
@@ -167,13 +174,13 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
             with mp.workprec(precision_bits):
                 diff = (a * b).embed(precision_bits) - a.embed(precision_bits) * b.embed(precision_bits)
                 gap = float(abs(diff.mid))
-            yield f"m={m}", gap < 2.0 ** (-precision_bits + 12), gap
+            yield f"m={m}", gap, 2.0 ** (12 - precision_bits)
 
     def bessel():
         for nu in (0, 1, 2):
             for mu in (3, 4):
                 rep = arith.bessel_k_moment_check(nu, mu, 1)
-                yield f"nu={nu} mu={mu}", rep.agree, max(rep.rel_err, rep.kernel_rel_err)
+                yield f"nu={nu} mu={mu}", max(rep.rel_err, rep.kernel_rel_err), 1e-6
 
     return [
         ("bernoulli-recurrence", "sum C(k,i) B_i = 0", bernoulli_recurrence()),
@@ -199,7 +206,7 @@ def _suite_characters(precision_bits: int) -> list:
                     for ch in chars:
                         s = s + ch.value(a) * ch.value(b).conjugate()
                     want = len(chars) if (a - b) % M == 0 else 0
-                    yield f"M={M} a={a} b={b}", s == want, None
+                    yield f"M={M} a={a} b={b}", s == want
 
     def gauss_closed_form():
         for p in (3, 5):
@@ -208,7 +215,7 @@ def _suite_characters(precision_bits: int) -> list:
                 for ch in characters.enumerate_characters(q):
                     for M in range(0, q + 1):
                         r = characters.generalized_gauss_sum(ch, M, j)
-                        yield f"p={p} j={j} M={M}", r.agrees, None
+                        yield f"p={p} j={j} M={M}", r.agrees
 
     def gauss_conjugation():
         for M in (5, 7, 9, 16):
@@ -217,7 +224,7 @@ def _suite_characters(precision_bits: int) -> list:
                     continue
                 g = characters.gauss_sum(ch)
                 gbar = characters.gauss_sum(ch.inverse())
-                yield f"M={M}", g * gbar == ch.value(-1) * M, None
+                yield f"M={M}", g * gbar == ch.value(-1) * M
 
     def bernoulli_denominators():
         for p, j in ((3, 1), (3, 2), (5, 1)):
@@ -228,7 +235,7 @@ def _suite_characters(precision_bits: int) -> list:
                 if b.is_zero():
                     continue
                 v = padic.padic_valuation(b, p)
-                yield f"p={p} j={j} v={v}", v >= -j, None
+                yield f"p={p} j={j} v={v}", v >= -j
 
     def l_value_vs_series():
         quad5 = [
@@ -239,7 +246,7 @@ def _suite_characters(precision_bits: int) -> list:
         exact = characters.L_special_exact(2, quad5).numeric(precision_bits).to_mpc()
         approx = characters.L_truncated(2, quad5, 20000, precision_bits)
         gap = float(abs(exact - approx.to_mpc()))
-        yield "quadratic mod 5, R=20000", gap < approx.rad * 1.05, gap
+        yield "quadratic mod 5, R=20000", gap, 1.05 * approx.rad
 
     return [
         ("orthogonality", "sum_chi chi(a) chibar(b) = phi(M) [a=b]", orthogonality()),
@@ -265,7 +272,7 @@ def _suite_asai(seed: int) -> list:
                 else:
                     qr = any((x * x + D) % l == 0 for x in range(l))
                     ok = s == ("split" if qr else "inert")
-                yield f"D={D} l={l}", ok, None
+                yield f"D={D} l={l}", ok
 
     def euler_product():
         for trial in range(5):
@@ -273,7 +280,7 @@ def _suite_asai(seed: int) -> list:
             p = rng.choice((5, 13))
             f = asai.random_mock_eigenform(rng, k=k, N=1, p=p, prime_bound=200)
             rep = asai.euler_vs_coefficients(f, 200)
-            yield f"trial {trial} r={rep.first_mismatch}", rep.ok, None
+            yield f"trial {trial} r={rep.first_mismatch}", rep.ok
 
     def multiplicativity():
         f = asai.random_mock_eigenform(rng, k=2, N=1, p=5, prime_bound=120)
@@ -281,7 +288,7 @@ def _suite_asai(seed: int) -> list:
             for r2 in range(1, 11):
                 if gcd(r1, r2) == 1 and r1 * r2 <= 100:
                     lhs = asai.asai_coeff(f, r1 * r2)
-                    yield f"({r1},{r2})", lhs == asai.asai_coeff(f, r1) * asai.asai_coeff(f, r2), None
+                    yield f"({r1},{r2})", lhs == asai.asai_coeff(f, r1) * asai.asai_coeff(f, r2)
 
     def ordinary_identities():
         for trial in range(20):
@@ -289,7 +296,7 @@ def _suite_asai(seed: int) -> list:
             od = asai.ordinary_data(f)
             d_p = asai._power_series_inverse(list(od.F_poly), 20)  # d_p(e) = d_p[e], d_p(e < 0) = 0
             geo = [sum(od.B[i] * d_p[e - i] for i in range(min(e, 3) + 1)) for e in range(21)]
-            yield f"trial {trial}", geo == [od.kappa**e for e in range(21)], None
+            yield f"trial {trial}", geo == [od.kappa**e for e in range(21)]
 
     return [
         ("splitting-vs-kronecker", "split/inert/ramified by (-D|l)", splitting_kronecker()),
@@ -349,7 +356,7 @@ def _suite_distribution(
                     if gcd(a, p) != 1:
                         continue
                     rep = distribution.verify_distribution_relation(params, a, j)
-                    yield f"p={p} j={j} a={a}", rep.gap <= tol, rep.gap
+                    yield f"p={p} j={j} a={a}", rep.gap, tol
 
     def interpolation():
         for p in primes:
@@ -357,7 +364,7 @@ def _suite_distribution(
             for M in (1, p, p * p):
                 for chi in characters.enumerate_characters(M):
                     rep = distribution.check_interpolation(params, chi)
-                    yield f"p={p} M={M} chi={chi.exps}", rep.gap <= tol, rep.gap
+                    yield f"p={p} M={M} chi={chi.exps}", rep.gap, tol
 
     def j_independence():
         for p in primes:
@@ -367,7 +374,7 @@ def _suite_distribution(
                 v2 = distribution.integrate_character(params, chi, 2)
                 with mp.workprec(precision_bits + 16):
                     gap = float(abs(v1.to_mpc() - v2.to_mpc()))
-                yield f"p={p} chi={chi.exps}", gap <= tol, gap
+                yield f"p={p} chi={chi.exps}", gap, tol
 
     return [
         ("distribution-relation", "coset refinement sums match", dist_relation()),
@@ -390,14 +397,14 @@ def _suite_eisenstein(seed: int, precision_bits: int) -> list:
             for _ in range(1500):
                 g = _random_sl2(rng)
                 fml, conj = eisenstein.membership_two_ways(params, g)
-                yield f"{params} {g}", fml == conj, None
+                yield f"{params} {g}", fml == conj
                 count += fml
         return f"{count} members found"
 
     def constant_terms():
         for (N, p, j, k) in ((1, 3, 1, 4), (6, 5, 1, 4), (2, 3, 2, 4), (1, 3, 0, 6)):
             a0 = eisenstein.constant_term(eisenstein.LevelParams(N, p, j, k))
-            yield f"({N},{p},{j},{k})", a0 == 1, None
+            yield f"({N},{p},{j},{k})", a0 == 1
 
     def exact_vs_analytic():
         for (N, p, j, k) in ((1, 3, 1, 4), (2, 3, 1, 4), (1, 5, 1, 4), (1, 3, 1, 6)):
@@ -407,13 +414,13 @@ def _suite_eisenstein(seed: int, precision_bits: int) -> list:
                 e = eisenstein.higher_coeff_exact(params, lpp)
                 gap = float(abs(e.embed(precision_bits).to_mpc() - a.to_mpc()))
                 gap /= max(1.0, float(abs(a.to_mpc())))
-                yield f"({N},{p},{j},{k}) l''={lpp}", gap <= 1e-8, gap
+                yield f"({N},{p},{j},{k}) l''={lpp}", gap, 1e-8
 
     def classical():
         e4 = eisenstein.classical_reduction(eisenstein.LevelParams(1, 3, 0, 4), 3)
-        yield "E4", [c.as_rational() for c in e4.coeffs] == [1, 240, 2160, 6720], None
+        yield "E4", [c.as_rational() for c in e4.coeffs] == [1, 240, 2160, 6720]
         e6 = eisenstein.classical_reduction(eisenstein.LevelParams(1, 3, 0, 6), 2)
-        yield "E6", [c.as_rational() for c in e6.coeffs] == [1, -504, -16632], None
+        yield "E6", [c.as_rational() for c in e6.coeffs] == [1, -504, -16632]
 
     def lambda_bijection():
         params = eisenstein.LevelParams(2, 3, 1, 4)
@@ -426,7 +433,7 @@ def _suite_eisenstein(seed: int, precision_bits: int) -> list:
                     (d - 1) % q == 0 or (d + 1) % q == 0
                 ):
                     brute.add((c, d) if (c > 0 or (c == 0 and d > 0)) else (-c, -d))
-        yield f"{len(lam)} cosets, {len(brute)} pairs", set(lam) == brute, None
+        yield f"{len(lam)} cosets, {len(brute)} pairs", set(lam) == brute
         return f"{len(lam)} pairs"
 
     return [
@@ -461,7 +468,7 @@ def _suite_cohomology(seed: int) -> list:
             g1, g2 = _random_sl2_quad(rng, D), _random_sl2_quad(rng, D)
             P = rand_poly(2)
             lhs = cohomology.sl2_act(_matmul(g1, g2), P)
-            yield f"trial {trial}", lhs == cohomology.sl2_act(g1, cohomology.sl2_act(g2, P)), None
+            yield f"trial {trial}", lhs == cohomology.sl2_act(g1, cohomology.sl2_act(g2, P))
 
     def equivariance():
         for _ in range(10):
@@ -469,19 +476,19 @@ def _suite_cohomology(seed: int) -> list:
             P = rand_poly(2)
             for m in range(3):
                 lhs = cohomology.clebsch_project(cohomology.sl2_act(g, P), m)
-                yield f"m={m}", lhs == cohomology.homog_act(g, cohomology.clebsch_project(P, m)), None
+                yield f"m={m}", lhs == cohomology.homog_act(g, cohomology.clebsch_project(P, m))
 
     def denominator_lemma():
         for n in (2, 3):
             for m in range(0, n + 1):
                 for j in (1, 2):
                     rep = cohomology.denominator_lemma_check(n, m, 5, j, 20, rng)
-                    yield f"n={n} m={m} j={j}", rep.ok, None
+                    yield f"n={n} m={m} j={j}", rep.ok
 
     def psi_identity():
         for n in range(0, 5):
             rep = cohomology.psi_identity_check(n)
-            yield f"n={n} alpha={rep.first_bad}", rep.ok, None
+            yield f"n={n} alpha={rep.first_bad}", rep.ok
 
     return [
         ("action-composition", "(g1 g2).P = g1.(g2.P)", action_law()),
@@ -503,8 +510,8 @@ def _suite_padic(seed: int) -> list:
                 if a.is_zero() or b.is_zero():
                     continue
                 va, vb = padic.padic_valuation(a, p), padic.padic_valuation(b, p)
-                yield f"mult m={m}", padic.padic_valuation(a * b, p) == va + vb, None
-                yield f"ultrametric m={m}", padic.padic_valuation(a + b, p) >= min(va, vb), None
+                yield f"mult m={m}", padic.padic_valuation(a * b, p) == va + vb
+                yield f"ultrametric m={m}", padic.padic_valuation(a + b, p) >= min(va, vb)
 
     def dirac_control():
         for p in (3, 5):
@@ -516,9 +523,9 @@ def _suite_padic(seed: int) -> list:
                     if gcd(a, p) != 1:
                         continue
                     rep = padic.kummer_check(table, a, j, p)
-                    yield f"p={p} j={j} a={a}", rep.passed, None
+                    yield f"p={p} j={j} a={a}", rep.passed
                     if a % p**j == u:
-                        yield f"margin p={p} j={j}", rep.valuation == j - 1, None
+                        yield f"margin p={p} j={j}", rep.valuation == j - 1
 
     def negative_control():
         chars = characters.enumerate_characters(9)
@@ -527,7 +534,7 @@ def _suite_padic(seed: int) -> list:
             ch: arith.CyclotomicNumber.from_rational(1 if ch == prim else 0) for ch in chars
         }
         rep = padic.kummer_check(table, 2, 2, 3)
-        yield f"passed with v={rep.valuation}", not rep.passed, None
+        yield f"passed with v={rep.valuation}", not rep.passed
         return f"v={rep.valuation}"
 
     def glue_reduction():
@@ -542,9 +549,9 @@ def _suite_padic(seed: int) -> list:
                 acc2 = arith.CyclotomicNumber.from_rational(0)
                 for ch in characters.enumerate_characters(3):
                     acc2 = acc2 + ch.value(pow(a, -1, 3)) * sub[ch]
-                yield f"m={m} a={a}", acc == acc2, None
+                yield f"m={m} a={a}", acc == acc2
         rep = padic.glue_check(tab, [padic.single_m_weights(tab, 0, 1, 1)], 1, depth=1)
-        yield "glue_check", rep.passed, None
+        yield "glue_check", rep.passed
 
     return [
         ("valuation-axioms", "v(xy)=v(x)+v(y); v(x+y)>=min", valuation_axioms()),
@@ -739,7 +746,7 @@ def _is_row(row) -> bool:
         and all(isinstance(row.get(key), str) for key in ("suite", "name", "anchor", "status"))
         and isinstance(row.get("runtime"), (int, float))
         and "gap" in row
-        and (row["gap"] is None or isinstance(row["gap"], (int, float)))
+        and (row["gap"] is None or isinstance(row["gap"], (int, float)) and isfinite(row["gap"]))
     )
 
 

@@ -144,7 +144,6 @@ class IdentityReport:
     rhs: Ball
     gap: float
     bound: float
-    passed: bool
 
 
 def verify_distribution_relation(params: DistParams, a: int, j: int) -> IdentityReport:
@@ -157,7 +156,7 @@ def verify_distribution_relation(params: DistParams, a: int, j: int) -> Identity
             acc = acc + mu_tilde(params, a + t * p**j, j + 1)
         diff = acc - rhs
         gap = float(abs(diff.mid))
-    return IdentityReport(Ball.from_mpc(acc.mid, params.prec, acc.rad), rhs, gap, diff.rad, gap <= diff.rad)
+    return IdentityReport(Ball.from_mpc(acc.mid, params.prec, acc.rad), rhs, gap, diff.rad)
 
 
 def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> Ball:
@@ -222,4 +221,4 @@ def check_interpolation(params: DistParams, chi: DirichletCharacter) -> Identity
     with mp.workprec(params.prec + 16):
         diff = lhs - rhs
         gap = float(abs(diff.mid))
-    return IdentityReport(lhs, rhs, gap, diff.rad, gap <= max(diff.rad, 1e-30))
+    return IdentityReport(lhs, rhs, gap, diff.rad)

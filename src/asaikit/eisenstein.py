@@ -431,10 +431,6 @@ class QExpansion:
     coeffs: list[CyclotomicNumber]
     c_j: int
 
-    @property
-    def length(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def _p_denominator_exponent(coeffs, p: int) -> int:
     worst = 0

@@ -304,7 +304,7 @@ def test_criterion_12_bessel_moments():
     for nu, mu in pairs:
         rep = arith.bessel_k_moment_check(nu, mu, 1)
         worst = max(worst, rep.rel_err)
-        if not rep.agree:
+        if not (rep.rel_err < 1e-6 and rep.kernel_rel_err < 1e-6):
             report(12, "Bessel moment identity", False, f"(nu,mu)=({nu},{mu}): rel err {rep.rel_err:.2e}", t0)
     report(
         12,

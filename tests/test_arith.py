@@ -478,10 +478,9 @@ class TestKronecker:
 
 class TestBessel:
     def test_moment_identity(self):
-        r = bessel_k_moment_check(0, 2, 1)
-        assert r.agree
-        r = bessel_k_moment_check(1, 3, 2)
-        assert r.agree
+        for nu, mu, a in ((0, 2, 1), (1, 3, 2)):
+            r = bessel_k_moment_check(nu, mu, a)
+            assert r.rel_err < 1e-6 and r.kernel_rel_err < 1e-6
 
     def test_scaling_in_a(self):
         r1 = bessel_k_moment_check(0, 2, 1)
@@ -509,21 +508,20 @@ class TestBessel:
     def test_identity_over_parameters(self, nu, mu, a):
         assume(mu > nu)
         r = bessel_k_moment_check(nu, mu, a)
-        assert r.agree, (r.rel_err, r.kernel_rel_err)
+        assert r.rel_err < 1e-6 and r.kernel_rel_err < 1e-6, (r.rel_err, r.kernel_rel_err)
 
     def test_kernel_at_large_argument(self):
         """K_nu(100) ~ 5e-45: the kernel quadrature must not stop at an absolute tolerance."""
         r = bessel_k_moment_check(1, 2, 100)
-        assert r.agree and r.kernel_rel_err < 1e-20
+        assert r.rel_err < 1e-6 and r.kernel_rel_err < 1e-20
 
     def test_kernel_comparison_decides(self, monkeypatch):
-        """A K_nu 1 % off fails the check although the moment side is untouched."""
+        """A K_nu 1 % off shows in kernel_rel_err although the moment side is untouched."""
         besselk = mpmath.besselk
         monkeypatch.setattr(mpmath, "besselk", lambda nu, x: 1.01 * besselk(nu, x))
         r = bessel_k_moment_check(1, 3, 1)
         assert r.rel_err < 1e-20
         assert abs(r.kernel_rel_err - 1 / 101) < 1e-6
-        assert not r.agree
 
 
 def test_vp():

@@ -1,10 +1,12 @@
 import argparse
 import json
+import math
 import os
 import random
 import re
 from dataclasses import fields, replace
 
+import mpmath
 import pytest
 
 from asaikit import asai, cli
@@ -16,6 +18,10 @@ from tests.conftest import UNREAD_EIGENFORM_EDITS
 
 def run(args):
     return main(args)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestVerify:
@@ -161,38 +167,76 @@ class TestVerify:
         reached = []
 
         def failing():
-            yield "a", True, 1e-12
-            yield "b", False, 3e-5
-            reached.append("c")
-            yield "c", False, 1.0
+            yield "a", True
+            yield "b", 1e-4, 1e-3
+            yield "c", 3e-5, 1e-6
+            reached.append("d")
+            yield "d", 1.0, 2.0
+
+        def failing_exact():
+            yield "a", 1e-9, 1e-8
+            yield "b", False
 
         def raising():
-            yield "a", True, 1e-20
+            yield "a", 1e-20, 1.0
             raise RuntimeError("boom")
 
         def counting():
-            yield "a", True, None
+            yield "a", True
             return "7 found"
 
-        def fake_suite():
-            return [
-                ("failing", "x", failing()),
-                ("raising", "y", raising()),
-                ("counting", "z", counting()),
-            ]
+        def at_bound():
+            yield "a", 0.5, 0.5
 
-        monkeypatch.setitem(cli.SUITE_BUILDERS, "asai", fake_suite)
-        cache = str(tmp_path / "c.json")
-        assert run(["verify", "asai", "--cache", cache]) == 1
-        rows = json.load(open(cache))["results"]
+        def above_bound():
+            yield "a", 0.5, 0.5
+            yield "b", math.nextafter(0.5, 1.0), 0.5
+
+        def infinite():
+            yield "a", 1e-3, 1.0
+            yield "b", math.inf, 1.0
+
+        checks = (failing, failing_exact, raising, counting, at_bound, above_bound, infinite)
+        monkeypatch.setitem(cli.SUITE_BUILDERS, "asai", lambda: [(c.__name__, "x", c()) for c in checks])
+        cache = tmp_path / "c.json"
+        assert run(["verify", "asai", "--cache", str(cache)]) == 1
+        rows = json.loads(cache.read_text(), parse_constant=_reject_constant)["results"]
         assert [list(r) for r in rows] == [
             ["suite", "name", "anchor", "status", "gap", "runtime", "detail"]
-        ] * 3
-        fail, error, count = rows
-        assert (fail["status"], fail["gap"], fail["detail"]) == ("fail", 3e-5, "b")
+        ] * len(checks)
+        got = {r["name"]: (r["status"], r["gap"], r["detail"]) for r in rows}
+        assert got == {
+            "failing": ("fail", 1e-4, "c"),
+            "failing_exact": ("fail", 1e-9, "b"),
+            "raising": ("error", None, "RuntimeError: boom"),
+            "counting": ("pass", None, "7 found"),
+            "at_bound": ("pass", 0.5, ""),
+            "above_bound": ("fail", math.nextafter(0.5, 1.0), "b"),
+            "infinite": ("error", None, "FloatingPointError: b: gap inf"),
+        }
         assert reached == []
-        assert (error["status"], error["gap"], error["detail"]) == ("error", None, "RuntimeError: boom")
-        assert (count["status"], count["gap"], count["detail"]) == ("pass", None, "7 found")
+
+    def test_bessel_row_gates_on_the_kernel_error(self, tmp_path, monkeypatch, capsys):
+        # a K_nu 1 % off leaves the moment side exact, so only kernel_rel_err can fail the row
+        besselk = mpmath.besselk
+        monkeypatch.setattr(mpmath, "besselk", lambda nu, x: 1.01 * besselk(nu, x))
+        cache = tmp_path / "c.json"
+        assert run(["verify", "arith", "--cache", str(cache)]) == 1
+        rows = {r["name"]: r for r in json.loads(cache.read_text())["results"]}
+        assert (rows["bessel-moment"]["status"], rows["bessel-moment"]["detail"]) == ("fail", "nu=0 mu=3")
+        assert abs(rows["bessel-moment"]["gap"] - 1 / 101) < 1e-6
+
+    def test_overflowing_gap_is_an_error(self, tmp_path, capsys):
+        # the coset values hold p^(j(s-1)) = 3^999, past the largest float
+        cache = tmp_path / "c.json"
+        argv = ["verify", "distribution", "--s", "1000", "--p", "3", "--j", "1", "--R", "100"]
+        assert run(argv + ["--cache", str(cache)]) == 1
+        rows = json.loads(cache.read_text(), parse_constant=_reject_constant)["results"]
+        assert [(r["status"], r["gap"]) for r in rows] == [("error", None)] * 3
+        assert all(r["detail"].startswith("FloatingPointError: p=3 ") for r in rows)
+        capsys.readouterr()
+        assert run(["report", "--cache", str(cache), "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
 
     def test_ordinary_factorization_fails_on_a_wrong_B1(self, tmp_path, monkeypatch, capsys):
         # with B_1 + 1 the e = 1 term of sum B_i d_p(e - i) reads kappa + 1, not kappa
@@ -385,8 +429,18 @@ class TestReport:
             '{"results": [1]}',
             '{"results": [{"suite": "arith"}]}',
             '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": null, "runtime": "1"}]}',
+            '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "fail", "gap": Infinity, "runtime": 1}]}',
         ],
-        ids=["not-json", "list", "no-results", "results-not-list", "row-not-dict", "row-missing-fields", "text-runtime"],
+        ids=[
+            "not-json",
+            "list",
+            "no-results",
+            "results-not-list",
+            "row-not-dict",
+            "row-missing-fields",
+            "text-runtime",
+            "infinite-gap",
+        ],
     )
     def test_malformed_cache_exit_2(self, text, tmp_path, capsys):
         cache = tmp_path / "cache.json"

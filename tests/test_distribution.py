@@ -193,7 +193,7 @@ class TestDistributionRelation:
                 if gcd(a, 3) != 1:
                     continue
                 rep = verify_distribution_relation(dist_params_small, a, j)
-                assert rep.passed
+                assert rep.gap <= rep.bound
                 assert rep.gap < 1e-9
 
     def test_corrupted_ordinary_data_fails(self, dist_params_small):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import asaikit
+from asaikit import arith, distribution
 
 MODULES = sorted(f"asaikit.{m.name}" for m in pkgutil.iter_modules(asaikit.__path__))
 
@@ -59,6 +61,33 @@ def test_higher_coeffs_analytic_on_the_integer_kernel():
     calls = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
     assert {"fold", "mobius_terms", "fixed_root_table"} <= calls
     assert not calls & {"root_table", "ArithTables"}
+
+
+def test_one_gate_for_every_verify_row():
+    """A numeric verify case yields (label, gap, bound) and decides nothing itself: no
+    three-element yield in cli.py holds a comparison, cli._run_check is the only function
+    that orders a gap against a bound, and the library reports carry no verdict."""
+    tree = ast.parse((Path(asaikit.__file__).parent / "cli.py").read_text())
+    numeric = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple) and len(node.value.elts) == 3
+    ]
+    assert numeric
+    assert not [case.lineno for case in numeric if any(isinstance(n, ast.Compare) for n in ast.walk(case))]
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    gates = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, ordering) for op in node.ops)
+        and "gap" in {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+    }
+    assert gates == {"_run_check"}
+    for report in (distribution.IdentityReport, arith.BesselMomentReport):
+        assert not {f.name for f in dataclasses.fields(report)} & {"passed", "agree"}, report.__name__
 
 
 def test_bench_tracer_targets_resolve():
