@@ -7,7 +7,9 @@ Everything here is immutable and pure.  Rational numbers are stdlib
 cyclotomic numbers are integer coefficient vectors over one positive
 denominator, reduced modulo the m-th cyclotomic polynomial and kept in
 lowest terms, so equality of values is equality of vectors.  Floats are
-refused wherever an exact value is expected.
+refused wherever an exact value is expected.  Likewise a Ball takes only
+Balls as operands, so every rounded value carries its error, and every
+analytic root of unity is read from the one integer table ``fixed_root_table``.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ __all__ = [
     "cyclotomic_polynomial",
     "CyclotomicNumber",
     "cyclotomic_mul",
-    "embed_complex",
     "Ball",
     "to_mpf",
-    "root_table",
     "fixed_root_table",
+    "root_ball",
     "fixed_power_terms",
     "mobius_terms",
     "fold",
@@ -503,7 +504,23 @@ class CyclotomicNumber:
         return "Cyc(" + " + ".join(terms) + ")"
 
     def embed(self, prec: int = 53) -> "Ball":
-        return embed_complex(self, prec)
+        """Evaluate the coefficient polynomial at exp(2*pi*i/m) (the fixed embedding).
+
+        Horner's rule runs at w = prec + 16 bits.  As |zeta| = 1, every partial
+        value is at most S = sum |c|, and each of the n steps moves the result by
+        at most 5 S 2^(-w): zeta (two units), the coefficient, the product and the
+        sum.  The radius counts 8 (n + 1) S 2^(-w).
+        """
+        if prec < 53:
+            raise ValueError("prec must be at least 53 bits")
+        coeffs = self.coeffs
+        with mp.workprec(prec + 16):
+            zeta = mpmath.expjpi(mpmath.mpf(2) / self.order)
+            acc = mpmath.mpc(0)
+            for c in reversed(coeffs):
+                acc = acc * zeta + to_mpf(c)
+        mass = sum(abs(float(c)) for c in coeffs)
+        return Ball.from_mpc(acc, prec, 8 * (len(coeffs) + 1) * mass * 2.0 ** (-prec - 16))
 
 
 @lru_cache(maxsize=None)
@@ -644,11 +661,9 @@ def _up(x: float) -> float:
 
 
 def _mag(z) -> float:
-    """|z| as a float, from the float real and imaginary parts (no mpf square root)."""
-    if hasattr(z, "_mpc_"):
-        re, im = z._mpc_
-        return hypot(to_float(re), to_float(im))
-    return abs(to_float(z._mpf_) if hasattr(z, "_mpf_") else float(z))
+    """|z| of an mpc as a float, from the float real and imaginary parts (no mpf square root)."""
+    re, im = z._mpc_
+    return hypot(to_float(re), to_float(im))
 
 
 class Ball:
@@ -657,8 +672,10 @@ class Ball:
     ``mid`` is an ``mpc``; ``rad`` is a float rounded up.  Arithmetic runs at
     the working precision p and adds to the radius the rounding of the
     midpoint operation, 2^(1-p) |result| (twice the round-to-nearest error of
-    each part, which also covers the float magnitude).  A scalar operand is
-    taken as exact.
+    each part, which also covers the float magnitude).  Both operands of
+    ``+``, ``-``, ``*`` and ``/`` are Balls: any other operand raises
+    TypeError, so a rounded value cannot enter without its radius.  An exact
+    constant is ``Ball(mpc)`` with radius 0.
     """
 
     __slots__ = ("mid", "rad")
@@ -682,30 +699,28 @@ class Ball:
         return Ball(mid, _up(rad + _mag(mid) * 2.0 ** (1 - mp.prec)))
 
     def __add__(self, other):
-        if isinstance(other, Ball):
-            return Ball._rounded(self.mid + other.mid, self.rad + other.rad)
-        return Ball._rounded(self.mid + other, self.rad)
-
-    __radd__ = __add__
+        if not isinstance(other, Ball):
+            return NotImplemented
+        return Ball._rounded(self.mid + other.mid, self.rad + other.rad)
 
     def __neg__(self):
         return Ball(mp.make_mpc(mpc_neg(self.mid._mpc_)), self.rad)  # exact: no rounding
 
     def __sub__(self, other):
-        if isinstance(other, Ball):
-            return Ball._rounded(self.mid - other.mid, self.rad + other.rad)
-        return Ball._rounded(self.mid - other, self.rad)
+        if not isinstance(other, Ball):
+            return NotImplemented
+        return Ball._rounded(self.mid - other.mid, self.rad + other.rad)
 
     def __mul__(self, other):
-        if isinstance(other, Ball):
-            rad = _mag(self.mid) * other.rad + _mag(other.mid) * self.rad + self.rad * other.rad
-            return Ball._rounded(self.mid * other.mid, rad)
-        return Ball._rounded(self.mid * other, _mag(other) * self.rad)
+        if not isinstance(other, Ball):
+            return NotImplemented
+        rad = _mag(self.mid) * other.rad + _mag(other.mid) * self.rad + self.rad * other.rad
+        return Ball._rounded(self.mid * other.mid, rad)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Ball") -> "Ball":
+    def __truediv__(self, other):
         """Quotient by a ball that excludes 0."""
+        if not isinstance(other, Ball):
+            return NotImplemented
         den = _mag(other.mid) * (1 - 2.0**-50) - other.rad
         if den <= 0:
             raise ZeroDivisionError("the divisor ball contains 0")
@@ -713,23 +728,15 @@ class Ball:
         return Ball._rounded(q, (self.rad + _mag(q) * other.rad) / den)
 
 
-def embed_complex(a: CyclotomicNumber, prec: int = 53) -> Ball:
-    """Evaluate the coefficient polynomial at exp(2*pi*i/m) (the fixed embedding).
+def _two_pi_power(k: int) -> Ball:
+    """(2 pi)^k for k >= 0 at the working precision w, as a Ball whose radius holds its rounding.
 
-    Horner's rule runs at w = prec + 16 bits.  As |zeta| = 1, every partial
-    value is at most S = sum |c|, and each of the n steps moves the result by
-    at most 5 S 2^(-w): zeta (two units), the coefficient, the product and the
-    sum.  The radius counts 8 (n + 1) S 2^(-w).
+    mpmath rounds pi and the power (exact, or at extra precision) once each,
+    so (2 pi)^k is within (1 + 2^(-w))^(k+1) - 1 < (k + 3) 2^(-w) of relative
+    error.
     """
-    if prec < 53:
-        raise ValueError("prec must be at least 53 bits")
-    with mp.workprec(prec + 16):
-        zeta = mpmath.expjpi(mpmath.mpf(2) / a.order)
-        acc = mpmath.mpc(0)
-        for c in reversed(a.coeffs):
-            acc = acc * zeta + to_mpf(c)
-    mass = sum(abs(float(c)) for c in a.coeffs)
-    return Ball.from_mpc(acc, prec, 8 * (len(a.coeffs) + 1) * mass * 2.0 ** (-prec - 16))
+    v = (2 * mpmath.pi) ** k
+    return Ball.from_mpc(mpmath.mpc(v), mp.prec, float(v) * (k + 3) * 2.0**-mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +744,8 @@ def embed_complex(a: CyclotomicNumber, prec: int = 53) -> Ball:
 # every term is the integer nearest a(r) r^(-s) 2^F, a residue bucket mod q is
 # the exact sum of its terms, and a frequency or character combination of the
 # buckets is an exact integer sum of products with the integers nearest
-# 2^F e(t/n), so a value is rounded once, when it becomes an mpc
+# 2^F e(t/n), so a value is rounded once, when it becomes an mpc.  The same
+# integers, over 2^F, are the one analytic table of roots of unity (root_ball)
 
 
 def to_mpf(x) -> mpmath.mpf:
@@ -745,13 +753,6 @@ def to_mpf(x) -> mpmath.mpf:
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpf(x)
-
-
-@lru_cache(maxsize=32)
-def root_table(n: int, prec: int) -> tuple:
-    """e(t/n) = exp(2 pi i t/n) for 0 <= t < n, at ``prec`` bits."""
-    with mp.workprec(prec):
-        return tuple(mpmath.expjpi(mpmath.mpf(2 * t) / n) for t in range(n))
 
 
 def _fixed(x: tuple, F: int) -> int:
@@ -776,6 +777,13 @@ def fixed_root_table(n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     sin = [_fixed(im, F) for _, im in roots]
     mirror = slice((n - 1) // 2, 0, -1)  # n - t for t = n // 2 + 1, ..., n - 1
     return tuple(cos + cos[mirror]), tuple(sin + [-x for x in sin[mirror]])
+
+
+def root_ball(n: int, t: int, F: int) -> Ball:
+    """e(t/n) as a Ball: the integer pair of ``fixed_root_table(n, F)`` over 2^F, an exact
+    midpoint, with radius sqrt(2) 2^(-F), as each coordinate lies within one unit."""
+    cos, sin = fixed_root_table(n, F)
+    return Ball(mp.make_mpc((from_man_exp(cos[t], -F), from_man_exp(sin[t], -F))), _up(sqrt(2) * 2.0**-F))
 
 
 def fixed_power_terms(
@@ -908,11 +916,11 @@ class TruncatedSeries:
     once; the residue buckets mod q, their exact sums, once per modulus; and
     ``at`` and ``twisted`` combine the buckets with the integer roots of unity
     of ``fixed_root_table`` in Python integers.  Each value is rounded once, to
-    an mpc, and ``at`` keeps the value at one frequency per b mod 1.
+    an mpc, and ``at`` keeps its value per frequency b mod 1.
     The tail A R^(k+1-s)/(s-k-1) uses the empirical majorant
     A = max_(r<=R) |a(r)|/r^k, so it bounds sum_(r>R) |a(r)| r^(-s) only if A
     holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s).
-    ``rounding`` is the proved rounding radius of one frequency (see ``_ball``).
+    ``rounding`` is the proved rounding radius of one value (see ``_ball``).
     """
 
     def __init__(self, pairs: Iterable[tuple[int, Fraction | int]], k: int, R: int, s: Fraction | int, prec: int):
@@ -932,15 +940,15 @@ class TruncatedSeries:
         units = len(self.terms) / 2 + self.mass * (sqrt(2) + term_err)
         self.rounding = units * (1 + 2.0 ** (1 - self.F)) * 2.0**-self.F
         self._buckets: dict[int, list[int]] = {}
-        self._values: dict[tuple[int, int], Ball] = {}  # at(b) for one b, by (q, numerator mod q)
+        self._values: dict[tuple[int, int], Ball] = {}  # at(b) by (denominator q, numerator mod q)
 
     def _bucket(self, q: int) -> list[int]:
         if q not in self._buckets:
             self._buckets[q] = fold(self.terms, q)
         return self._buckets[q]
 
-    def _ball(self, re: int, im: int, n: int) -> Ball:
-        """(re + i im) 2^(-2F), a sum of n root combinations of the buckets, as a Ball.
+    def _ball(self, re: int, im: int) -> Ball:
+        """(re + i im) 2^(-2F), one root combination of the buckets, as a Ball.
 
         Each term is within 1/2 + e_r of 2^F a(r) r^(-s), with e_r = 0 for
         integer s and e_r = (2 s ln R + 8) 2^(-16) |a(r) r^(-s)| otherwise, so a
@@ -951,33 +959,25 @@ class TruncatedSeries:
         sum_t |W_t - 2^F B_t| |rho_t| + 2^F sum_t |B_t| sqrt(2), which is below
         2^(2F) ``rounding``: count/2 2^(-F) for the terms, mass sqrt(2) 2^(-F)
         for the roots and term_err mass 2^(-F) for the mpf terms, times
-        1 + 2^(1-F), as sum_t |B_t| <= mass.  The radius is n tails plus n
-        such roundings; ``Ball.from_mpc`` adds the rounding of the one mpc.
+        1 + 2^(1-F), as sum_t |B_t| <= mass.  The radius is the tail plus one
+        such rounding; ``Ball.from_mpc`` adds the rounding of the one mpc.
         """
         scale = -2 * self.F
         mid = mp.make_mpc(tuple(from_man_exp(x, scale, self.prec, round_nearest) for x in (re, im)))
-        return Ball.from_mpc(mid, self.prec, n * (self.tail + self.rounding))
+        return Ball.from_mpc(mid, self.prec, self.tail + self.rounding)
 
-    def at(self, *bs: Fraction | int) -> Ball:
-        """sum over b in ``bs`` of sum_(r<=R) a(r) e(r b) r^(-s), added before the one rounding.
-
-        The value at one frequency depends on b mod 1 only, and is kept.
-        """
-        bs = [Fraction(b) for b in bs]
-        q = lcm(*(b.denominator for b in bs))
-        key = (q, bs[0].numerator % q) if len(bs) == 1 else None
-        if key in self._values:
-            return self._values[key]
-        W = self._bucket(q)
-        sums = [frequency_sum(W, b, self.F) for b in bs]
-        value = self._ball(sum(re for re, _ in sums), sum(im for _, im in sums), len(bs))
-        if key is not None:
-            self._values[key] = value
+    def at(self, b: Fraction | int) -> Ball:
+        """sum_(r<=R) a(r) e(r b) r^(-s); it depends on b mod 1 only, and is kept."""
+        b = Fraction(b)
+        key = (b.denominator, b.numerator % b.denominator)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._ball(*frequency_sum(self._bucket(key[0]), b, self.F))
         return value
 
     def twisted(self, chi, q: int, coprime_to: int = 1) -> Ball:
         """sum_(r<=R) chi(r) a(r) r^(-s) over r prime to ``coprime_to``, from the buckets mod q."""
-        return self._ball(*character_sum(self._bucket(q), chi, self.F, coprime_to), 1)
+        return self._ball(*character_sum(self._bucket(q), chi, self.F, coprime_to))
 
 
 # ---------------------------------------------------------------------------

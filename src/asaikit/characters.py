@@ -26,6 +26,7 @@ from .arith import (
     bernoulli_number,
     bernoulli_polynomial,
     TruncatedSeries,
+    _two_pi_power,
     _vp_min,
     euler_phi,
     factorize,
@@ -333,7 +334,6 @@ class GeneralizedGaussSum:
     """Frequency-twisted Gauss sum sum_{a mod p^j} chi(a) e(a M / p^j)."""
 
     value: CyclotomicNumber
-    closed_form: CyclotomicNumber
     agrees: bool
     conductor: int
 
@@ -355,7 +355,7 @@ def generalized_gauss_sum(chi: DirichletCharacter, M: int, j: int) -> Generalize
         raise ValueError(f"character modulus {chi.modulus} does not equal p^j = {p}^{j}")
     direct = unit_sum_twisted_direct(chi, M)
     closed = unit_sum_twisted(chi, M)
-    return GeneralizedGaussSum(direct, closed, direct == closed, chi.conductor())
+    return GeneralizedGaussSum(direct, direct == closed, chi.conductor())
 
 
 def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
@@ -482,10 +482,11 @@ class TranscendentalValue:
     algebraic: CyclotomicNumber
 
     def numeric(self, prec: int = 53) -> Ball:
-        """The value at ``prec`` bits; the radius bounds the embedding's rounding."""
+        """The value at ``prec`` bits; the radius bounds the roundings of the embedding and of (2 pi)^k."""
+        k = self.two_pi_i_power
+        i_power = Ball(mpmath.mpc(*((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]))  # i^k, exact
         with mp.workprec(prec + 16):
-            two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
-            z = self.algebraic.embed(prec + 16) * two_pi_i**self.two_pi_i_power
+            z = self.algebraic.embed(prec + 16) * _two_pi_power(k) * i_power
         return Ball.from_mpc(z.mid, prec, z.rad)
 
     def __eq__(self, other):
@@ -532,8 +533,6 @@ class NormalizedLValue:
 
     value: CyclotomicNumber
     conductor: int
-    vp_lower: Fraction
-    vp_bound: Fraction
     bound_ok: bool
 
 
@@ -565,5 +564,4 @@ def normalized_L(chi: DirichletCharacter, k: int) -> NormalizedLValue:
         p, _ = factorize(C)[0]
         j_chi = factorize(chi.conductor())[0][1] if chi.conductor() > 1 else 0
         v_low = _vp_min(value.num, value.den, p)
-    bound = Fraction(-(j_chi * (k + 1)))
-    return NormalizedLValue(value, C, Fraction(v_low), bound, v_low >= bound)
+    return NormalizedLValue(value, C, v_low >= -(j_chi * (k + 1)))

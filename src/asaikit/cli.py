@@ -745,6 +745,7 @@ def _is_row(row) -> bool:
         isinstance(row, dict)
         and all(isinstance(row.get(key), str) for key in ("suite", "name", "anchor", "status"))
         and isinstance(row.get("runtime"), (int, float))
+        and isfinite(row["runtime"])
         and "gap" in row
         and (row["gap"] is None or isinstance(row["gap"], (int, float)) and isfinite(row["gap"]))
     )

@@ -25,9 +25,10 @@ from .arith import (
     _split_order,
     TruncatedSeries,
     _check_rational,
+    _two_pi_power,
     _vp_min,
     factorize,
-    root_table,
+    root_ball,
 )
 from .asai import MockEigenform
 from .characters import DirichletCharacter, gauss_sum, normalized_L
@@ -563,32 +564,22 @@ def pairing_series(
 ) -> Ball:
     """sum_(r>=1) (e(r b) + e(-r b)) c(r) r^(-s'), truncated at R; the radius holds the tail."""
     f.tabulate(R)
-    return TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, prec).at(b, -b)
+    series = TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, prec)
+    with mp.workprec(prec):
+        return series.at(b) + series.at(-b)
 
 
 @dataclass(frozen=True)
 class RationalityReport:
     """``lhs``, ``rhs``, ``gap`` and ``value`` omit the common factor
     G'_inf(0) sqrt(D)^s' / (G(chibar^2) (2 pi)^(4n-3m+4)) of both sides;
-    ``rel_gap`` and ``algebraic_claim`` do not depend on it."""
+    ``rel_gap`` does not depend on it."""
 
     value: Ball
     lhs: Ball
     rhs: Ball
     gap: float
     rel_gap: float
-    algebraic_claim: bool
-
-
-def _two_pi_power(k: int) -> Ball:
-    """(2 pi)^k at the working precision w, as a Ball whose radius holds its rounding.
-
-    mpmath rounds pi and the power (exact, or at extra precision) once each,
-    so (2 pi)^k is within (1 + 2^(-w))^(k+1) - 1 < (k + 3) 2^(-w) of relative
-    error.
-    """
-    v = (2 * mpmath.pi) ** k
-    return Ball.from_mpc(mpmath.mpc(v), mp.prec, float(v) * (k + 3) * 2.0**-mp.prec)
 
 
 def rationality_ratio(
@@ -599,7 +590,6 @@ def rationality_ratio(
     R: int,
     prec: int,
     omega_f: Ball,
-    tol: float = 1e-8,
 ) -> RationalityReport:
     """Assemble both sides of the twisted-value identity and report the gap.
 
@@ -608,9 +598,7 @@ def rationality_ratio(
     over half representatives a, P the pairing series.  Both sides of the
     full identity carry the common factor named in ``RationalityReport``,
     which cancels and is left out.  ``value`` divides the left side by the
-    user-supplied period; ``algebraic_claim`` only records numerical
-    consistency at the requested tolerance, or within four times the right
-    side's radius (its tails).
+    user-supplied period.
     """
     if m % 2 or not 0 <= m <= n - 2:
         raise ValueError("m must be even with 0 <= m <= n-2")
@@ -645,34 +633,28 @@ def rationality_ratio(
         for q, _ in factorize(f.N):  # remove the level-N Euler factors, exact until embedded
             if gcd(q, psi0.modulus) == 1:
                 lval = lval * (1 - psi0.value(q) * Fraction(1, q**k_l)).embed(prec + 16)
-        pair_acc = Ball(mpmath.mpc(0))
-        for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
-            w = root_table(chi0.value_order, mp.prec)[chi0.exponent_of(a)]
-            b = Fraction(a, p**j_chi) if j_chi else Fraction(0)
-            pair_acc = pair_acc + c_series.at(b, -b) * w
         if j_chi == 0:
-            # the single class pairs with itself, so the cosine form double counts
-            pair_acc = pair_acc * 0.5
+            pair_acc = c_series.at(0)
+        else:
+            pair_acc = Ball(mpmath.mpc(0))
+            for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
+                b = Fraction(a, p**j_chi)
+                w = root_ball(chi0.value_order, chi0.exponent_of(a), mp.prec)
+                pair_acc = pair_acc + (c_series.at(b) + c_series.at(-b)) * w
         rhs = lval * pair_acc
         gap = float(abs((lhs - rhs).mid))
-        lhs_abs, rhs_abs = float(abs(lhs.mid)), float(abs(rhs.mid))
-        rel = gap / max(lhs_abs, 1e-300)
-        consistent = gap <= max(tol * max(lhs_abs, rhs_abs), 4 * rhs.rad)
         value = lhs / omega_f
     return RationalityReport(
         Ball.from_mpc(value.mid, prec, value.rad),
         Ball.from_mpc(lhs.mid, prec, lhs.rad),
         Ball.from_mpc(rhs.mid, prec, rhs.rad),
         gap,
-        rel,
-        consistent,
+        gap / max(float(abs(lhs.mid)), 1e-300),
     )
 
 
 def _half_representatives(p: int, j: int) -> list[int]:
-    """Even representatives of (Z/p^j)^x / {+-1}; [0] when j = 0."""
-    if j == 0:
-        return [0]
+    """Even representatives of (Z/p^j)^x / {+-1} for j >= 1."""
     q = p**j
     seen = set()
     reps = []

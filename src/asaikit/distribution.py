@@ -23,7 +23,9 @@ when s is not an integer.  The series keeps each P_s(b) by b mod 1, so the
 coset values that ``mu_tilde``, ``verify_distribution_relation`` and
 ``integrate_character`` share are summed once, and ``DistParams`` keeps the
 form-only weights of ``mu_tilde`` per level, as Balls that carry their own
-rounding.
+rounding.  ``integrate_character`` adds the coset values per value of chi and
+multiplies each sum once by its root of unity, an ``arith.root_ball`` read
+from the same integer table as the series.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import gcd, log
 import mpmath
 from mpmath import mp
 
-from .arith import Ball, TruncatedSeries, _split_order, root_table, to_mpf, vp
+from .arith import Ball, TruncatedSeries, _split_order, root_ball, to_mpf, vp
 from .asai import MockEigenform, OrdinaryData, ordinary_data
 from .characters import DirichletCharacter, gauss_sum
 
@@ -160,20 +162,28 @@ def verify_distribution_relation(params: DistParams, a: int, j: int) -> Identity
 
 
 def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> Ball:
-    """sum_{a mod p^j} chi(a) mu_s(a + p^j Z_p), the direct weighted coset sum."""
+    """sum_{a mod p^j} chi(a) mu_s(a + p^j Z_p), the direct weighted coset sum.
+
+    The coset values are added per value e(t/n) of chi first, as
+    ``arith.character_sum`` adds buckets, and each sum is multiplied once by
+    its root, an ``arith.root_ball``.
+    """
     q = params.p**j
     if chi.modulus != 1 and q % chi.modulus:
         raise ValueError("need j >= j_chi")
     with mp.workprec(params.prec + 16):
-        roots = root_table(chi.value_order, mp.prec)
-        acc = Ball(mpmath.mpc(0))
+        by_value: dict[int, Ball] = {}
         for a in range(1, q + 1):
             if gcd(a, params.p) != 1:
                 continue
             t = chi.exponent_of(a)
             if t is None:
                 continue
-            acc = acc + mu_tilde(params, a, j) * roots[t]
+            v = mu_tilde(params, a, j)
+            by_value[t] = by_value[t] + v if t in by_value else v
+        acc = Ball(mpmath.mpc(0))
+        for t, v in by_value.items():
+            acc = acc + v * root_ball(chi.value_order, t, mp.prec)
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 

@@ -430,6 +430,7 @@ class TestReport:
             '{"results": [{"suite": "arith"}]}',
             '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": null, "runtime": "1"}]}',
             '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "fail", "gap": Infinity, "runtime": 1}]}',
+            '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": null, "runtime": Infinity}]}',
         ],
         ids=[
             "not-json",
@@ -440,6 +441,7 @@ class TestReport:
             "row-missing-fields",
             "text-runtime",
             "infinite-gap",
+            "infinite-runtime",
         ],
     )
     def test_malformed_cache_exit_2(self, text, tmp_path, capsys):

@@ -25,10 +25,22 @@ def test_exports_resolve(name):
 
 
 def test_roots_of_unity_only_in_arith():
-    """Twisted sums go through the arith series helpers: no other module calls expjpi."""
+    """Twisted sums go through the arith series helpers: no other module calls expjpi.
+    In arith only fixed_root_table (the one analytic root table) and CyclotomicNumber.embed
+    (the exact route's own Horner evaluation) call it; root_table and embed_complex are gone."""
     src = Path(asaikit.__file__).parent
     offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "arith.py" and "expjpi" in p.read_text()]
     assert not offenders
+    callers = {
+        name
+        for name, fn in _methods(ast.parse((src / "arith.py").read_text())).items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "expjpi"
+    }
+    assert callers == {"fixed_root_table", "CyclotomicNumber.embed"}
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        assert not any(hasattr(mod, name) for name in ("root_table", "embed_complex")), module
 
 
 def test_one_congruence_engine_in_padic():
