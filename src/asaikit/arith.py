@@ -58,6 +58,7 @@ __all__ = [
     "root_ball",
     "fixed_power_terms",
     "mobius_terms",
+    "mobius_buckets",
     "fold",
     "frequency_sum",
     "character_sum",
@@ -839,23 +840,57 @@ def _mobius_masks(bound: int) -> tuple[bytes, bytes]:
     return bytes(code.translate(_MU_PLUS)), bytes(code.translate(_MU_MINUS))
 
 
-def mobius_terms(bound: int, k: int, F: int, coprime_to: int = 1) -> Iterator[tuple[int, int]]:
+def mobius_terms(
+    bound: int, k: int, F: int, coprime_to: int = 1, multiple_of: int = 1
+) -> Iterator[tuple[int, int]]:
     """Lazily yield (m, the integer nearest mu(m) 2^F m^(-k)) for the squarefree m <= bound
-    prime to ``coprime_to``, the terms with mu(m) = 1 first.
+    prime to ``coprime_to`` and divisible by ``multiple_of``, the terms with mu(m) = 1 first.
 
     The terms are ``fixed_power_terms``' integers, each within 1/2 of
     mu(m) 2^F m^(-k).  Only the two sign masks are kept per bound; each call
     copies them, zeroes the multiples of the primes of ``coprime_to`` and walks
-    what is left.
+    what is left at the multiples of ``multiple_of``.
     """
     plus, minus = (bytearray(mask) for mask in _mobius_masks(bound))
     for q, _ in factorize(coprime_to):
         zero = bytes(len(range(q, bound + 1, q)))
         plus[q::q] = zero
         minus[q::q] = zero
-    r = range(bound + 1)
-    pairs = chain(zip(compress(r, plus), repeat(1)), zip(compress(r, minus), repeat(-1)))
+    g = multiple_of
+    r = range(0, bound + 1, g)
+    pairs = chain(zip(compress(r, plus[::g]), repeat(1)), zip(compress(r, minus[::g]), repeat(-1)))
     return fixed_power_terms(pairs, k, F)
+
+
+@lru_cache(maxsize=1024)
+def _mobius_bucket(bound: int, k: int, F: int, q: int, g: int) -> tuple[int, ...]:
+    """S(g; q): the q buckets ``fold`` makes of the ``mobius_terms`` of the squarefree
+    m <= bound with g | m and gcd(m, q) = 1."""
+    return tuple(fold(mobius_terms(bound, k, F, q, g), q))
+
+
+def mobius_buckets(bound: int, k: int, F: int, M: int, q: int) -> list[int]:
+    """``fold(mobius_terms(bound, k, F, M), q)``, from buckets that levels M share.
+
+    Every prime of q must divide M.  With P the product of the primes of M
+    that do not divide q, the squarefree m prime to M are those prime to q
+    and to P, and sum_(g | gcd(m, P)) mu(g) is 1 exactly when gcd(m, P) = 1.
+    So the buckets are sum_(g | P) mu(g) S(g; q) (``_mobius_bucket``, cached
+    per (bound, k, F, q, g)): the same integer terms, summed exactly, so the
+    result is bit-identical.  A level prime to everything but q reads S(1; q)
+    alone, the terms it would fold itself; levels that share a g share its
+    bucket.  A g above the bound has no multiple to sum and is skipped.
+    """
+    if any(M % l for l, _ in factorize(q)):
+        raise ValueError("every prime of q must divide M")
+    signed = [(1, 1)]  # (g, mu(g)) over the g | P
+    for l, _ in factorize(M):
+        if q % l:
+            signed += [(g * l, -mu) for g, mu in signed if g * l <= bound]
+    W = [0] * q
+    for g, mu in signed:
+        W = [w + mu * x for w, x in zip(W, _mobius_bucket(bound, k, F, q, g))]
+    return W
 
 
 def fold(terms: Iterable[tuple[int, int]], q: int) -> list[int]:

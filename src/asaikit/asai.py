@@ -167,64 +167,47 @@ class MockEigenform:
     def tabulate(self, bound: int) -> None:
         """Tabulate the nonzero c(r) and d(r) for r <= bound (build once, then read-only).
 
-        c is multiplicative, so its support is the set of products of coprime
-        prime powers with nonzero local value; a depth-first walk over the
-        primes builds exactly those.
+        Both are multiplicative: c because it is a Hecke eigenvalue, and d
+        because the Asai L-function has an Euler product (Asai, Math. Ann. 226
+        (1977) 81-94).  So each table is the set of products of coprime prime
+        powers with nonzero local value, and one depth-first walk over the
+        primes (``_multiplicative_table``) builds both.  The local values are
+        c(l^e) and d(l^e) = c(l^e) + l^(2k-2) d(l^(e-2)) for l not dividing N
+        (the sum over l^(2i) t = l^e of l^(i(2k-2)) c(t)), d(l^e) = c(l^e) for
+        l | N.  A local d can vanish where c does not: at an inert l with
+        c(l) = 0, d(l^2) = c(l^2) + l^(2k-2) = 0.
 
         A prime l is skipped when l^2 > bound, l does not divide D, l != p and
         its eigen entry is all zero: only l^1 fits below the bound, and there
-        c(l) is c(L) c(Lbar) or c(L), so zero.  A ramified l (c(l) = c(L^2),
-        nonzero even when c(L) = 0) and p (Satake data) are always visited, and
-        so is every prime without an eigen entry: missing eigen-data still
-        raises ``KeyError`` as a pointwise lookup would.
+        c(l) = d(l) is c(L) c(Lbar) or c(L), so zero.  A ramified l
+        (c(l) = c(L^2), nonzero even when c(L) = 0) and p (Satake data) are
+        always visited, and so is every prime without an eigen entry: missing
+        eigen-data still raises ``KeyError`` as a pointwise lookup would.
         """
         if bound <= self._bound:
             return
-        local = []  # per prime l: the (l^e, c(l^e)) with c(l^e) != 0, l^e <= bound
+        w = 2 * self.k - 2
+        local_c, local_d = [], []  # per prime l: the (l^e, value) with value != 0, l^e <= bound
         for l in primes_up_to(bound):
             cs = self.eigen.get(l)
             if l * l > bound and self.field.D % l and l != self.p and cs is not None and not any(cs):
                 continue
-            powers = []
-            le, e = l, 1
+            c = [Fraction(1)]  # c(l^e) for e = 0, 1, ...
+            le = l
             while le <= bound:
-                v = self._coeff_from_factorization([(l, e)])
-                if v:
-                    powers.append((le, v))
+                c.append(self._coeff_from_factorization([(l, len(c))]))
                 le *= l
-                e += 1
-            if powers:
-                local.append((l, powers))
-        c = {1: Fraction(1)}
-        stack = [(1, Fraction(1), 0)]
-        while stack:
-            r, v, start = stack.pop()
-            for i in range(start, len(local)):
-                l, powers = local[i]
-                if r * l > bound:
-                    break
-                for le, w in powers:
-                    rl = r * le
-                    if rl > bound:
-                        break
-                    c[rl] = v * w
-                    stack.append((rl, c[rl], i + 1))
-        self._c = {r: c[r] for r in sorted(c)}
-        # d(r) = sum over r = m^2 t, gcd(m, N) = 1, of m^(2k-2) c(t)
-        d: dict[int, Fraction] = {}
-        m = 1
-        while m * m <= bound:
-            if gcd(m, self.N) == 1:
-                w = Fraction(m) ** (2 * self.k - 2)
-                mm = m * m
-                for t, ct in self._c.items():
-                    r = mm * t
-                    if r > bound:
-                        break
-                    d[r] = d.get(r, 0) + w * ct
-            m += 1
-        # entries can cancel: at an inert l, d(l^2) = c(l^2) + l^(2k-2) = 0 when c(l) = 0
-        self._d = {r: d[r] for r in sorted(d) if d[r]}
+            d = c[:]
+            if self.N % l:
+                lw = Fraction(l) ** w
+                for e in range(2, len(d)):
+                    d[e] += lw * d[e - 2]
+            for table, values in ((local_c, c), (local_d, d)):
+                powers = [(l**e, v) for e, v in enumerate(values) if e and v]
+                if powers:
+                    table.append((l, powers))
+        self._c = _multiplicative_table(local_c, bound)
+        self._d = _multiplicative_table(local_d, bound)
         self._bound = bound
 
     def nonzero(self, R: int, which: str = "d") -> Iterator[tuple[int, Fraction]]:
@@ -248,6 +231,34 @@ class MockEigenform:
             else:
                 out *= self._c_prime_power(l, 0, 2 * e)
         return out
+
+
+def _multiplicative_table(local: list[tuple[int, list[tuple[int, Fraction]]]], bound: int) -> dict[int, Fraction]:
+    """The nonzero values up to bound of the multiplicative function with the given local values,
+    in ascending r.
+
+    ``local`` lists, by ascending prime l, the (l^e, value) with nonzero value
+    in ascending e; a prime with no entry has value 0 at every l^e, e >= 1.
+    A depth-first walk multiplies coprime prime powers, each prime after the
+    last one used, so every r is built once, from its factorization.
+    """
+    table = [(1, Fraction(1))]
+    stack = [(1, Fraction(1), 0)]
+    while stack:
+        r, v, start = stack.pop()
+        for i in range(start, len(local)):
+            l, powers = local[i]
+            if r * l > bound:
+                break
+            for le, x in powers:
+                rl = r * le
+                if rl > bound:
+                    break
+                vx = v * x
+                table.append((rl, vx))
+                stack.append((rl, vx, i + 1))
+    table.sort()  # each r occurs once, so only the r are compared
+    return dict(table)
 
 
 def hecke_power(c_l: Rational, norm_pow: Rational, e: int) -> Fraction:

@@ -24,6 +24,9 @@ from mpmath import mp
 from . import arith, asai, characters, cohomology, distribution, eisenstein, padic
 
 DEFAULT_CACHE = "asaikit_report_cache.json"
+# gaps and radii are floats, which underflow to 0 near 2^(-1074); a finer --prec would
+# pass a row on a gap that is no longer seen
+MAX_PRECISION_BITS = 1000
 
 
 def _flag(flag: str, default=None, type=int):
@@ -46,8 +49,8 @@ class RunConfig:
     cache_path: str = _flag("--cache", DEFAULT_CACHE, str)
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision must be >= 64 bits")
+        if not 64 <= self.precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(f"--prec must be between 64 and {MAX_PRECISION_BITS} bits, got {self.precision_bits}")
         if self.tolerance_exp < 6:
             raise ValueError("tolerance exponent must be >= 6")
         if self.p is not None and (self.p < 3 or arith.factorize(self.p) != [(self.p, 1)]):

@@ -23,9 +23,10 @@ when s is not an integer.  The series keeps each P_s(b) by b mod 1, so the
 coset values that ``mu_tilde``, ``verify_distribution_relation`` and
 ``integrate_character`` share are summed once, and ``DistParams`` keeps the
 form-only weights of ``mu_tilde`` per level, as Balls that carry their own
-rounding.  ``integrate_character`` adds the coset values per value of chi and
-multiplies each sum once by its root of unity, an ``arith.root_ball`` read
-from the same integer table as the series.
+rounding, and each coset value per (j, a mod p^j).  ``integrate_character``
+adds the coset values per value of chi and multiplies each sum once by its
+root of unity, an ``arith.root_ball`` read from the same integer table as the
+series.
 """
 
 from __future__ import annotations
@@ -54,7 +55,13 @@ __all__ = [
 
 
 class DistParams:
-    """Evaluation parameters: eigenform, split prime, real s > k+1, truncation, precision."""
+    """Evaluation parameters: eigenform, split prime, real s > k+1, truncation, precision.
+
+    ``ordinary`` and ``series`` are built from the form once; the values read
+    from them are kept on the params: ``coset_weights`` per level j, and
+    ``mu_tilde`` per (j, a mod p^j), each only while the objects it was built
+    from are still in place.
+    """
 
     def __init__(self, f: MockEigenform, p: int, s, R: int, prec: int = 128):
         s = Fraction(s)
@@ -75,6 +82,7 @@ class DistParams:
         f.tabulate(R)
         self.series = TruncatedSeries(f.nonzero(R), f.k, R, s, prec)  # nonzero d(r)
         self._weights: dict[int, tuple[OrdinaryData, Ball, tuple[tuple[int, Ball], ...]]] = {}
+        self._cosets: dict[tuple[int, int], tuple[OrdinaryData, TruncatedSeries, Ball]] = {}
 
     def tail_bound(self) -> float:
         """Tail bound for sum_{r>R} |d(r)| r^(-s) with the empirical majorant."""
@@ -123,19 +131,31 @@ def P_s(params: DistParams, b: Fraction | int) -> Ball:
 
 
 def mu_tilde(params: DistParams, a: int, j: int) -> Ball:
-    """Coset value p^(j(s-1))/kappa^j * sum_i B_i P_s(a p^i / p^j) p^(-i s)."""
+    """Coset value p^(j(s-1))/kappa^j * sum_i B_i P_s(a p^i / p^j) p^(-i s).
+
+    It depends on a mod p^j only, so ``params`` keeps it per (j, a mod p^j)
+    and returns the same Ball on the next call.  A kept value is read only
+    while ``params.ordinary`` and ``params.series`` are the objects it was
+    built from, as ``coset_weights`` and ``series.at`` require; replacing
+    either gives a fresh value.
+    """
     p = params.p
     if j < 1:
         raise ValueError("level j must be >= 1")
     if gcd(a, p) != 1:
         raise ValueError("a must be a unit modulo p")
-    pref, weights = params.coset_weights(j)
-    with mp.workprec(params.prec + 16):
-        acc = Ball(mpmath.mpc(0))
-        for i, w in weights:
-            acc = acc + P_s(params, Fraction(a * p**i, p**j)) * w
-        acc = acc * pref
-    return Ball.from_mpc(acc.mid, params.prec, acc.rad)
+    key = (j, a % p**j)
+    kept = params._cosets.get(key)
+    if kept is None or kept[0] is not params.ordinary or kept[1] is not params.series:
+        pref, weights = params.coset_weights(j)
+        with mp.workprec(params.prec + 16):
+            acc = Ball(mpmath.mpc(0))
+            for i, w in weights:
+                acc = acc + P_s(params, Fraction(a * p**i, p**j)) * w
+            acc = acc * pref
+        value = Ball.from_mpc(acc.mid, params.prec, acc.rad)
+        kept = params._cosets[key] = (params.ordinary, params.series, value)
+    return kept[2]
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,7 @@ from .arith import (
     euler_phi,
     factorize,
     fixed_root_table,
-    fold,
-    mobius_terms,
+    mobius_buckets,
 )
 from .asai import FUNDAMENTAL_D, QuadFieldData
 from .characters import (
@@ -316,6 +315,10 @@ def higher_coeffs_analytic(
     working precision w = prec + 16, plus 32 bits).  The terms are the
     integers nearest mu(m) 2^F m^(-k) (``mobius_terms``), so a bucket of n
     terms sums exactly to within n/2 of 2^F times its truncated series.  The
+    buckets mod p^j of the m prime to M come from ``mobius_buckets``, which
+    sums buckets cached per (terms, k, F, p^j, g) by inclusion-exclusion over
+    the squarefree g | N, so levels that share a prime of N share its terms;
+    they are the same integers, summed exactly.  The
     v-range is the subgroup H = {v = +-1 mod p^j}, so the zeta_plus mass seen
     from a unit u is the sum over the coset u^(-1) H: the buckets mod p^j at
     +-u^(-1), one integer mass W_c per coset c (a single one at j = 0).  The
@@ -358,7 +361,7 @@ def higher_coeffs_analytic(
     phi = len(units)
     w = prec + 16
     F = w + 32
-    W = fold(mobius_terms(terms, k, F, M), q)
+    W = mobius_buckets(terms, k, F, M, q)
     cos, _ = fixed_root_table(M, F)
     cosets = {}  # +-c mod q -> the coset's units u (u^(-1) = +-c) and its integer mass
     for u in units:

@@ -26,6 +26,7 @@ from asaikit.arith import (
     fold,
     frequency_sum,
     kronecker_symbol,
+    mobius_buckets,
     mobius_terms,
     primes_up_to,
     root_ball,
@@ -33,6 +34,7 @@ from asaikit.arith import (
     vp,
     TruncatedSeries,
     _binomial,
+    _mobius_bucket,
 )
 from asaikit.characters import enumerate_characters
 
@@ -606,17 +608,44 @@ class TestSeriesPath:
         bound=st.integers(1, 3000),
         k=st.integers(2, 8),
         coprime_to=st.integers(1, 10**4),
+        multiple_of=st.sampled_from([1, 1, 2, 3, 6, 35, 4000]),
         F_bits=st.sampled_from([64, 176]),
     )
-    def test_mobius_terms(self, bound, k, coprime_to, F_bits):
-        # the sieve-masked terms are fixed_power_terms over the Moebius table, filtered by gcd
+    def test_mobius_terms(self, bound, k, coprime_to, multiple_of, F_bits):
+        # the sieve-masked terms are fixed_power_terms over the Moebius table, filtered by gcd and g | m
         mob = ArithTables(bound).mobius
-        pairs = [(m, mob(m)) for m in range(1, bound + 1) if mob(m) and gcd(m, coprime_to) == 1]
+        pairs = [
+            (m, mob(m))
+            for m in range(1, bound + 1)
+            if mob(m) and gcd(m, coprime_to) == 1 and m % multiple_of == 0
+        ]
         want = list(fixed_power_terms(pairs, k, F_bits))
-        got = list(mobius_terms(bound, k, F_bits, coprime_to))
+        got = list(mobius_terms(bound, k, F_bits, coprime_to, multiple_of))
         assert sorted(got) == want
         for q in (1, 2, 3, 5, 6, 10, 15, 30):
             assert fold(got, q) == fold(want, q), q
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bound=st.integers(1, 3000),
+        k=st.integers(2, 8),
+        levels=st.lists(
+            st.tuples(st.integers(1, 10**4), st.integers(0, 5), st.integers(0, 2)), min_size=1, max_size=6
+        ),
+        F_bits=st.sampled_from([64, 176]),
+    )
+    def test_mobius_buckets(self, bound, k, levels, F_bits):
+        # the shared buckets are bit-identical to one level's own fold; the levels come in a
+        # random order from an empty cache, so later ones read buckets that earlier ones filled
+        _mobius_bucket.cache_clear()
+        for M, pick, e in levels:
+            primes = [l for l, _ in factorize(M)]
+            q = primes[pick % len(primes)] ** e if primes else 1
+            assert mobius_buckets(bound, k, F_bits, M, q) == fold(mobius_terms(bound, k, F_bits, M), q), (M, q)
+
+    def test_mobius_buckets_need_the_primes_of_q_in_M(self):
+        with pytest.raises(ValueError):
+            mobius_buckets(100, 4, 64, 7, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=SPARSE_PAIRS, s=SERIES_S, q=st.integers(1, 30), c=st.integers(0, 10**6))

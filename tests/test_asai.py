@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -186,6 +186,34 @@ class TestSparseTables:
             assert f.field.splitting(l) == "inert"
             assert coeff_principal(f, l * l) != 0
             assert l * l not in d and asai_coeff(f, l * l) == 0
+
+    @pytest.mark.parametrize("N", [1, 7, 35])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_tables_equal_the_convolution(self, N, k):
+        # over Q(sqrt(-20)) 2 and 5 ramify; 5 | 35 and 7 | N keep d(l^e) = c(l^e), and the
+        # inert primes below the support (11, 13, 17, 19) have c(l) = 0, so d(l^2) cancels
+        def form():
+            return random_mock_eigenform(
+                random.Random(5), k=k, N=N, D=20, p=3, prime_bound=3000, support_bound=80, support_min=31
+            )
+
+        bound = 3000
+        f, g = form(), form()
+        f.tabulate(bound)
+        c = {r: coeff_principal(g, r) for r in range(1, bound + 1)}
+        d = {
+            r: sum(
+                F(m) ** (2 * k - 2) * c[r // (m * m)]
+                for m in range(1, isqrt(r) + 1)
+                if r % (m * m) == 0 and gcd(m, N) == 1
+            )
+            for r in range(1, bound + 1)
+        }
+        assert list(f.nonzero(bound, "c")) == [(r, v) for r, v in c.items() if v]
+        assert list(f.nonzero(bound)) == [(r, v) for r, v in d.items() if v]
+        inert = [l for l in (11, 13, 17, 19) if f.field.splitting(l) == "inert"]
+        assert inert and all(c[l * l] and l * l not in f._d for l in inert)
+        assert c[2] and c[5] and f._d[4] == c[4] + 2 ** (2 * k - 2)
 
     def test_tabulate_past_eigen_data_raises(self):
         f = sample_form(bound=100)

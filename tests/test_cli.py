@@ -102,10 +102,18 @@ class TestVerify:
             ["distribution", "--p", "5", "--R", "20"],
             ["distribution", "--s", "2", "--R", "50"],
             ["distribution", "--s", "k+1"],
+            ["arith", "--prec", "1100"],
         ],
     )
     def test_invalid_setting_exit_2(self, argv, tmp_path):
         assert run(["verify", *argv, "--cache", str(tmp_path / "c.json")]) == 2
+
+    def test_precision_ceiling(self):
+        # float gaps underflow to 0 near 2^(-1074): `verify arith --prec 1100` passed
+        # embedding-homomorphism on gap 0.0 against a bound 2^(12 - 1100) that is also 0.0
+        assert cli.RunConfig(precision_bits=1000).precision_bits == cli.MAX_PRECISION_BITS
+        with pytest.raises(ValueError, match="--prec"):
+            cli.RunConfig(precision_bits=1001)
 
     def test_eigenform_file_sets_the_prime(self, tmp_path, capsys):
         rng = random.Random(1)

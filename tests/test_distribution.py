@@ -125,6 +125,21 @@ class TestMuTilde:
         params.ordinary = dataclasses.replace(od, kappa=2 * od.kappa)
         assert params.coset_weights(1)[0] is not first
 
+    def test_coset_values_are_kept_until_their_sources_change(self):
+        f = random_mock_eigenform(random.Random(3), k=2, p=3, prime_bound=200, support_bound=20)
+        params = DistParams(f, 3, F(5), 200, 96)
+        v = mu_tilde(params, 1, 2)
+        assert mu_tilde(params, 10, 2) is v and mu_tilde(params, 1, 1) is not v  # a mod p^j, per level
+        params.series = TruncatedSeries(((r, 2 * d) for r, d in f.nonzero(200)), f.k, 200, F(5), 96)
+        doubled = mu_tilde(params, 1, 2)
+        with mp.workprec(160):
+            assert abs(doubled.to_mpc() - 2 * v.to_mpc()) < 1e-25
+        assert mu_tilde(params, 1, 2) is doubled
+        params.ordinary = dataclasses.replace(params.ordinary, kappa=2 * params.ordinary.kappa)
+        quartered = mu_tilde(params, 1, 2)  # p^(j(s-1))/kappa^j at j = 2 falls by 4
+        with mp.workprec(160):
+            assert abs(quartered.to_mpc() - doubled.to_mpc() / 4) < 1e-25
+
     def test_rejects_non_units(self, dist_params_small):
         with pytest.raises(ValueError):
             mu_tilde(dist_params_small, 3, 1)

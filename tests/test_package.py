@@ -56,23 +56,37 @@ def test_one_congruence_engine_in_padic():
     assert callers == {"akc_check", "integrality_bound_check"}
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((Path(asaikit.__file__).parent / module).read_text())
+    [fn] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
+def _called(fn: ast.FunctionDef) -> set:
+    return {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
 def test_one_bucket_loop_in_higher_coeffs_analytic():
-    """The Moebius series is bucketed by arith.fold: higher_coeffs_analytic adds into no subscript itself."""
-    tree = ast.parse((Path(asaikit.__file__).parent / "eisenstein.py").read_text())
-    [fn] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "higher_coeffs_analytic"]
-    calls = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
-    assert "fold" in calls
+    """The Moebius series is bucketed by arith.fold inside arith.mobius_buckets' cached
+    buckets: higher_coeffs_analytic adds into no subscript itself."""
+    fn = _function("eisenstein.py", "higher_coeffs_analytic")
+    assert "mobius_buckets" in _called(fn)
+    assert "_mobius_bucket" in _called(_function("arith.py", "mobius_buckets"))
+    assert "fold" in _called(_function("arith.py", "_mobius_bucket"))
     assert not [n for n in ast.walk(fn) if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Subscript)]
 
 
 def test_higher_coeffs_analytic_on_the_integer_kernel():
     """The Moebius route builds no Moebius table and no mpc root table: its terms come
-    from arith.mobius_terms through fold, and its roots from fixed_root_table."""
-    tree = ast.parse((Path(asaikit.__file__).parent / "eisenstein.py").read_text())
-    [fn] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "higher_coeffs_analytic"]
-    calls = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
-    assert {"fold", "mobius_terms", "fixed_root_table"} <= calls
-    assert not calls & {"root_table", "ArithTables"}
+    from arith.mobius_terms through fold, in the buckets mobius_buckets shares across
+    levels, and its roots from fixed_root_table."""
+    analytic = _called(_function("eisenstein.py", "higher_coeffs_analytic"))
+    buckets = _called(_function("arith.py", "mobius_buckets"))
+    bucket = _called(_function("arith.py", "_mobius_bucket"))
+    assert {"mobius_buckets", "fixed_root_table"} <= analytic
+    assert "_mobius_bucket" in buckets
+    assert {"fold", "mobius_terms"} <= bucket
+    assert not (analytic | buckets | bucket) & {"root_table", "ArithTables"}
 
 
 def test_one_gate_for_every_verify_row():
