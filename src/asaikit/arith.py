@@ -353,11 +353,10 @@ class CyclotomicNumber:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients num[i] / den, each a Fraction in lowest terms."""
+        """The coefficients num[i] / den as Fractions in lowest terms, one built per distinct numerator."""
         den = self.den
-        if den == 1:
-            return tuple(map(Fraction, self.num))
-        return tuple(Fraction(c, den) for c in self.num)
+        fracs = {c: Fraction(c, den) for c in set(self.num)}
+        return tuple(map(fracs.__getitem__, self.num))
 
     @property
     def degree(self) -> int:

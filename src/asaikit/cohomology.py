@@ -4,7 +4,7 @@ projection operator with exact denominator tracking, the auxiliary-variable
 polynomial decomposition, the unwound pairing series and the two-sided
 rationality check.
 
-Polynomials are sparse dicts of exact coefficients; nothing here is numeric
+Polynomials hold integer pairs over one denominator; nothing here is numeric
 except the pairing series and the rationality check, which run on mpmath at a
 requested precision.
 """
@@ -81,14 +81,9 @@ class QuadCoeff:
         """(a + b sqrt(-D)) / den (den > 0) in canonical form."""
         g = gcd(a, b, den)
         if g != 1:
-            a //= g
-            b //= g
-            den //= g
+            a, b, den = a // g, b // g, den // g
         out = object.__new__(QuadCoeff)
-        out.a = a
-        out.b = b
-        out.den = den
-        out.D = D
+        out.a, out.b, out.den, out.D = a, b, den, D
         return out
 
     @property
@@ -98,10 +93,6 @@ class QuadCoeff:
     @property
     def y(self) -> Fraction:
         return Fraction(self.b, self.den)
-
-    @staticmethod
-    def zero(D: int) -> "QuadCoeff":
-        return QuadCoeff(0, 0, D)
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
@@ -170,13 +161,8 @@ class QuadCoeff:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return not self.b and self.a == other.numerator and self.den == other.denominator
-        return (
-            isinstance(other, QuadCoeff)
-            and self.D == other.D
-            and self.a == other.a
-            and self.b == other.b
-            and self.den == other.den
-        )
+        same_field = isinstance(other, QuadCoeff) and self.D == other.D
+        return same_field and (self.a, self.b, self.den) == (other.a, other.b, other.den)
 
     def valuation(self, p: int) -> Fraction | float:
         """min(vp(x), vp(y)) = min(vp(a), vp(b)) - vp(den): valid for p unramified and odd (p not dividing 2D)."""
@@ -192,144 +178,159 @@ class QuadCoeff:
 # bi-homogeneous and homogeneous polynomials
 
 
-class BiHomogPoly:
-    """Bidegree (n, n) polynomial in (X, Y, Xbar, Ybar).
+def _pair(e, D: int) -> tuple[int, int, int]:
+    """A QuadCoeff over Q(sqrt(-D)), int or Fraction as (a, b, den): e = (a + b sqrt(-D)) / den."""
+    if isinstance(e, QuadCoeff):
+        if e.D != D:
+            raise ValueError("mixed field discriminants")
+        return e.a, e.b, e.den
+    _check_rational(e)
+    return e.numerator, 0, e.denominator
 
-    coeffs[(i, j)] is the coefficient of X^(n-i) Y^i Xbar^(n-j) Ybar^j.
+
+def _mul(u: tuple[int, int], v: tuple[int, int], D: int) -> tuple[int, int]:
+    """(a + b sqrt(-D)) (c + d sqrt(-D)) on the integer pairs (a, b) and (c, d)."""
+    return u[0] * v[0] - D * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+class _PairPoly:
+    """Coefficients (a + b sqrt(-D)) / den as integer pairs num[key] = (a, b) over one den > 0.
+
+    Kept canonical (no zero pair, gcd(den, every a and b) = 1), so equal
+    polynomials have equal (num, den).  The calculus runs on these integers.
     """
 
-    __slots__ = ("n", "D", "coeffs")
+    __slots__ = ("n", "D", "num", "den")
+    __hash__ = None
+
+    def __init__(self, n: int, D: int, coeffs: dict):
+        # each QuadCoeff is in lowest terms, so over their lcm the pairs are canonical already
+        pairs = {key: _pair(c, D) for key, c in coeffs.items() if not c.is_zero()}
+        self.n, self.D, self.den = n, D, lcm(*(d for _, _, d in pairs.values()))
+        self.num = {key: (a * (self.den // d), b * (self.den // d)) for key, (a, b, d) in pairs.items()}
+
+    @classmethod
+    def _from_ints(cls, n: int, D: int, num: dict, den: int):
+        """num / den (den > 0) in canonical form, without the checks of the public constructor."""
+        num = {key: ab for key, ab in num.items() if ab[0] or ab[1]}
+        g = gcd(den, *(x for ab in num.values() for x in ab))
+        out = object.__new__(cls)
+        out.n, out.D, out.den = n, D, den // g
+        out.num = num if g == 1 else {key: (a // g, b // g) for key, (a, b) in num.items()}
+        return out
+
+    def _coeff(self, key) -> QuadCoeff:
+        a, b = self.num.get(key, (0, 0))
+        return QuadCoeff._make(a, b, self.den, self.D)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.D, self.den, self.num) == (other.n, other.D, other.den, other.num)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def min_valuation(self, p: int) -> Fraction | float:
+        """min over the coefficients of min(vp(x), vp(y)) (see ``QuadCoeff.valuation``); inf for 0."""
+        if self.D % p == 0 or p == 2:
+            raise ValueError("valuation rule requires p odd and unramified")
+        return _vp_min((x for ab in self.num.values() for x in ab), self.den, p)
+
+
+class BiHomogPoly(_PairPoly):
+    """Bidegree (n, n) polynomial in (X, Y, Xbar, Ybar) over Q(sqrt(-D)).
+
+    num[(i, j)] / den is the coefficient of X^(n-i) Y^i Xbar^(n-j) Ybar^j, an
+    integer pair over the polynomial's one denominator (see ``_PairPoly``).
+    The constructor takes QuadCoeff coefficients, and ``coeffs`` and ``get``
+    give them back as QuadCoeffs.
+    """
+
+    __slots__ = ()
 
     def __init__(self, n: int, D: int, coeffs: dict[tuple[int, int], QuadCoeff] | None = None):
-        self.n = n
-        self.D = D
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if not c.is_zero():
-                    i, j = key
-                    if not (0 <= i <= n and 0 <= j <= n):
-                        raise ValueError("index outside bidegree")
-                    self.coeffs[key] = c
+        if any(not (0 <= i <= n and 0 <= j <= n) for i, j in coeffs or {}):
+            raise ValueError("index outside bidegree")
+        super().__init__(n, D, coeffs or {})
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], QuadCoeff]:
+        """The nonzero coefficients as QuadCoeffs, keyed by (i, j)."""
+        return {key: self._coeff(key) for key in self.num}
 
     def get(self, i: int, j: int) -> QuadCoeff:
-        return self.coeffs.get((i, j), QuadCoeff.zero(self.D))
-
-    def __add__(self, other: "BiHomogPoly") -> "BiHomogPoly":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, QuadCoeff.zero(self.D)) + c
-        return BiHomogPoly(self.n, self.D, out)
-
-    def __sub__(self, other: "BiHomogPoly") -> "BiHomogPoly":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "BiHomogPoly":
-        return BiHomogPoly(self.n, self.D, {k: v * c for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, BiHomogPoly) or self.n != other.n:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def min_valuation(self, p: int) -> Fraction | float:
-        if not self.coeffs:
-            return inf
-        return min(c.valuation(p) for c in self.coeffs.values())
+        return self._coeff((i, j))
 
 
-class HomogPoly:
-    """Homogeneous polynomial of degree d; coeffs[l] is the coefficient of X^l Y^(d-l)."""
+class HomogPoly(_PairPoly):
+    """Homogeneous polynomial of degree d; coeffs[l] is the coefficient of X^l Y^(d-l).
 
-    __slots__ = ("degree", "D", "coeffs")
+    num[l] / den holds the nonzero coefficients as integer pairs (see ``_PairPoly``).
+    """
+
+    __slots__ = ()
 
     def __init__(self, degree: int, D: int, coeffs=None):
-        self.degree = degree
-        self.D = D
-        if coeffs is None:
-            self.coeffs = [QuadCoeff.zero(D) for _ in range(degree + 1)]
-        else:
-            self.coeffs = list(coeffs)
-            if len(self.coeffs) != degree + 1:
-                raise ValueError("need degree + 1 coefficients")
+        if coeffs is not None and len(coeffs := list(coeffs)) != degree + 1:
+            raise ValueError("need degree + 1 coefficients")
+        super().__init__(degree, D, dict(enumerate(coeffs or ())))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomogPoly)
-            and self.degree == other.degree
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+    @property
+    def degree(self) -> int:
+        return self.n
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def min_valuation(self, p: int) -> Fraction | float:
-        vals = [c.valuation(p) for c in self.coeffs if not c.is_zero()]
-        return min(vals) if vals else inf
+    @property
+    def coeffs(self) -> list[QuadCoeff]:
+        return [self._coeff(l) for l in range(self.n + 1)]
 
 
-def _entry(e):
-    """A matrix entry as an int or Fraction when it is rational, else the QuadCoeff.
-
-    Rational entries (every entry of an integer matrix, three of a translation)
-    then multiply on the cheaper scalar paths.
-    """
-    if isinstance(e, QuadCoeff):
-        if e.b:
-            return e
-        return e.a if e.den == 1 else Fraction(e.a, e.den)
-    e = Fraction(e)
-    return e.numerator if e.denominator == 1 else e
-
-
-def _powers(e, n: int) -> list:
-    """[1, e, ..., e^n], cut to [1] when e = 0 (every higher power vanishes)."""
-    out = [1]
-    if e != 0:
+def _powers(e: tuple[int, int], n: int, D: int) -> list[tuple[int, int]]:
+    """[1, e, ..., e^n] for an integer pair e, cut to [1] when e = 0 (every higher power vanishes)."""
+    out = [(1, 0)]
+    if e[0] or e[1]:
         for _ in range(n):
-            out.append(out[-1] * e)
+            out.append(_mul(out[-1], e, D))
     return out
 
 
-def _substitution_rows(gamma, n: int) -> list[dict]:
-    """rows[i][t]: coefficient of X^(n-t) Y^t in (d X - b Y)^(n-i) (-c X + a Y)^i.
+def _substitution_rows(gamma, n: int, D: int) -> tuple[list[dict], int]:
+    """(rows, g^n): rows[i][t] / g^n is the coefficient of X^(n-t) Y^t in (d X - b Y)^(n-i) (-c X + a Y)^i.
 
-    gamma is ((a, b), (c, d)) with QuadCoeff (or rational) entries and
-    determinant 1.  Zero coefficients are left out of the rows; a coefficient
-    is an int or Fraction when it is rational.
+    gamma is ((a, b), (c, d)) with QuadCoeff (or rational) entries over
+    Q(sqrt(-D)) and determinant 1, and g is their common denominator, so each
+    row coefficient is an integer pair.  Zero coefficients are left out.
     """
-    (a, b), (c, d) = gamma
-    a, b, c, d = (_entry(e) for e in (a, b, c, d))
-    if a * d - b * c != 1:
+    entries = [_pair(e, D) for e in gamma[0] + gamma[1]]
+    g = lcm(*(den for _, _, den in entries))
+    a, b, c, d = [(x * (g // den), y * (g // den)) for x, y, den in entries]
+    ad, bc = _mul(a, d, D), _mul(b, c, D)
+    if (ad[0] - bc[0], ad[1] - bc[1]) != (g * g, 0):
         raise ValueError("matrix must have determinant 1")
-    pd, pb, pc, pa = (_powers(e, n) for e in (d, -b, -c, a))
+    pd, pb, pc, pa = (_powers(e, n, D) for e in (d, (-b[0], -b[1]), (-c[0], -c[1]), a))
     rows = []
     for i in range(n + 1):
         row = {}
         # (d X - b Y)^(n-i) contributes Y^s, (-c X + a Y)^i contributes Y^r; the
         # ranges skip the terms holding a vanishing power of a zero entry
         for s in range(max(0, n - i - len(pd) + 1), min(n - i, len(pb) - 1) + 1):
-            u = _binomial(n - i, s) * (pd[n - i - s] * pb[s])
+            u = _mul(pd[n - i - s], pb[s], D)
             for r in range(max(0, i - len(pc) + 1), min(i, len(pa) - 1) + 1):
-                term = u * (_binomial(i, r) * (pc[i - r] * pa[r]))
-                row[s + r] = row.get(s + r, 0) + term
-        rows.append({t: x for t, x in row.items() if x != 0})
-    return rows
+                w = _binomial(n - i, s) * _binomial(i, r)
+                x, y = _mul(u, _mul(pc[i - r], pa[r], D), D)
+                x0, y0 = row.get(s + r, (0, 0))
+                row[s + r] = (x0 + w * x, y0 + w * y)
+        rows.append({t: xy for t, xy in row.items() if xy[0] or xy[1]})
+    return rows, g**n
 
 
-def _substitute(rows: list[dict], coeffs: dict[tuple, QuadCoeff]) -> dict[tuple, QuadCoeff]:
-    """Substitute the variable pair indexed first in each key: {(i, k): c} -> {(t, k): sum_i c rows[i][t]}."""
-    out: dict[tuple, QuadCoeff] = {}
-    for (i, k), coef in coeffs.items():
-        for t, r in rows[i].items():
-            add = coef * r
-            prev = out.get((t, k))
-            out[(t, k)] = add if prev is None else prev + add
+def _substitute(rows: list[dict], num: dict[tuple, tuple[int, int]], D: int) -> dict[tuple, tuple[int, int]]:
+    """{(i, k): c} -> {(t, k): sum_i c rows[i][t]} on integer pairs (the denominators multiply)."""
+    out: dict[tuple, tuple[int, int]] = {}
+    for (i, k), (a, b) in num.items():
+        for t, (ra, rb) in rows[i].items():
+            x, y = out.get((t, k), (0, 0))
+            out[(t, k)] = (x + a * ra - D * b * rb, y + a * rb + b * ra)
     return out
 
 
@@ -337,73 +338,71 @@ def sl2_act(gamma, P: BiHomogPoly) -> BiHomogPoly:
     """gamma . P = P(d X - b Y, -c X + a Y, conjugate pair on the barred variables).
 
     gamma is ((a, b), (c, d)) with QuadCoeff (or rational) entries and
-    determinant 1.  The substitution rows are built once; the barred pair
-    takes their conjugates.
+    determinant 1.  The substitution rows are built once, as integer pairs
+    over g^n; the barred pair takes their conjugates, so the result is an
+    integer polynomial over den(P) g^(2n), reduced once.
     """
-    rows = _substitution_rows(gamma, P.n)
-    half = _substitute(rows, P.coeffs)
-    bar = [{t: x.conj() if isinstance(x, QuadCoeff) else x for t, x in row.items()} for row in rows]
-    out = _substitute(bar, {(j, t): c for (t, j), c in half.items()})
-    return BiHomogPoly(P.n, P.D, {(t, s): c for (s, t), c in out.items()})
+    D = P.D
+    rows, den = _substitution_rows(gamma, P.n, D)
+    half = _substitute(rows, P.num, D)
+    bar = [{t: (x, -y) for t, (x, y) in row.items()} for row in rows]
+    out = _substitute(bar, {(j, t): c for (t, j), c in half.items()}, D)
+    return BiHomogPoly._from_ints(P.n, D, {(t, s): c for (s, t), c in out.items()}, P.den * den * den)
 
 
 def homog_act(gamma, Q: HomogPoly) -> HomogPoly:
     """Induced action Q(d X - b Y, -c X + a Y) on one-variable-pair polynomials."""
-    deg = Q.degree
-    rows = _substitution_rows(gamma, deg)
-    # coeffs[l] sits on X^l Y^(deg-l), so its Y-degree is deg - l
-    out = _substitute(rows, {(deg - l, 0): c for l, c in enumerate(Q.coeffs) if not c.is_zero()})
-    coeffs = [QuadCoeff.zero(Q.D) for _ in range(deg + 1)]
-    for (t, _), c in out.items():
-        coeffs[deg - t] = c
-    return HomogPoly(deg, Q.D, coeffs)
+    deg = Q.n
+    rows, den = _substitution_rows(gamma, deg, Q.D)
+    # num[l] sits on X^l Y^(deg-l), so its Y-degree is deg - l
+    out = _substitute(rows, {(deg - l, 0): c for l, c in Q.num.items()}, Q.D)
+    return HomogPoly._from_ints(deg, Q.D, {deg - t: c for (t, _), c in out.items()}, Q.den * den)
+
+
+def _nabla(num: dict[tuple[int, int], tuple[int, int]], n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """nabla on the integer pairs of a bidegree (n, n) polynomial; the denominator is unchanged."""
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    for (i, j), (a, b) in num.items():
+        w1 = (n - i) * j  # from X^(n-i) and Ybar^j
+        if w1:
+            x, y = out.get((i, j - 1), (0, 0))
+            out[(i, j - 1)] = (x + w1 * a, y + w1 * b)
+        w2 = (n - j) * i  # from Xbar^(n-j) and Y^i
+        if w2:
+            x, y = out.get((i - 1, j), (0, 0))
+            out[(i - 1, j)] = (x - w2 * a, y - w2 * b)
+    return out
 
 
 def nabla(P: BiHomogPoly) -> BiHomogPoly:
     """Second-order operator d^2/dX dYbar - d^2/dXbar dY, one bidegree down."""
     if P.n < 1:
         raise ValueError("nabla needs bidegree >= 1")
-    n = P.n
-    D = P.D
-    out: dict[tuple[int, int], QuadCoeff] = {}
-    for (i, j), c in P.coeffs.items():
-        w1 = (n - i) * j  # from X^(n-i) and Ybar^j
-        if w1:
-            key = (i, j - 1)
-            out[key] = out.get(key, QuadCoeff.zero(D)) + c * w1
-        w2 = (n - j) * i  # from Xbar^(n-j) and Y^i
-        if w2:
-            key = (i - 1, j)
-            out[key] = out.get(key, QuadCoeff.zero(D)) - c * w2
-    return BiHomogPoly(n - 1, D, out)
+    return BiHomogPoly._from_ints(P.n - 1, P.D, _nabla(P.num, P.n), P.den)
 
 
 def clebsch_project(P: BiHomogPoly, m: int) -> HomogPoly:
-    """(1/m!^2) nabla^m P restricted to Xbar = X, Ybar = Y (degree 2n-2m)."""
+    """(1/m!^2) nabla^m P restricted to Xbar = X, Ybar = Y (degree 2n-2m).
+
+    nabla runs m times on P's integer pairs, and the restriction sums them
+    into the pairs of the result over den(P) m!^2, reduced once.
+    """
     if not 0 <= m <= P.n:
         raise ValueError("m out of range")
-    Q = P
+    num, n = P.num, P.n
     for _ in range(m):
-        Q = nabla(Q)
-    scale = Fraction(1, factorial(m) ** 2)
-    d = 2 * Q.n
-    out = HomogPoly(d, P.D)
-    for (i, j), c in Q.coeffs.items():
-        l = 2 * Q.n - i - j  # X-degree after the diagonal restriction
-        out.coeffs[l] = out.coeffs[l] + c * scale
-    return out
+        num = _nabla(num, n)
+        n -= 1
+    out: dict[int, tuple[int, int]] = {}
+    for (i, j), (a, b) in num.items():
+        l = 2 * n - i - j  # X-degree after the diagonal restriction
+        x, y = out.get(l, (0, 0))
+        out[l] = (x + a, y + b)
+    return HomogPoly._from_ints(2 * n, P.D, out, P.den * factorial(m) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # denominator bookkeeping for the translated action
-
-
-def translation_matrix(D: int, a: int, p: int, j: int):
-    """Upper-triangular gamma_beta with beta = a sqrt(-D) / (2 p^j)."""
-    beta = QuadCoeff(0, Fraction(a, 2 * p**j), D)
-    one = QuadCoeff(1, 0, D)
-    zero = QuadCoeff(0, 0, D)
-    return ((one, beta), (zero, one))
 
 
 def translate(P: BiHomogPoly, beta: QuadCoeff) -> BiHomogPoly:
@@ -426,15 +425,17 @@ def denominator_lemma_check(
 ) -> DenominatorReport:
     """Random p-integral P: project gamma_beta^(-1) . P and check the valuation bounds.
 
-    P has coefficients in Q(sqrt(-D)), D = 3.  The projected component must
-    have every coefficient of valuation >= -j(2n - m); before projecting, the
-    translated polynomial must already satisfy >= -2nj.
+    P has coefficients in Q(sqrt(-D)), D = 3, drawn as integer pairs over 6.  The
+    projected component must have every coefficient of valuation >= -j(2n - m);
+    before projecting, the translated one must satisfy >= -2nj.  Needs trials >= 1.
     """
     D = 3
     if p <= n:
         raise ValueError("need p > n")
     if D % p == 0 or p == 2:
         raise ValueError("need p odd, not dividing 2D")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     bound = Fraction(-j * (2 * n - m))
     pre_bound = Fraction(-2 * n * j)
     worst: Fraction | float = inf
@@ -442,16 +443,15 @@ def denominator_lemma_check(
     ok = True
     dens = (1, 2, 3)  # p >= 5 here, so every denominator is prime to p
     for _ in range(trials):
-        coeffs = {}
+        # x / dx + (y / dy) sqrt(-D), drawn as integers over the common denominator 6
+        num = {}
         for i in range(n + 1):
             for jj in range(n + 1):
                 if rng.random() < 0.6:
-                    coeffs[(i, jj)] = QuadCoeff(
-                        Fraction(rng.randint(-4, 4), rng.choice(dens)),
-                        Fraction(rng.randint(-4, 4), rng.choice(dens)),
-                        D,
-                    )
-        P = BiHomogPoly(n, D, coeffs)
+                    x, dx = rng.randint(-4, 4), rng.choice(dens)
+                    y, dy = rng.randint(-4, 4), rng.choice(dens)
+                    num[(i, jj)] = (x * (6 // dx), y * (6 // dy))
+        P = BiHomogPoly._from_ints(n, D, num, 6)
         a = rng.randrange(1, max(p**j, 2))
         while gcd(a, p) != 1:
             a += 1

@@ -228,6 +228,40 @@ def _exponent_histogram(ch: DirichletCharacter, values) -> dict[int, int]:
 # higher coefficients, exact route
 
 
+@lru_cache(maxsize=64)
+def _level_characters(params: LevelParams) -> tuple[tuple[DirichletCharacter, CyclotomicNumber], ...]:
+    """(psi, T(psi) twist(psi) (C/M)^k / (B_{k,psibar0} E(psi))) for each even psi mod M with T(psi) != 0.
+
+    T(psi) sums psi over the v-range H = {v = 1 mod p^j} (every unit at j = 0),
+    a subgroup, so T(psi) = |H| if psi is trivial on H and 0 otherwise: only
+    phi(p^j)/2 of the phi(M)/2 even psi survive.  The other factors depend on
+    psi alone; see ``higher_coeff_exact``.  Cached per level, for every lpp.
+    """
+    M, k = params.modulus, params.k
+    vs = _v_range(params, plus_minus=False) if params.j >= 1 else _v_range(params, True)
+    out = []
+    for psi in enumerate_characters(M):
+        if not psi.is_even or any(psi.exponent_of(v) for v in vs):
+            continue
+        psi0 = psi.primitive()
+        C = psi0.modulus
+        # Gauss-sum collapse: W carries prod_i G(psi0_i); dividing by G(psi0)
+        # leaves the CRT twist prod_i psi0_i(C / C_i) in the value field.
+        twist = CyclotomicNumber.from_rational(1)
+        for q, _, chi_q in _components(psi0):
+            twist = twist * CyclotomicNumber.zeta(chi_q.value_order, -chi_q.exponent_of(C // q))
+        # Bernoulli and Euler-factor denominators, inverted in the value field
+        bern = generalized_bernoulli(k, psi0.inverse())
+        euler = CyclotomicNumber.from_rational(1)
+        for q0, _ in factorize(M):
+            if C % q0:  # q0 is prime to C, so psi0(q0) is a root of unity
+                value = CyclotomicNumber.zeta(psi0.value_order, psi0.exponent_of(q0))
+                euler = euler * (1 - value * Fraction(1, q0**k))
+        t_sum = CyclotomicNumber.from_rational(len(vs), psi.value_order)
+        out.append((psi, t_sum * twist * (bern * euler).inverse() * (Fraction(C, M) ** k)))
+    return tuple(out)
+
+
 def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
     """Exact coefficient of q^lpp via the Bernoulli special-value route.
 
@@ -237,62 +271,29 @@ def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
     dividing M away from the conductor, and all primitive Gauss-sum factors
     cancelled against 1/G(psi0) = psi0(-1) G(psibar0)/C in closed form.
     The j = 0 case carries an extra 1/2 (the +-1 classes coincide there).
+
+    W(psi) is built only for the psi of ``_level_characters``, which holds the
+    other factors: the terms left out are those with T(psi) = 0.
     """
     if lpp < 1:
         raise ValueError("the constant term is handled separately")
     M = params.modulus
     k = params.k
-    phi = euler_phi(M)
     divisors = [d for d in range(1, lpp + 1) if lpp % d == 0]
-    vs = _v_range(params, plus_minus=False) if params.j >= 1 else _v_range(params, True)
     acc = CyclotomicNumber.from_rational(0)
-    for psi in enumerate_characters(M):
-        if not psi.is_even:
-            continue
-        psi0 = psi.primitive()
-        C = psi0.modulus
+    for psi, factor in _level_characters(params):
         # W(psi): signed divisor sum against the stripped unit sums
-        w_acc = CyclotomicNumber.from_rational(0, psi.value_order or 1)
-        nonzero = False
+        w_acc = CyclotomicNumber.from_rational(0, psi.value_order)
         for d in divisors:
             wk = Fraction(d) ** (k - 1)
             for sgn_b, sgn_w in ((d, Fraction(1)), (-d, Fraction((-1) ** k))):
                 core = _twisted_factors(psi, sgn_b)
-                if core is None:
-                    continue
-                rat, rou, _ = core
-                w_acc = w_acc + rou * (wk * sgn_w * rat)
-                nonzero = True
-        if not nonzero or w_acc.is_zero():
-            continue
-        # T(psi) sums psi^(-1) over the v-range, a subgroup: v -> v^(-1) permutes it
-        t_sum = CyclotomicNumber.from_exponents(psi.value_order, _exponent_histogram(psi, vs))
-        if t_sum.is_zero():
-            continue
-        # Gauss-sum collapse: W carries prod_i G(psi0_i); dividing by G(psi0)
-        # leaves the CRT twist prod_i psi0_i(C / C_i) in the value field.
-        twist = CyclotomicNumber.from_rational(1)
-        for q, _, chi_q in _components(psi0):
-            t = chi_q.exponent_of(C // q)
-            if t is None:
-                raise AssertionError("complementary conductor not a unit")
-            twist = twist * CyclotomicNumber.zeta(chi_q.value_order, -t)
-        # Bernoulli and Euler-factor denominators, inverted in the value field
-        bern = generalized_bernoulli(k, psi0.inverse())
-        euler = CyclotomicNumber.from_rational(1)
-        for q0, _ in factorize(M):
-            if C % q0:
-                t = psi0.exponent_of(q0 % C) if C > 1 else 0
-                factor = 1 - (
-                    CyclotomicNumber.zeta(psi0.value_order, t) * Fraction(1, q0**k)
-                    if t is not None
-                    else CyclotomicNumber.from_rational(0)
-                )
-                euler = euler * factor
-        denom = (bern * euler).inverse()
-        term = w_acc * t_sum * twist * denom * (Fraction(C, M) ** k)
-        acc = acc + term
-    scale = Fraction(-2 * k, phi)
+                if core is not None:
+                    rat, rou, _ = core
+                    w_acc = w_acc + rou * (wk * sgn_w * rat)
+        if not w_acc.is_zero():
+            acc = acc + w_acc * factor
+    scale = Fraction(-2 * k, euler_phi(M))
     if params.j == 0:
         scale /= 2
     return acc * scale

@@ -1,8 +1,9 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 from functools import reduce
-from math import gcd
+from math import factorial, gcd, inf
 
 import mpmath
 import pytest
@@ -27,7 +28,6 @@ from asaikit.cohomology import (
     rationality_ratio,
     sl2_act,
     translate,
-    translation_matrix,
 )
 from tests.conftest import acceptance_mock
 
@@ -78,6 +78,11 @@ def _int_sl2(moves):
         else:
             c, d = c + t * a, d + t * b
     return ((q(a), q(b)), (q(c), q(d)))
+
+
+def translation_matrix(D, a, p, j):
+    """Upper-triangular gamma_beta with beta = a sqrt(-D) / (2 p^j)."""
+    return ((q(1), QuadCoeff(0, F(a, 2 * p**j), D)), (q(0), q(1)))
 
 
 def swap_conj(P):
@@ -266,9 +271,11 @@ class TestNabla:
         rng = random.Random(4)
         P, Q = rand_poly(rng, 2), rand_poly(rng, 2)
         c = QuadCoeff(F(2), F(1, 3), D)
-        lhs = nabla(P + Q.scale(c))
-        rhs = nabla(P) + nabla(Q).scale(c)
-        assert lhs == rhs
+
+        def combine(A, B):  # A + c B
+            return BiHomogPoly(A.n, D, {key: A.get(*key) + c * B.get(*key) for key in set(A.coeffs) | set(B.coeffs)})
+
+        assert nabla(combine(P, Q)) == combine(nabla(P), nabla(Q))
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -323,8 +330,99 @@ def _bi_mul(A, B):
     for (i1, j1), c1 in A.coeffs.items():
         for (i2, j2), c2 in B.coeffs.items():
             k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, QuadCoeff.zero(D)) + c1 * c2
+            out[k] = out.get(k, q(0)) + c1 * c2
     return BiHomogPoly(A.n + B.n, D, out)
+
+
+def _ref_rows(gamma, n):
+    """Term by term over QuadCoeff: rows[i][t] is the coefficient of X^(n-t) Y^t in (d X - b Y)^(n-i) (-c X + a Y)^i."""
+    (a, b), (c, d) = gamma
+    rows = []
+    for i in range(n + 1):
+        row = {}
+        for s in range(n - i + 1):
+            for r in range(i + 1):
+                term = q(_binomial(n - i, s) * _binomial(i, r))
+                for factor, e in ((d, n - i - s), (-b, s), (-c, i - r), (a, r)):
+                    for _ in range(e):
+                        term = term * factor
+                row[s + r] = row.get(s + r, q(0)) + term
+        rows.append(row)
+    return rows
+
+
+def _ref_sl2_act(gamma, P):
+    rows = _ref_rows(gamma, P.n)
+    out = {}
+    for (i, j), c in P.coeffs.items():
+        for t, x in rows[i].items():
+            for s, y in rows[j].items():
+                out[(t, s)] = out.get((t, s), q(0)) + c * x * y.conj()
+    return BiHomogPoly(P.n, D, out)
+
+
+def _ref_nabla(P):
+    n, out = P.n, {}
+    for (i, j), c in P.coeffs.items():
+        if (n - i) * j:
+            out[(i, j - 1)] = out.get((i, j - 1), q(0)) + c * ((n - i) * j)
+        if (n - j) * i:
+            out[(i - 1, j)] = out.get((i - 1, j), q(0)) - c * ((n - j) * i)
+    return BiHomogPoly(n - 1, D, out)
+
+
+def _ref_clebsch(P, m):
+    for _ in range(m):
+        P = _ref_nabla(P)
+    coeffs = [q(0)] * (2 * P.n + 1)
+    for (i, j), c in P.coeffs.items():
+        coeffs[2 * P.n - i - j] = coeffs[2 * P.n - i - j] + c * F(1, factorial(m) ** 2)
+    return HomogPoly(2 * P.n, D, coeffs)
+
+
+def _poly_canonical(P) -> bool:
+    ints = [x for ab in P.num.values() for x in ab]
+    nonzero = all(ab != (0, 0) for ab in P.num.values())
+    return nonzero and P.den > 0 and gcd(P.den, *ints) == 1 and all(type(x) is int for x in ints + [P.den])
+
+
+class TestIntegerPairs:
+    """The calculus on integer pairs over one denominator against term-by-term QuadCoeff arithmetic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=SL2_ELEMENTS, P=POLYS)
+    def test_against_quadcoeff_reference(self, g, P):
+        got = sl2_act(g, P)
+        assert _poly_canonical(got)
+        assert got.coeffs == _ref_sl2_act(g, P).coeffs
+        if got.n >= 1:
+            assert nabla(got).coeffs == _ref_nabla(got).coeffs
+        for m in range(got.n + 1):
+            proj = clebsch_project(got, m)
+            assert _poly_canonical(proj)
+            assert proj.coeffs == _ref_clebsch(got, m).coeffs
+            for p in (5, 7):
+                want = min((c.valuation(p) for c in proj.coeffs if not c.is_zero()), default=inf)
+                assert proj.min_valuation(p) == want
+        for p in (5, 7):
+            want = min((c.valuation(p) for c in got.coeffs.values()), default=inf)
+            assert got.min_valuation(p) == want
+
+    def test_no_quadcoeff_arithmetic(self, monkeypatch):
+        """Once the entries and coefficients are integer pairs, no QuadCoeff is built or multiplied."""
+        rng = random.Random(13)
+        g = matmul(translation_matrix(D, 4, 5, 1), rand_sl2(rng))
+        P = rand_poly(rng, 3, dens=(1, 2, 3))
+        Q = clebsch_project(P, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("QuadCoeff arithmetic in the integer calculus")
+
+        for name in ("__init__", "_make", "__mul__", "__add__", "__sub__", "__neg__", "conj", "valuation"):
+            monkeypatch.setattr(QuadCoeff, name, refuse)
+        sl2_act(g, P).min_valuation(5)
+        homog_act(g, Q).min_valuation(5)
+        clebsch_project(nabla(P), 1).min_valuation(7)
 
 
 class TestDenominatorLemma:
@@ -349,6 +447,34 @@ class TestDenominatorLemma:
         rng = random.Random(11)
         with pytest.raises(ValueError):
             denominator_lemma_check(3, 1, 3, 1, 5, rng)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trial_rejected(self, trials):
+        # with no polynomial drawn the report would read ok with worst = inf
+        with pytest.raises(ValueError):
+            denominator_lemma_check(2, 1, 5, 1, trials, random.Random(0))
+
+    def test_grid_reports_pinned(self, monkeypatch):
+        """Criterion 09's grid, 20 trials from Random(3), hashed as the term-by-term QuadCoeff
+        calculus gave it: every polynomial and translation drawn, every (worst, worst_pre, ok)
+        and the rng's next draw.  So the integer pairs consume the rng as before, draw the same
+        polynomials and reach the same valuations."""
+        h = hashlib.sha256()
+
+        def recording(P, beta):
+            h.update(repr((sorted((k, c.x, c.y) for k, c in P.coeffs.items()), beta.x, beta.y)).encode())
+            return translate(P, beta)
+
+        monkeypatch.setattr(cohomology, "translate", recording)
+        rng = random.Random(3)
+        for n in range(5):
+            for m in range(n + 1):
+                for j in (0, 1, 2):
+                    for p in (5, 7):
+                        r = denominator_lemma_check(n, m, p, j, 20, rng)
+                        h.update(repr((n, m, j, p, r.worst, r.worst_pre, r.ok)).encode())
+        h.update(repr(rng.getrandbits(64)).encode())
+        assert h.hexdigest() == "4f20bfd0f8d8936db3bc527957243f268b4f05b7f895bc095efb7ced2956f59b"
 
 
 class TestPsiIdentity:

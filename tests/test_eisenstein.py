@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import random
 from fractions import Fraction as F
@@ -8,9 +9,11 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from asaikit.arith import ArithTables, bernoulli_number
+from asaikit.arith import ArithTables, CyclotomicNumber, bernoulli_number, euler_phi
+from asaikit.characters import _unit_group, enumerate_characters
 from asaikit.eisenstein import (
     IntMatrix2,
+    _level_characters,
     LevelParams,
     classical_reduction,
     constant_term,
@@ -254,6 +257,45 @@ class TestAnalyticRadius:
                 assert gap + want.rad <= a.rad, (N, p, k, lpp)
                 # the bound alone meets criterion 07's tolerance
                 assert a.rad <= 1e-8 * size, (N, p, k, lpp)
+
+
+def _criterion_07_levels():
+    """Criterion 07's j >= 1 levels (N, p, j, k), in its order."""
+    return [LevelParams(N, p, j, k) for j in (1, 2) for N, p, k in _bench_level_grid(j)]
+
+
+class TestLevelCharacters:
+    """higher_coeff_exact sums over the even psi with T(psi) != 0 only."""
+
+    def test_survivors_are_trivial_on_H(self):
+        # T(psi) = sum of psi over H = {v = 1 mod p^j}, summed in full for every even psi
+        for params in _criterion_07_levels():
+            M, q = params.modulus, params.p**params.j
+            H = [v for v in _unit_group(M).units if (v - 1) % q == 0]
+            survivors = {psi for psi, _ in _level_characters(params)}
+            for psi in enumerate_characters(M):
+                if not psi.is_even:
+                    continue
+                hist = {}
+                for v in H:
+                    t = psi.exponent_of(v)
+                    hist[t] = hist.get(t, 0) + 1
+                t_sum = CyclotomicNumber.from_exponents(psi.value_order, hist)
+                trivial = all(psi.exponent_of(v) == 0 for v in H)
+                assert (not t_sum.is_zero()) == trivial == (psi in survivors), (params, psi)
+                if trivial:
+                    assert t_sum == len(H)
+            assert len(survivors) == euler_phi(q) // 2, params
+
+    def test_coefficients_pinned(self):
+        """higher_coeff_exact for l'' = 1..5 over criterion 07's j >= 1 levels, hashed as the
+        sum over every even psi gave them, representation (order, num, den) included."""
+        h = hashlib.sha256()
+        for params in _criterion_07_levels():
+            for lpp in range(1, 6):
+                c = higher_coeff_exact(params, lpp)
+                h.update(repr((params.N, params.p, params.j, params.k, lpp, c.order, c.num, c.den)).encode())
+        assert h.hexdigest() == "0153c53eb32bc6088175341dca5dad6d5d07b0613a3b06e0138e531a1406ddbe"
 
 
 class TestClassicalReduction:

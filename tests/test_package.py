@@ -224,32 +224,64 @@ def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
 
 
 def test_integer_exact_kernel():
-    """The cyclotomic product and sum and the QuadCoeff product and sum run on integers:
-    they construct no Fraction and read no Fraction view (coeffs, x, y) of an operand."""
+    """The cyclotomic product and sum, the QuadCoeff product and sum, and the SL2/Clebsch
+    calculus on BiHomogPoly and HomogPoly run on integers: they construct no Fraction and
+    read no Fraction view (coeffs, x, y) of an operand.  The calculus also builds and
+    conjugates no QuadCoeff: it reads the matrix entries once, through _pair, and
+    TestIntegerPairs checks at run time that it does no QuadCoeff arithmetic."""
     src = Path(asaikit.__file__).parent
-    pinned = {
-        "arith.py": (
-            "cyclotomic_mul",
-            "_reduce_mod_cyclotomic",
-            "CyclotomicNumber._make",
-            "CyclotomicNumber._coerced",
-            "CyclotomicNumber._combine",
-            "CyclotomicNumber.__add__",
-            "CyclotomicNumber.__sub__",
-            "CyclotomicNumber.lift",
-            "CyclotomicNumber._permuted",
+    fraction = {"Fraction"}
+    quad = fraction | {"QuadCoeff", "_make", "conj", "valuation"}
+    pinned = (
+        (
+            "arith.py",
+            fraction,
+            (
+                "cyclotomic_mul",
+                "_reduce_mod_cyclotomic",
+                "CyclotomicNumber._make",
+                "CyclotomicNumber._coerced",
+                "CyclotomicNumber._combine",
+                "CyclotomicNumber.__add__",
+                "CyclotomicNumber.__sub__",
+                "CyclotomicNumber.lift",
+                "CyclotomicNumber._permuted",
+            ),
         ),
-        "cohomology.py": ("QuadCoeff._make", "QuadCoeff._combine", "QuadCoeff.__add__", "QuadCoeff.__mul__"),
-    }
+        ("cohomology.py", fraction, ("QuadCoeff._make", "QuadCoeff._combine", "QuadCoeff.__add__", "QuadCoeff.__mul__")),
+        (
+            "cohomology.py",
+            quad,
+            (
+                "_substitution_rows",
+                "_substitute",
+                "sl2_act",
+                "homog_act",
+                "_nabla",
+                "nabla",
+                "clebsch_project",
+                "_mul",
+                "_powers",
+                "_PairPoly._from_ints",
+                "_PairPoly.min_valuation",
+            ),
+        ),
+    )
     offenders = []
-    for name, functions in pinned.items():
+    for name, banned, functions in pinned:
         defs = _methods(ast.parse((src / name).read_text()))
         for fn_name in functions:
             for node in ast.walk(defs[fn_name]):
-                called = isinstance(node, ast.Call) and "Fraction" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None),
+                called = isinstance(node, ast.Call) and (
+                    {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & banned
                 )
                 if called or (isinstance(node, ast.Attribute) and node.attr in ("coeffs", "x", "y")):
                     offenders.append(f"{name}:{fn_name}:{node.lineno}")
     assert not offenders
+
+
+def test_one_translation_path():
+    """translate is sl2_act of the translation matrix, and the denominator lemma translates
+    and projects through the public functions, so the traced bench names time that work."""
+    assert "sl2_act" in _called(_function("cohomology.py", "translate"))
+    assert {"translate", "clebsch_project"} <= _called(_function("cohomology.py", "denominator_lemma_check"))
