@@ -1026,7 +1026,9 @@ class BesselMomentReport:
     kernel_rel_err: float
 
 
-def bessel_k_moment_check(nu: int, mu: Fraction | int, a: Fraction | int) -> BesselMomentReport:
+def bessel_k_moment_check(
+    nu: int, mu: Fraction | int | tuple[Fraction | int, ...], a: Fraction | int
+) -> BesselMomentReport | tuple[BesselMomentReport, ...]:
     """Check int_0^infty K_nu(a t) t^(mu-1) dt = 2^(mu-2) a^(-mu) Gamma((mu+nu)/2) Gamma((mu-nu)/2).
 
     The left side goes through Schlaefli's integral
@@ -1040,27 +1042,22 @@ def bessel_k_moment_check(nu: int, mu: Fraction | int, a: Fraction | int) -> Bes
     U where exp(-a cosh U) = e^(-a) 2^(-80): the integrand has fallen by
     2^(-80) from its value at u = 0, whatever a is.
 
+    ``mu`` is one exponent, or a tuple of exponents: then the result is a
+    tuple of reports, one per exponent, which share the one kernel
+    comparison, as it depends on (nu, a) alone.
+
     Both quadratures run at 80 bits, a verification aid at modest fixed
-    precision; the report holds the two relative errors and no verdict.
+    precision; a report holds the two relative errors and no verdict.
     """
-    mu = Fraction(mu)
+    several = isinstance(mu, tuple)
+    mus = [Fraction(m) for m in (mu if several else (mu,))]
     a = Fraction(a)
     if a <= 0:
         raise ValueError("a must be positive")
-    if mu <= abs(nu):
+    if any(m <= abs(nu) for m in mus):
         raise ValueError("need mu > |nu| for convergence")
     with mp.workprec(80):
         af = to_mpf(a)
-        muf = to_mpf(mu)
-        integral = mpmath.quad(lambda u: mpmath.cosh(nu * u) / mpmath.cosh(u) ** muf, [0, mpmath.inf])
-        lhs = mpmath.gamma(muf) * af ** (-muf) * integral
-        rhs = (
-            mpmath.mpf(2) ** (muf - 2)
-            * af ** (-muf)
-            * mpmath.gamma((muf + nu) / 2)
-            * mpmath.gamma((muf - nu) / 2)
-        )
-        rel = abs(lhs - rhs) / abs(rhs)
         # a cosh u = a + 2 a sinh(u/2)^2, and the cut solves 2 a sinh(U/2)^2 = 80 log 2.
         # quad's error control is absolute, so e^(-a) stays outside the integral:
         # inside, a tiny integrand passes at once (at a = 100 it came out 8e-4 off).
@@ -1069,5 +1066,18 @@ def bessel_k_moment_check(nu: int, mu: Fraction | int, a: Fraction | int) -> Bes
             lambda u: mpmath.exp(-2 * af * mpmath.sinh(u / 2) ** 2) * mpmath.cosh(nu * u), [0, cut]
         )
         want = mpmath.besselk(nu, af)
-        kernel_rel = abs(kernel - want) / want
-    return BesselMomentReport(lhs=lhs, rhs=rhs, rel_err=float(rel), kernel_rel_err=float(kernel_rel))
+        kernel_rel = float(abs(kernel - want) / want)
+        reports = []
+        for m in mus:
+            muf = to_mpf(m)
+            integral = mpmath.quad(lambda u: mpmath.cosh(nu * u) / mpmath.cosh(u) ** muf, [0, mpmath.inf])
+            lhs = mpmath.gamma(muf) * af ** (-muf) * integral
+            rhs = (
+                mpmath.mpf(2) ** (muf - 2)
+                * af ** (-muf)
+                * mpmath.gamma((muf + nu) / 2)
+                * mpmath.gamma((muf - nu) / 2)
+            )
+            rel = abs(lhs - rhs) / abs(rhs)
+            reports.append(BesselMomentReport(lhs=lhs, rhs=rhs, rel_err=float(rel), kernel_rel_err=kernel_rel))
+    return tuple(reports) if several else reports[0]

@@ -10,7 +10,7 @@ so exact rational test data is enough.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
@@ -71,14 +71,19 @@ class QuadFieldData:
         """Norm of a prime ideal above l."""
         return l * l if self.splitting(l) == INERT else l
 
-    def is_integral(self, x: Fraction, y: Fraction) -> bool:
-        """Whether x + y sqrt(-D) lies in the ring of integers."""
-        if self.D % 4 == 0:
-            # O = Z[sqrt(-D/4)] = Z + Z * (sqrt(-D)/2)
-            return x.denominator == 1 and (2 * y).denominator == 1
-        # -D = 1 mod 4: O = Z[(1 + sqrt(-D))/2]
-        tx, ty = 2 * x, 2 * y
-        return tx.denominator == 1 and ty.denominator == 1 and (tx - ty) % 2 == 0
+    def is_integral(self, a: int, b: int, den: int) -> bool:
+        """Whether (a + b sqrt(-D)) / den lies in the ring of integers.
+
+        (a, b, den) is canonical, as a ``QuadCoeff`` holds it: den > 0 and
+        gcd(a, b, den) = 1.  For 4 | D the ring is Z + Z sqrt(-D)/2, so
+        a/den and 2b/den must be integers; for -D = 1 mod 4 it is
+        Z[(1 + sqrt(-D))/2], so 2a/den and 2b/den must be integers of the same
+        parity.  Either way den divides 2 gcd(a, b), hence den is 1, or 2 with
+        a even (4 | D) or a = b mod 2 (-D = 1 mod 4).
+        """
+        if den == 1:
+            return True
+        return den == 2 and (a if self.D % 4 == 0 else a - b) % 2 == 0
 
 
 def _squarefree(n: int) -> bool:
@@ -102,9 +107,14 @@ class MockEigenform:
 
     ``eigen`` maps a rational prime l to its c-values: a pair (c(L), c(Lbar))
     when l splits, a single value otherwise.  Primes dividing N default to
-    eigenvalue 0 unless supplied.  ``tabulate(R)`` stores the nonzero c(r)
-    and d(r) for r <= R; lookups up to the tabulated bound read those tables
-    (an absent r is a zero), lookups above it are computed pointwise.
+    eigenvalue 0 unless supplied.  ``support``, when given, is a finite set
+    of primes outside which the form's eigenvalues vanish: c = 0 at every
+    ideal above a prime l != p not in it, so such an l needs no entry, and a
+    nonzero entry there is rejected.  ``support = None`` means unknown: every
+    prime not dividing N needs an entry, and a missing one raises
+    ``KeyError``.  ``tabulate(R)`` stores the nonzero c(r) and d(r) for
+    r <= R; lookups up to the tabulated bound read those tables (an absent r
+    is a zero), lookups above it are computed pointwise.
     """
 
     def __init__(
@@ -115,6 +125,7 @@ class MockEigenform:
         eigen: dict[int, tuple[Rational, ...]],
         p: int,
         p_satake: tuple[Rational, Rational, Rational, Rational],
+        support: Iterable[int] | None = None,
     ):
         if k < 2:
             raise ValueError("weight must be >= 2")
@@ -133,6 +144,12 @@ class MockEigenform:
         self.p = p
         self.p_satake = (a1, a2, b1, b2)
         self.eigen = {l: _fraction_tuple(cs) for l, cs in eigen.items()}
+        if support is not None:
+            support = frozenset(support)
+            outside = sorted(l for l, cs in self.eigen.items() if l not in support and any(cs))
+            if outside:
+                raise ValueError(f"nonzero eigen-data at l = {outside[0]}, outside the declared support")
+        self.support = support
         self._cpp: dict[tuple[int, int, int], Fraction] = {}
         # nonzero c(r) and d(r) for r <= _bound, in ascending r
         self._bound = 1
@@ -149,7 +166,7 @@ class MockEigenform:
         if l in self.eigen:
             cs = self.eigen[l]
             return cs[which] if which < len(cs) else cs[0]
-        if self.N % l == 0:
+        if self.N % l == 0 or (self.support is not None and l not in self.support):
             return Fraction(0)
         raise KeyError(f"no eigen-data at prime {l}")
 
@@ -177,18 +194,27 @@ class MockEigenform:
         l | N.  A local d can vanish where c does not: at an inert l with
         c(l) = 0, d(l^2) = c(l^2) + l^(2k-2) = 0.
 
-        A prime l is skipped when l^2 > bound, l does not divide D, l != p and
-        its eigen entry is all zero: only l^1 fits below the bound, and there
-        c(l) = d(l) is c(L) c(Lbar) or c(L), so zero.  A ramified l
+        A prime l with l^2 > bound that does not divide D and is not p has
+        only l^1 below the bound, and there c(l) = d(l) is c(L) c(Lbar) or
+        c(L).  So it is skipped when its eigen entry is all zero and, for a
+        form with a declared support, not walked at all when it lies outside
+        the support: then the walk visits only the primes up to sqrt(bound),
+        the support, p and the primes dividing D.  A ramified l
         (c(l) = c(L^2), nonzero even when c(L) = 0) and p (Satake data) are
-        always visited, and so is every prime without an eigen entry: missing
-        eigen-data still raises ``KeyError`` as a pointwise lookup would.
+        always visited.  With the support unknown every prime up to the bound
+        is, and one without an eigen entry still raises ``KeyError`` as a
+        pointwise lookup would.
         """
         if bound <= self._bound:
             return
+        if self.support is None:
+            walk = primes_up_to(bound)
+        else:
+            always = (*self.support, self.p, *(q for q, _ in factorize(self.field.D)))
+            walk = sorted(set(primes_up_to(isqrt(bound))).union(l for l in always if l <= bound))
         w = 2 * self.k - 2
         local_c, local_d = [], []  # per prime l: the (l^e, value) with value != 0, l^e <= bound
-        for l in primes_up_to(bound):
+        for l in walk:
             cs = self.eigen.get(l)
             if l * l > bound and self.field.D % l and l != self.p and cs is not None and not any(cs):
                 continue
@@ -476,31 +502,37 @@ def random_mock_eigenform(
     c_num_bound: int = 6,
     satake_units: tuple[int, ...] = (1, -1, 2, -2, 3),
 ) -> MockEigenform:
-    """Random rational eigen-data at all primes <= prime_bound.
+    """Random rational eigen-data at the primes l != p in [support_min, support_bound], l <= prime_bound.
 
-    Primes outside [support_min, support_bound] get eigenvalue 0, which keeps
-    the tails of every attached Dirichlet series negligible at desk scale;
-    ``c_num_bound`` caps eigenvalue numerators.
+    Every other prime gets eigenvalue 0, which keeps the tails of every
+    attached Dirichlet series negligible at desk scale; ``c_num_bound`` caps
+    eigenvalue numerators.  Given ``support_bound``, the form declares those
+    primes as its support and stores only their entries.  Without it the
+    support is unknown: the entries reach prime_bound, those below
+    support_min are zero, and a prime above prime_bound has no eigen-data.
+    The draws are the same either way, in ascending l.
     """
     field = QuadFieldData(D) if D is not None else default_field_for(p)
-    eigen: dict[int, tuple[Fraction, ...]] = {}
-    support = prime_bound if support_bound is None else support_bound
+    top = max(prime_bound, 2)
+    if support_bound is None:
+        support, hi = None, prime_bound
+    else:
+        support = frozenset(l for l in primes_up_to(support_bound) if l >= support_min and l != p)
+        top, hi = min(top, support_bound), support_bound
     zero = Fraction(0)
-    zeros = {SPLIT: (zero, zero), INERT: (zero,), RAMIFIED: (zero,)}  # one shared tuple per splitting type
-    for l in primes_up_to(max(prime_bound, 2)):
+    eigen: dict[int, tuple[Fraction, ...]] = {}
+
+    def rnd():
+        return Fraction(rng.randint(-c_num_bound, c_num_bound), rng.choice((1, 1, 2, 3)))
+
+    for l in primes_up_to(top):
         if l == p:
             continue
-        if l > support or l < support_min:
-            eigen[l] = zeros[field.splitting(l)]
-            continue
-
-        def rnd():
-            return Fraction(rng.randint(-c_num_bound, c_num_bound), rng.choice((1, 1, 2, 3)))
-
-        if field.splitting(l) == SPLIT:
-            eigen[l] = (rnd(), rnd())
-        else:
-            eigen[l] = (rnd(),)
+        split = field.splitting(l) == SPLIT
+        if support_min <= l <= hi:
+            eigen[l] = (rnd(), rnd()) if split else (rnd(),)
+        elif support is None:
+            eigen[l] = (zero, zero) if split else (zero,)
     q = Fraction(p) ** (k - 1)
     unit_pool = [u for u in satake_units if u % p]
     if not unit_pool:
@@ -508,11 +540,11 @@ def random_mock_eigenform(
     u1 = Fraction(rng.choice(unit_pool))
     u2 = Fraction(rng.choice(unit_pool))
     satake = (u1, q / u1, u2, q / u2)
-    return MockEigenform(k, N, field, eigen, p, satake)
+    return MockEigenform(k, N, field, eigen, p, satake, support)
 
 
 def dump_eigenform(f: MockEigenform) -> str:
-    """Text record: header lines then one line per prime ideal."""
+    """Text record: header lines (a ``support`` line when the form declares one), then one line per prime ideal."""
     lines = [
         f"k {f.k}",
         f"N {f.N}",
@@ -520,6 +552,8 @@ def dump_eigenform(f: MockEigenform) -> str:
         f"p {f.p}",
         "satake " + " ".join(map(str, f.p_satake)),
     ]
+    if f.support is not None:
+        lines.append(" ".join(["support", *map(str, sorted(f.support))]))
     for l in sorted(f.eigen):
         tag = f.field.splitting(l)
         for c in f.eigen[l]:
@@ -534,12 +568,15 @@ def load_eigenform(text: str) -> MockEigenform:
     """Parse ``dump_eigenform`` output, rejecting any line that nothing reads.
 
     The header is one line each of ``k``, ``N``, ``D``, ``p`` (one value) and
-    ``satake`` (four values).  A record ``l <l> <tag> <value>`` must be at a
-    prime l other than p, tagged as l splits in the field, with one record per
-    prime ideal above l.
+    ``satake`` (four values), and at most one ``support`` line listing
+    distinct primes other than p: the form's declared support, outside which
+    every record must be zero.  Without it the support is unknown.  A record
+    ``l <l> <tag> <value>`` must be at a prime l other than p, tagged as l
+    splits in the field, with one record per prime ideal above l.
     """
     header: dict[str, list[str]] = {}
     records = []
+    support = None
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -549,6 +586,10 @@ def load_eigenform(text: str) -> MockEigenform:
             if len(values) != 3:
                 raise ValueError(f"a record is 'l <prime> <tag> <value>', got {line!r}")
             records.append(values)
+        elif key == "support":
+            if support is not None:
+                raise ValueError("repeated support line")
+            support = [int(l) for l in values]
         elif _HEADER_VALUES.get(key) != len(values):
             raise ValueError(f"unexpected header line {line!r}")
         elif key in header:
@@ -560,6 +601,11 @@ def load_eigenform(text: str) -> MockEigenform:
             raise ValueError(f"eigenform file is missing the {key} header")
     k, N, D, p = (int(header[key][0]) for key in ("k", "N", "D", "p"))
     field = QuadFieldData(D)
+    for l in support or ():
+        if l < 2 or l == p or factorize(l) != [(l, 1)]:
+            raise ValueError(f"the support lists l = {l}, which is not a prime other than p = {p}")
+    if support is not None and len(set(support)) < len(support):
+        raise ValueError("the support lists a prime twice")
     raw: dict[int, list[Fraction]] = {}
     for l, tag, c in records:
         l = int(l)
@@ -573,4 +619,4 @@ def load_eigenform(text: str) -> MockEigenform:
         if len(cs) != want:
             raise ValueError(f"prime {l} needs {want} eigenvalue record(s), found {len(cs)}")
     satake = tuple(Fraction(x) for x in header["satake"])
-    return MockEigenform(k, N, field, {l: tuple(cs) for l, cs in raw.items()}, p, satake)
+    return MockEigenform(k, N, field, {l: tuple(cs) for l, cs in raw.items()}, p, satake, support)

@@ -189,10 +189,6 @@ class DirichletCharacter:
         t = self.exponent_of(-1)
         return t == 0
 
-    @property
-    def is_odd(self) -> bool:
-        return not self.is_even
-
     def __eq__(self, other):
         return (
             isinstance(other, DirichletCharacter)

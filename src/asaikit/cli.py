@@ -180,9 +180,10 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
             yield f"m={m}", gap, 2.0 ** (12 - precision_bits)
 
     def bessel():
+        mus = (3, 4)
         for nu in (0, 1, 2):
-            for mu in (3, 4):
-                rep = arith.bessel_k_moment_check(nu, mu, 1)
+            # one call per nu: both moments share its kernel comparison
+            for mu, rep in zip(mus, arith.bessel_k_moment_check(nu, mus, 1)):
                 yield f"nu={nu} mu={mu}", max(rep.rel_err, rep.kernel_rel_err), 1e-6
 
     return [
@@ -400,7 +401,8 @@ def _suite_eisenstein(seed: int, precision_bits: int) -> list:
             for _ in range(1500):
                 g = _random_sl2(rng)
                 fml, conj = eisenstein.membership_two_ways(params, g)
-                yield f"{params} {g}", fml == conj
+                if fml != conj:  # only a failing case's label is read
+                    yield f"{params} {g}", False
                 count += fml
         return f"{count} members found"
 

@@ -104,33 +104,45 @@ def _default_D(p: int) -> int:
     raise ValueError("no valid discriminant")
 
 
+@lru_cache(maxsize=16)
+def _quad_field(D: int) -> QuadFieldData:
+    """QuadFieldData(D), built and its discriminant checked once per D."""
+    return QuadFieldData(D)
+
+
 def membership_two_ways(
     params: LevelParams, gamma: IntMatrix2, D: int | None = None, a_rep: int | None = None
 ) -> tuple[bool, bool]:
     """(congruence criterion, exact conjugation over Q(sqrt(-D))) for the group test.
 
     The conjugation path moves gamma back to level N by the translation by
-    beta = a sqrt(-D) / (2 p^j) and checks integrality plus the level
-    condition; the two answers must agree for every determinant-1 matrix.
+    beta = a sqrt(-D) / (2 p^j): it conjugates gamma by gamma_beta in
+    ``QuadCoeff`` arithmetic, then checks that every entry is integral
+    (``QuadFieldData.is_integral`` on the entry's integer triple) and the
+    level condition c = 0 mod N.  It does not use the congruence criterion,
+    so the two answers are independent and must agree for every
+    determinant-1 matrix.  beta and the entries are built from integers; no
+    Fraction enters.
     """
     p, j, N = params.p, params.j, params.N
     q = p**j
     by_congruence = (gamma.a - gamma.d) % q == 0 and gamma.c % (N * q * q) == 0
     D = _default_D(p) if D is None else D
-    field = QuadFieldData(D)
+    field = _quad_field(D)
     if a_rep is None:
         a_rep = 2 if j >= 1 else 0
     if j >= 1 and (a_rep % 2 or gcd(a_rep, p) != 1):
         raise ValueError("translation numerator must be an even unit mod p")
-    beta = QuadCoeff(0, Fraction(a_rep, 2 * q), D)
-    a, b, c, d = (QuadCoeff(x, 0, D) for x in (gamma.a, gamma.b, gamma.c, gamma.d))
+    beta = QuadCoeff._make(0, a_rep, 2 * q, D)
+    a, b, c, d = (QuadCoeff._make(x, 0, 1, D) for x in (gamma.a, gamma.b, gamma.c, gamma.d))
     # gamma_beta gamma gamma_beta^(-1)
-    e11 = a + c * beta
+    c_beta = c * beta
+    e11 = a + c_beta
     e12 = b + d * beta - e11 * beta
     e21 = c
-    e22 = d - c * beta
+    e22 = d - c_beta
     by_conjugation = (
-        all(field.is_integral(e.x, e.y) for e in (e11, e12, e21, e22))
+        all(field.is_integral(e.a, e.b, e.den) for e in (e11, e12, e21, e22))
         and gamma.c % N == 0
     )
     return by_congruence, by_conjugation

@@ -9,8 +9,8 @@ from asaikit.distribution import DistParams
 
 
 def acceptance_mock(seed: int, p: int, k: int = 2, R: int = 100_000):
-    """Mock eigenform with eigen-data at every prime up to R and fast-decaying
-    tails (support limited to mid-range primes, small Satake units)."""
+    """Mock eigenform with fast-decaying tails: a declared support of the
+    mid-range primes 31..80, data up to R, small Satake units."""
     rng = random.Random(seed)
     return random_mock_eigenform(
         rng,

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction as F
 from math import gcd, isqrt
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from asaikit import asai as asai_module
 from asaikit import cli
-from asaikit.arith import _poly_mul_frac, vp
+from asaikit.arith import _poly_mul_frac, primes_up_to, vp
+from asaikit.cohomology import QuadCoeff
 from tests.conftest import UNREAD_EIGENFORM_EDITS
 from asaikit.asai import (
     FUNDAMENTAL_D,
@@ -52,12 +54,25 @@ class TestQuadField:
                     assert s == ("split" if qr else "inert")
 
     def test_integrality(self):
+        # (a + b sqrt(-D)) / den as canonical integer triples (a, b, den)
         f3 = QuadFieldData(3)  # O = Z[(1+sqrt(-3))/2]
-        assert f3.is_integral(F(1, 2), F(1, 2))
-        assert not f3.is_integral(F(1, 2), F(0))
+        assert f3.is_integral(1, 1, 2)
+        assert not f3.is_integral(1, 0, 2)
         f4 = QuadFieldData(4)  # O = Z[i], sqrt(-4) = 2i
-        assert f4.is_integral(F(0), F(1, 2))
-        assert not f4.is_integral(F(1, 2), F(1, 2))
+        assert f4.is_integral(0, 1, 2)
+        assert not f4.is_integral(1, 1, 2)
+
+    @pytest.mark.parametrize("D", FUNDAMENTAL_D)
+    def test_integrality_by_minimal_polynomial(self, D):
+        # x + y sqrt(-D) is integral iff its trace 2x and norm x^2 + D y^2 are integers
+        field = QuadFieldData(D)
+        for den in range(1, 9):
+            for a in range(-2 * den, 2 * den + 1):
+                for b in range(-2 * den, 2 * den + 1):
+                    e = QuadCoeff._make(a, b, den, D)
+                    x, y = F(a, den), F(b, den)
+                    want = (2 * x).denominator == 1 and (x * x + D * y * y).denominator == 1
+                    assert field.is_integral(e.a, e.b, e.den) == want, (a, b, den)
 
 
 class TestHeckePower:
@@ -127,6 +142,20 @@ class TestCoefficients:
             r: asai_coeff(g, r) for r in range(1, 401) if asai_coeff(g, r)
         }
 
+
+def _table_digest(f, R):
+    """sha256 of the lines "r c(r) d(r)" over the r <= R where c or d is nonzero."""
+    f.tabulate(R)
+    c, d = dict(f.nonzero(R, "c")), dict(f.nonzero(R))
+    text = "".join(f"{r} {c.get(r, 0)} {d.get(r, 0)}\n" for r in sorted(c.keys() | d.keys()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# _table_digest of cli._mock_eigenform(0, p, 1e5) at R = 1e5, recorded before forms declared their support
+CLI_MOCK_TABLE_DIGESTS = {
+    3: "6d1f37811b9ebb2bc5c98d81ee7411c6285583542a137b72065faf87a51002fa",
+    5: "7617b6336fb57f06c9d526d5de153573cc59f0fed44f35c25870c014af97fb8e",
+}
 
 # (p, D) with p split in Q(sqrt(-D)); a ramified l | D has c(l) = c(L^2) != 0 even when c(L) = 0
 SPLIT_PAIRS = [
@@ -214,6 +243,48 @@ class TestSparseTables:
         inert = [l for l in (11, 13, 17, 19) if f.field.splitting(l) == "inert"]
         assert inert and all(c[l * l] and l * l not in f._d for l in inert)
         assert c[2] and c[5] and f._d[4] == c[4] + 2 ** (2 * k - 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        k=st.sampled_from((2, 3, 4)),
+        N=st.sampled_from((1, 2, 3, 7, 35)),
+        pD=st.sampled_from(SPLIT_PAIRS),
+        support_min=st.integers(2, 60),
+        support_bound=st.integers(0, 120),
+        bound=st.integers(1, 3000),
+    )
+    def test_declared_support_walk(self, seed, k, N, pD, support_min, support_bound, bound):
+        # A form with a declared support walks only the primes up to sqrt(bound), the support,
+        # p and the primes dividing D.  Its tables equal those of the same eigen-data with the
+        # support unknown and a zero entry at every other prime up to the bound, walked over
+        # all primes.  Inert and ramified primes below sqrt(bound) and outside the support
+        # have c(l^2) != 0 or c(l) = c(L^2) != 0.
+        p, D = pD
+        assume(N % p)
+        f = random_mock_eigenform(
+            random.Random(seed), k=k, N=N, D=D, p=p, prime_bound=max(bound, 2),
+            support_bound=support_bound, support_min=support_min,
+        )
+        assert f.support == {l for l in primes_up_to(support_bound) if l >= support_min and l != p}
+        assert set(f.eigen) == {l for l in f.support if l <= max(bound, 2)}
+        eigen = {
+            l: f.eigen.get(l, (0, 0) if f.field.splitting(l) == "split" else (0,))
+            for l in primes_up_to(max(bound, 2))
+            if l != p
+        }
+        g = MockEigenform(f.k, f.N, f.field, eigen, f.p, f.p_satake)
+        assert g.support is None
+        f.tabulate(bound)
+        g.tabulate(bound)
+        assert list(f.nonzero(bound, "c")) == list(g.nonzero(bound, "c"))
+        assert list(f.nonzero(bound)) == list(g.nonzero(bound))
+
+    def test_nonzero_data_outside_the_support_rejected(self):
+        with pytest.raises(ValueError, match="outside the declared support"):
+            MockEigenform(2, 1, QuadFieldData(4), {13: (1, 0), 17: (0, 0)}, 5, (2, F(5, 2), 2, F(5, 2)), {17})
+        f = MockEigenform(2, 1, QuadFieldData(4), {13: (0, 0), 17: (1, 0)}, 5, (2, F(5, 2), 2, F(5, 2)), {17})
+        assert f.c_at_ideal(13) == 0 and f.c_at_ideal(101) == 0 and f.c_at_ideal(17) == 1
 
     def test_tabulate_past_eigen_data_raises(self):
         f = sample_form(bound=100)
@@ -362,12 +433,57 @@ class TestEigenformFile:
         ],
     )
     def test_cli_mock_forms_unchanged(self, p, digest):
-        # the sha256 of the file of the CLI's seed-0 mock form at the default R = 1e5,
-        # recorded before the zero eigenvalues shared one tuple per splitting type
-        f = cli._mock_eigenform(0, p, 100_000)
-        assert hashlib.sha256(dump_eigenform(f).encode()).hexdigest() == digest
-        zeros = [cs for l, cs in f.eigen.items() if l > 80 and not any(cs)]
-        assert len({id(cs) for cs in zeros}) <= 3 < len(zeros)
+        # The CLI's seed-0 mock form at the default R = 1e5 keeps its (r, c(r), d(r)) table,
+        # recorded before forms declared their support.  digest is the sha256 of the file
+        # written then, without a support line and with a zero record at every prime up to R
+        # outside the support; that text still loads, with the support unknown, to the same table.
+        R = 100_000
+        f = cli._mock_eigenform(0, p, R)
+        assert _table_digest(f, R) == CLI_MOCK_TABLE_DIGESTS[p]
+        lines = [l for l in dump_eigenform(f).splitlines() if not l.startswith(("support", "l "))]
+        for l in primes_up_to(R):
+            if l != p:
+                tag = f.field.splitting(l)
+                lines += [f"l {l} {tag} {c}" for c in f.eigen.get(l, (0, 0) if tag == "split" else (0,))]
+        text = "\n".join(lines) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        g = load_eigenform(text)
+        assert g.support is None and _table_digest(g, R) == CLI_MOCK_TABLE_DIGESTS[p]
+
+    def test_support_round_trip(self):
+        f = random_mock_eigenform(
+            random.Random(4), k=2, N=3, D=8, p=11, prime_bound=2000, support_bound=70, support_min=23
+        )
+        text = dump_eigenform(f)
+        assert "\nsupport 23 29 31 37 41 43 47 53 59 61 67\nl 23 " in text
+        g = load_eigenform(text)
+        assert g.support == f.support and g.eigen == f.eigen
+        f.tabulate(2000)
+        g.tabulate(2000)
+        assert list(g.nonzero(2000, "c")) == list(f.nonzero(2000, "c"))
+        assert list(g.nonzero(2000)) == list(f.nonzero(2000))
+
+    def test_file_without_support_line(self):
+        # the records cover only the support: with the support unknown a prime past it has no data
+        f = random_mock_eigenform(random.Random(4), k=2, p=5, prime_bound=500, support_bound=80, support_min=31)
+        text = "".join(l for l in dump_eigenform(f).splitlines(True) if not l.startswith("support"))
+        g = load_eigenform(text)
+        assert g.support is None and g.eigen == f.eigen
+        with pytest.raises(KeyError):
+            g.tabulate(500)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["support 31 37 x", "support 31 37 39", "support 5 31", "support 1", "support 31 31", "support 37"],
+    )
+    def test_bad_support_line_rejected(self, line):
+        # not an integer, not a prime, p itself, below 2, a prime twice, nonzero records outside it
+        f = random_mock_eigenform(random.Random(4), k=2, p=5, prime_bound=500, support_bound=80, support_min=31)
+        assert any(f.eigen[31])
+        text = dump_eigenform(f)
+        load_eigenform(text)
+        with pytest.raises(ValueError):
+            load_eigenform(re.sub("^support.*$", line, text, flags=re.M))
 
     def test_wrong_record_count_rejected(self):
         f = sample_form(bound=30)

@@ -208,7 +208,7 @@ class TestGeneralizedBernoulli:
         quad4 = [c for c in enumerate_characters(4) if not c.is_trivial][0]
         assert generalized_bernoulli(2, quad4).is_zero()
         for ch in enumerate_characters(5):
-            if ch.is_odd:
+            if not ch.is_even:
                 assert generalized_bernoulli(4, ch).is_zero()
 
     def test_denominator_bound(self):

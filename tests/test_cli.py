@@ -155,6 +155,20 @@ class TestVerify:
         assert "malformed eigenform file" in capsys.readouterr().err
         assert not os.path.exists(cache)
 
+    @pytest.mark.parametrize("edit", ["support 31 x", "support 31 31", "support 31\nsupport 37"])
+    def test_bad_support_line_exit_2(self, edit, tmp_path, capsys):
+        f = random_mock_eigenform(
+            random.Random(1), k=2, N=1, p=5, prime_bound=600, support_bound=80, support_min=31
+        )
+        text = dump_eigenform(f)
+        assert re.search("^support 31 37 ", text, flags=re.M)
+        path = tmp_path / "f.txt"
+        path.write_text(re.sub("^support.*$", edit, text, flags=re.M))
+        cache = str(tmp_path / "c.json")
+        assert run(["verify", "distribution", "--eigenform", str(path), "--R", "500", "--cache", cache]) == 2
+        assert "malformed eigenform file" in capsys.readouterr().err
+        assert not os.path.exists(cache)
+
     def test_one_flag_per_config_field(self):
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -233,6 +247,28 @@ class TestVerify:
         rows = {r["name"]: r for r in json.loads(cache.read_text())["results"]}
         assert (rows["bessel-moment"]["status"], rows["bessel-moment"]["detail"]) == ("fail", "nu=0 mu=3")
         assert abs(rows["bessel-moment"]["gap"] - 1 / 101) < 1e-6
+
+    def test_bessel_row_kernel_once_per_nu(self, tmp_path, monkeypatch):
+        # the kernel comparison depends on (nu, a) alone: per nu, two moment quadratures and
+        # one kernel quadrature against one besselk, for mu = 3 and 4 together
+        calls = {"quad": 0, "besselk": 0}
+        for name in calls:
+
+            def counted(*args, _real=getattr(mpmath, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mpmath, name, counted)
+        assert run(["verify", "arith", "--cache", str(tmp_path / "c.json")]) == 0
+        assert calls == {"quad": 9, "besselk": 3}
+
+    @pytest.mark.parametrize("seed, members", [(0, 582), (1, 585), (2, 572)])
+    def test_membership_members_pinned(self, seed, members, tmp_path):
+        # the counts recorded before the membership test ran on integer QuadCoeffs
+        cache = tmp_path / "c.json"
+        assert run(["verify", "eisenstein", "--seed", str(seed), "--cache", str(cache)]) == 0
+        rows = {r["name"]: r for r in json.loads(cache.read_text())["results"]}
+        assert rows["membership-dual-path"]["detail"] == f"{members} members found"
 
     def test_overflowing_gap_is_an_error(self, tmp_path, capsys):
         # the coset values hold p^(j(s-1)) = 3^999, past the largest float

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from asaikit.arith import ArithTables, CyclotomicNumber, bernoulli_number, euler_phi
+from asaikit.asai import FUNDAMENTAL_D, QuadFieldData
 from asaikit.characters import _unit_group, enumerate_characters
+from asaikit.cohomology import QuadCoeff
 from asaikit.eisenstein import (
     IntMatrix2,
     _level_characters,
@@ -35,6 +39,45 @@ def random_sl2(rng, steps=8):
         else:
             c, d = c + t * a, d + t * b
     return IntMatrix2(a, b, c, d)
+
+
+def member_of(params, rng):
+    """A matrix of the level's group: (c, d) drawn as enumerate_lambda lists them, with
+    c = 0 mod N p^(2j) and d = +-1 mod p^j, then a = d^(-1) mod c and b by Bezout, so
+    a = d mod p^j; a column operation then moves (a, b)."""
+    q = params.p**params.j
+    while True:
+        c = params.modulus * rng.randint(-3, 3)
+        d = rng.choice((1, -1)) + q * rng.randint(-5, 5)
+        if gcd(c, d) == 1:
+            break
+    if c == 0:
+        a, b = d, rng.randint(-9, 9)
+    else:
+        a = pow(d, -1, abs(c))
+        b = (a * d - 1) // c
+    t = rng.randint(-3, 3)
+    return IntMatrix2(a + t * c, b + t * d, c, d)
+
+
+def membership_by_fractions(params, gamma, D, a_rep):
+    """The conjugation path term by term on Fractions: beta and the entries built through
+    QuadCoeff's Fraction constructor, and integrality read from the rational parts x and y.
+    Returns the four conjugated entries and whether each is integral."""
+    q = params.p**params.j
+    beta = QuadCoeff(F(0), F(a_rep, 2 * q), D)
+    a, b, c, d = (QuadCoeff(F(x), F(0), D) for x in (gamma.a, gamma.b, gamma.c, gamma.d))
+    e11 = a + c * beta
+    entries = (e11, b + d * beta - e11 * beta, c, d - c * beta)
+
+    def integral(e):
+        x, y = e.x, e.y
+        if D % 4 == 0:  # O = Z + Z sqrt(-D)/2
+            return x.denominator == 1 and (2 * y).denominator == 1
+        tx, ty = 2 * x, 2 * y  # -D = 1 mod 4: O = Z[(1 + sqrt(-D))/2]
+        return tx.denominator == 1 and ty.denominator == 1 and (tx - ty) % 2 == 0
+
+    return entries, [integral(e) for e in entries]
 
 
 class TestLevelParams:
@@ -85,6 +128,30 @@ class TestMembership:
                 membership_two_ways(params, g, a_rep=a)[1] for a in (2, 4, 8, 12)
             }
             assert len(answers) == 1
+
+    @pytest.mark.parametrize("D", FUNDAMENTAL_D)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.sampled_from((3, 5, 7)),
+        j=st.sampled_from((0, 1, 2)),
+        N=st.sampled_from((1, 2, 4, 7)),
+        unit=st.integers(1, 60),
+        member=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_integer_path_equals_fraction_reference(self, D, p, j, N, unit, member, seed):
+        assume(D % p and N % p and unit % p)
+        params = LevelParams(N, p, j, 4)
+        rng = random.Random(seed)
+        g = member_of(params, rng) if member else random_sl2(rng)
+        a_rep = 2 * unit
+        entries, integral = membership_by_fractions(params, g, D, a_rep)
+        field = QuadFieldData(D)
+        assert [field.is_integral(e.a, e.b, e.den) for e in entries] == integral
+        q = p**j
+        want = ((g.a - g.d) % q == 0 and g.c % (N * q * q) == 0, all(integral) and g.c % N == 0)
+        assert membership_two_ways(params, g, D=D, a_rep=a_rep) == want
+        assert want[0] == want[1] and (want[0] or not member)
 
     def test_discriminant_independence(self):
         rng = random.Random(2)

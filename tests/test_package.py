@@ -224,11 +224,12 @@ def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
 
 
 def test_integer_exact_kernel():
-    """The cyclotomic product and sum, the QuadCoeff product and sum, and the SL2/Clebsch
-    calculus on BiHomogPoly and HomogPoly run on integers: they construct no Fraction and
-    read no Fraction view (coeffs, x, y) of an operand.  The calculus also builds and
-    conjugates no QuadCoeff: it reads the matrix entries once, through _pair, and
-    TestIntegerPairs checks at run time that it does no QuadCoeff arithmetic."""
+    """The cyclotomic product and sum, the QuadCoeff product and sum, the SL2/Clebsch
+    calculus on BiHomogPoly and HomogPoly, the group membership test and the integrality
+    test run on integers: they construct no Fraction and read no Fraction view (coeffs, x,
+    y) of an operand.  The calculus also builds and conjugates no QuadCoeff: it reads the
+    matrix entries once, through _pair, and TestIntegerPairs checks at run time that it
+    does no QuadCoeff arithmetic."""
     src = Path(asaikit.__file__).parent
     fraction = {"Fraction"}
     quad = fraction | {"QuadCoeff", "_make", "conj", "valuation"}
@@ -249,6 +250,8 @@ def test_integer_exact_kernel():
             ),
         ),
         ("cohomology.py", fraction, ("QuadCoeff._make", "QuadCoeff._combine", "QuadCoeff.__add__", "QuadCoeff.__mul__")),
+        ("eisenstein.py", fraction, ("membership_two_ways",)),
+        ("asai.py", fraction, ("QuadFieldData.is_integral",)),
         (
             "cohomology.py",
             quad,
