@@ -8,8 +8,10 @@ cyclotomic numbers are integer coefficient vectors over one positive
 denominator, reduced modulo the m-th cyclotomic polynomial and kept in
 lowest terms, so equality of values is equality of vectors.  Floats are
 refused wherever an exact value is expected.  Likewise a Ball takes only
-Balls as operands, so every rounded value carries its error, and every
-analytic root of unity is read from the one integer table ``fixed_root_table``.
+Balls as operands, so every rounded value carries its error, and its own
+precision (see ``Ball``): only the Bessel quadratures read mpmath's
+process-wide one.  Every analytic root of unity is read from the one integer
+table ``fixed_root_table``.
 """
 
 from __future__ import annotations
@@ -24,16 +26,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    from_rational,
-    mpc_neg,
-    mpf_mul,
-    mpf_pow,
-    mpf_shift,
-    round_nearest,
-    to_float,
+from mpmath.libmp import (  # every rounding here is at an explicit precision
+    from_int, from_man_exp, from_rational, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_expjpi, mpc_mul,
+    mpc_neg, mpc_pos, mpc_sub, mpf_div, mpf_mul, mpf_pi, mpf_pow, mpf_pow_int, mpf_shift, round_nearest, to_float,
     to_int,
 )
 
@@ -514,13 +509,13 @@ class CyclotomicNumber:
         if prec < 53:
             raise ValueError("prec must be at least 53 bits")
         coeffs = self.coeffs
-        with mp.workprec(prec + 16):
-            zeta = mpmath.expjpi(mpmath.mpf(2) / self.order)
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * zeta + to_mpf(c)
+        w = prec + 16
+        zeta = mpc_expjpi((from_rational(2, self.order, w, round_nearest), fzero), w, round_nearest)
+        acc = (fzero, fzero)
+        for c in reversed(coeffs):
+            acc = mpc_add_mpf(mpc_mul(acc, zeta, w, round_nearest), to_mpf(c, w)._mpf_, w, round_nearest)
         mass = sum(abs(float(c)) for c in coeffs)
-        return Ball.from_mpc(acc, prec, 8 * (len(coeffs) + 1) * mass * 2.0 ** (-prec - 16))
+        return Ball.from_mpc(mp.make_mpc(acc), prec, 8 * (len(coeffs) + 1) * mass * 2.0 ** (-w))
 
 
 @lru_cache(maxsize=None)
@@ -669,53 +664,64 @@ def _mag(z) -> float:
 class Ball:
     """Complex midpoint-radius ball: the value lies within ``rad`` of ``mid``.
 
-    ``mid`` is an ``mpc``; ``rad`` is a float rounded up.  Arithmetic runs at
-    the working precision p and adds to the radius the rounding of the
-    midpoint operation, 2^(1-p) |result| (twice the round-to-nearest error of
-    each part, which also covers the float magnitude).  Both operands of
-    ``+``, ``-``, ``*`` and ``/`` are Balls: any other operand raises
-    TypeError, so a rounded value cannot enter without its radius.  An exact
-    constant is ``Ball(mpc)`` with radius 0.
+    ``mid`` is an ``mpc``, ``rad`` a float rounded up, and ``prec`` the
+    precision the Ball carries, 0 for an exact constant.  An operation runs
+    at the larger precision p of its operands, never at mpmath's working
+    precision, and adds to the radius the rounding of the midpoint
+    operation, 2^(1-p) |result| (twice the round-to-nearest error of each
+    part, which also covers the float magnitude).  On two exact constants
+    it is exact, and a quotient, which cannot be, raises ValueError.  Both
+    operands of ``+``, ``-``, ``*`` and ``/`` are Balls: any other operand
+    raises TypeError, so a rounded value cannot enter without its radius.
     """
 
-    __slots__ = ("mid", "rad")
+    __slots__ = ("mid", "rad", "prec")
 
-    def __init__(self, mid, rad: float = 0.0):
+    def __init__(self, mid, rad: float = 0.0, prec: int = 0):
         self.mid = mid
         self.rad = rad
+        self.prec = prec
+
+    @staticmethod
+    def exact(re: int, im: int = 0) -> "Ball":
+        """The Gaussian integer re + i im as an exact constant."""
+        return Ball(mp.make_mpc((from_int(re), from_int(im))))
 
     @staticmethod
     def from_mpc(z, prec: int, rad: float = 0.0) -> "Ball":
         """z rounded to ``prec`` bits, with radius ``rad`` plus that rounding."""
-        with mp.workprec(prec):
-            mid = mp.make_mpc((mpmath.mpf(z.real)._mpf_, mpmath.mpf(z.imag)._mpf_))
-        return Ball(mid, _up(rad + _mag(mid) * 2.0 ** (1 - prec)))
+        mid = mp.make_mpc(mpc_pos(z._mpc_, prec, round_nearest))
+        return Ball(mid, _up(rad + _mag(mid) * 2.0 ** (1 - prec)), prec)
 
     def to_mpc(self):
         return self.mid
 
-    @staticmethod
-    def _rounded(mid, rad: float) -> "Ball":
-        return Ball(mid, _up(rad + _mag(mid) * 2.0 ** (1 - mp.prec)))
+    def _op(self, other, mpc_op, rad) -> "Ball":
+        """``mpc_op`` of the midpoints at the larger precision p of the operands, with radius
+        ``rad(result)`` plus the rounding 2^(1-p) |result| (none between exact constants)."""
+        if not isinstance(other, Ball):
+            return NotImplemented
+        p = max(self.prec, other.prec)
+        mid = mp.make_mpc(mpc_op(self.mid._mpc_, other.mid._mpc_, p, round_nearest))
+        return Ball(mid, _up(rad(mid) + (_mag(mid) * 2.0 ** (1 - p) if p else 0.0)), p)
+
+    def __abs__(self) -> float:
+        """|mid| as a float, rounded to nearest from the Ball's precision (53 bits if exact)."""
+        return to_float(mpc_abs(self.mid._mpc_, self.prec or 53, round_nearest), rnd=round_nearest)
 
     def __add__(self, other):
-        if not isinstance(other, Ball):
-            return NotImplemented
-        return Ball._rounded(self.mid + other.mid, self.rad + other.rad)
+        return self._op(other, mpc_add, lambda mid: self.rad + other.rad)
 
     def __neg__(self):
-        return Ball(mp.make_mpc(mpc_neg(self.mid._mpc_)), self.rad)  # exact: no rounding
+        return Ball(mp.make_mpc(mpc_neg(self.mid._mpc_)), self.rad, self.prec)  # exact: no rounding
 
     def __sub__(self, other):
-        if not isinstance(other, Ball):
-            return NotImplemented
-        return Ball._rounded(self.mid - other.mid, self.rad + other.rad)
+        return self._op(other, mpc_sub, lambda mid: self.rad + other.rad)
 
     def __mul__(self, other):
-        if not isinstance(other, Ball):
-            return NotImplemented
-        rad = _mag(self.mid) * other.rad + _mag(other.mid) * self.rad + self.rad * other.rad
-        return Ball._rounded(self.mid * other.mid, rad)
+        return self._op(
+            other, mpc_mul, lambda mid: _mag(self.mid) * other.rad + _mag(other.mid) * self.rad + self.rad * other.rad
+        )
 
     def __truediv__(self, other):
         """Quotient by a ball that excludes 0."""
@@ -724,19 +730,20 @@ class Ball:
         den = _mag(other.mid) * (1 - 2.0**-50) - other.rad
         if den <= 0:
             raise ZeroDivisionError("the divisor ball contains 0")
-        q = self.mid / other.mid
-        return Ball._rounded(q, (self.rad + _mag(q) * other.rad) / den)
+        if not (self.prec or other.prec):
+            raise ValueError("a quotient of exact constants needs a precision")
+        return self._op(other, mpc_div, lambda q: (self.rad + _mag(q) * other.rad) / den)
 
 
-def _two_pi_power(k: int) -> Ball:
-    """(2 pi)^k for k >= 0 at the working precision w, as a Ball whose radius holds its rounding.
+def _two_pi_power(k: int, prec: int) -> Ball:
+    """(2 pi)^k for k >= 0 at ``prec`` bits, as a Ball whose radius holds its rounding.
 
-    mpmath rounds pi and the power (exact, or at extra precision) once each,
-    so (2 pi)^k is within (1 + 2^(-w))^(k+1) - 1 < (k + 3) 2^(-w) of relative
-    error.
+    pi and the power (exact, or at extra precision) are rounded once each,
+    so (2 pi)^k is within (1 + 2^(-prec))^(k+1) - 1 < (k + 3) 2^(-prec) of
+    relative error.
     """
-    v = (2 * mpmath.pi) ** k
-    return Ball.from_mpc(mpmath.mpc(v), mp.prec, float(v) * (k + 3) * 2.0**-mp.prec)
+    v = mpf_pow_int(mpf_shift(mpf_pi(prec, round_nearest), 1), k, prec, round_nearest)
+    return Ball.from_mpc(mp.make_mpc((v, fzero)), prec, to_float(v, rnd=round_nearest) * (k + 3) * 2.0**-prec)
 
 
 # ---------------------------------------------------------------------------
@@ -748,11 +755,10 @@ def _two_pi_power(k: int) -> Ball:
 # integers, over 2^F, are the one analytic table of roots of unity (root_ball)
 
 
-def to_mpf(x) -> mpmath.mpf:
-    """A rational (or anything ``mpmath.mpf`` accepts) at the working precision."""
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+def to_mpf(x: Fraction | int, prec: int) -> mpmath.mpf:
+    """A rational at ``prec`` bits, as mpmath divides: the numerator rounded, then the quotient."""
+    x = Fraction(x)
+    return mp.make_mpf(mpf_div(from_int(x.numerator, prec, round_nearest), from_int(x.denominator), prec, round_nearest))
 
 
 def _fixed(x: tuple, F: int) -> int:
@@ -771,8 +777,8 @@ def fixed_root_table(n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the targets are symmetric and round-to-nearest commutes with negation, so
     the mirrored entries lie within the same distance of theirs.
     """
-    with mp.workprec(F + 16):
-        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / n)._mpc_ for t in range(n // 2 + 1)]
+    w = F + 16
+    roots = [mpc_expjpi((from_rational(2 * t, n, w, round_nearest), fzero), w, round_nearest) for t in range(n // 2 + 1)]
     cos = [_fixed(re, F) for re, _ in roots]
     sin = [_fixed(im, F) for _, im in roots]
     mirror = slice((n - 1) // 2, 0, -1)  # n - t for t = n // 2 + 1, ..., n - 1
@@ -780,10 +786,10 @@ def fixed_root_table(n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def root_ball(n: int, t: int, F: int) -> Ball:
-    """e(t/n) as a Ball: the integer pair of ``fixed_root_table(n, F)`` over 2^F, an exact
-    midpoint, with radius sqrt(2) 2^(-F), as each coordinate lies within one unit."""
+    """e(t/n) as a Ball at F bits: the integer pair of ``fixed_root_table(n, F)`` over 2^F, an
+    exact midpoint, with radius sqrt(2) 2^(-F), as each coordinate lies within one unit."""
     cos, sin = fixed_root_table(n, F)
-    return Ball(mp.make_mpc((from_man_exp(cos[t], -F), from_man_exp(sin[t], -F))), _up(sqrt(2) * 2.0**-F))
+    return Ball(mp.make_mpc((from_man_exp(cos[t], -F), from_man_exp(sin[t], -F))), _up(sqrt(2) * 2.0**-F), F)
 
 
 def fixed_power_terms(
@@ -1047,7 +1053,10 @@ def bessel_k_moment_check(
     comparison, as it depends on (nu, a) alone.
 
     Both quadratures run at 80 bits, a verification aid at modest fixed
-    precision; a report holds the two relative errors and no verdict.
+    precision; a report holds the two relative errors and no verdict.  As
+    ``mpmath.quad`` and ``besselk`` take no precision argument, this is the
+    one function that sets mpmath's process-wide precision, so it must not
+    run beside another thread that uses mpmath's working precision.
     """
     several = isinstance(mu, tuple)
     mus = [Fraction(m) for m in (mu if several else (mu,))]
@@ -1056,8 +1065,8 @@ def bessel_k_moment_check(
         raise ValueError("a must be positive")
     if any(m <= abs(nu) for m in mus):
         raise ValueError("need mu > |nu| for convergence")
-    with mp.workprec(80):
-        af = to_mpf(a)
+    with mp.workprec(80):  # mpmath.quad and besselk round at the working precision only
+        af = to_mpf(a, 80)
         # a cosh u = a + 2 a sinh(u/2)^2, and the cut solves 2 a sinh(U/2)^2 = 80 log 2.
         # quad's error control is absolute, so e^(-a) stays outside the integral:
         # inside, a tiny integrand passes at once (at a = 100 it came out 8e-4 off).
@@ -1069,7 +1078,7 @@ def bessel_k_moment_check(
         kernel_rel = float(abs(kernel - want) / want)
         reports = []
         for m in mus:
-            muf = to_mpf(m)
+            muf = to_mpf(m, 80)
             integral = mpmath.quad(lambda u: mpmath.cosh(nu * u) / mpmath.cosh(u) ** muf, [0, mpmath.inf])
             lhs = mpmath.gamma(muf) * af ** (-muf) * integral
             rhs = (

@@ -17,9 +17,6 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from itertools import product
 
-import mpmath
-from mpmath import mp
-
 from .arith import (
     Ball,
     CyclotomicNumber,
@@ -478,11 +475,11 @@ class TranscendentalValue:
     algebraic: CyclotomicNumber
 
     def numeric(self, prec: int = 53) -> Ball:
-        """The value at ``prec`` bits; the radius bounds the roundings of the embedding and of (2 pi)^k."""
+        """The value at ``prec`` bits, assembled from Balls at prec + 16 bits: the radius bounds
+        the roundings of the embedding, of (2 pi)^k and of their product."""
         k = self.two_pi_i_power
-        i_power = Ball(mpmath.mpc(*((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]))  # i^k, exact
-        with mp.workprec(prec + 16):
-            z = self.algebraic.embed(prec + 16) * _two_pi_power(k) * i_power
+        i_power = Ball.exact(*((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4])  # i^k
+        z = self.algebraic.embed(prec + 16) * _two_pi_power(k, prec + 16) * i_power
         return Ball.from_mpc(z.mid, prec, z.rad)
 
     def __eq__(self, other):

@@ -19,14 +19,14 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import gcd, isfinite
 
-from mpmath import mp
-
 from . import arith, asai, characters, cohomology, distribution, eisenstein, padic
 
 DEFAULT_CACHE = "asaikit_report_cache.json"
 # gaps and radii are floats, which underflow to 0 near 2^(-1074); a finer --prec would
 # pass a row on a gap that is no longer seen
 MAX_PRECISION_BITS = 1000
+MAX_S = 1000  # from --s 1000 on p^(j(s-1)) overflows every distribution gap; a larger s only costs memory
+MAX_GLUE_UNITS = 10**6  # glue_check lists every unit mod p^(j+depth); 10^6 of them take about a minute
 
 
 def _flag(flag: str, default=None, type=int):
@@ -174,10 +174,8 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
             deg = arith.euler_phi(m)
             a = arith.CyclotomicNumber(m, [Fraction(rng.randint(-5, 5)) for _ in range(deg)])
             b = arith.CyclotomicNumber(m, [Fraction(rng.randint(-5, 5)) for _ in range(deg)])
-            with mp.workprec(precision_bits):
-                diff = (a * b).embed(precision_bits) - a.embed(precision_bits) * b.embed(precision_bits)
-                gap = float(abs(diff.mid))
-            yield f"m={m}", gap, 2.0 ** (12 - precision_bits)
+            diff = (a * b).embed(precision_bits) - a.embed(precision_bits) * b.embed(precision_bits)
+            yield f"m={m}", abs(diff), 2.0 ** (12 - precision_bits)
 
     def bessel():
         mus = (3, 4)
@@ -247,10 +245,9 @@ def _suite_characters(precision_bits: int) -> list:
             for c in characters.enumerate_characters(5)
             if not c.is_trivial and (c * c).is_trivial
         ][0]
-        exact = characters.L_special_exact(2, quad5).numeric(precision_bits).to_mpc()
+        exact = characters.L_special_exact(2, quad5).numeric(precision_bits)
         approx = characters.L_truncated(2, quad5, 20000, precision_bits)
-        gap = float(abs(exact - approx.to_mpc()))
-        yield "quadratic mod 5, R=20000", gap, 1.05 * approx.rad
+        yield "quadratic mod 5, R=20000", abs(exact - approx), 1.05 * approx.rad
 
     return [
         ("orthogonality", "sum_chi chi(a) chibar(b) = phi(M) [a=b]", orthogonality()),
@@ -325,8 +322,8 @@ def _check_distribution_settings(cfg: RunConfig, form: asai.MockEigenform | None
         if cfg.truncation_R < p * p:
             raise ValueError(f"--R must be at least p^2 = {p * p}, got {cfg.truncation_R}")
     k = 2 if form is None else form.k  # 2: the weight of the mock form
-    if cfg.s is not None and _parse_s(cfg.s, k) <= k + 1:
-        raise ValueError(f"--s must exceed k + 1 = {k + 1}, got {cfg.s!r}")
+    if cfg.s is not None and not k + 1 < _parse_s(cfg.s, k) <= MAX_S:
+        raise ValueError(f"--s must exceed k + 1 = {k + 1} and be at most {MAX_S}, got {cfg.s!r}")
 
 
 def _suite_distribution(
@@ -376,9 +373,7 @@ def _suite_distribution(
             for chi in characters.enumerate_characters(p):
                 v1 = distribution.integrate_character(params, chi, 1)
                 v2 = distribution.integrate_character(params, chi, 2)
-                with mp.workprec(precision_bits + 16):
-                    gap = float(abs(v1.to_mpc() - v2.to_mpc()))
-                yield f"p={p} chi={chi.exps}", gap, tol
+                yield f"p={p} chi={chi.exps}", abs(v1 - v2), tol
 
     return [
         ("distribution-relation", "coset refinement sums match", dist_relation()),
@@ -417,8 +412,7 @@ def _suite_eisenstein(seed: int, precision_bits: int) -> list:
             analytic = eisenstein.higher_coeffs_analytic(params, (1, 2, 3), precision_bits)
             for lpp, a in zip((1, 2, 3), analytic):
                 e = eisenstein.higher_coeff_exact(params, lpp)
-                gap = float(abs(e.embed(precision_bits).to_mpc() - a.to_mpc()))
-                gap /= max(1.0, float(abs(a.to_mpc())))
+                gap = abs(e.embed(precision_bits) - a) / max(1.0, abs(a))
                 yield f"({N},{p},{j},{k}) l''={lpp}", gap, 1e-8
 
     def classical():
@@ -687,6 +681,10 @@ def cmd_kummer(args) -> int:
     p, j = table.p, args.j
     if args.p is not None and args.p != p:
         print(f"error: table is for p={p}, got --p {args.p}", file=sys.stderr)
+        return 2
+    if p ** min(j + args.depth, 20) > MAX_GLUE_UNITS:  # p >= 2, so p^20 > 10^6
+        units = f"{p}^{j + args.depth}"
+        print(f"error: --j + --depth lists the units mod {units}, over {MAX_GLUE_UNITS:,}", file=sys.stderr)
         return 2
     try:  # every slice the sweep and the gluing families read, before any output
         sub = padic.level_view(table, 0, j)

@@ -5,7 +5,7 @@ polynomial decomposition, the unwound pairing series and the two-sided
 rationality check.
 
 Polynomials hold integer pairs over one denominator; nothing here is numeric
-except the pairing series and the rationality check, which run on mpmath at a
+except the pairing series and the rationality check, which run on Balls at a
 requested precision.
 """
 
@@ -15,9 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, inf, lcm
-
-import mpmath
-from mpmath import mp
 
 from .arith import (
     Ball,
@@ -565,8 +562,7 @@ def pairing_series(
     """sum_(r>=1) (e(r b) + e(-r b)) c(r) r^(-s'), truncated at R; the radius holds the tail."""
     f.tabulate(R)
     series = TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, prec)
-    with mp.workprec(prec):
-        return series.at(b) + series.at(-b)
+    return series.at(b) + series.at(-b)
 
 
 @dataclass(frozen=True)
@@ -614,42 +610,38 @@ def rationality_ratio(
         raise ValueError("chi must have p-power conductor")
     chi0 = chi.primitive()
     f.tabulate(R)
-    # both series at prec + 16, the working precision of the assembly
-    d_series = TruncatedSeries(f.nonzero(R), f.k, R, s_prime, prec + 16)
-    c_series = TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, prec + 16)
-    with mp.workprec(prec + 16):
-        # left side
-        g_chi = gauss_sum(chi).embed(prec + 16)
-        chibar = chi0.inverse()
-        psi = chibar * chibar
-        lhs = g_chi * d_series.twisted(chibar, chi0.modulus)
-        # right side: normalized_L is L(k_l, chibar^2) / (G(chibar^2) (2 pi)^k_l)
-        lval = (
-            normalized_L(chi0, k_l).value.embed(prec + 16)
-            * gauss_sum(psi).embed(prec + 16)
-            * _two_pi_power(k_l)
-        )
-        psi0 = psi.primitive()
-        for q, _ in factorize(f.N):  # remove the level-N Euler factors, exact until embedded
-            if gcd(q, psi0.modulus) == 1:
-                lval = lval * (1 - psi0.value(q) * Fraction(1, q**k_l)).embed(prec + 16)
-        if j_chi == 0:
-            pair_acc = c_series.at(0)
-        else:
-            pair_acc = Ball(mpmath.mpc(0))
-            for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
-                b = Fraction(a, p**j_chi)
-                w = root_ball(chi0.value_order, chi0.exponent_of(a), mp.prec)
-                pair_acc = pair_acc + (c_series.at(b) + c_series.at(-b)) * w
-        rhs = lval * pair_acc
-        gap = float(abs((lhs - rhs).mid))
-        value = lhs / omega_f
+    # every Ball of the assembly carries w = prec + 16 bits
+    w = prec + 16
+    d_series = TruncatedSeries(f.nonzero(R), f.k, R, s_prime, w)
+    c_series = TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, w)
+    # left side
+    g_chi = gauss_sum(chi).embed(w)
+    chibar = chi0.inverse()
+    psi = chibar * chibar
+    lhs = g_chi * d_series.twisted(chibar, chi0.modulus)
+    # right side: normalized_L is L(k_l, chibar^2) / (G(chibar^2) (2 pi)^k_l)
+    lval = normalized_L(chi0, k_l).value.embed(w) * gauss_sum(psi).embed(w) * _two_pi_power(k_l, w)
+    psi0 = psi.primitive()
+    for q, _ in factorize(f.N):  # remove the level-N Euler factors, exact until embedded
+        if gcd(q, psi0.modulus) == 1:
+            lval = lval * (1 - psi0.value(q) * Fraction(1, q**k_l)).embed(w)
+    if j_chi == 0:
+        pair_acc = c_series.at(0)
+    else:
+        pair_acc = Ball.exact(0)
+        for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
+            b = Fraction(a, p**j_chi)
+            root = root_ball(chi0.value_order, chi0.exponent_of(a), w)
+            pair_acc = pair_acc + (c_series.at(b) + c_series.at(-b)) * root
+    rhs = lval * pair_acc
+    gap = abs(lhs - rhs)
+    value = lhs / omega_f
     return RationalityReport(
         Ball.from_mpc(value.mid, prec, value.rad),
         Ball.from_mpc(lhs.mid, prec, lhs.rad),
         Ball.from_mpc(rhs.mid, prec, rhs.rad),
         gap,
-        gap / max(float(abs(lhs.mid)), 1e-300),
+        gap / max(abs(lhs), 1e-300),
     )
 
 

@@ -27,6 +27,12 @@ rounding, and each coset value per (j, a mod p^j).  ``integrate_character``
 adds the coset values per value of chi and multiplies each sum once by its
 root of unity, an ``arith.root_ball`` read from the same integer table as the
 series.
+
+No value here reads mpmath's process-wide precision.  Every Ball carries its
+own: an operation runs at the larger precision of its operands, an exact
+constant carries none, and the radius holds that rounding.  So a coset value
+is summed at prec + 16 bits, the precision of its weights, and rounded to
+prec; sums of coset values run at prec, with that rounding in the radius.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 
-import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, fzero, mpf_mul, mpf_pow, round_nearest, to_float
 
 from .arith import Ball, TruncatedSeries, _split_order, root_ball, to_mpf, vp
 from .asai import MockEigenform, OrdinaryData, ordinary_data
@@ -93,8 +99,9 @@ class DistParams:
         weight at j = j_chi) and its (i, B_i p^(-is)) for B_i != 0.
 
         They depend on ``ordinary`` and j alone, so they are built once per j
-        (and again if ``ordinary`` is replaced), as Balls at prec + 16 bits
-        whose radii hold their own rounding.
+        (and again if ``ordinary`` is replaced), as Balls that carry
+        prec + 16 bits (so the coset sums they enter run at that precision)
+        and whose radii hold their own rounding.
         """
         od = self.ordinary
         kept = self._weights.get(j)
@@ -102,15 +109,15 @@ class DistParams:
             p = self.p
             if vp(od.kappa, p) != 0:
                 raise ValueError("kappa is not a p-adic unit")
-            with mp.workprec(self.prec + 16):
-                pref = _weight(od.kappa**-j, p, j * (self.s - 1))
-                weights = tuple((i, _weight(b, p, -i * self.s)) for i, b in enumerate(od.B) if b)
+            w = self.prec + 16
+            pref = _weight(od.kappa**-j, p, j * (self.s - 1), w)
+            weights = tuple((i, _weight(b, p, -i * self.s, w)) for i, b in enumerate(od.B) if b)
             kept = self._weights[j] = (od, pref, weights)
         return kept[1:]
 
 
-def _weight(x: Fraction, p: int, e: Fraction) -> Ball:
-    """x p^e as a Ball at the working precision w.
+def _weight(x: Fraction, p: int, e: Fraction, w: int) -> Ball:
+    """x p^e as a Ball that carries w bits, computed at w bits through libmp.
 
     For integer e, x p^e is rational and ``to_mpf`` rounds it twice (the
     numerator and the quotient), within 2^(2-w) |x p^e|.  Otherwise x and e
@@ -119,10 +126,11 @@ def _weight(x: Fraction, p: int, e: Fraction) -> Ball:
     and the product one, so the radius (3 |e| ln p + 8) 2^(-w) |x p^e| holds.
     """
     if e.denominator == 1:
-        v, units = to_mpf(x * Fraction(p) ** int(e)), 4.0
+        v, units = to_mpf(x * Fraction(p) ** int(e), w)._mpf_, 4.0
     else:
-        v, units = to_mpf(x) * mpmath.mpf(p) ** to_mpf(e), 3 * abs(float(e)) * log(p) + 8
-    return Ball.from_mpc(mpmath.mpc(v), mp.prec, float(abs(v)) * units * 2.0**-mp.prec)
+        power = mpf_pow(from_int(p, w, round_nearest), to_mpf(e, w)._mpf_, w, round_nearest)
+        v, units = mpf_mul(to_mpf(x, w)._mpf_, power, w, round_nearest), 3 * abs(float(e)) * log(p) + 8
+    return Ball.from_mpc(mp.make_mpc((v, fzero)), w, abs(to_float(v, rnd=round_nearest)) * units * 2.0**-w)
 
 
 def P_s(params: DistParams, b: Fraction | int) -> Ball:
@@ -148,11 +156,10 @@ def mu_tilde(params: DistParams, a: int, j: int) -> Ball:
     kept = params._cosets.get(key)
     if kept is None or kept[0] is not params.ordinary or kept[1] is not params.series:
         pref, weights = params.coset_weights(j)
-        with mp.workprec(params.prec + 16):
-            acc = Ball(mpmath.mpc(0))
-            for i, w in weights:
-                acc = acc + P_s(params, Fraction(a * p**i, p**j)) * w
-            acc = acc * pref
+        acc = Ball.exact(0)
+        for i, w in weights:
+            acc = acc + P_s(params, Fraction(a * p**i, p**j)) * w
+        acc = acc * pref
         value = Ball.from_mpc(acc.mid, params.prec, acc.rad)
         kept = params._cosets[key] = (params.ordinary, params.series, value)
     return kept[2]
@@ -172,13 +179,11 @@ def verify_distribution_relation(params: DistParams, a: int, j: int) -> Identity
     """Refine the coset a + p^j Z_p into p cosets one level deeper and compare."""
     p = params.p
     rhs = mu_tilde(params, a, j)
-    with mp.workprec(params.prec + 16):
-        acc = Ball(mpmath.mpc(0))
-        for t in range(p):
-            acc = acc + mu_tilde(params, a + t * p**j, j + 1)
-        diff = acc - rhs
-        gap = float(abs(diff.mid))
-    return IdentityReport(Ball.from_mpc(acc.mid, params.prec, acc.rad), rhs, gap, diff.rad)
+    acc = Ball.exact(0)
+    for t in range(p):
+        acc = acc + mu_tilde(params, a + t * p**j, j + 1)
+    diff = acc - rhs
+    return IdentityReport(acc, rhs, abs(diff), diff.rad)
 
 
 def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> Ball:
@@ -191,19 +196,18 @@ def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> 
     q = params.p**j
     if chi.modulus != 1 and q % chi.modulus:
         raise ValueError("need j >= j_chi")
-    with mp.workprec(params.prec + 16):
-        by_value: dict[int, Ball] = {}
-        for a in range(1, q + 1):
-            if gcd(a, params.p) != 1:
-                continue
-            t = chi.exponent_of(a)
-            if t is None:
-                continue
-            v = mu_tilde(params, a, j)
-            by_value[t] = by_value[t] + v if t in by_value else v
-        acc = Ball(mpmath.mpc(0))
-        for t, v in by_value.items():
-            acc = acc + v * root_ball(chi.value_order, t, mp.prec)
+    by_value: dict[int, Ball] = {}
+    for a in range(1, q + 1):
+        if gcd(a, params.p) != 1:
+            continue
+        t = chi.exponent_of(a)
+        if t is None:
+            continue
+        v = mu_tilde(params, a, j)
+        by_value[t] = by_value[t] + v if t in by_value else v
+    acc = Ball.exact(0)
+    for t, v in by_value.items():
+        acc = acc + v * root_ball(chi.value_order, t, params.prec + 16)
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 
@@ -233,13 +237,13 @@ def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> Ball:
     if Cc != 1:
         raise ValueError("character conductor must be a p-power")
     series = twisted_asai_series(params, chi.inverse())
-    with mp.workprec(params.prec + 16):
-        acc = gauss_sum(chi).embed(params.prec + 16) * series
-        if j_chi:
-            acc = acc * params.coset_weights(j_chi)[0]
-        else:
-            kappa, kappa_ps = _weight(od.kappa, p, Fraction(0)), _weight(od.kappa, p, -s)
-            acc = acc * (kappa - _weight(Fraction(1), p, s - 1)) / (kappa * (Ball(mpmath.mpc(1)) - kappa_ps))
+    w = params.prec + 16
+    acc = gauss_sum(chi).embed(w) * series
+    if j_chi:
+        acc = acc * params.coset_weights(j_chi)[0]
+    else:
+        kappa, kappa_ps = _weight(od.kappa, p, Fraction(0), w), _weight(od.kappa, p, -s, w)
+        acc = acc * (kappa - _weight(Fraction(1), p, s - 1, w)) / (kappa * (Ball.exact(1) - kappa_ps))
     return Ball.from_mpc(acc.mid, params.prec, acc.rad)
 
 
@@ -248,7 +252,5 @@ def check_interpolation(params: DistParams, chi: DirichletCharacter) -> Identity
     level = max(_split_order(chi.modulus, params.p)[0], 1)
     lhs = integrate_character(params, chi, level)
     rhs = interpolation_rhs(params, chi)
-    with mp.workprec(params.prec + 16):
-        diff = lhs - rhs
-        gap = float(abs(diff.mid))
-    return IdentityReport(lhs, rhs, gap, diff.rad)
+    diff = lhs - rhs
+    return IdentityReport(lhs, rhs, abs(diff), diff.rad)

@@ -21,13 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_mul, mpf_neg, round_nearest, to_float
 
 from .arith import (
     ArithTables,
     Ball,
     CyclotomicNumber,
+    _two_pi_power,
     _vp_min,
     bernoulli_number,
     euler_phi,
@@ -356,9 +357,9 @@ def higher_coeffs_analytic(
     e_m = E (1 + 2^(-F)) + 2^(1-F) <= E + 2^(2-F), as E < 1 for every
     T < 2^(F-1).  The coefficient is kappa sum_c Z_c S_c, whose sum is at
     most 2 phi(M) sigma, so the integer sum 2^(-2F) sum_c W_c C_c is at most
-    3 phi(M) sigma.  mpmath rounds pi, the power (exact, or at extra
-    precision) and the quotient of kappa once each at w + 16 bits, so kappa's
-    relative error is below (2k + 4) 2^(-w-16); with the rounding of the
+    3 phi(M) sigma.  pi, the power (``_two_pi_power``) and the quotient of
+    kappa are rounded once each at w + 16 bits, so kappa's relative error
+    is below (2k + 4) 2^(-w-16); with the rounding of the
     integer sum to w bits and of the product, that adds at most
     3 (2 + (2k + 5) 2^(-16)) 2^(-w) phi(M) sigma |kappa|, and the radius is
     phi(M) sigma |kappa| (E + 2^(2-F) + 3 (2 + (2k + 5) 2^(-16)) 2^(-w)).
@@ -383,8 +384,9 @@ def higher_coeffs_analytic(
         if key not in cosets:
             cosets[key] = ([], sum(W[t] for t in {c, -c % q}))
         cosets[key][0].append(u)
-    with mp.workprec(w + 16):
-        kappa = (-1) ** (k // 2) * (2 * mpmath.pi) ** k / (factorial(k - 1) * M**k)
+    kappa = mpf_div(_two_pi_power(k, w + 16).mid.real._mpf_, from_int(factorial(k - 1) * M**k), w + 16, round_nearest)
+    if k // 2 % 2:
+        kappa = mpf_neg(kappa)
     mass_err = terms ** (1 - k) / (k - 1) + terms * 2.0 ** (-F - 1) + 2.0 ** (2 - F)
     rounding = 3 * (2 + (2 * k + 5) * 2.0**-16) * 2.0**-w
     by_divisor = {}  # d -> sum_c W_c sum_(u in c) cos[u d mod M]
@@ -396,10 +398,9 @@ def higher_coeffs_analytic(
                 by_divisor[d] = sum(mass * sum(cos[u * d % M] for u in ws) for ws, mass in cosets.values())
         total = sum(d ** (k - 1) * by_divisor[d] for d in divisors)
         sigma = sum(d ** (k - 1) for d in divisors)
-        rad = phi * sigma * float(abs(kappa)) * (mass_err + rounding)
-        with mp.workprec(w):
-            value = mpmath.mpc(mpmath.mpf((total, -2 * F)) * kappa)
-        out.append(Ball.from_mpc(value, prec, rad))
+        rad = phi * sigma * abs(to_float(kappa, rnd=round_nearest)) * (mass_err + rounding)
+        value = mpf_mul(from_man_exp(total, -2 * F, w, round_nearest), kappa, w, round_nearest)
+        out.append(Ball.from_mpc(mp.make_mpc((value, fzero)), prec, rad))
     return out
 
 

@@ -34,7 +34,11 @@ from asaikit.arith import (
     vp,
     TruncatedSeries,
     _binomial,
+    _fixed,
+    _mag,
     _mobius_bucket,
+    _two_pi_power,
+    _up,
 )
 from asaikit.characters import enumerate_characters
 
@@ -335,7 +339,7 @@ class TestIntegerKernel:
         m, u = data
         ball = CyclotomicNumber(m, u).embed(80)
         with mp.workprec(200):
-            want = sum((to_mpf(c) * mpmath.expjpi(mpmath.mpf(2 * i) / m) for i, c in enumerate(u)), mpmath.mpc(0))
+            want = sum((to_mpf(c, 200) * mpmath.expjpi(mpmath.mpf(2 * i) / m) for i, c in enumerate(u)), mpmath.mpc(0))
             assert abs(ball.to_mpc() - want) <= ball.rad + 2.0**-150
 
     def test_cross_order_sum(self):
@@ -418,6 +422,29 @@ class TestBall:
             if float(abs(by.mid)) > 2 * by.rad:
                 n = c * c + d * d
                 assert _encloses(bx / by, ((a * c + b * d) / n, (b * c - a * d) / n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=GAUSSIAN, y=GAUSSIAN, prec=BALL_PREC, rx=START_RAD, ry=START_RAD, ux=UNIT, uy=UNIT)
+    def test_operations_ignore_the_working_precision(self, x, y, prec, rx, ry, ux, uy):
+        # a Ball rounds at the precision it carries, not at mpmath's process-wide one
+        (bx, _), (by, _) = _ball(x, prec, rx, ux), _ball(y, prec, ry, uy)
+        ops = [operator.add, operator.sub, operator.mul]
+        if float(abs(by.mid)) > 2 * by.rad:
+            ops.append(operator.truediv)
+        for op in ops:
+            with mp.workprec(53):
+                low = op(bx, by)
+            with mp.workprec(prec):
+                high = op(bx, by)
+            assert (low.mid._mpc_, low.rad, low.prec) == (high.mid._mpc_, high.rad, high.prec) and low.prec == prec
+            with mp.workprec(prec):
+                magnitude = float(abs(high.mid))
+            with mp.workprec(53):
+                assert abs(low) == magnitude
+        exact = Ball.exact(3, -1)
+        assert exact.prec == 0 and (exact * exact).prec == 0 and (exact + bx).prec == prec
+        with pytest.raises(ValueError):
+            exact / exact
 
     def test_scalar_operands_rejected(self):
         # a rounded scalar would enter without its error: only a Ball is an operand
@@ -746,3 +773,67 @@ class TestSeriesPath:
     def test_frequency_needs_a_dividing_denominator(self):
         with pytest.raises(ValueError):
             frequency_sum([1] * 6, F(1, 4), 64)
+
+
+def _parent_from_mpc(z, prec, rad):
+    """``Ball.from_mpc`` as it rounded under mpmath's working precision: (mid, rad)."""
+    with mp.workprec(prec):
+        mid = mp.make_mpc((mpmath.mpf(z.real)._mpf_, mpmath.mpf(z.imag)._mpf_))
+    return mid, _up(rad + _mag(mid) * 2.0 ** (1 - prec))
+
+
+def _parent_to_mpf(x):
+    """A rational at mpmath's working precision: the numerator rounded, then the quotient."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+REFERENCE_PRECS = [64, 144, 1016]
+
+
+class TestMpmathReference:
+    """The libmp evaluations at an explicit precision give the same bits as the mpmath
+    formulas they replaced, which rounded at mpmath's working precision (kept here)."""
+
+    @pytest.mark.parametrize("prec", REFERENCE_PRECS)
+    def test_from_mpc(self, prec):
+        with mp.workprec(prec + 100):
+            zs = [mpmath.mpc(mpmath.pi, -mpmath.e), mpmath.mpc(1) / 3, mpmath.mpc(0, mpmath.sqrt(2)) * 10**30]
+        for z in zs:
+            ball = Ball.from_mpc(z, prec, 1e-30)
+            mid, rad = _parent_from_mpc(z, prec, 1e-30)
+            assert (ball.mid._mpc_, ball.rad, ball.prec) == (mid._mpc_, rad, prec)
+
+    @pytest.mark.parametrize("prec", REFERENCE_PRECS)
+    def test_two_pi_power(self, prec):
+        for k in (0, 1, 2, 4, 7, 30, 64):
+            with mp.workprec(prec):
+                v = (2 * mpmath.pi) ** k
+                mid, rad = _parent_from_mpc(mpmath.mpc(v), prec, float(v) * (k + 3) * 2.0**-prec)
+            ball = _two_pi_power(k, prec)
+            assert (ball.mid._mpc_, ball.rad, ball.prec) == (mid._mpc_, rad, prec), k
+
+    @pytest.mark.parametrize("prec", REFERENCE_PRECS)
+    def test_fixed_root_table(self, prec):
+        for n in (1, 2, 3, 5, 8, 12, 27, 125):
+            with mp.workprec(prec + 16):
+                roots = [mpmath.expjpi(mpmath.mpf(2 * t) / n)._mpc_ for t in range(n // 2 + 1)]
+            cos = [_fixed(re, prec) for re, _ in roots]
+            sin = [_fixed(im, prec) for _, im in roots]
+            mirror = slice((n - 1) // 2, 0, -1)
+            assert fixed_root_table(n, prec) == (tuple(cos + cos[mirror]), tuple(sin + [-x for x in sin[mirror]])), n
+            assert root_ball(n, n - 1, prec).prec == prec
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=ONE_VECTOR, prec=st.sampled_from(REFERENCE_PRECS))
+    def test_embed(self, data, prec):
+        m, u = data
+        a = CyclotomicNumber(m, u)
+        with mp.workprec(prec + 16):
+            zeta = mpmath.expjpi(mpmath.mpf(2) / a.order)
+            acc = mpmath.mpc(0)
+            for c in reversed(a.coeffs):
+                acc = acc * zeta + _parent_to_mpf(c)
+        mass = sum(abs(float(c)) for c in a.coeffs)
+        mid, rad = _parent_from_mpc(acc, prec, 8 * (len(a.coeffs) + 1) * mass * 2.0 ** (-prec - 16))
+        ball = a.embed(prec)
+        assert (ball.mid._mpc_, ball.rad, ball.prec) == (mid._mpc_, rad, prec)

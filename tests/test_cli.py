@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import time
 from dataclasses import fields, replace
 
 import mpmath
@@ -107,6 +108,15 @@ class TestVerify:
     )
     def test_invalid_setting_exit_2(self, argv, tmp_path):
         assert run(["verify", *argv, "--cache", str(tmp_path / "c.json")]) == 2
+
+    @pytest.mark.parametrize("s", ["1e400", "k+2000", "1001"])
+    def test_s_past_the_ceiling_exit_2(self, s, tmp_path, capsys):
+        # from --s 1000 on every distribution row is an error; 1e400 ran out of memory
+        t0 = time.perf_counter()
+        assert run(["verify", "distribution", "--s", s, "--cache", str(tmp_path / "c.json")]) == 2
+        assert time.perf_counter() - t0 < 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: --s ")
 
     def test_precision_ceiling(self):
         # float gaps underflow to 0 near 2^(-1074): `verify arith --prec 1100` passed
@@ -362,6 +372,18 @@ class TestKummerCommand:
         path = str(tmp_path / "bad.mt")
         open(path, "w").write(tab.dumps())
         assert run(["kummer", path, "--j", "2", "--depth", "1"]) == 1
+
+    def test_depth_past_the_unit_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # glue_check lists every unit mod p^(j+depth): depth 40 ran out of memory
+        path = str(tmp_path / "dirac.mt")
+        open(path, "w").write(dirac_measure_table(3, 2, 4, 2).dumps())
+        for depth in ("40", "1000000000"):
+            assert run(["kummer", path, "--j", "1", "--depth", depth]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: --j + --depth")
+        monkeypatch.setattr(cli, "MAX_GLUE_UNITS", 3**3)
+        assert run(["kummer", path, "--j", "1", "--depth", "2"]) == 0  # 3^3 units: at the cap
+        assert run(["kummer", path, "--j", "1", "--depth", "3"]) == 2
 
     def test_malformed_file_exit_2(self, tmp_path):
         path = str(tmp_path / "junk.mt")

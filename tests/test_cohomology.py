@@ -590,8 +590,8 @@ class TestRationalityRatio:
     @pytest.mark.parametrize("prec", [64, 128])
     def test_two_pi_power_encloses(self, prec):
         for k in (1, 2, 4, 6, 12, 30, 64):
-            with mp.workprec(prec):
-                ball = _two_pi_power(k)
+            ball = _two_pi_power(k, prec)
+            assert ball.prec == prec
             with mp.workprec(320):
                 assert abs(ball.mid - (2 * mpmath.pi) ** k) <= ball.rad, k
 

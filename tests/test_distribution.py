@@ -1,7 +1,9 @@
 import dataclasses
 import random
+import sys
+import threading
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, log
 
 import mpmath
 import pytest
@@ -246,11 +248,9 @@ def _row_gaps(params: DistParams) -> tuple[float, float, float]:
     interpolation = max(
         check_interpolation(params, chi).gap for M in (1, p, p * p) for chi in enumerate_characters(M)
     )
-    with mp.workprec(params.prec + 16):
-        level_gap = max(
-            float(abs(integrate_character(params, chi, 1).to_mpc() - integrate_character(params, chi, 2).to_mpc()))
-            for chi in enumerate_characters(p)
-        )
+    level_gap = max(
+        abs(integrate_character(params, chi, 1) - integrate_character(params, chi, 2)) for chi in enumerate_characters(p)
+    )
     return relation, interpolation, level_gap
 
 
@@ -339,3 +339,61 @@ class TestInterpolation:
         lhs = integrate_character(params, chi, 1).to_mpc()
         rhs = interpolation_rhs(params, chi).to_mpc()
         assert abs(lhs - rhs) < 1e-9
+
+
+def _parent_weight(x, p, e, w):
+    """``_weight`` as it rounded under mpmath's working precision w: (mid, rad)."""
+    with mp.workprec(w):
+        to_mpf = lambda y: mpmath.mpf(y.numerator) / y.denominator
+        if e.denominator == 1:
+            v, units = to_mpf(x * F(p) ** int(e)), 4.0
+        else:
+            v, units = to_mpf(x) * mpmath.mpf(p) ** to_mpf(e), 3 * abs(float(e)) * log(p) + 8
+        ball = Ball.from_mpc(mpmath.mpc(v), mp.prec, float(abs(v)) * units * 2.0**-mp.prec)
+    return ball.mid._mpc_, ball.rad
+
+
+@pytest.mark.parametrize("w", [64, 144, 1016])
+def test_weight_matches_the_mpmath_formula(w):
+    # numerators past 2^w are rounded before the quotient, as mpmath divides an mpf by an int
+    xs = [F(1), F(-7, 3), F(3**200 + 1, 7**30), F(-(2**1100) - 5, 11)]
+    es = [F(0), F(4), F(-9), F(9, 2), F(-23, 2), F(1, 3)]
+    for x in xs:
+        for p in (3, 5):
+            for e in es:
+                got = distribution._weight(x, p, e, w)
+                assert (got.mid._mpc_, got.rad, got.prec) == (*_parent_weight(x, p, e, w), w), (x, p, e)
+
+
+def test_threads_share_no_precision():
+    """Two threads each check the interpolation identity for every chi mod p^2 on their
+    own DistParams (at 128 and 96 bits) while the main thread sits inside
+    mp.workprec(53): every gap, bound and midpoint equals that of a serial run, as no
+    Ball reads mpmath's process-wide precision.  (The Bessel row of `verify arith`
+    still sets it.)"""
+
+    def run(p, out):
+        params = DistParams(acceptance_mock(40 + p, p, R=2000), p, F(5), 2000, {3: 128, 5: 96}[p])
+        out[p] = [
+            (rep.gap, rep.bound, rep.lhs.mid._mpc_, rep.rhs.mid._mpc_)
+            for chi in enumerate_characters(p * p)
+            for rep in [check_interpolation(params, chi)]
+        ]
+
+    serial, threaded = {}, {}
+    for p in (3, 5):
+        run(p, serial)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside every would-be precision block
+    try:
+        with mp.workprec(53):
+            workers = [threading.Thread(target=run, args=(p, threaded)) for p in (3, 5)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in workers)
+            assert mp.prec == 53
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

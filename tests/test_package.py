@@ -35,12 +35,40 @@ def test_roots_of_unity_only_in_arith():
         name
         for name, fn in _methods(ast.parse((src / "arith.py").read_text())).items()
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "expjpi"
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in ("expjpi", "mpc_expjpi")
     }
     assert callers == {"fixed_root_table", "CyclotomicNumber.embed"}
     for module in MODULES:
         mod = importlib.import_module(module)
         assert not any(hasattr(mod, name) for name in ("root_table", "embed_complex")), module
+
+
+PRECISION_SETTERS = {"workprec", "workdps", "extraprec", "extradps"}
+
+
+def test_no_process_wide_precision():
+    """Balls carry their own precision: no module calls workprec (or its kin) or reads
+    mp.prec or mp.dps, except bessel_k_moment_check, whose mpmath.quad and besselk
+    round at the working precision only."""
+    src = Path(asaikit.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "arith.py":
+            allowed.update(id(node) for node in ast.walk(_methods(tree)["bessel_k_moment_check"]))
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in PRECISION_SETTERS or (
+                isinstance(node, ast.Attribute) and name in ("prec", "dps") and _dotted_root(node) in ("mp", "mpmath")
+            ):
+                offenders.append(f"{path.name}:{node.lineno}:{name}")
+            if isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & (PRECISION_SETTERS | {"prec", "dps"}):
+                offenders.append(f"{path.name}:{node.lineno}:import")
+    assert not offenders
 
 
 def test_one_congruence_engine_in_padic():
