@@ -9,14 +9,16 @@ denominator, reduced modulo the m-th cyclotomic polynomial and kept in
 lowest terms, so equality of values is equality of vectors.  Floats are
 refused wherever an exact value is expected.  Likewise a Ball takes only
 Balls as operands, so every rounded value carries its error, and its own
-precision (see ``Ball``): only the Bessel quadratures read mpmath's
-process-wide one.  Every analytic root of unity is read from the one integer
-table ``fixed_root_table``.
+precision (see ``Ball``); the Bessel quadratures run in a per-thread mpmath
+context, so nothing here reads or sets mpmath's process-wide precision.
+Every analytic root of unity is read from the one integer table
+``fixed_root_table``.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -352,10 +354,6 @@ class CyclotomicNumber:
         den = self.den
         fracs = {c: Fraction(c, den) for c in set(self.num)}
         return tuple(map(fracs.__getitem__, self.num))
-
-    @property
-    def degree(self) -> int:
-        return euler_phi(self.order)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -1032,10 +1030,23 @@ class BesselMomentReport:
     kernel_rel_err: float
 
 
+_BESSEL = threading.local()  # per thread: quad, besselk and gamma change their context's prec while they run
+
+
+def _bessel_context() -> mpmath.MPContext:
+    """This thread's own mpmath context at 80 bits, made on its first call."""
+    ctx = getattr(_BESSEL, "ctx", None)
+    if ctx is None:
+        ctx = _BESSEL.ctx = mpmath.MPContext()
+        ctx.prec = 80
+    return ctx
+
+
 def bessel_k_moment_check(
-    nu: int, mu: Fraction | int | tuple[Fraction | int, ...], a: Fraction | int
-) -> BesselMomentReport | tuple[BesselMomentReport, ...]:
-    """Check int_0^infty K_nu(a t) t^(mu-1) dt = 2^(mu-2) a^(-mu) Gamma((mu+nu)/2) Gamma((mu-nu)/2).
+    nu: int, mus: tuple[Fraction | int, ...], a: Fraction | int
+) -> tuple[BesselMomentReport, ...]:
+    """Check int_0^infty K_nu(a t) t^(mu-1) dt = 2^(mu-2) a^(-mu) Gamma((mu+nu)/2) Gamma((mu-nu)/2)
+    for each exponent mu in ``mus``, one report per exponent.
 
     The left side goes through Schlaefli's integral
     K_nu(x) = int_0^infty exp(-x cosh u) cosh(nu u) du (DLMF 10.32.9): the
@@ -1046,47 +1057,41 @@ def bessel_k_moment_check(
     That route never evaluates K_nu, so the same Schlaefli integral is also
     compared with ``mpmath.besselk(nu, a)`` (``kernel_rel_err``), cut at the
     U where exp(-a cosh U) = e^(-a) 2^(-80): the integrand has fallen by
-    2^(-80) from its value at u = 0, whatever a is.
-
-    ``mu`` is one exponent, or a tuple of exponents: then the result is a
-    tuple of reports, one per exponent, which share the one kernel
-    comparison, as it depends on (nu, a) alone.
+    2^(-80) from its value at u = 0, whatever a is.  That comparison depends
+    on (nu, a) alone, so the reports share it.
 
     Both quadratures run at 80 bits, a verification aid at modest fixed
-    precision; a report holds the two relative errors and no verdict.  As
-    ``mpmath.quad`` and ``besselk`` take no precision argument, this is the
-    one function that sets mpmath's process-wide precision, so it must not
-    run beside another thread that uses mpmath's working precision.
+    precision; a report holds the two relative errors and no verdict.
+    ``mpmath.quad`` and ``besselk`` round at their context's precision and
+    change it while they run, so they run in the calling thread's own
+    context (``_bessel_context``), never in the process-wide ``mp``; ``lhs``
+    and ``rhs`` come back as ``mp`` values.
     """
-    several = isinstance(mu, tuple)
-    mus = [Fraction(m) for m in (mu if several else (mu,))]
+    mus = [Fraction(m) for m in mus]
     a = Fraction(a)
     if a <= 0:
         raise ValueError("a must be positive")
     if any(m <= abs(nu) for m in mus):
         raise ValueError("need mu > |nu| for convergence")
-    with mp.workprec(80):  # mpmath.quad and besselk round at the working precision only
-        af = to_mpf(a, 80)
-        # a cosh u = a + 2 a sinh(u/2)^2, and the cut solves 2 a sinh(U/2)^2 = 80 log 2.
-        # quad's error control is absolute, so e^(-a) stays outside the integral:
-        # inside, a tiny integrand passes at once (at a = 100 it came out 8e-4 off).
-        cut = 2 * mpmath.asinh(mpmath.sqrt(40 * mpmath.ln2 / af))
-        kernel = mpmath.exp(-af) * mpmath.quad(
-            lambda u: mpmath.exp(-2 * af * mpmath.sinh(u / 2) ** 2) * mpmath.cosh(nu * u), [0, cut]
-        )
-        want = mpmath.besselk(nu, af)
-        kernel_rel = float(abs(kernel - want) / want)
-        reports = []
-        for m in mus:
-            muf = to_mpf(m, 80)
-            integral = mpmath.quad(lambda u: mpmath.cosh(nu * u) / mpmath.cosh(u) ** muf, [0, mpmath.inf])
-            lhs = mpmath.gamma(muf) * af ** (-muf) * integral
-            rhs = (
-                mpmath.mpf(2) ** (muf - 2)
-                * af ** (-muf)
-                * mpmath.gamma((muf + nu) / 2)
-                * mpmath.gamma((muf - nu) / 2)
+    ctx = _bessel_context()
+    af = ctx.make_mpf(to_mpf(a, 80)._mpf_)
+    # a cosh u = a + 2 a sinh(u/2)^2, and the cut solves 2 a sinh(U/2)^2 = 80 log 2.
+    # quad's error control is absolute, so e^(-a) stays outside the integral:
+    # inside, a tiny integrand passes at once (at a = 100 it came out 8e-4 off).
+    cut = 2 * ctx.asinh(ctx.sqrt(40 * ctx.ln2 / af))
+    kernel = ctx.exp(-af) * ctx.quad(lambda u: ctx.exp(-2 * af * ctx.sinh(u / 2) ** 2) * ctx.cosh(nu * u), [0, cut])
+    want = ctx.besselk(nu, af)
+    kernel_rel = float(abs(kernel - want) / want)
+    reports = []
+    for m in mus:
+        muf = ctx.make_mpf(to_mpf(m, 80)._mpf_)
+        integral = ctx.quad(lambda u: ctx.cosh(nu * u) / ctx.cosh(u) ** muf, [0, ctx.inf])
+        lhs = ctx.gamma(muf) * af ** (-muf) * integral
+        rhs = ctx.mpf(2) ** (muf - 2) * af ** (-muf) * ctx.gamma((muf + nu) / 2) * ctx.gamma((muf - nu) / 2)
+        rel = abs(lhs - rhs) / abs(rhs)
+        reports.append(
+            BesselMomentReport(
+                lhs=mp.make_mpf(lhs._mpf_), rhs=mp.make_mpf(rhs._mpf_), rel_err=float(rel), kernel_rel_err=kernel_rel
             )
-            rel = abs(lhs - rhs) / abs(rhs)
-            reports.append(BesselMomentReport(lhs=lhs, rhs=rhs, rel_err=float(rel), kernel_rel_err=kernel_rel))
-    return tuple(reports) if several else reports[0]
+        )
+    return tuple(reports)

@@ -113,8 +113,8 @@ class MockEigenform:
     nonzero entry there is rejected.  ``support = None`` means unknown: every
     prime not dividing N needs an entry, and a missing one raises
     ``KeyError``.  ``tabulate(R)`` stores the nonzero c(r) and d(r) for
-    r <= R; lookups up to the tabulated bound read those tables (an absent r
-    is a zero), lookups above it are computed pointwise.
+    r <= R, and ``nonzero`` is the one reader of those tables;
+    ``coeff_principal`` and ``asai_coeff`` compute one value pointwise.
     """
 
     def __init__(
@@ -239,10 +239,11 @@ class MockEigenform:
     def nonzero(self, R: int, which: str = "d") -> Iterator[tuple[int, Fraction]]:
         """The nonzero (r, d(r)), or (r, c(r)) with ``which="c"``, for r <= R in ascending r.
 
-        Needs ``tabulate(R)`` first.
+        Runs ``tabulate(R)`` first, which does nothing once R is covered.
         """
-        if R > self._bound:
-            raise ValueError(f"coefficients are tabulated up to {self._bound}, not {R}")
+        if which not in ("c", "d"):
+            raise ValueError(f"which must be 'c' or 'd', not {which!r}")
+        self.tabulate(R)
         table = self._d if which == "d" else self._c
         return takewhile(lambda item: item[0] <= R, table.items())
 
@@ -305,8 +306,6 @@ def coeff_principal(f: MockEigenform, r: int) -> Fraction:
     """c((r)) by multiplicativity over the ideal factorization of (r)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if r <= f._bound:
-        return f._c.get(r, Fraction(0))
     return f._coeff_from_factorization(factorize(r))
 
 
@@ -314,8 +313,6 @@ def asai_coeff(f: MockEigenform, r: int) -> Fraction:
     """d(r) = sum over m^2 t = r, gcd(m, N) = 1, of m^(2k-2) c((t))."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if r <= f._bound:
-        return f._d.get(r, Fraction(0))
     out = Fraction(0)
     m = 1
     while m * m <= r:
@@ -443,13 +440,6 @@ class OrdinaryData:
     H_poly: tuple[Fraction, ...]
     B: tuple[Fraction, Fraction, Fraction, Fraction]
     kappa: Fraction
-
-    def d_p(self, e: int) -> Fraction:
-        """Coefficient of X^e in 1/F(X)."""
-        if e < 0:
-            return Fraction(0)
-        inv = _power_series_inverse(list(self.F_poly), e)
-        return inv[e]
 
 
 def ordinary_data(f: MockEigenform) -> OrdinaryData:

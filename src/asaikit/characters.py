@@ -174,9 +174,6 @@ class DirichletCharacter:
             return CyclotomicNumber.from_rational(0, self.value_order)
         return CyclotomicNumber.zeta(self.value_order, t)
 
-    def __call__(self, a: int) -> CyclotomicNumber:
-        return self.value(a)
-
     @property
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps)
@@ -214,8 +211,6 @@ class DirichletCharacter:
 
     def inverse(self) -> "DirichletCharacter":
         return self**-1
-
-    conjugate = inverse
 
     # -- conductor and primitivity ---------------------------------------------
 

@@ -125,9 +125,6 @@ class QuadCoeff:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, QuadCoeff):
             self._check(other)
@@ -139,21 +136,6 @@ class QuadCoeff:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "QuadCoeff":
-        """den (a - b sqrt(-D)) / (a^2 + D b^2)."""
-        n = self.a * self.a + self.D * self.b * self.b
-        if not n:
-            raise ZeroDivisionError("inverse of zero")
-        s = self.den if n > 0 else -self.den
-        return QuadCoeff._make(s * self.a, -s * self.b, abs(n), self.D)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        if not isinstance(other, QuadCoeff):
-            return NotImplemented
-        return self * other.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -560,7 +542,6 @@ def pairing_series(
     f: MockEigenform, b: Fraction, s_prime, R: int, prec: int = 64
 ) -> Ball:
     """sum_(r>=1) (e(r b) + e(-r b)) c(r) r^(-s'), truncated at R; the radius holds the tail."""
-    f.tabulate(R)
     series = TruncatedSeries(f.nonzero(R, "c"), f.k, R, s_prime, prec)
     return series.at(b) + series.at(-b)
 
@@ -609,7 +590,6 @@ def rationality_ratio(
     if Cc != 1:
         raise ValueError("chi must have p-power conductor")
     chi0 = chi.primitive()
-    f.tabulate(R)
     # every Ball of the assembly carries w = prec + 16 bits
     w = prec + 16
     d_series = TruncatedSeries(f.nonzero(R), f.k, R, s_prime, w)

@@ -85,7 +85,6 @@ class DistParams:
         self.R = R
         self.prec = prec
         self.ordinary: OrdinaryData = ordinary_data(f)
-        f.tabulate(R)
         self.series = TruncatedSeries(f.nonzero(R), f.k, R, s, prec)  # nonzero d(r)
         self._weights: dict[int, tuple[OrdinaryData, Ball, tuple[tuple[int, Ball], ...]]] = {}
         self._cosets: dict[tuple[int, int], tuple[OrdinaryData, TruncatedSeries, Ball]] = {}

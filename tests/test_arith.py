@@ -1,5 +1,7 @@
 import operator
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from math import gcd, lcm, log
 
@@ -511,24 +513,25 @@ class TestKronecker:
 class TestBessel:
     def test_moment_identity(self):
         for nu, mu, a in ((0, 2, 1), (1, 3, 2)):
-            r = bessel_k_moment_check(nu, mu, a)
+            [r] = bessel_k_moment_check(nu, (mu,), a)
             assert r.rel_err < 1e-6 and r.kernel_rel_err < 1e-6
 
     def test_scaling_in_a(self):
-        r1 = bessel_k_moment_check(0, 2, 1)
-        r2 = bessel_k_moment_check(0, 2, 2)
+        [r1] = bessel_k_moment_check(0, (2,), 1)
+        [r2] = bessel_k_moment_check(0, (2,), 2)
         ratio = float(r2.lhs / r1.lhs)
         assert abs(ratio - 2.0**-2) < 1e-6
 
     def test_divergent_parameters_rejected(self):
         with pytest.raises(ValueError):
-            bessel_k_moment_check(2, 2, 1)
+            bessel_k_moment_check(2, (2,), 1)
 
     def test_known_moments(self):
         """int K_0(t) t dt = 1, int K_1(t) t^2 dt = 2, int K_0(t) t^2 dt = pi/2."""
         with mp.workprec(80):
             for nu, mu, want in ((0, 2, mpmath.mpf(1)), (1, 3, mpmath.mpf(2)), (0, 3, mpmath.pi / 2)):
-                lhs = bessel_k_moment_check(nu, mu, 1).lhs
+                [rep] = bessel_k_moment_check(nu, (mu,), 1)
+                lhs = rep.lhs
                 assert abs(lhs - want) / want < 1e-20, (nu, mu)
 
     @settings(max_examples=40, deadline=None)
@@ -539,21 +542,54 @@ class TestBessel:
     )
     def test_identity_over_parameters(self, nu, mu, a):
         assume(mu > nu)
-        r = bessel_k_moment_check(nu, mu, a)
+        [r] = bessel_k_moment_check(nu, (mu,), a)
         assert r.rel_err < 1e-6 and r.kernel_rel_err < 1e-6, (r.rel_err, r.kernel_rel_err)
 
     def test_kernel_at_large_argument(self):
         """K_nu(100) ~ 5e-45: the kernel quadrature must not stop at an absolute tolerance."""
-        r = bessel_k_moment_check(1, 2, 100)
+        [r] = bessel_k_moment_check(1, (2,), 100)
         assert r.rel_err < 1e-6 and r.kernel_rel_err < 1e-20
 
     def test_kernel_comparison_decides(self, monkeypatch):
         """A K_nu 1 % off shows in kernel_rel_err although the moment side is untouched."""
-        besselk = mpmath.besselk
-        monkeypatch.setattr(mpmath, "besselk", lambda nu, x: 1.01 * besselk(nu, x))
-        r = bessel_k_moment_check(1, 3, 1)
+        besselk = mpmath.MPContext.besselk  # the check runs in a context of its own
+        monkeypatch.setattr(mpmath.MPContext, "besselk", lambda ctx, nu, x: 1.01 * besselk(ctx, nu, x))
+        [r] = bessel_k_moment_check(1, (3,), 1)
         assert r.rel_err < 1e-20
         assert abs(r.kernel_rel_err - 1 / 101) < 1e-6
+
+    def test_threads_share_no_precision(self):
+        """Two threads run the checks of `verify arith` and a large-a case while the main
+        thread sits inside mp.workprec(53): every report equals that of a serial run, as
+        each thread's quadratures run in a context of its own.  With mp.workprec(80) they
+        differed in 3 of 3 runs, and one raised ZeroDivisionError inside besselk."""
+        cases = ((0, (3, 4), 1), (1, (3, 4), 1), (2, (3, 4), 1), (1, (3,), 100))
+
+        def run(out):
+            out.append([
+                (r.lhs._mpf_, r.rhs._mpf_, r.rel_err, r.kernel_rel_err)
+                for case in cases * 2
+                for r in bessel_k_moment_check(*case)
+            ])
+
+        serial, threaded = [], []
+        run(serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside every quadrature
+        try:
+            with mp.workprec(53):
+                workers = [threading.Thread(target=run, args=(threaded,)) for _ in range(2)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in workers)
+                assert mp.prec == 53
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 2
+        [r] = bessel_k_moment_check(0, (2,), 2)
+        assert r.lhs.context is mp and r.rhs.context is mp
 
 
 def test_vp():

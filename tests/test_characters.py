@@ -192,8 +192,8 @@ class TestComponents:
         for q, u, chi_q in comps:
             assert u * (M // q) % q == 1
             assert any(c is chi_q for c in enumerate_characters(q))  # the canonical copy
-            prod = prod * chi_q(a)
-        assert prod == chi(a)
+            prod = prod * chi_q.value(a)
+        assert prod == chi.value(a)
 
 
 class TestGeneralizedBernoulli:

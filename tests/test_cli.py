@@ -6,11 +6,12 @@ import random
 import re
 import time
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from asaikit import asai, cli
+from asaikit import asai, cli, eisenstein
 from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
@@ -250,8 +251,8 @@ class TestVerify:
 
     def test_bessel_row_gates_on_the_kernel_error(self, tmp_path, monkeypatch, capsys):
         # a K_nu 1 % off leaves the moment side exact, so only kernel_rel_err can fail the row
-        besselk = mpmath.besselk
-        monkeypatch.setattr(mpmath, "besselk", lambda nu, x: 1.01 * besselk(nu, x))
+        besselk = mpmath.MPContext.besselk  # the check runs in a context of its own
+        monkeypatch.setattr(mpmath.MPContext, "besselk", lambda ctx, nu, x: 1.01 * besselk(ctx, nu, x))
         cache = tmp_path / "c.json"
         assert run(["verify", "arith", "--cache", str(cache)]) == 1
         rows = {r["name"]: r for r in json.loads(cache.read_text())["results"]}
@@ -264,11 +265,11 @@ class TestVerify:
         calls = {"quad": 0, "besselk": 0}
         for name in calls:
 
-            def counted(*args, _real=getattr(mpmath, name), _name=name, **kwargs):
+            def counted(*args, _real=getattr(mpmath.MPContext, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(mpmath, name, counted)
+            monkeypatch.setattr(mpmath.MPContext, name, counted)
         assert run(["verify", "arith", "--cache", str(tmp_path / "c.json")]) == 0
         assert calls == {"quad": 9, "besselk": 3}
 
@@ -307,6 +308,38 @@ class TestVerify:
         assert status.pop("ordinary-factorization") == "fail"
         assert set(status.values()) == {"pass"}
 
+    def test_exact_vs_analytic_gates_on_the_radius(self, tmp_path, monkeypatch, capsys):
+        # an exact value 2^(-30) off is a relative gap of 9.3e-10, inside the old fixed 1e-8,
+        # and 1e4 times the proved radius of the difference
+        true_exact = eisenstein.higher_coeff_exact
+        monkeypatch.setattr(
+            eisenstein, "higher_coeff_exact", lambda params, lpp: true_exact(params, lpp) * Fraction(2**30 + 1, 2**30)
+        )
+        cache = tmp_path / "c.json"
+        assert run(["verify", "eisenstein", "--cache", str(cache)]) == 1
+        rows = {r["name"]: r for r in json.loads(cache.read_text())["results"]}
+        row = rows.pop("exact-vs-analytic")
+        assert (row["status"], row["detail"]) == ("fail", "(1,3,1,4) l''=3")
+        assert row["gap"] / 3 < 1e-9  # |analytic| = 3 there
+        assert {r["status"] for r in rows.values()} == {"pass"}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda params, lam: lam[:-1] if params.p == 5 else lam,  # one listed pair dropped
+            lambda params, lam: sorted(lam + [(25, 2)]) if params.p == 5 else lam,  # d = 2 mod 5 listed
+        ],
+        ids=["dropped", "d-condition"],
+    )
+    def test_lambda_bijection_fails_on_a_wrong_list(self, edit, tmp_path, monkeypatch, capsys):
+        true_lambda = eisenstein.enumerate_lambda
+        monkeypatch.setattr(eisenstein, "enumerate_lambda", lambda params, h: edit(params, true_lambda(params, h)))
+        cache = tmp_path / "c.json"
+        assert run(["verify", "eisenstein", "--cache", str(cache)]) == 1
+        rows = {r["name"]: r for r in json.loads(cache.read_text())["results"]}
+        assert rows.pop("lambda-bijection")["status"] == "fail"
+        assert {r["status"] for r in rows.values()} == {"pass"}
+
     @pytest.mark.parametrize("cache", ["", "missing/c.json"])
     def test_unwritable_cache_exit_2(self, cache, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(cli.SUITE_BUILDERS, "asai", lambda: [])
@@ -324,7 +357,7 @@ class TestVerify:
             assert (row["gap"] is None) == (name != "exact-vs-analytic"), name
         # counts and valuations go to detail, never to gap
         assert re.fullmatch(r"\d+ members found", rows["membership-dual-path"]["detail"])
-        assert rows["lambda-bijection"]["detail"] == "53 pairs"
+        assert rows["lambda-bijection"]["detail"] == "53, 73 pairs"
         assert rows["negative-control"]["detail"] == "v=0"
 
 

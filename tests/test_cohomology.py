@@ -129,7 +129,6 @@ class TestQuadCoeff:
         a, b = QuadCoeff(F(1, 2), F(3), D), QuadCoeff(F(-2), F(1, 5), D)
         assert (a * b) * a == a * (b * a)
         assert a * (b + 1) == a * b + a
-        assert (a / b) * b == a
 
     def test_conjugation_is_ring_involution(self):
         a, b = QuadCoeff(F(1, 3), F(2), D), QuadCoeff(F(5), F(-1, 2), D)
@@ -166,16 +165,10 @@ class TestQuadKernel:
             (u * r, (u.x * r, u.y * r)),
             (n * u, (u.x * n, u.y * n)),
             (u + r, (u.x + r, u.y)),
-            (r - u, (r - u.x, -u.y)),
             (u.conj(), (u.x, -u.y)),
         ):
             assert _quad_canonical(got)
             assert (got.x, got.y) == want
-        if not v.is_zero():
-            q = u / v
-            assert _quad_canonical(q) and q * v == u
-        if r:
-            assert ((u / r).x, (u / r).y) == (u.x / r, u.y / r)
 
     @settings(max_examples=100, deadline=None)
     @given(QUAD)
@@ -192,7 +185,7 @@ class TestQuadKernel:
             QuadCoeff(0.5, 1, D)
         with pytest.raises(TypeError):
             QuadCoeff(1, 0.25, D)
-        for op in (lambda c: c * 0.5, lambda c: 0.5 * c, lambda c: c + 0.5, lambda c: c - 0.5, lambda c: c / 0.5):
+        for op in (lambda c: c * 0.5, lambda c: 0.5 * c, lambda c: c + 0.5, lambda c: c - 0.5):
             with pytest.raises(TypeError):
                 op(QuadCoeff(1, 2, D))
 

@@ -153,13 +153,12 @@ class TestDenseOracle:
     def test_P_s_tail_and_mu_tilde_match(self):
         R, s, prec, p = 3000, 5, 128, 3
         params = DistParams(acceptance_mock(11, p, R=R), p, F(s), R, prec)
-        g = acceptance_mock(11, p, R=R)  # untabulated twin: d(r) computed pointwise
-        k = g.k
+        k = params.f.k
         with mp.workprec(prec + 16):
             terms = [mpmath.mpf(0)] * (R + 1)
             amax = 0.0
             for r in range(1, R + 1):
-                d = asai_coeff(g, r)
+                d = asai_coeff(params.f, r)  # pointwise, not from the table the series read
                 if d:
                     terms[r] = mpmath.mpf(d.numerator) / d.denominator * mpmath.mpf(r) ** (-s)
                     amax = max(amax, abs(d.numerator / d.denominator) / float(r) ** k)
@@ -369,8 +368,7 @@ def test_threads_share_no_precision():
     """Two threads each check the interpolation identity for every chi mod p^2 on their
     own DistParams (at 128 and 96 bits) while the main thread sits inside
     mp.workprec(53): every gap, bound and midpoint equals that of a serial run, as no
-    Ball reads mpmath's process-wide precision.  (The Bessel row of `verify arith`
-    still sets it.)"""
+    Ball reads mpmath's process-wide precision."""
 
     def run(p, out):
         params = DistParams(acceptance_mock(40 + p, p, R=2000), p, F(5), 2000, {3: 128, 5: 96}[p])

@@ -48,19 +48,13 @@ PRECISION_SETTERS = {"workprec", "workdps", "extraprec", "extradps"}
 
 
 def test_no_process_wide_precision():
-    """Balls carry their own precision: no module calls workprec (or its kin) or reads
-    mp.prec or mp.dps, except bessel_k_moment_check, whose mpmath.quad and besselk
-    round at the working precision only."""
+    """Balls carry their own precision and the Bessel quadratures run in a per-thread
+    context: no module calls workprec (or its kin) or reads mp.prec or mp.dps."""
     src = Path(asaikit.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        allowed = set()
-        if path.name == "arith.py":
-            allowed.update(id(node) for node in ast.walk(_methods(tree)["bessel_k_moment_check"]))
         for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
             name = getattr(node, "attr", None) or getattr(node, "id", None)
             if name in PRECISION_SETTERS or (
                 isinstance(node, ast.Attribute) and name in ("prec", "dps") and _dotted_root(node) in ("mp", "mpmath")
@@ -316,3 +310,50 @@ def test_one_translation_path():
     and projects through the public functions, so the traced bench names time that work."""
     assert "sl2_act" in _called(_function("cohomology.py", "translate"))
     assert {"translate", "clebsch_project"} <= _called(_function("cohomology.py", "denominator_lemma_check"))
+
+
+# operations that no command, verify row or workload reached, and the second routes they served
+REMOVED = {
+    ("asai", "OrdinaryData"): ("d_p",),
+    ("cohomology", "QuadCoeff"): ("inverse", "__truediv__", "__rsub__"),
+    ("characters", "DirichletCharacter"): ("__call__", "conjugate"),
+    ("arith", "CyclotomicNumber"): ("degree",),
+    ("cli", None): ("_random_sl2_quad",),
+}
+
+
+def test_unused_operations_are_gone():
+    for (module, cls), names in REMOVED.items():
+        mod = importlib.import_module(f"asaikit.{module}")
+        for name in names:
+            if cls is None:
+                assert not hasattr(mod, name), name
+            else:
+                assert not any(name in vars(k) for k in getattr(mod, cls).__mro__[:-1]), f"{cls}.{name}"
+
+
+def test_one_route_per_coefficient():
+    """coeff_principal and asai_coeff compute pointwise and never read the tables; the
+    tables are read through MockEigenform.nonzero alone, which tabulates what it reads, so
+    no module but asai calls tabulate."""
+    for name in ("coeff_principal", "asai_coeff"):
+        read = {node.attr for node in ast.walk(_function("asai.py", name)) if isinstance(node, ast.Attribute)}
+        assert not read & {"_c", "_d", "_bound"}, name
+    src = Path(asaikit.__file__).parent
+    callers = {
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "tabulate"
+    }
+    assert callers == {"asai.py"}
+
+
+def test_bessel_check_returns_one_shape():
+    """A tuple of exponents gives a tuple of reports, one exponent included; a bare
+    exponent is not accepted."""
+    reports = arith.bessel_k_moment_check(0, (2,), 1)
+    assert type(reports) is tuple and len(reports) == 1
+    assert isinstance(reports[0], arith.BesselMomentReport)
+    with pytest.raises(TypeError):
+        arith.bessel_k_moment_check(0, 2, 1)
