@@ -366,12 +366,12 @@ class CyclotomicNumber:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
 
-    def _permuted(self, order: int, step: int) -> "CyclotomicNumber":
-        """sum_i num[i] zeta_order^(i step) / den, reduced; the exponents i step are distinct mod order."""
+    def _permuted(self, order: int, step: int, shift: int = 0) -> "CyclotomicNumber":
+        """sum_i num[i] zeta_order^(i step + shift) / den, reduced; the exponents i step are distinct mod order."""
         poly = [0] * order
         for i, c in enumerate(self.num):
             if c:
-                poly[i * step % order] = c
+                poly[(i * step + shift) % order] = c
         return CyclotomicNumber._make(order, tuple(_reduce_mod_cyclotomic(poly, order)), self.den)
 
     def lift(self, order: int) -> "CyclotomicNumber":

@@ -67,7 +67,13 @@ def _primitive_root(q: int) -> int:
 
 
 class _UnitGroup:
-    """Generator decomposition of (Z/M)^x with a discrete-log table."""
+    """Generator decomposition of (Z/M)^x, with the units in walk order.
+
+    ``walk`` lists g_1^x_1 ... g_n^x_n with the exponent tuples in
+    lexicographic order of (x_n, ..., x_1): each generator multiplies the
+    block walked so far, one multiplication per unit.  Character tables are
+    written along the same walk.
+    """
 
     def __init__(self, M: int):
         self.M = M
@@ -91,18 +97,14 @@ class _UnitGroup:
                     orders.append(euler_phi(q))
         self.gens = gens
         self.orders = orders
-        # discrete logs for every unit
-        dlog: dict[int, tuple[int, ...]] = {}
-        if M == 1:
-            dlog[0] = ()
-        else:
-            for exps in product(*(range(o) for o in orders)):
-                a = 1
-                for g, e in zip(gens, exps):
-                    a = a * pow(g, e, M) % M
-                dlog[a] = exps
-        self.dlog = dlog
-        self.units = sorted(dlog)
+        walk = [1 % M]
+        for g, o in zip(gens, orders):
+            block = walk
+            for _ in range(o - 1):
+                block = [a * g % M for a in block]
+                walk += block
+        self.walk = tuple(walk)
+        self.units = sorted(walk)
 
     @staticmethod
     def _crt(r: int, q: int, cof: int) -> int:
@@ -146,15 +148,14 @@ class DirichletCharacter:
             if e:
                 ord_ = lcm(ord_, o // gcd(e, o))
         self.value_order = ord_
+        # chi(g) = zeta_o^e = zeta_ord^(e ord / o) on a generator g of order o; walk as _UnitGroup does
+        ts = [0]
+        for e, o in zip(self.exps, grp.orders):
+            step = e * ord_ // o
+            ts = [(t + x * step) % ord_ for x in range(o) for t in ts]
         table: list[int | None] = [None] * max(modulus, 1)
-        for a, xs in grp.dlog.items():
-            t = 0
-            for e, x, o in zip(self.exps, xs, grp.orders):
-                if e:
-                    g = gcd(e, o)
-                    # chi(gen) = zeta_{o/g}^{e/g} = zeta_ord^{(e/g) * ord / (o/g)}
-                    t += x * (e // g) * (ord_ // (o // g))
-            table[a] = t % ord_
+        for a, t in zip(grp.walk, ts):
+            table[a] = t
         self._table = table
         self._conductor: int | None = None
         self._primitive: "DirichletCharacter | None" = None
@@ -281,6 +282,32 @@ def enumerate_characters(M: int) -> tuple[DirichletCharacter, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _galois_orbits(M: int) -> dict[tuple[int, ...], tuple[DirichletCharacter, int]]:
+    """chi.exps -> (rep, t) with chi = rep^t, for every character chi mod M.
+
+    The Galois orbit of rep is {rep^t : t a unit mod ord rep}; rep is its first
+    member in ``enumerate_characters`` order.  Each t is walked over the units
+    mod ord rep and lifted by multiples of ord rep until it is prime to M, so
+    t is a unit mod lcm(M, ord rep) and sigma_t: zeta -> zeta^t acts on the
+    values of rep.  O(phi(M)): the orbits partition the characters.
+    """
+    orders = _unit_group(M).orders
+    out: dict[tuple[int, ...], tuple[DirichletCharacter, int]] = {}
+    for rep in enumerate_characters(M):
+        if rep.exps in out:
+            continue
+        ord_ = rep.value_order
+        for t in range(1, ord_ + 1):
+            if gcd(t, ord_) != 1:
+                continue
+            s = t
+            while gcd(s, M) != 1:
+                s += ord_
+            out[tuple(e * t % o for e, o in zip(rep.exps, orders))] = (rep, s)
+    return out
+
+
 def _components(chi: DirichletCharacter) -> tuple[tuple[int, int, DirichletCharacter], ...]:
     """Restrictions of chi to the prime-power factors q of its modulus M (CRT).
 
@@ -327,9 +354,11 @@ class GeneralizedGaussSum:
 
 
 def generalized_gauss_sum(chi: DirichletCharacter, M: int, j: int) -> GeneralizedGaussSum:
-    """Direct evaluation plus the closed form.
+    """Direct evaluation, one direct sum per Galois orbit, plus the closed form.
 
-    For a character of conductor p^{j_chi} with j_chi >= 1 the closed form is
+    The direct side is ``_orbit_transport``: the direct sum of chi's orbit
+    representative at the frequency M, moved to chi by sigma_t.  For a
+    character of conductor p^{j_chi} with j_chi >= 1 the closed form is
     p^(j-j_chi) G(chi0) chi0bar(M / p^(j-j_chi)) when p^(j-j_chi) | M and 0
     otherwise.  For the principal character the sum is a Ramanujan sum, which
     the same expression does not capture; the correct branch
@@ -341,9 +370,27 @@ def generalized_gauss_sum(chi: DirichletCharacter, M: int, j: int) -> Generalize
     p, jmod = fac[0]
     if jmod != j:
         raise ValueError(f"character modulus {chi.modulus} does not equal p^j = {p}^{j}")
-    direct = unit_sum_twisted_direct(chi, M)
+    direct = _orbit_transport(chi, M)
     closed = unit_sum_twisted(chi, M)
     return GeneralizedGaussSum(direct, direct == closed, chi.conductor())
+
+
+def _orbit_transport(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
+    """sum over units w mod M of chi(w) e(w b / M), from the direct sum of chi's orbit representative.
+
+    With chi = rep^t (``_galois_orbits``) and sigma_t: zeta_L -> zeta_L^t on
+    L = lcm(M, ord chi), substituting w -> w t gives
+    S(rep^t, b) = rep(t)^t sigma_t(S(rep, b)): one exponent permutation
+    i -> i t + shift, with zeta_L^shift = rep(t)^t, and one reduction.
+    S(rep, b) is ``unit_sum_twisted_direct``'s value, cached per (rep, b mod M).
+    """
+    M = chi.modulus
+    rep, t = _galois_orbits(M)[chi.exps]
+    value = _representative_sum(rep, b % M)
+    if t == 1:
+        return value
+    L = value.order
+    return value._permuted(L, t, t * rep.exponent_of(t) * (L // rep.value_order))
 
 
 def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
@@ -366,6 +413,11 @@ def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber
         e = (t * (L // ordv) + (w * b % M) * (L // M)) % L
         weights[e] = weights.get(e, 0) + 1
     return CyclotomicNumber.from_exponents(L, weights)
+
+
+# Bounded: a sweep over every character mod 125 at 8 frequencies holds 9 orbits x 8 values; one at
+# all 125 frequencies (1,125 values, characters in enumeration order) computes none of them twice.
+_representative_sum = lru_cache(maxsize=1024)(unit_sum_twisted_direct)
 
 
 def _prime_power_factors(

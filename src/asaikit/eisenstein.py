@@ -40,6 +40,7 @@ from .asai import FUNDAMENTAL_D, QuadFieldData
 from .characters import (
     DirichletCharacter,
     _components,
+    _galois_orbits,
     _twisted_factors,
     _unit_group,
     enumerate_characters,
@@ -214,12 +215,19 @@ def constant_term(params: LevelParams) -> CyclotomicNumber:
 def _check_orthogonality(M: int) -> None:
     """Check that each character mod M sums over the units to phi(M) if trivial, else to 0.
 
-    Raises ``AssertionError`` on a failure, which is not cached.  The check
-    depends on M alone, so it runs once per modulus.
+    One sum per Galois orbit proves it for the whole orbit: with chi = rep^t
+    (``_galois_orbits``), the table of chi is t times that of rep, so
+    sum_a chi(a) = sigma_t(sum_a rep(a)), which is 0 exactly when rep's sum
+    is; the trivial character is an orbit of its own.  Raises
+    ``AssertionError`` on a failure, which is not cached.  The check depends
+    on M alone, so it runs once per modulus.
     """
     chars = enumerate_characters(M)
     units = _unit_group(M).units
+    orbits = _galois_orbits(M)
     for ch in chars:
+        if orbits[ch.exps][0] is not ch:
+            continue
         total = CyclotomicNumber.from_exponents(ch.value_order, _exponent_histogram(ch, units))
         if ch.is_trivial:
             if total != len(chars):

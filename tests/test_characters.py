@@ -1,5 +1,6 @@
 from fractions import Fraction as F
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 
 import mpmath
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 
 from asaikit.arith import Ball, CyclotomicNumber, factorize
 from asaikit.characters import (
+    DirichletCharacter,
     _components,
+    _galois_orbits,
+    _orbit_transport,
+    _unit_group,
     L_special_exact,
     L_truncated,
     enumerate_characters,
@@ -57,6 +62,92 @@ class TestEnumeration:
             for a in range(1, 9):
                 if gcd(a, 9) == 1:
                     assert ch.value(a) ** ch.value_order == 1
+
+
+def _discrete_log_table(chi):
+    """The exponent table by the discrete-log formula: every exponent tuple of the generators, zipped."""
+    M = chi.modulus
+    grp = _unit_group(M)
+    ord_ = chi.value_order
+    table = [None] * max(M, 1)
+    for xs in product(*(range(o) for o in grp.orders)):
+        a = 1 % M
+        for g, x in zip(grp.gens, xs):
+            a = a * pow(g, x, M) % M
+        t = 0
+        for e, x, o in zip(chi.exps, xs, grp.orders):
+            if e:
+                g = gcd(e, o)
+                t += x * (e // g) * (ord_ // (o // g))
+        table[a] = t % ord_
+    return table
+
+
+class TestWalkedTables:
+    def test_walk_equals_discrete_log_formula(self):
+        for M in [*range(1, 131), 169, 200, 243, 625, 1000]:
+            grp = _unit_group(M)
+            assert grp.units == [a for a in range(M) if gcd(a, M) == 1]
+            for exps in product(*(range(o) for o in grp.orders)):
+                chi = DirichletCharacter(M, exps)
+                assert chi._table == _discrete_log_table(chi), (M, exps)
+
+
+class TestGaloisOrbits:
+    def test_table_is_t_times_representative_table(self):
+        for M in [*range(1, 61), 125, 169, 200, 243]:
+            orbits = _galois_orbits(M)
+            chars = enumerate_characters(M)
+            assert len(orbits) == len(chars)
+            for chi in chars:
+                rep, t = orbits[chi.exps]
+                ord_ = rep.value_order
+                assert chi.value_order == ord_ and gcd(t, M * ord_) == 1
+                assert (t == 1) == (rep is chi) and orbits[rep.exps] == (rep, 1)
+                assert chi._table == [None if e is None else e * t % ord_ for e in rep._table], (M, chi.exps)
+
+    @staticmethod
+    def _sigma_term_by_term(rep, b, step, shift):
+        """sum over units w of zeta_L^(step x_w + shift), with zeta_L^(x_w) = rep(w) e(w b / q)."""
+        q = rep.modulus
+        L = lcm(q, rep.value_order)
+        weights = {}
+        for w in range(1, q):
+            e = rep.exponent_of(w)
+            if e is not None:
+                x = (e * (L // rep.value_order) + (w * b % q) * (L // q)) * step + shift
+                weights[x % L] = weights.get(x % L, 0) + 1
+        return CyclotomicNumber.from_exponents(L, weights)
+
+    def _check_equivariance(self, chi, b):
+        """The transported value is the direct sum; dropping chi(t)^t or using sigma_(t+1) breaks it."""
+        direct = unit_sum_twisted_direct(chi, b)
+        assert _orbit_transport(chi, b) == direct
+        rep, t = _galois_orbits(chi.modulus)[chi.exps]
+        if t == 1 or direct.is_zero():
+            return False
+        value = unit_sum_twisted_direct(rep, b)
+        L = value.order
+        shift = t * rep.exponent_of(t) * (L // rep.value_order)
+        assert value._permuted(L, t, shift) == direct
+        assert value._permuted(L, t) != direct  # without the factor chi(t)^t
+        assert self._sigma_term_by_term(rep, b, t, shift) == direct
+        assert self._sigma_term_by_term(rep, b, t + 1, shift) != direct  # sigma_(t+1)
+        return True
+
+    def test_equivariance_exhaustive_small(self):
+        controls = 0
+        for q in (25, 27):
+            for chi in enumerate_characters(q):
+                for b in range(q + 1):
+                    controls += self._check_equivariance(chi, b)
+        assert controls == 264 + 192  # every nonzero case off the representatives
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.sampled_from((25, 27, 49, 125)), i=st.integers(0, 10**6), b=st.integers(0, 125))
+    def test_equivariance(self, q, i, b):
+        chars = enumerate_characters(q)
+        self._check_equivariance(chars[i % len(chars)], b % (q + 1))
 
 
 class TestOrthogonality:

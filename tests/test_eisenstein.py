@@ -21,10 +21,12 @@ from asaikit.arith import (
     mobius_buckets,
 )
 from asaikit.asai import FUNDAMENTAL_D, QuadFieldData
-from asaikit.characters import _unit_group, enumerate_characters
+from asaikit.characters import _galois_orbits, _unit_group, enumerate_characters
+from asaikit import cli, eisenstein
 from asaikit.cohomology import QuadCoeff
 from asaikit.eisenstein import (
     IntMatrix2,
+    _check_orthogonality,
     _level_characters,
     LevelParams,
     classical_reduction,
@@ -177,19 +179,44 @@ class TestLambda:
         params = LevelParams(1, 3, 1, 4)
         assert (0, 1) in enumerate_lambda(params, 5)
 
+    @staticmethod
+    def _by_conjugation(params, height):
+        """Coprime (c, d) with c = 0 mod M, one per +-pair, whose completion to SL2(Z) passes the conjugation criterion.
+
+        Any completion will do: a = d^(-1) mod p^j is fixed and a moves only by multiples of c.
+        """
+        out = set()
+        for c in range(0, height + 1, params.modulus):
+            for d in range(-height if c else 1, height + 1):
+                if gcd(c, d) == 1:
+                    a, b = cli._complete_sl2(c, d)
+                    if membership_two_ways(params, IntMatrix2(a, b, c, d))[1]:
+                        out.add((c, d))
+        return out
+
+    CASES = ((LevelParams(2, 3, 1, 4), 40), (LevelParams(1, 5, 1, 4), 60))
+
     def test_brute_force_filter(self):
-        params = LevelParams(2, 3, 1, 4)
-        H = 40
-        lam = enumerate_lambda(params, H)
-        M, q = params.modulus, 3
-        brute = set()
-        for c in range(-H, H + 1):
-            for d in range(-H, H + 1):
-                if (c, d) != (0, 0) and gcd(c, d) == 1 and c % M == 0 and (
-                    (d - 1) % q == 0 or (d + 1) % q == 0
-                ):
-                    brute.add((c, d) if (c > 0 or (c == 0 and d > 0)) else (-c, -d))
-        assert set(lam) == brute
+        for params, height in self.CASES:
+            assert set(eisenstein.enumerate_lambda(params, height)) == self._by_conjugation(params, height)
+
+    @pytest.mark.parametrize("wrong", ("no d-condition", "d = 1 only"))
+    def test_wrong_d_condition_fails(self, wrong, monkeypatch):
+        # at p^j = 3 every d prime to c is +-1 mod 3, so only the level p = 5 catches a dropped d-condition
+        def enumerate_wrong(params, height):
+            q = params.p**params.j
+            pairs = set()
+            for c in range(0, height + 1, params.modulus):
+                for d in range(-height if c else 1, height + 1):
+                    if gcd(c, d) == 1 and (wrong == "no d-condition" or (d - 1) % q == 0):
+                        pairs.add((c, d))
+            return sorted(pairs)
+
+        if wrong == "no d-condition":
+            assert enumerate_wrong(*self.CASES[0]) == eisenstein.enumerate_lambda(*self.CASES[0])
+        monkeypatch.setattr(eisenstein, "enumerate_lambda", enumerate_wrong)
+        with pytest.raises(AssertionError):
+            self.test_brute_force_filter()
 
     def test_j0_all_coprime_pairs(self):
         params = LevelParams(1, 3, 0, 4)
@@ -206,6 +233,24 @@ class TestConstantTerm:
     def test_equals_one(self):
         for (N, p, j, k) in ((1, 3, 1, 4), (6, 5, 1, 4), (1, 3, 0, 4), (2, 3, 2, 4), (11, 3, 1, 6)):
             assert constant_term(LevelParams(N, p, j, k)) == 1
+
+
+class TestOrthogonality:
+    @pytest.mark.parametrize("M", (9, 45, 125))
+    def test_corrupted_representative_fails(self, M, monkeypatch):
+        # one sum per Galois orbit: a representative whose table is off by one entry must be caught
+        _check_orthogonality.__wrapped__(M)
+        reps = [ch for ch in enumerate_characters(M) if _galois_orbits(M)[ch.exps][0] is ch]
+        assert len(reps) < len(enumerate_characters(M))
+        u = _unit_group(M).units[-1]
+        for rep in reps:
+            table = list(rep._table)
+            table[u] = None if rep.is_trivial else (table[u] + 1) % rep.value_order
+            with monkeypatch.context() as m:
+                m.setattr(rep, "_table", table)
+                with pytest.raises(AssertionError):
+                    _check_orthogonality.__wrapped__(M)
+        _check_orthogonality.__wrapped__(M)
 
 
 class TestHigherCoefficients:

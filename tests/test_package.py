@@ -170,6 +170,26 @@ def test_python_m_runs_the_cli(tmp_path):
     assert "all checks passed" in proc.stdout and cache.exists()
 
 
+def test_closed_pipe_is_quiet(tmp_path):
+    """A reader that closes stdout early (`asaikit verify ... | head`) ends the run with no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(asaikit.__file__).resolve().parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout meets a closed reader
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "asaikit", "verify", "characters", "--cache", str(tmp_path / "cache.json")],
+            env=env,
+            cwd=tmp_path,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+
+
 def test_no_hand_kept_tails():
     """Error bounds travel in Ball radii: distribution and cohomology add no tail by hand,
     and no module but arith defines a value class with a to_mpc midpoint."""
