@@ -49,6 +49,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "CyclotomicNumber",
     "cyclotomic_mul",
+    "cyclotomic_dot",
     "Ball",
     "to_mpf",
     "fixed_root_table",
@@ -641,6 +642,29 @@ def cyclotomic_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber
     return CyclotomicNumber._make(a.order, tuple(_reduce_mod_cyclotomic(prod, a.order)), a.den * b.den)
 
 
+def cyclotomic_dot(pairs: Iterable[tuple[CyclotomicNumber, CyclotomicNumber]]) -> CyclotomicNumber:
+    """sum_i a_i b_i in Q(zeta_m), m the lcm of the operands' orders (the order-1 zero when empty).
+
+    zeta_order^i is zeta_m^(i m / order), so every product goes unreduced into
+    one integer buffer modulo x^m - 1, over the lcm of the products'
+    denominators; the buffer is reduced modulo Phi_m once and its gcd divided
+    out once.
+    """
+    pairs = list(pairs)
+    m = lcm(1, *(x.order for pair in pairs for x in pair))
+    den = lcm(1, *(a.den * b.den for a, b in pairs))
+    acc = [0] * (2 * m - 1)  # exponents below 2m - 1 before the fold modulo x^m - 1
+    for a, b in pairs:
+        sa, sb, scale = m // a.order, m // b.order, den // (a.den * b.den)
+        terms = [(j * sb, y * scale) for j, y in enumerate(b.num) if y]
+        for i, x in enumerate(a.num):
+            if x:
+                i *= sa
+                for j, y in terms:
+                    acc[i + j] += x * y
+    return CyclotomicNumber._make(m, tuple(_reduce_mod_cyclotomic(acc, m)), den)
+
+
 # ---------------------------------------------------------------------------
 # midpoint-radius complex balls
 
@@ -768,17 +792,32 @@ def _fixed(x: tuple, F: int) -> int:
 def fixed_root_table(n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The integers nearest 2^F cos(2 pi t/n) and 2^F sin(2 pi t/n), for 0 <= t < n.
 
-    Only t <= n/2 are evaluated: each is rounded from e(t/n) at F + 16 bits,
-    which errs by at most (2 pi + 2) 2^(-F-16) (the rounded angle and the
-    evaluation), so every coordinate lies within 1/2 + 2^(-12) < 1 of its
-    target.  The rest is the mirror cos[n - t] = cos[t], sin[n - t] = -sin[t]:
-    the targets are symmetric and round-to-nearest commutes with negation, so
-    the mirrored entries lie within the same distance of theirs.
+    One evaluation, then exact rotation.  With G = 16 + 2 bitlen(n) guard
+    bits and W = F + G, e(1/n) is evaluated once at W + 8 bits, which errs by
+    at most (2 pi + 2) 2^(-W-8) (the rounded angle and the evaluation), and
+    rounded to the Gaussian integer z_1, so each coordinate of
+    e_1 = z_1 - 2^W e(1/n) is below 0.54 and |e_1| < 0.77.  For t <= n/2,
+    z_t is z_(t-1) z_1 / 2^W rounded in each coordinate, on integers alone.
+    Then |e_t| <= |e_(t-1)| + |e_1| + |e_(t-1)| |e_1| 2^(-W) + sqrt(2)/2, and
+    as 2^W > 2^16 n^2 the product term is below 2^(-15): each step adds less
+    than 1.5, so |e_t| < 1.5 t <= 0.75 n.  Each entry is z_t / 2^G rounded
+    to an integer, within 1/2 + 0.75 n 2^(-G) < 1/2 + 2^(-17) of its target,
+    inside the 1/2 + 2^(-12) < 1 that ``root_ball`` and the series bounds
+    count.  The rest is the mirror cos[n - t] = cos[t], sin[n - t] = -sin[t]:
+    the targets are symmetric, so the mirrored entries lie within the same
+    distance of theirs.
     """
-    w = F + 16
-    roots = [mpc_expjpi((from_rational(2 * t, n, w, round_nearest), fzero), w, round_nearest) for t in range(n // 2 + 1)]
-    cos = [_fixed(re, F) for re, _ in roots]
-    sin = [_fixed(im, F) for _, im in roots]
+    G = 16 + 2 * n.bit_length()
+    W = F + G
+    re, im = mpc_expjpi((from_rational(2, n, W + 8, round_nearest), fzero), W + 8, round_nearest)
+    c1, s1 = _fixed(re, W), _fixed(im, W)
+    x, y = 1 << W, 0
+    half, g = 1 << (W - 1), 1 << (G - 1)
+    cos, sin = [1 << F], [0]
+    for _ in range(n // 2):
+        x, y = (x * c1 - y * s1 + half) >> W, (x * s1 + y * c1 + half) >> W
+        cos.append((x + g) >> G)
+        sin.append((y + g) >> G)
     mirror = slice((n - 1) // 2, 0, -1)  # n - t for t = n // 2 + 1, ..., n - 1
     return tuple(cos + cos[mirror]), tuple(sin + [-x for x in sin[mirror]])
 

@@ -112,8 +112,8 @@ class MockEigenform:
     ideal above a prime l != p not in it, so such an l needs no entry, and a
     nonzero entry there is rejected.  ``support = None`` means unknown: every
     prime not dividing N needs an entry, and a missing one raises
-    ``KeyError``.  ``tabulate(R)`` stores the nonzero c(r) and d(r) for
-    r <= R, and ``nonzero`` is the one reader of those tables;
+    ``KeyError``.  ``tabulate(R, which)`` stores the nonzero d(r), or c(r),
+    for r <= R, and ``nonzero`` is the one reader of those tables;
     ``coeff_principal`` and ``asai_coeff`` compute one value pointwise.
     """
 
@@ -151,10 +151,11 @@ class MockEigenform:
                 raise ValueError(f"nonzero eigen-data at l = {outside[0]}, outside the declared support")
         self.support = support
         self._cpp: dict[tuple[int, int, int], Fraction] = {}
-        # nonzero c(r) and d(r) for r <= _bound, in ascending r
-        self._bound = 1
-        self._c: dict[int, Fraction] = {1: Fraction(1)}
-        self._d: dict[int, Fraction] = {1: Fraction(1)}
+        # per table, "c" or "d": (bound, the nonzero values for r <= bound in ascending r)
+        self._tables: dict[str, tuple[int, dict[int, Fraction]]] = {
+            "c": (1, {1: Fraction(1)}),
+            "d": (1, {1: Fraction(1)}),
+        }
 
     # -- eigenvalue access ---------------------------------------------------
 
@@ -181,14 +182,15 @@ class MockEigenform:
                 self._cpp[key] = hecke_power(cl, Fraction(norm) ** (self.k - 1), e)
         return self._cpp[key]
 
-    def tabulate(self, bound: int) -> None:
-        """Tabulate the nonzero c(r) and d(r) for r <= bound (build once, then read-only).
+    def tabulate(self, bound: int, which: str = "d") -> None:
+        """Tabulate the nonzero d(r), or c(r) with ``which="c"``, for r <= bound (build once,
+        then read-only).  Only the table asked for is built; each keeps its own bound.
 
         Both are multiplicative: c because it is a Hecke eigenvalue, and d
         because the Asai L-function has an Euler product (Asai, Math. Ann. 226
         (1977) 81-94).  So each table is the set of products of coprime prime
         powers with nonzero local value, and one depth-first walk over the
-        primes (``_multiplicative_table``) builds both.  The local values are
+        primes (``_multiplicative_table``) builds it.  The local values are
         c(l^e) and d(l^e) = c(l^e) + l^(2k-2) d(l^(e-2)) for l not dividing N
         (the sum over l^(2i) t = l^e of l^(i(2k-2)) c(t)), d(l^e) = c(l^e) for
         l | N.  A local d can vanish where c does not: at an inert l with
@@ -205,7 +207,9 @@ class MockEigenform:
         is, and one without an eigen entry still raises ``KeyError`` as a
         pointwise lookup would.
         """
-        if bound <= self._bound:
+        if which not in self._tables:
+            raise ValueError(f"which must be 'c' or 'd', not {which!r}")
+        if bound <= self._tables[which][0]:
             return
         if self.support is None:
             walk = primes_up_to(bound)
@@ -213,39 +217,33 @@ class MockEigenform:
             always = (*self.support, self.p, *(q for q, _ in factorize(self.field.D)))
             walk = sorted(set(primes_up_to(isqrt(bound))).union(l for l in always if l <= bound))
         w = 2 * self.k - 2
-        local_c, local_d = [], []  # per prime l: the (l^e, value) with value != 0, l^e <= bound
+        local = []  # per prime l: the (l^e, numerator, denominator) of each nonzero value, l^e <= bound
         for l in walk:
             cs = self.eigen.get(l)
             if l * l > bound and self.field.D % l and l != self.p and cs is not None and not any(cs):
                 continue
-            c = [Fraction(1)]  # c(l^e) for e = 0, 1, ...
+            values = [Fraction(1)]  # c(l^e) for e = 0, 1, ..., then d(l^e) in place
             le = l
             while le <= bound:
-                c.append(self._coeff_from_factorization([(l, len(c))]))
+                values.append(self._coeff_from_factorization([(l, len(values))]))
                 le *= l
-            d = c[:]
-            if self.N % l:
-                lw = Fraction(l) ** w
-                for e in range(2, len(d)):
-                    d[e] += lw * d[e - 2]
-            for table, values in ((local_c, c), (local_d, d)):
-                powers = [(l**e, v) for e, v in enumerate(values) if e and v]
-                if powers:
-                    table.append((l, powers))
-        self._c = _multiplicative_table(local_c, bound)
-        self._d = _multiplicative_table(local_d, bound)
-        self._bound = bound
+            if which == "d" and self.N % l:
+                lw = l**w
+                for e in range(2, len(values)):
+                    values[e] += lw * values[e - 2]
+            powers = [(l**e, v.numerator, v.denominator) for e, v in enumerate(values) if e and v]
+            if powers:
+                local.append((l, powers))
+        self._tables[which] = (bound, _multiplicative_table(local, bound))
 
     def nonzero(self, R: int, which: str = "d") -> Iterator[tuple[int, Fraction]]:
         """The nonzero (r, d(r)), or (r, c(r)) with ``which="c"``, for r <= R in ascending r.
 
-        Runs ``tabulate(R)`` first, which does nothing once R is covered.
+        Runs ``tabulate(R, which)`` first, which builds that table alone and
+        does nothing once R is covered.
         """
-        if which not in ("c", "d"):
-            raise ValueError(f"which must be 'c' or 'd', not {which!r}")
-        self.tabulate(R)
-        table = self._d if which == "d" else self._c
-        return takewhile(lambda item: item[0] <= R, table.items())
+        self.tabulate(R, which)
+        return takewhile(lambda item: item[0] <= R, self._tables[which][1].items())
 
     def _coeff_from_factorization(self, fac: list[tuple[int, int]]) -> Fraction:
         out = Fraction(1)
@@ -260,32 +258,35 @@ class MockEigenform:
         return out
 
 
-def _multiplicative_table(local: list[tuple[int, list[tuple[int, Fraction]]]], bound: int) -> dict[int, Fraction]:
+def _multiplicative_table(local: list[tuple[int, list[tuple[int, int, int]]]], bound: int) -> dict[int, Fraction]:
     """The nonzero values up to bound of the multiplicative function with the given local values,
     in ascending r.
 
-    ``local`` lists, by ascending prime l, the (l^e, value) with nonzero value
-    in ascending e; a prime with no entry has value 0 at every l^e, e >= 1.
-    A depth-first walk multiplies coprime prime powers, each prime after the
-    last one used, so every r is built once, from its factorization.
+    ``local`` lists, by ascending prime l, the (l^e, numerator, denominator)
+    of each nonzero value in ascending e; a prime with no entry has value 0 at
+    every l^e, e >= 1.  A depth-first walk multiplies coprime prime powers,
+    each prime after the last one used, so every r is built once, from its
+    factorization.  Along the walk a value is an integer numerator and
+    positive denominator, multiplied without reduction; each entry becomes
+    one Fraction at the end.
     """
-    table = [(1, Fraction(1))]
-    stack = [(1, Fraction(1), 0)]
+    table = [(1, 1, 1)]
+    stack = [(1, 1, 1, 0)]
     while stack:
-        r, v, start = stack.pop()
+        r, a, b, start = stack.pop()
         for i in range(start, len(local)):
             l, powers = local[i]
             if r * l > bound:
                 break
-            for le, x in powers:
+            for le, x, y in powers:
                 rl = r * le
                 if rl > bound:
                     break
-                vx = v * x
-                table.append((rl, vx))
-                stack.append((rl, vx, i + 1))
+                ax, by = a * x, b * y
+                table.append((rl, ax, by))
+                stack.append((rl, ax, by, i + 1))
     table.sort()  # each r occurs once, so only the r are compared
-    return dict(table)
+    return {r: Fraction(a, b) for r, a, b in table}
 
 
 def hecke_power(c_l: Rational, norm_pow: Rational, e: int) -> Fraction:

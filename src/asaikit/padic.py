@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, inf
 
-from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, euler_phi, vp
+from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, cyclotomic_dot, euler_phi, vp
 from .characters import DirichletCharacter, enumerate_characters
 
 __all__ = [
@@ -180,16 +180,9 @@ def akc_check(
     ys = sorted({y for _, vals in functions for y in vals})
     req = Fraction(n)
     for y in ys:
-        acc = CyclotomicNumber.from_rational(0)
-        for b, vals in functions:
-            if y in vals:
-                acc = acc + b * vals[y]
-        if padic_valuation(acc, p) < req:
+        if padic_valuation(cyclotomic_dot((b, vals[y]) for b, vals in functions if y in vals), p) < req:
             return AkcReport(False, y, None, req, None)
-    acc = CyclotomicNumber.from_rational(0)
-    for (b, _), t in zip(functions, targets):
-        acc = acc + b * t
-    v = padic_valuation(acc, p)
+    v = padic_valuation(cyclotomic_dot((b, t) for (b, _), t in zip(functions, targets)), p)
     return AkcReport(True, None, v, req, v >= req)
 
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import mpc_expjpi
 
+from asaikit import arith
 from asaikit.arith import (
     ArithTables,
     Ball,
@@ -19,6 +21,7 @@ from asaikit.arith import (
     bernoulli_polynomial,
     bessel_k_moment_check,
     character_sum,
+    cyclotomic_dot,
     cyclotomic_mul,
     cyclotomic_polynomial,
     euler_phi,
@@ -36,7 +39,6 @@ from asaikit.arith import (
     vp,
     TruncatedSeries,
     _binomial,
-    _fixed,
     _mag,
     _mobius_bucket,
     _two_pi_power,
@@ -215,6 +217,8 @@ def _vectors(m: int, n: int):
 
 ONE_VECTOR = st.integers(1, 60).flatmap(lambda m: _vectors(m, 1))
 TWO_VECTORS = st.integers(1, 60).flatmap(lambda m: _vectors(m, 2))
+# orders whose lcm stays at most 1800
+MIXED_ORDER_VECTOR = st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25)).flatmap(lambda m: _vectors(m, 1))
 
 
 def _oracle_reduce(poly, m: int) -> tuple:
@@ -343,6 +347,18 @@ class TestIntegerKernel:
         with mp.workprec(200):
             want = sum((to_mpf(c, 200) * mpmath.expjpi(mpmath.mpf(2 * i) / m) for i, c in enumerate(u)), mpmath.mpc(0))
             assert abs(ball.to_mpc() - want) <= ball.rad + 2.0**-150
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(MIXED_ORDER_VECTOR, MIXED_ORDER_VECTOR), max_size=5))
+    def test_dot(self, pairs):
+        # one buffer at the lcm order and denominator equals the fold acc = acc + a b
+        pairs = [(CyclotomicNumber(*x), CyclotomicNumber(*y)) for x, y in pairs]
+        want = CyclotomicNumber.from_rational(0)
+        for a, b in pairs:
+            want = want + a * b
+        got = cyclotomic_dot(iter(pairs))
+        assert _canonical_form(got)
+        assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
 
     def test_cross_order_sum(self):
         u, v = (F(1, 2), F(-3), F(0), F(5, 6)), (F(2), F(0), F(1, 4), F(-1))
@@ -826,9 +842,26 @@ def _parent_to_mpf(x):
 REFERENCE_PRECS = [64, 144, 1016]
 
 
+def _assert_nearest_roots(n, F_bits, slack):
+    """fixed_root_table(n, F_bits) against a reference at F + 200 bits: each entry is the
+    nearest integer, or a neighbour where the target lies within ``slack`` of a tie."""
+    table = fixed_root_table(n, F_bits)
+    with mp.workprec(F_bits + 200):
+        for t in range(n):
+            z = mpmath.expjpi(mpmath.mpf(2 * t) / n) * mpmath.ldexp(1, F_bits)
+            for got, v in zip((table[0][t], table[1][t]), (z.real, z.imag)):
+                low = int(mpmath.floor(v))
+                frac = v - low
+                if abs(frac - 0.5) > slack:
+                    assert got == low + (frac > 0.5), (n, t)
+                else:
+                    assert got in (low, low + 1), (n, t)
+
+
 class TestMpmathReference:
     """The libmp evaluations at an explicit precision give the same bits as the mpmath
-    formulas they replaced, which rounded at mpmath's working precision (kept here)."""
+    formulas they replaced, which rounded at mpmath's working precision (kept here); the
+    root table, built by exact rotation, is checked against a reference at F + 200 bits."""
 
     @pytest.mark.parametrize("prec", REFERENCE_PRECS)
     def test_from_mpc(self, prec):
@@ -850,14 +883,25 @@ class TestMpmathReference:
 
     @pytest.mark.parametrize("prec", REFERENCE_PRECS)
     def test_fixed_root_table(self, prec):
+        # every entry is the integer nearest 2^F e(t/n), except within 2^(-12) of a tie
         for n in (1, 2, 3, 5, 8, 12, 27, 125):
-            with mp.workprec(prec + 16):
-                roots = [mpmath.expjpi(mpmath.mpf(2 * t) / n)._mpc_ for t in range(n // 2 + 1)]
-            cos = [_fixed(re, prec) for re, _ in roots]
-            sin = [_fixed(im, prec) for _, im in roots]
-            mirror = slice((n - 1) // 2, 0, -1)
-            assert fixed_root_table(n, prec) == (tuple(cos + cos[mirror]), tuple(sin + [-x for x in sin[mirror]])), n
+            _assert_nearest_roots(n, prec, 2.0**-12)
             assert root_ball(n, n - 1, prec).prec == prec
+
+    @pytest.mark.parametrize("n, F_bits", [(373, 8), (370, 53), (203, 192), (3125, 320)])
+    def test_fixed_root_table_near_ties(self, n, F_bits):
+        # one entry of each (and its mirror) lies within 2^(-15) of a tie; 16 guard bits
+        # on a direct evaluation per t rounded it the wrong way
+        _assert_nearest_roots(n, F_bits, 0.0)
+
+    def test_fixed_root_table_evaluates_once(self, monkeypatch):
+        # one evaluation of e(1/n) per new (n, F); the other roots are rotated on integers
+        calls = []
+        monkeypatch.setattr(arith, "mpc_expjpi", lambda *a: calls.append(a) or mpc_expjpi(*a))
+        fixed_root_table.cache_clear()
+        for n, F_bits in ((1, 64), (2, 64), (125, 64), (125, 96), (125, 64), (3125, 144)):
+            fixed_root_table(n, F_bits)
+        assert len(calls) == 5
 
     @settings(max_examples=40, deadline=None)
     @given(data=ONE_VECTOR, prec=st.sampled_from(REFERENCE_PRECS))

@@ -295,6 +295,26 @@ class TestSparseTables:
             with pytest.raises(ValueError, match="'c' or 'd'"):
                 f.nonzero(100, which)
 
+    def test_tabulate_rejects_an_unknown_table(self):
+        f = sample_form(bound=100)
+        for which in ("D", "C", "", "cd"):
+            with pytest.raises(ValueError, match="'c' or 'd'"):
+                f.tabulate(100, which)
+
+    def test_nonzero_builds_only_the_table_it_reads(self, monkeypatch):
+        # reading d builds no c table; each table keeps its own bound
+        built = []
+        walk = asai_module._multiplicative_table
+        monkeypatch.setattr(asai_module, "_multiplicative_table", lambda *a: built.append(a) or walk(*a))
+        f = sample_form(bound=310)
+        d = list(f.nonzero(300))
+        f.tabulate(300)
+        assert len(built) == 1 and list(f.nonzero(200)) == [(r, v) for r, v in d if r <= 200]
+        c = list(f.nonzero(300, "c"))
+        assert len(built) == 2
+        assert c == [(r, coeff_principal(f, r)) for r in range(1, 301) if coeff_principal(f, r)]
+        assert list(f.nonzero(300)) == d and len(built) == 2
+
 
 class TestLocalFactors:
     def test_split_linear_coefficient(self):
