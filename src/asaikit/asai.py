@@ -150,7 +150,8 @@ class MockEigenform:
             if outside:
                 raise ValueError(f"nonzero eigen-data at l = {outside[0]}, outside the declared support")
         self.support = support
-        self._cpp: dict[tuple[int, int, int], Fraction] = {}
+        # per prime ideal (l, which): [c(L^0), c(L^1), ...], extended by _extend_hecke_powers
+        self._cpp: dict[tuple[int, int], list[Fraction]] = {}
         # per table, "c" or "d": (bound, the nonzero values for r <= bound in ascending r)
         self._tables: dict[str, tuple[int, dict[int, Fraction]]] = {
             "c": (1, {1: Fraction(1)}),
@@ -172,15 +173,12 @@ class MockEigenform:
         raise KeyError(f"no eigen-data at prime {l}")
 
     def _c_prime_power(self, l: int, which: int, e: int) -> Fraction:
-        key = (l, which, e)
-        if key not in self._cpp:
-            cl = self.c_at_ideal(l, which)
-            if e == 1:  # c(L) itself: most primes below a tabulation bound stop here
-                self._cpp[key] = cl
-            else:
-                norm = self.field.ideal_norm(l)
-                self._cpp[key] = hecke_power(cl, Fraction(norm) ** (self.k - 1), e)
-        return self._cpp[key]
+        powers = self._cpp.get((l, which))
+        if powers is None:
+            powers = self._cpp[l, which] = [Fraction(1), self.c_at_ideal(l, which)]
+        if e >= len(powers):  # most primes below a tabulation bound stop at c(L) itself
+            _extend_hecke_powers(powers, Fraction(self.field.ideal_norm(l)) ** (self.k - 1), e)
+        return powers[e]
 
     def tabulate(self, bound: int, which: str = "d") -> None:
         """Tabulate the nonzero d(r), or c(r) with ``which="c"``, for r <= bound (build once,
@@ -289,18 +287,21 @@ def _multiplicative_table(local: list[tuple[int, list[tuple[int, int, int]]]], b
     return {r: Fraction(a, b) for r, a, b in table}
 
 
+def _extend_hecke_powers(powers: list[Fraction], norm_pow: Fraction, e: int) -> None:
+    """Extend powers = [c(L^0), c(L^1), ...] through c(L^e) by
+    c(L^(i+1)) = c(L) c(L^i) - Nm(L)^(k-1) c(L^(i-1)), one step per new power."""
+    c_l = powers[1]
+    while len(powers) <= e:
+        powers.append(c_l * powers[-1] - norm_pow * powers[-2])
+
+
 def hecke_power(c_l: Rational, norm_pow: Rational, e: int) -> Fraction:
     """c(L^e) from c(L^(e+1)) = c(L) c(L^e) - Nm(L)^(k-1) c(L^(e-1)), c(L^0) = 1."""
     if e < 0:
         raise ValueError("e must be >= 0")
-    c_l = Fraction(c_l)
-    norm_pow = Fraction(norm_pow)
-    prev, cur = Fraction(1), c_l
-    if e == 0:
-        return prev
-    for _ in range(e - 1):
-        prev, cur = cur, c_l * cur - norm_pow * prev
-    return cur
+    powers = [Fraction(1), Fraction(c_l)]
+    _extend_hecke_powers(powers, Fraction(norm_pow), e)
+    return powers[e]
 
 
 def coeff_principal(f: MockEigenform, r: int) -> Fraction:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
-from itertools import product
+from math import factorial, gcd, lcm, prod
+from itertools import count, product
 
 from .arith import (
     Ball,
@@ -24,6 +24,7 @@ from .arith import (
     bernoulli_polynomial,
     TruncatedSeries,
     _two_pi_power,
+    _vp_int,
     _vp_min,
     euler_phi,
     factorize,
@@ -54,21 +55,23 @@ _ONE = CyclotomicNumber.from_rational(1)
 # unit group structure
 
 
-def _primitive_root(q: int) -> int:
-    """Primitive root modulo an odd prime power q."""
-    phi = euler_phi(q)
-    fac = [f for f, _ in factorize(phi)]
-    for g in range(2, q):
-        if gcd(g, q) != 1:
-            continue
-        if all(pow(g, phi // f, q) != 1 for f in fac):
-            return g
-    raise ArithmeticError(f"no primitive root mod {q}")
+def _primitive_root(p: int) -> int:
+    """Least primitive root modulo p^2, for an odd prime p.
+
+    A primitive root mod p^2 is one mod every p^e (e >= 1), so its residue mod
+    p^e generates (Z/p^e)^x and reduces to the generator mod p^c for c <= e.
+    """
+    phi = p * (p - 1)
+    fac = [p] + [f for f, _ in factorize(p - 1)]
+    return next(g for g in count(2) if g % p and all(pow(g, phi // f, p * p) != 1 for f in fac))
 
 
 class _UnitGroup:
     """Generator decomposition of (Z/M)^x, with the units in walk order.
 
+    ``blocks`` lists (p, e, lo, hi) per prime power p^e of M, ascending:
+    generators lo..hi-1, each 1 mod M/p^e (CRT), are for odd p the least
+    primitive root mod p^2, and for p = 2 the units -1 (e >= 2) and 5 (e >= 3).
     ``walk`` lists g_1^x_1 ... g_n^x_n with the exponent tuples in
     lexicographic order of (x_n, ..., x_1): each generator multiplies the
     block walked so far, one multiplication per unit.  Character tables are
@@ -79,24 +82,23 @@ class _UnitGroup:
         self.M = M
         gens: list[int] = []
         orders: list[int] = []
-        if M > 1:
-            for q0, e in factorize(M):
-                q = q0**e
-                cof = M // q
-                if q0 == 2:
-                    if e == 2:
-                        gens.append(self._crt(q - 1, q, cof))
-                        orders.append(2)
-                    elif e >= 3:
-                        gens.append(self._crt(q - 1, q, cof))
-                        orders.append(2)
-                        gens.append(self._crt(5, q, cof))
-                        orders.append(q // 4)
-                else:
-                    gens.append(self._crt(_primitive_root(q), q, cof))
-                    orders.append(euler_phi(q))
+        blocks: list[tuple[int, int, int, int]] = []
+        for p, e in factorize(M):
+            q = p**e
+            lo = len(gens)
+            if p > 2:
+                gens.append(self._crt(_primitive_root(p), q, M // q))
+                orders.append(euler_phi(q))
+            elif e >= 2:
+                gens.append(self._crt(-1, q, M // q))
+                orders.append(2)
+                if e >= 3:
+                    gens.append(self._crt(5, q, M // q))
+                    orders.append(q // 4)
+            blocks.append((p, e, lo, len(gens)))
         self.gens = gens
         self.orders = orders
+        self.blocks = blocks
         walk = [1 % M]
         for g, o in zip(gens, orders):
             block = walk
@@ -215,22 +217,27 @@ class DirichletCharacter:
 
     # -- conductor and primitivity ---------------------------------------------
 
+    def _levels(self):
+        """(p, e, c, x) per prime power p^e of the modulus: x the exponents on its
+        generators, p^c the conductor of chi on (Z/p^e)^x.
+
+        Reduction to p^c (c >= 1, and c >= 2 for p = 2) has kernel the subgroup
+        of order p^(e-c) of the cyclic part, generated by g (odd p) or 5 (p = 2).
+        With d the order of chi there, chi factors through p^c exactly when
+        v_p(d) <= c - 1 (odd p) or c - 2 (p = 2); c = 0 when x is 0.
+        """
+        grp = _unit_group(self.modulus)
+        for p, e, lo, hi in grp.blocks:
+            x = self.exps[lo:hi]
+            t = x[-1] if p > 2 or e >= 3 else 0  # the exponent on g or on 5
+            d = grp.orders[hi - 1] // gcd(t, grp.orders[hi - 1]) if t else 1
+            c = (1 if p > 2 else 2) + _vp_int(d, p) if any(x) else 0
+            yield p, e, c, x
+
     def conductor(self) -> int:
-        """Smallest modulus through which the character factors."""
+        """Smallest modulus through which the character factors: prod p^c over ``_levels``."""
         if self._conductor is None:
-            M = self.modulus
-            best = M
-            for d in range(1, M + 1):
-                if M % d:
-                    continue
-                if all(
-                    self._table[a] == 0
-                    for a in range(1, M)
-                    if gcd(a, M) == 1 and a % d == 1 % d
-                ):
-                    best = d
-                    break
-            self._conductor = best if M > 1 else 1
+            self._conductor = prod(p**c for p, _, c, _ in self._levels())
         return self._conductor
 
     @property
@@ -238,48 +245,29 @@ class DirichletCharacter:
         return self.conductor() == self.modulus
 
     def primitive(self) -> "DirichletCharacter":
-        """The primitive character inducing this one."""
-        if self._primitive is not None:
-            return self._primitive
-        C = self.conductor()
-        if C == self.modulus:
+        """The primitive character inducing this one.
+
+        Its generators mod p^c are those mod p^e reduced.  The exponent on the
+        cyclic part (g or 5) becomes x / p^(e-c), as that generator's order
+        drops by p^(e-c); the exponent on -1 is kept.
+        """
+        if self._primitive is None:
             self._primitive = self
-            return self
-        grp_c = _unit_group(C)
-        exps = []
-        for g, o in zip(grp_c.gens, grp_c.orders):
-            a = _lift_unit(g, C, self.modulus)
-            t = self.exponent_of(a)
-            assert t is not None
-            num = t * o
-            if num % self.value_order:
-                raise ArithmeticError("inconsistent primitive component")
-            exps.append(num // self.value_order % o)
-        chi0 = DirichletCharacter(C, tuple(exps))
-        self._primitive = chi0
-        return chi0
-
-
-def _lift_unit(a0: int, C: int, M: int) -> int:
-    """A unit mod M congruent to a0 mod C (the reduction map is surjective)."""
-    if C == 1:
-        return 1
-    a = a0 % C
-    for _ in range(2 * M // C + 2):
-        if gcd(a, M) == 1:
-            return a
-        a += C
-    raise ArithmeticError("failed to lift unit")
+            if not self.is_primitive:
+                exps: list[int] = []
+                for p, e, c, x in self._levels():
+                    if c and p > 2:
+                        exps.append(x[0] // p ** (e - c))
+                    elif c:
+                        exps += x[:1] if c == 2 else (x[0], x[1] // 2 ** (e - c))
+                self._primitive = DirichletCharacter(self.conductor(), tuple(exps))
+        return self._primitive
 
 
 @lru_cache(maxsize=None)
 def enumerate_characters(M: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(M) characters modulo M, trivial character first."""
-    grp = _unit_group(M)
-    out = [DirichletCharacter(M, exps) for exps in product(*(range(o) for o in grp.orders))]
-    out.sort(key=lambda ch: ch.exps)
-    assert out[0].is_trivial
-    return tuple(out)
+    """All phi(M) characters modulo M, in lexicographic order of ``exps`` (trivial first)."""
+    return tuple(DirichletCharacter(M, exps) for exps in product(*(range(o) for o in _unit_group(M).orders)))
 
 
 @lru_cache(maxsize=None)
@@ -312,24 +300,22 @@ def _components(chi: DirichletCharacter) -> tuple[tuple[int, int, DirichletChara
     """Restrictions of chi to the prime-power factors q of its modulus M (CRT).
 
     Returns (q, u, chi_q) per factor, with u the inverse of M/q modulo q, so
-    that sum_w chi(w) e(w b / M) = prod_q sum_w chi_q(w) e(w b u / q).  Each
-    chi_q is the canonical character from ``enumerate_characters(q)``, so its
-    cached conductor and primitive are shared; the split is memoized on chi.
+    that sum_w chi(w) e(w b / M) = prod_q sum_w chi_q(w) e(w b u / q).  q's
+    block of generators lifts q's own by CRT, so chi_q has the block's
+    exponents: it is ``enumerate_characters(q)`` (in lexicographic order of
+    exps) at their mixed-radix index, the canonical copy whose cached
+    conductor and primitive are shared.  The split is memoized on chi.
     """
     if chi._components is None:
         M = chi.modulus
+        grp = _unit_group(M)
         out = []
-        for p, e in factorize(M):
+        for p, e, lo, hi in grp.blocks:
             q = p**e
-            cof = M // q
-            grp_q = _unit_group(q)
-            index = 0  # enumerate_characters lists exponent tuples in lexicographic order
-            for g, o in zip(grp_q.gens, grp_q.orders):
-                num = chi.exponent_of(_UnitGroup._crt(g, q, cof)) * o
-                if num % chi.value_order:
-                    raise ArithmeticError("component order mismatch")
-                index = index * o + num // chi.value_order % o
-            out.append((q, pow(cof, -1, q), enumerate_characters(q)[index]))
+            index = 0
+            for x, o in zip(chi.exps[lo:hi], grp.orders[lo:hi]):
+                index = index * o + x
+            out.append((q, pow(M // q, -1, q), enumerate_characters(q)[index]))
         chi._components = tuple(out)
     return chi._components
 
@@ -537,6 +523,11 @@ class TranscendentalValue:
         )
 
 
+def _bernoulli_L_factor(k: int, psi: DirichletCharacter) -> CyclotomicNumber:
+    """-B_{k,psibar} / (2 k! C^k) for primitive psi mod C, the factor both exact L-value forms share."""
+    return generalized_bernoulli(k, psi.inverse()) * Fraction(-1, 2 * factorial(k) * psi.modulus**k)
+
+
 def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
     """L(k, psi) = -(-2 pi i)^k G(psi) B_{k,psibar} / (2 k! C^k) for even k and even primitive psi.
 
@@ -549,11 +540,7 @@ def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
         raise ValueError("psi must be primitive")
     if not psi.is_even:
         raise ValueError("psi must be even")
-    C = psi.modulus
-    g = gauss_sum(psi)
-    b = generalized_bernoulli(k, psi.inverse())
-    alg = -(g * b) * Fraction(1, 2 * factorial(k) * C**k)
-    return TranscendentalValue(k, alg)
+    return TranscendentalValue(k, gauss_sum(psi) * _bernoulli_L_factor(k, psi))
 
 
 def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> Ball:
@@ -591,11 +578,8 @@ def normalized_L(chi: DirichletCharacter, k: int) -> NormalizedLValue:
             f"chibar^2 has conductor {psi.conductor()} < modulus {chi.modulus}; "
             "the normalized value is only defined here for primitive chibar^2"
         )
-    psi = psi.primitive()
     C = psi.modulus
-    b = generalized_bernoulli(k, psi.inverse())
-    sign = -(Fraction(-1) ** (k // 2))
-    value = b * (sign * Fraction(1, 2 * factorial(k) * C**k))
+    value = _bernoulli_L_factor(k, psi) * (-1) ** (k // 2)  # (2 pi i)^k = (-1)^(k/2) (2 pi)^k
     # p-denominator report (lower bound via the power basis of Z[zeta])
     if C == 1:
         v_low = min((_vp_min(value.num, value.den, q) for q, _ in factorize(value.den)), default=0)

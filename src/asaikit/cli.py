@@ -27,6 +27,9 @@ DEFAULT_CACHE = "asaikit_report_cache.json"
 MAX_PRECISION_BITS = 1000
 MAX_S = 1000  # from --s 1000 on p^(j(s-1)) overflows every distribution gap; a larger s only costs memory
 MAX_GLUE_UNITS = 10**6  # glue_check lists every unit mod p^(j+depth); 10^6 of them take about a minute
+# the exact q-expansion lists every character mod M = N p^(2j), each with an M-entry table: the
+# worst level below the bound, a prime M = 1999 at j = 0, takes about 3 s and 130 MB; M = 6561 0.7 GB
+MAX_EISENSTEIN_MODULUS = 2000
 
 
 def _flag(flag: str, default=None, type=int):
@@ -665,7 +668,10 @@ def cmd_eisenstein(args) -> int:
         )
         return 2
     try:
-        exp = eisenstein.qexpansion(eisenstein.LevelParams(args.N, args.p, args.j, args.k), args.T)
+        params = eisenstein.LevelParams(args.N, args.p, args.j, args.k)
+        if params.modulus > MAX_EISENSTEIN_MODULUS:
+            raise ValueError(f"the level M = N p^(2j) = {params.modulus} exceeds {MAX_EISENSTEIN_MODULUS}")
+        exp = eisenstein.qexpansion(params, args.T)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

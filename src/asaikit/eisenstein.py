@@ -174,14 +174,10 @@ def enumerate_lambda(params: LevelParams, height: int) -> list[tuple[int, int]]:
 # constant term: the full L-cancellation chain
 
 
-def _v_range(params: LevelParams, plus_minus: bool) -> list[int]:
-    """Units mod M congruent to 1 (or +-1) mod p^j."""
+def _v_range(params: LevelParams) -> list[int]:
+    """Units mod M congruent to +-1 mod p^j."""
     q = params.p**params.j
-    return [
-        v
-        for v in _unit_group(params.modulus).units
-        if (v - 1) % q == 0 or (plus_minus and (v + 1) % q == 0)
-    ]
+    return [v for v in _unit_group(params.modulus).units if (v - 1) % q == 0 or (v + 1) % q == 0]
 
 
 def constant_term(params: LevelParams) -> CyclotomicNumber:
@@ -198,7 +194,7 @@ def constant_term(params: LevelParams) -> CyclotomicNumber:
     _check_orthogonality(M)
     chars = enumerate_characters(M)
     phi = len(chars)
-    vs = _v_range(params, plus_minus=True)
+    vs = _v_range(params)
     acc = CyclotomicNumber.from_rational(0)
     for psi1 in chars:
         parity = 1 + (-1) ** k * (1 if psi1.is_even else -1)
@@ -254,15 +250,16 @@ def _level_characters(params: LevelParams) -> tuple[tuple[DirichletCharacter, Cy
     """(psi, T(psi) twist(psi) (C/M)^k / (B_{k,psibar0} E(psi))) for each even psi mod M with T(psi) != 0.
 
     T(psi) sums psi over the v-range H = {v = 1 mod p^j} (every unit at j = 0),
-    a subgroup, so T(psi) = |H| if psi is trivial on H and 0 otherwise: only
+    the kernel of reduction to p^j, so T(psi) = |H| = phi(M)/phi(p^j) if psi
+    factors through p^j (its conductor divides p^j) and 0 otherwise: only
     phi(p^j)/2 of the phi(M)/2 even psi survive.  The other factors depend on
     psi alone; see ``higher_coeff_exact``.  Cached per level, for every lpp.
     """
-    M, k = params.modulus, params.k
-    vs = _v_range(params, plus_minus=False) if params.j >= 1 else _v_range(params, True)
+    M, k, pj = params.modulus, params.k, params.p**params.j
+    t_size = euler_phi(M) // euler_phi(pj)
     out = []
     for psi in enumerate_characters(M):
-        if not psi.is_even or any(psi.exponent_of(v) for v in vs):
+        if not psi.is_even or pj % psi.conductor():
             continue
         psi0 = psi.primitive()
         C = psi0.modulus
@@ -278,7 +275,7 @@ def _level_characters(params: LevelParams) -> tuple[tuple[DirichletCharacter, Cy
             if C % q0:  # q0 is prime to C, so psi0(q0) is a root of unity
                 value = CyclotomicNumber.zeta(psi0.value_order, psi0.exponent_of(q0))
                 euler = euler * (1 - value * Fraction(1, q0**k))
-        t_sum = CyclotomicNumber.from_rational(len(vs), psi.value_order)
+        t_sum = CyclotomicNumber.from_rational(t_size, psi.value_order)
         out.append((psi, t_sum * twist * (bern * euler).inverse() * (Fraction(C, M) ** k)))
     return tuple(out)
 

@@ -88,6 +88,16 @@ class TestHeckePower:
                 want = sum(a1**i * a2 ** (e - i) for i in range(e + 1))
                 assert hecke_power(a1 + a2, a1 * a2, e) == want
 
+    def test_power_lists_match_hecke_power(self):
+        """The per-ideal lists of c(L^e), extended one step per new power in a random
+        order of requests, hold hecke_power's value at every e <= 40."""
+        f = sample_form(seed=7, k=4)
+        rng = random.Random(3)
+        ideals = [(l, which) for l in (2, 3, 7, 11, 13, 5) for which in (0, 1)]
+        for l, which, e in rng.sample([(l, w, e) for l, w in ideals for e in range(41)], 41 * len(ideals)):
+            norm_pow = F(f.field.ideal_norm(l)) ** (f.k - 1)
+            assert f._c_prime_power(l, which, e) == hecke_power(f.c_at_ideal(l, which), norm_pow, e), (l, which, e)
+
 
 def sample_form(seed=1, k=2, p=5, bound=250):
     return random_mock_eigenform(random.Random(seed), k=k, N=1, p=p, prime_bound=bound)

@@ -13,7 +13,9 @@ from asaikit.characters import (
     _components,
     _galois_orbits,
     _orbit_transport,
+    _primitive_root,
     _unit_group,
+    _UnitGroup,
     L_special_exact,
     L_truncated,
     enumerate_characters,
@@ -91,6 +93,71 @@ class TestWalkedTables:
             for exps in product(*(range(o) for o in grp.orders)):
                 chi = DirichletCharacter(M, exps)
                 assert chi._table == _discrete_log_table(chi), (M, exps)
+
+
+def _least_primitive_root(p, e):
+    """The least primitive root mod p^e, by search."""
+    q = p**e
+    phi = q // p * (p - 1)
+    fac = [p] * (e > 1) + [f for f, _ in factorize(p - 1)]
+    return next(g for g in range(2, q) if g % p and all(pow(g, phi // f, q) != 1 for f in fac))
+
+
+def _scan_conductor(chi):
+    """The least divisor d of M with chi = 1 on every unit a = 1 mod d, by scanning the table."""
+    M = chi.modulus
+    units = [a for a in range(1, M) if gcd(a, M) == 1]
+    return next(d for d in range(1, M + 1) if M % d == 0 and all(chi.exponent_of(a) == 0 for a in units if a % d == 1 % d))
+
+
+def _scan_primitive_exps(chi, C):
+    """Exponents of the character mod C inducing chi, from chi's values at lifts of C's generators."""
+    grp = _unit_group(C)
+    exps = []
+    for g, o in zip(grp.gens, grp.orders):
+        a = next(a for a in range(g % C, g % C + chi.modulus * C, C) if gcd(a, chi.modulus) == 1)
+        num = chi.exponent_of(a) * o
+        assert num % chi.value_order == 0
+        exps.append(num // chi.value_order % o)
+    return tuple(exps)
+
+
+def _scan_component_exps(chi):
+    """(q, exponents of chi_q) per prime power q of M, read from chi's values at q's generators lifted by CRT."""
+    M = chi.modulus
+    out = []
+    for p, e in factorize(M):
+        q = p**e
+        grp = _unit_group(q)
+        exps = []
+        for g, o in zip(grp.gens, grp.orders):
+            num = chi.exponent_of(_UnitGroup._crt(g, q, M // q)) * o
+            assert num % chi.value_order == 0
+            exps.append(num // chi.value_order % o)
+        out.append((q, tuple(exps)))
+    return out
+
+
+class TestStructureFromExponents:
+    """Conductor, primitive character and CRT components, computed from ``exps`` alone,
+    equal what scans of the value table give."""
+
+    def test_generators_reduce_and_match_the_search(self):
+        # one root g mod p^2 gives every generator mod p^e, and g mod p^e is the least primitive root there
+        for p in range(3, 10**4, 2):
+            if factorize(p) == [(p, 1)]:
+                g = _primitive_root(p)
+                for e in (1, 2, 3):
+                    assert g % p**e == _least_primitive_root(p, e), (p, e)
+
+    def test_against_table_scans(self):
+        for M in [*range(1, 201), 243, 256, 625, 648, 1000]:
+            for chi in enumerate_characters(M):
+                C = _scan_conductor(chi)
+                assert chi.conductor() == C, chi
+                chi0 = chi.primitive()
+                assert (chi0.modulus, chi0.exps) == (C, _scan_primitive_exps(chi, C)), chi
+                assert [(q, chi_q.exps) for q, _, chi_q in _components(chi)] == _scan_component_exps(chi), chi
 
 
 class TestGaloisOrbits:

@@ -388,6 +388,18 @@ class TestEisensteinCommand:
         assert run(["eisenstein", "--p", "3", "--j", "0", "--k", "4", "--T", "1", "--out", out]) == 2
         assert "error: cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", [["--p", "3", "--j", "6"], ["--N", "2003", "--p", "3", "--j", "0"]])
+    def test_large_level_exit_2_before_any_work(self, level, capsys, monkeypatch):
+        """M = N p^(2j) above the bound (531,441 and 2,003 here) is refused with one error line;
+        the q-expansion, which lists every character mod M, is never started."""
+        def refuse(*args):
+            raise AssertionError("qexpansion started")
+
+        monkeypatch.setattr(eisenstein, "qexpansion", refuse)
+        assert run(["eisenstein", *level, "--k", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestKummerCommand:
     def test_dirac_fixture_passes(self, tmp_path, capsys):

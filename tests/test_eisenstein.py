@@ -445,6 +445,19 @@ class TestLevelCharacters:
                     assert t_sum == len(H)
             assert len(survivors) == euler_phi(q) // 2, params
 
+    def test_survivors_equal_the_v_range_scan(self):
+        """On every level N p^(2j) <= 200, j <= 2: the psi kept by conductor(psi) | p^j are the
+        even psi trivial on H = {v = 1 mod p^j}, and |H| = phi(M)/phi(p^j)."""
+        levels = [(N, next(p for p in (3, 5, 7, 11) if N % p), 0) for N in range(1, 201)]
+        levels += [(N, p, j) for j in (1, 2) for p in (3, 5, 7, 11, 13) for N in range(1, 200 // p ** (2 * j) + 1) if N % p]
+        for N, p, j in levels:
+            params = LevelParams(N, p, j, 4)
+            M, q = params.modulus, p**j
+            H = [v for v in _unit_group(M).units if (v - 1) % q == 0]
+            scanned = [psi for psi in enumerate_characters(M) if psi.is_even and all(psi.exponent_of(v) == 0 for v in H)]
+            assert [psi for psi, _ in _level_characters(params)] == scanned, params
+            assert len(H) == euler_phi(M) // euler_phi(q), params
+
     def test_coefficients_pinned(self):
         """higher_coeff_exact for l'' = 1..5 over criterion 07's j >= 1 levels, hashed as the
         sum over every even psi gave them, representation (order, num, den) included."""

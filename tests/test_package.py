@@ -340,6 +340,7 @@ REMOVED = {
     ("characters", "DirichletCharacter"): ("__call__", "conjugate"),
     ("arith", "CyclotomicNumber"): ("degree",),
     ("cli", None): ("_random_sl2_quad",),
+    ("characters", None): ("_lift_unit",),
 }
 
 
@@ -351,6 +352,18 @@ def test_unused_operations_are_gone():
                 assert not hasattr(mod, name), name
             else:
                 assert not any(name in vars(k) for k in getattr(mod, cls).__mro__[:-1]), f"{cls}.{name}"
+
+
+def test_character_structure_from_exponents():
+    """A character's conductor, primitive character and CRT components are arithmetic on its
+    exps: conductor, primitive, _components and the _levels they read touch no value table
+    (_table) and evaluate the character nowhere (exponent_of, value); _level_characters keeps
+    psi by its conductor, with no v-range scan."""
+    defs = _methods(ast.parse((Path(asaikit.__file__).parent / "characters.py").read_text()))
+    for name in ("DirichletCharacter._levels", "DirichletCharacter.conductor", "DirichletCharacter.primitive", "_components"):
+        read = {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(defs[name])}
+        assert not read & {"_table", "exponent_of", "value"}, name
+    assert "_v_range" not in _called(_function("eisenstein.py", "_level_characters"))
 
 
 def test_one_route_per_coefficient():
