@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, inf, lcm
 
 from .arith import (
@@ -273,16 +274,32 @@ def _powers(e: tuple[int, int], n: int, D: int) -> list[tuple[int, int]]:
     return out
 
 
-def _substitution_rows(gamma, n: int, D: int) -> tuple[list[dict], int]:
-    """(rows, g^n): rows[i][t] / g^n is the coefficient of X^(n-t) Y^t in (d X - b Y)^(n-i) (-c X + a Y)^i.
+# distinct matrices kept; exact-sweep's 900 translations use 127
+_ROWS_CACHE_SIZE = 256
 
-    gamma is ((a, b), (c, d)) with QuadCoeff (or rational) entries over
-    Q(sqrt(-D)) and determinant 1, and g is their common denominator, so each
-    row coefficient is an integer pair.  Zero coefficients are left out.
+
+def _substitution_rows(gamma, n: int, D: int) -> tuple[tuple, tuple, int]:
+    """(rows, conjugate rows, g^n) for gamma = ((a, b), (c, d)) with QuadCoeff (or rational)
+    entries over Q(sqrt(-D)) and determinant 1; g is their common denominator.
+
+    The entries are read once as integer pairs over g, and ``_rows`` builds the
+    rows from those integers alone.  It is an ``lru_cache`` of _ROWS_CACHE_SIZE
+    matrices, so a matrix that acts again (the denominator lemma translates by
+    a few betas many times) reuses its rows.  The cached rows are shared by
+    every caller, so they are tuples, which nobody can edit in place.
     """
     entries = [_pair(e, D) for e in gamma[0] + gamma[1]]
     g = lcm(*(den for _, _, den in entries))
     a, b, c, d = [(x * (g // den), y * (g // den)) for x, y, den in entries]
+    return _rows(a, b, c, d, g, n, D)
+
+
+@lru_cache(maxsize=_ROWS_CACHE_SIZE)
+def _rows(a, b, c, d, g: int, n: int, D: int) -> tuple[tuple, tuple, int]:
+    """rows[i] lists (t, x, y) with (x + y sqrt(-D)) / g^n the coefficient of X^(n-t) Y^t in
+    (d X - b Y)^(n-i) (-c X + a Y)^i, for the integer pairs a, b, c, d over g; zero
+    coefficients are left out.  The conjugate rows carry (t, x, -y).  Raises ValueError
+    unless ad - bc = g^2 (nothing is cached then)."""
     ad, bc = _mul(a, d, D), _mul(b, c, D)
     if (ad[0] - bc[0], ad[1] - bc[1]) != (g * g, 0):
         raise ValueError("matrix must have determinant 1")
@@ -299,15 +316,17 @@ def _substitution_rows(gamma, n: int, D: int) -> tuple[list[dict], int]:
                 x, y = _mul(u, _mul(pc[i - r], pa[r], D), D)
                 x0, y0 = row.get(s + r, (0, 0))
                 row[s + r] = (x0 + w * x, y0 + w * y)
-        rows.append({t: xy for t, xy in row.items() if xy[0] or xy[1]})
-    return rows, g**n
+        rows.append(tuple((t, x, y) for t, (x, y) in row.items() if x or y))
+    bar = tuple(tuple((t, x, -y) for t, x, y in row) for row in rows)
+    return tuple(rows), bar, g**n
 
 
-def _substitute(rows: list[dict], num: dict[tuple, tuple[int, int]], D: int) -> dict[tuple, tuple[int, int]]:
-    """{(i, k): c} -> {(t, k): sum_i c rows[i][t]} on integer pairs (the denominators multiply)."""
+def _substitute(rows: tuple, num: dict[tuple, tuple[int, int]], D: int) -> dict[tuple, tuple[int, int]]:
+    """{(i, k): c} -> {(t, k): sum of c (x + y sqrt(-D)) over (t, x, y) in rows[i]} on integer pairs
+    (the denominators multiply)."""
     out: dict[tuple, tuple[int, int]] = {}
     for (i, k), (a, b) in num.items():
-        for t, (ra, rb) in rows[i].items():
+        for t, ra, rb in rows[i]:
             x, y = out.get((t, k), (0, 0))
             out[(t, k)] = (x + a * ra - D * b * rb, y + a * rb + b * ra)
     return out
@@ -317,14 +336,13 @@ def sl2_act(gamma, P: BiHomogPoly) -> BiHomogPoly:
     """gamma . P = P(d X - b Y, -c X + a Y, conjugate pair on the barred variables).
 
     gamma is ((a, b), (c, d)) with QuadCoeff (or rational) entries and
-    determinant 1.  The substitution rows are built once, as integer pairs
-    over g^n; the barred pair takes their conjugates, so the result is an
-    integer polynomial over den(P) g^(2n), reduced once.
+    determinant 1.  The substitution rows are integer pairs over g^n (see
+    ``_substitution_rows``); the barred pair takes their conjugates, so the
+    result is an integer polynomial over den(P) g^(2n), reduced once.
     """
     D = P.D
-    rows, den = _substitution_rows(gamma, P.n, D)
+    rows, bar, den = _substitution_rows(gamma, P.n, D)
     half = _substitute(rows, P.num, D)
-    bar = [{t: (x, -y) for t, (x, y) in row.items()} for row in rows]
     out = _substitute(bar, {(j, t): c for (t, j), c in half.items()}, D)
     return BiHomogPoly._from_ints(P.n, D, {(t, s): c for (s, t), c in out.items()}, P.den * den * den)
 
@@ -332,7 +350,7 @@ def sl2_act(gamma, P: BiHomogPoly) -> BiHomogPoly:
 def homog_act(gamma, Q: HomogPoly) -> HomogPoly:
     """Induced action Q(d X - b Y, -c X + a Y) on one-variable-pair polynomials."""
     deg = Q.n
-    rows, den = _substitution_rows(gamma, deg, Q.D)
+    rows, _, den = _substitution_rows(gamma, deg, Q.D)
     # num[l] sits on X^l Y^(deg-l), so its Y-degree is deg - l
     out = _substitute(rows, {(deg - l, 0): c for l, c in Q.num.items()}, Q.D)
     return HomogPoly._from_ints(deg, Q.D, {deg - t: c for (t, _), c in out.items()}, Q.den * den)

@@ -46,7 +46,6 @@ from .characters import (
     enumerate_characters,
     generalized_bernoulli,
 )
-from .cohomology import QuadCoeff
 
 __all__ = [
     "LevelParams",
@@ -112,19 +111,42 @@ def _quad_field(D: int) -> QuadFieldData:
     return QuadFieldData(D)
 
 
+def _conjugate(gamma: IntMatrix2, a_rep: int, s: int, D: int) -> tuple[tuple[int, int], ...]:
+    """s^2 gamma_beta gamma gamma_beta^(-1) for beta = a_rep sqrt(-D) / s, as the integer pairs
+    (x, y) = x + y sqrt(-D) of its entries e11, e12, e21, e22 (see ``membership_two_ways``)."""
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    ss, sa = s * s, s * a_rep
+    return (
+        (a * ss, c * sa),
+        (b * ss + c * D * a_rep * a_rep, (d - a) * sa),
+        (c * ss, 0),
+        (d * ss, -c * sa),
+    )
+
+
 def membership_two_ways(
     params: LevelParams, gamma: IntMatrix2, D: int | None = None, a_rep: int | None = None
 ) -> tuple[bool, bool]:
     """(congruence criterion, exact conjugation over Q(sqrt(-D))) for the group test.
 
     The conjugation path moves gamma back to level N by the translation by
-    beta = a sqrt(-D) / (2 p^j): it conjugates gamma by gamma_beta in
-    ``QuadCoeff`` arithmetic, then checks that every entry is integral
-    (``QuadFieldData.is_integral`` on the entry's integer triple) and the
-    level condition c = 0 mod N.  It does not use the congruence criterion,
-    so the two answers are independent and must agree for every
-    determinant-1 matrix.  beta and the entries are built from integers; no
-    Fraction enters.
+    beta = a_rep sqrt(-D) / s, s = 2 p^j, and checks that every entry of
+    gamma_beta gamma gamma_beta^(-1) is integral (``QuadFieldData.is_integral``)
+    and the level condition c = 0 mod N.  It does not use the congruence
+    criterion, so the two answers are independent and must agree for every
+    determinant-1 matrix.
+
+    With B = a_rep sqrt(-D), s gamma_beta = [[s, B], [0, s]] and
+    s gamma_beta^(-1) = [[s, -B], [0, s]], so the conjugate is
+    (s gamma_beta) gamma (s gamma_beta^(-1)) / s^2.  Multiplied out, with
+    B^2 = -D a_rep^2, the numerators are the integer pairs (``_conjugate``)
+
+        e11 = a s^2 + c s B,              e12 = b s^2 + c D a_rep^2 + (d - a) s B,
+        e21 = c s^2,                      e22 = d s^2 - c s B.
+
+    Each entry is reduced over s^2 by one gcd; no QuadCoeff or Fraction enters.
+    a_rep must be even at every j, and a unit mod p when j >= 1 (every
+    integer is a unit mod p^0).
     """
     p, j, N = params.p, params.j, params.N
     q = p**j
@@ -133,21 +155,17 @@ def membership_two_ways(
     field = _quad_field(D)
     if a_rep is None:
         a_rep = 2 if j >= 1 else 0
-    if j >= 1 and (a_rep % 2 or gcd(a_rep, p) != 1):
-        raise ValueError("translation numerator must be an even unit mod p")
-    beta = QuadCoeff._make(0, a_rep, 2 * q, D)
-    a, b, c, d = (QuadCoeff._make(x, 0, 1, D) for x in (gamma.a, gamma.b, gamma.c, gamma.d))
-    # gamma_beta gamma gamma_beta^(-1)
-    c_beta = c * beta
-    e11 = a + c_beta
-    e12 = b + d * beta - e11 * beta
-    e21 = c
-    e22 = d - c_beta
-    by_conjugation = (
-        all(field.is_integral(e.a, e.b, e.den) for e in (e11, e12, e21, e22))
-        and gamma.c % N == 0
-    )
-    return by_congruence, by_conjugation
+    if a_rep % 2 or (j >= 1 and gcd(a_rep, p) != 1):
+        raise ValueError("translation numerator must be even, and a unit mod p for j >= 1")
+    s = 2 * q
+    den = s * s
+    integral = True
+    for x, y in _conjugate(gamma, a_rep, s, D):
+        g = gcd(x, y, den)
+        if not field.is_integral(x // g, y // g, den // g):
+            integral = False
+            break
+    return by_congruence, integral and gamma.c % N == 0
 
 
 def enumerate_lambda(params: LevelParams, height: int) -> list[tuple[int, int]]:

@@ -401,6 +401,25 @@ class TestIntegerPairs:
             want = min((c.valuation(p) for c in got.coeffs.values()), default=inf)
             assert got.min_valuation(p) == want
 
+    def test_cached_rows_are_tuples(self):
+        """A matrix's rows are built once and shared: they are tuples, and an action read
+        from the cache equals the term-by-term reference.  A bad matrix is not cached."""
+        rng = random.Random(17)
+        g = matmul(translation_matrix(D, 4, 5, 1), rand_sl2(rng))
+        cohomology._rows.cache_clear()
+        sl2_act(g, rand_poly(rng, 3, dens=(1, 2, 3)))
+        rows, bar, _ = cohomology._substitution_rows(g, 3, D)
+        assert cohomology._rows.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert all(type(x) is tuple for x in (rows, bar, *rows, *bar, *rows[0], *bar[0]))
+        P = rand_poly(rng, 3, dens=(1, 2))
+        assert sl2_act(g, P).coeffs == _ref_sl2_act(g, P).coeffs
+        assert cohomology._rows.cache_info()[:2] == (2, 1)
+        bad = ((q(1), q(0)), (q(0), q(2)))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sl2_act(bad, P)
+        assert cohomology._rows.cache_info()[1:] == (3, cohomology._ROWS_CACHE_SIZE, 1)
+
     def test_no_quadcoeff_arithmetic(self, monkeypatch):
         """Once the entries and coefficients are integer pairs, no QuadCoeff is built or multiplied."""
         rng = random.Random(13)

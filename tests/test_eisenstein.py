@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import random
 from fractions import Fraction as F
 from math import factorial, gcd
@@ -90,6 +91,31 @@ def membership_by_fractions(params, gamma, D, a_rep):
     return entries, [integral(e) for e in entries]
 
 
+def sl2_box(h):
+    """Every matrix of SL2(Z) with entries of absolute value at most h."""
+    r = range(-h, h + 1)
+    return [IntMatrix2(a, b, c, d) for a in r for b in r for c in r for d in r if a * d - b * c == 1]
+
+
+SL2_BOX = sl2_box(10)
+# the levels of verify's membership-dual-path row
+ROW_LEVELS = (LevelParams(1, 3, 1, 4), LevelParams(2, 3, 1, 4), LevelParams(1, 5, 1, 4), LevelParams(4, 3, 0, 4))
+TRUE_CONJUGATE = eisenstein._conjugate
+
+
+def conjugate_without_cDa2(gamma, a_rep, s, D):
+    """The conjugate with the c D a_rep^2 term of e12 dropped."""
+    e11, (x, y), e21, e22 = TRUE_CONJUGATE(gamma, a_rep, s, D)
+    return e11, (x - gamma.c * D * a_rep * a_rep, y), e21, e22
+
+
+def conjugate_both_sides(gamma, a_rep, s, D):
+    """(s gamma_beta) gamma (s gamma_beta) in place of (s gamma_beta) gamma (s gamma_beta^(-1))."""
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    ss, sa = s * s, s * a_rep
+    return (a * ss, c * sa), (b * ss - c * D * a_rep * a_rep, (a + d) * sa), (c * ss, 0), (d * ss, c * sa)
+
+
 class TestLevelParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -164,6 +190,49 @@ class TestMembership:
         want = ((g.a - g.d) % q == 0 and g.c % (N * q * q) == 0, all(integral) and g.c % N == 0)
         assert membership_two_ways(params, g, D=D, a_rep=a_rep) == want
         assert want[0] == want[1] and (want[0] or not member)
+
+    @pytest.mark.parametrize("D", FUNDAMENTAL_D)
+    def test_box_equals_fraction_reference(self, D):
+        # exhaustive over |entries| <= 10 at the row's levels: the integer conjugate, reduced,
+        # is the Fraction reference's entry, and the verdicts agree
+        field = QuadFieldData(D)
+        for params in ROW_LEVELS:
+            s = 2 * params.p**params.j
+            a_rep = 2 if params.j else 0
+            for g in SL2_BOX:
+                entries, integral = membership_by_fractions(params, g, D, a_rep)
+                reduced = []
+                for x, y in eisenstein._conjugate(g, a_rep, s, D):
+                    h = gcd(x, y, s * s)
+                    reduced.append((x // h, y // h, s * s // h))
+                assert reduced == [(e.a, e.b, e.den) for e in entries]
+                assert [field.is_integral(*e) for e in reduced] == integral
+                assert membership_two_ways(params, g, D=D)[1] == (all(integral) and g.c % params.N == 0)
+
+    @pytest.mark.parametrize("D, a_rep", [(7, 1), (11, 3)])
+    def test_odd_numerator_rejected_at_j0(self, D, a_rep):
+        # an odd numerator made the routes disagree here: (True, False)
+        with pytest.raises(ValueError):
+            membership_two_ways(LevelParams(1, 3, 0, 4), IntMatrix2(1, 0, 1, 1), D=D, a_rep=a_rep)
+
+    @pytest.mark.parametrize("D", FUNDAMENTAL_D)
+    def test_even_numerators_agree_at_j0(self, D):
+        for params in (LevelParams(1, 3, 0, 4), LevelParams(4, 5, 0, 4)):
+            for g in sl2_box(4):
+                for a_rep in (0, 2, 4):
+                    fml, conj = membership_two_ways(params, g, D=D, a_rep=a_rep)
+                    assert fml == conj, (params, g, a_rep)
+
+    @pytest.mark.parametrize("wrong", [conjugate_without_cDa2, conjugate_both_sides], ids=["no-cDa2", "both-sides"])
+    def test_row_fails_on_a_wrong_conjugation(self, wrong, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(eisenstein, "_conjugate", wrong)
+        cache = tmp_path / "c.json"
+        assert cli.main(["verify", "eisenstein", "--seed", "0", "--cache", str(cache)]) == 1
+        rows = {r["name"]: r["status"] for r in json.loads(cache.read_text())["results"]}
+        assert rows.pop("membership-dual-path") == "fail"
+        # lambda-bijection asks the conjugation criterion too; the other rows do not
+        rows.pop("lambda-bijection")
+        assert set(rows.values()) == {"pass"}
 
     def test_discriminant_independence(self):
         rng = random.Random(2)

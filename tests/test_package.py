@@ -271,7 +271,8 @@ def test_integer_exact_kernel():
     test run on integers: they construct no Fraction and read no Fraction view (coeffs, x,
     y) of an operand.  The calculus also builds and conjugates no QuadCoeff: it reads the
     matrix entries once, through _pair, and TestIntegerPairs checks at run time that it
-    does no QuadCoeff arithmetic."""
+    does no QuadCoeff arithmetic.  The membership test conjugates on integer pairs and
+    names no QuadCoeff at all."""
     src = Path(asaikit.__file__).parent
     fraction = {"Fraction"}
     quad = fraction | {"QuadCoeff", "_make", "conj", "valuation"}
@@ -293,13 +294,14 @@ def test_integer_exact_kernel():
             ),
         ),
         ("cohomology.py", fraction, ("QuadCoeff._make", "QuadCoeff._combine", "QuadCoeff.__add__", "QuadCoeff.__mul__")),
-        ("eisenstein.py", fraction, ("membership_two_ways",)),
+        ("eisenstein.py", quad, ("membership_two_ways", "_conjugate")),
         ("asai.py", fraction, ("QuadFieldData.is_integral",)),
         (
             "cohomology.py",
             quad,
             (
                 "_substitution_rows",
+                "_rows",
                 "_substitute",
                 "sl2_act",
                 "homog_act",
@@ -324,6 +326,10 @@ def test_integer_exact_kernel():
                 if called or (isinstance(node, ast.Attribute) and node.attr in ("coeffs", "x", "y")):
                     offenders.append(f"{name}:{fn_name}:{node.lineno}")
     assert not offenders
+    defs = _methods(ast.parse((src / "eisenstein.py").read_text()))
+    for fn_name in ("membership_two_ways", "_conjugate"):
+        assert "QuadCoeff" not in {getattr(node, "id", None) for node in ast.walk(defs[fn_name])}, fn_name
+    assert not hasattr(importlib.import_module("asaikit.eisenstein"), "QuadCoeff")
 
 
 def test_one_translation_path():
