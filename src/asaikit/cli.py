@@ -4,6 +4,12 @@ sweeps, and report emission.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 input or usage
 error.  All randomness is drawn from --seed, so identical invocations give
 identical reports; check results are cached to a JSON file for `report`.
+
+`verify` with more than one suite runs each suite in a forked worker, at most
+one per available CPU, when the platform forks and the process has no other
+thread; the parent prints the rows in suite order and writes the same cache,
+so output, exit code and cache are those of the in-process run, bar the
+runtimes.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import os
 import random
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -569,7 +576,7 @@ def _suite_padic(seed: int) -> list:
 def _random_sl2(rng: random.Random, steps: int = 8) -> "eisenstein.IntMatrix2":
     a, b, c, d = 1, 0, 0, 1
     for _ in range(steps):
-        t = rng.randint(-3, 3)
+        t = rng.randrange(7) - 3  # randint(-3, 3)'s draw, without its argument handling
         if rng.random() < 0.5:
             a, b = a + t * c, b + t * d
         else:
@@ -616,6 +623,104 @@ SUITE_BUILDERS = {
 SUITES = tuple(SUITE_BUILDERS)
 
 
+def _suite_rows(suite: str, settings: dict):
+    """One suite's report rows, each as its check ends: the builder's checks, each run by `_run_check`."""
+    for name, anchor, cases in SUITE_BUILDERS[suite](**settings):
+        yield _run_check(suite, name, anchor, cases)
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on, and so the most suites `verify` runs at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _WorkerFailed(Exception):
+    """A suite's worker exited nonzero, died on a signal or sent incomplete rows."""
+
+
+def _rows_in_workers(jobs: list[tuple[str, dict]], slots: int, emit) -> None:
+    """Run `_suite_rows` for each (suite, settings) job in a forked worker, at most `slots` alive.
+
+    Workers start in job order, each as a slot frees.  ``emit(row)`` is called for every
+    row in job order too, for each job as soon as it and every earlier job are done.  A
+    worker sends its rows as JSON down a pipe, which is exact: every gap is a finite
+    float or None.  A failed worker raises `_WorkerFailed`; on the way out, by return
+    or by any exception, every live worker is killed and reaped.
+    """
+    import selectors
+    import signal
+
+    sel = selectors.DefaultSelector()
+    live = {}  # pid -> index of its job
+    chunks: dict[int, list[bytes]] = {}
+    done = {}  # job index -> rows not yet emitted
+    started = emitted = 0
+    try:
+        while emitted < len(jobs):
+            while started < len(jobs) and len(live) < slots:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    _worker(w, *jobs[started])
+                os.close(w)
+                live[pid], chunks[started] = started, []
+                sel.register(r, selectors.EVENT_READ, pid)
+                started += 1
+            for key, _ in sel.select():
+                i = live[key.data]
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    chunks[i].append(chunk)
+                    continue
+                sel.unregister(key.fd)
+                os.close(key.fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(key.data, 0)[1])
+                del live[key.data]
+                suite = jobs[i][0]
+                if code:
+                    how = f"exit status {code}" if code > 0 else f"signal {-code}"
+                    raise _WorkerFailed(f"the {suite} suite's worker ended with {how}")
+                try:
+                    done[i] = json.loads(b"".join(chunks.pop(i)))
+                except ValueError:
+                    raise _WorkerFailed(f"the {suite} suite's worker sent incomplete rows") from None
+            while emitted in done:
+                for row in done.pop(emitted):
+                    emit(row)
+                emitted += 1
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for key in list(sel.get_map().values()):
+            os.close(key.fd)
+        sel.close()
+
+
+def _worker(fd: int, suite: str, settings: dict) -> None:
+    """A forked worker: write the suite's rows as JSON to the pipe ``fd``, then end the process.
+
+    It never returns into its caller, never flushes the stdio buffers it inherited
+    (`os._exit`), and exits 1 on any exception, an interrupt included.
+    """
+    code = 1
+    try:
+        rows = json.dumps(list(_suite_rows(suite, settings))).encode()
+        with open(fd, "wb") as pipe:
+            pipe.write(rows)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -638,16 +743,27 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    jobs = [(suite, {name: getattr(cfg, name) for name in reads[suite]}) for suite in names]
     rows = []
-    for suite in names:
-        settings = {name: getattr(cfg, name) for name in reads[suite]}
-        for name, anchor, cases in SUITE_BUILDERS[suite](**settings):
-            row = _run_check(suite, name, anchor, cases)
-            mark = "PASS" if row["status"] == "pass" else "FAIL"
-            gap = "" if row["gap"] is None else f" gap={row['gap']:.3e}"
-            detail = f" [{row['detail']}]" if row["detail"] and row["status"] != "pass" else ""
-            print(f"[{mark}] {suite}/{name}{gap} ({row['runtime']:.2f}s){detail}")
-            rows.append(row)
+
+    def emit(row):
+        mark = "PASS" if row["status"] == "pass" else "FAIL"
+        gap = "" if row["gap"] is None else f" gap={row['gap']:.3e}"
+        detail = f" [{row['detail']}]" if row["detail"] and row["status"] != "pass" else ""
+        print(f"[{mark}] {row['suite']}/{row['name']}{gap} ({row['runtime']:.2f}s){detail}")
+        rows.append(row)
+
+    slots = min(len(jobs), _available_cpus())
+    if slots > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        try:
+            _rows_in_workers(jobs, slots, emit)
+        except _WorkerFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    else:
+        for suite, settings in jobs:
+            for row in _suite_rows(suite, settings):
+                emit(row)
     try:
         with open(cfg.cache_path, "w") as fh:
             json.dump({"config": asdict(cfg), "results": rows}, fh, indent=1)

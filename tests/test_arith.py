@@ -568,8 +568,11 @@ class TestBessel:
 
     def test_kernel_comparison_decides(self, monkeypatch):
         """A K_nu 1 % off shows in kernel_rel_err although the moment side is untouched."""
-        besselk = mpmath.MPContext.besselk  # the check runs in a context of its own
-        monkeypatch.setattr(mpmath.MPContext, "besselk", lambda ctx, nu, x: 1.01 * besselk(ctx, nu, x))
+        # the check runs in a context of its own; building one re-binds every special function
+        # on MPContext, so the patch goes on the instance, which is made first
+        ctx = arith._bessel_context()
+        besselk = ctx.besselk
+        monkeypatch.setattr(ctx, "besselk", lambda nu, x: 1.01 * besselk(nu, x))
         [r] = bessel_k_moment_check(1, (3,), 1)
         assert r.rel_err < 1e-20
         assert abs(r.kernel_rel_err - 1 / 101) < 1e-6

@@ -4,14 +4,16 @@ import math
 import os
 import random
 import re
+import signal
+import sys
+import threading
 import time
 from dataclasses import fields, replace
 from fractions import Fraction
 
-import mpmath
 import pytest
 
-from asaikit import asai, cli, eisenstein
+from asaikit import arith, asai, cli, eisenstein
 from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
@@ -60,7 +62,7 @@ class TestVerify:
             assert r1["status"] == r2["status"] and r1["gap"] == r2["gap"]
 
     def test_parallelism_option_rejected(self, tmp_path, capsys):
-        # threads shared mpmath's process-wide precision; the option is gone
+        # concurrency is not an option: the CPUs this process may use decide it (cli._available_cpus)
         with pytest.raises(SystemExit) as exc:
             run(["verify", "all", "--parallelism", "4", "--cache", str(tmp_path / "c.json")])
         assert exc.value.code == 2
@@ -251,8 +253,11 @@ class TestVerify:
 
     def test_bessel_row_gates_on_the_kernel_error(self, tmp_path, monkeypatch, capsys):
         # a K_nu 1 % off leaves the moment side exact, so only kernel_rel_err can fail the row
-        besselk = mpmath.MPContext.besselk  # the check runs in a context of its own
-        monkeypatch.setattr(mpmath.MPContext, "besselk", lambda ctx, nu, x: 1.01 * besselk(ctx, nu, x))
+        # the check runs in a context of its own; building one re-binds every special function
+        # on MPContext, so the patch goes on the instance, which is made first
+        ctx = arith._bessel_context()
+        besselk = ctx.besselk
+        monkeypatch.setattr(ctx, "besselk", lambda nu, x: 1.01 * besselk(nu, x))
         cache = tmp_path / "c.json"
         assert run(["verify", "arith", "--cache", str(cache)]) == 1
         rows = {r["name"]: r for r in json.loads(cache.read_text())["results"]}
@@ -263,13 +268,14 @@ class TestVerify:
         # the kernel comparison depends on (nu, a) alone: per nu, two moment quadratures and
         # one kernel quadrature against one besselk, for mu = 3 and 4 together
         calls = {"quad": 0, "besselk": 0}
+        ctx = arith._bessel_context()  # patched as an instance: see the test above
         for name in calls:
 
-            def counted(*args, _real=getattr(mpmath.MPContext, name), _name=name, **kwargs):
+            def counted(*args, _real=getattr(ctx, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(mpmath.MPContext, name, counted)
+            monkeypatch.setattr(ctx, name, counted)
         assert run(["verify", "arith", "--cache", str(tmp_path / "c.json")]) == 0
         assert calls == {"quad": 9, "besselk": 3}
 
@@ -359,6 +365,130 @@ class TestVerify:
         assert re.fullmatch(r"\d+ members found", rows["membership-dual-path"]["detail"])
         assert rows["lambda-bijection"]["detail"] == "53, 73 pairs"
         assert rows["negative-control"]["detail"] == "v=0"
+
+
+def _without_runtimes(out: str) -> list[str]:
+    return [re.sub(r" \(\d+\.\d\ds\)", "", line) for line in out.splitlines()]
+
+
+class TestConcurrentVerify:
+    """`verify` with several suites runs each in a forked worker, at most one per CPU."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Two CPU slots; the list of the workers forked."""
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        pids, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)  # a worker's own copy of the list is never read
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield pids
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_and_lines_match_the_in_process_run(self, seed, workers, tmp_path, monkeypatch, capsys):
+        def verify(cache):
+            assert run(["verify", "all", "--seed", str(seed), "--cache", str(cache)]) == 0
+            rows = json.loads(cache.read_text())["results"]
+            assert all(isinstance(row.pop("runtime"), float) for row in rows)
+            return rows, _without_runtimes(capsys.readouterr().out)
+
+        forked = verify(tmp_path / "forked.json")
+        assert len(workers) == len(cli.SUITES)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        assert verify(tmp_path / "serial.json") == forked
+        assert len(workers) == len(cli.SUITES)
+        lines = forked[1]
+        assert lines[-1] == "all checks passed"
+        assert lines[:-1] == [f"[PASS] {row['suite']}/{row['name']}" + (
+            "" if row["gap"] is None else f" gap={row['gap']:.3e}") for row in forked[0]]
+        suites = [row["suite"] for row in forked[0]]
+        assert suites == sorted(suites, key=cli.SUITES.index) and set(suites) == set(cli.SUITES)
+
+    def test_a_patch_reaches_the_workers(self, workers, tmp_path, monkeypatch, capsys):
+        # as test_ordinary_factorization_fails_on_a_wrong_B1, under `verify all`
+        true_data = asai.ordinary_data
+
+        def shifted(f):
+            od = true_data(f)
+            return replace(od, B=(od.B[0], od.B[1] + 1, od.B[2], od.B[3]))
+
+        monkeypatch.setattr(asai, "ordinary_data", shifted)
+        cache = tmp_path / "c.json"
+        assert run(["verify", "all", "--cache", str(cache)]) == 1
+        assert workers
+        status = {f"{r['suite']}/{r['name']}": r["status"] for r in json.loads(cache.read_text())["results"]}
+        assert status.pop("asai/ordinary-factorization") == "fail"
+        assert set(status.values()) == {"pass"}
+
+    @pytest.mark.parametrize(
+        "death, how",
+        [
+            (lambda: os._exit(3), "exit status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {signal.SIGKILL.value}"),
+        ],
+        ids=["exit", "signal"],
+    )
+    def test_a_dead_worker_fails_the_run(self, death, how, workers, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dies():
+            if os.getpid() != parent:  # never end the test process itself
+                death()
+            yield "a", True
+
+        monkeypatch.setitem(cli.SUITE_BUILDERS, "cohomology", lambda seed: [("dies", "x", dies())])
+        cache = tmp_path / "c.json"
+        assert run(["verify", "all", "--cache", str(cache)]) == 1
+        assert capsys.readouterr().err == f"error: the cohomology suite's worker ended with {how}\n"
+        assert not cache.exists()
+
+    def test_incomplete_rows_fail_the_run(self, workers, tmp_path, monkeypatch, capsys):
+        dumps = json.dumps
+
+        def cut(rows):  # the workers' one use: cohomology's rows lose their last byte
+            text = dumps(rows)
+            return text[:-1] if rows[0]["suite"] == "cohomology" else text
+
+        monkeypatch.setattr(json, "dumps", cut)
+        cache = tmp_path / "c.json"
+        assert run(["verify", "all", "--cache", str(cache)]) == 1
+        assert capsys.readouterr().err == "error: the cohomology suite's worker sent incomplete rows\n"
+        assert not cache.exists()
+
+    def test_an_interrupt_leaves_no_worker(self, workers, tmp_path, monkeypatch):
+        class Interrupted:
+            def write(self, text):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(sys, "stdout", Interrupted())  # the first row printed interrupts the run
+        with pytest.raises(KeyboardInterrupt):
+            run(["verify", "all", "--cache", str(tmp_path / "c.json")])
+        assert len(workers) >= 2  # arith's worker done, and the next one killed
+
+    @pytest.mark.parametrize("cpus, suite", [(1, "all"), (2, "padic")])
+    def test_one_slot_never_forks(self, cpus, suite, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert run(["verify", suite, "--cache", str(tmp_path / "c.json")]) == 0
+
+    def test_no_fork_beside_another_thread(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert run(["verify", "all", "--cache", str(tmp_path / "c.json")]) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestEisensteinCommand:
