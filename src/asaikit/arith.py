@@ -48,7 +48,6 @@ __all__ = [
     "bernoulli_polynomial",
     "cyclotomic_polynomial",
     "CyclotomicNumber",
-    "cyclotomic_mul",
     "cyclotomic_dot",
     "Ball",
     "to_mpf",
@@ -72,11 +71,8 @@ __all__ = [
 
 def _split_order(m: int, p: int) -> tuple[int, int]:
     """m = p^a * m' with m' prime to p; returns (a, m')."""
-    a = 0
-    while m % p == 0:
-        m //= p
-        a += 1
-    return a, m
+    a = _vp_int(m, p)
+    return a, m // p**a
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -438,13 +434,12 @@ class CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            return cyclotomic_dot(((self, other),))
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return CyclotomicNumber._make(self.order, tuple(c * n for c in self.num), self.den * other.denominator)
-        a, b = self._coerced(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return cyclotomic_mul(a, b)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -461,12 +456,11 @@ class CyclotomicNumber:
         return CyclotomicNumber._make(self.order, tuple(self.den * c for c in sol), det)
 
     def __truediv__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            return cyclotomic_dot(((self, other.inverse()),))
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        a, b = self._coerced(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return cyclotomic_mul(a, b.inverse())
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -576,15 +570,10 @@ def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def _multiplication_matrix(x: CyclotomicNumber) -> list[list[int]]:
     """The integer matrix of y -> num y on the power basis: column j is num zeta^j reduced."""
-    d, taps = _cyclotomic_taps(x.order)
     col = list(x.num)
     cols = [col]
-    for _ in range(d - 1):
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            for j, c in taps:
-                col[j] -= top * c
+    for _ in range(len(col) - 1):
+        col = _reduce_mod_cyclotomic([0] + col, x.order)
         cols.append(col)
     return [list(row) for row in zip(*cols)]
 
@@ -624,35 +613,21 @@ def _bareiss_solve(rows: list[list[int]]) -> tuple[int, list[int] | None]:
     return det, sol
 
 
-def cyclotomic_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
-    """Product in Q(zeta_m); both operands must already have the same order.
-
-    The schoolbook product of the integer numerators, reduced modulo Phi_m,
-    over the product of the denominators.
-    """
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} vs {b.order}; lift first")
-    an, bn = a.num, b.num
-    prod = [0] * (2 * len(an) - 1)
-    terms = [(j, y) for j, y in enumerate(bn) if y]
-    for i, x in enumerate(an):
-        if x:
-            for j, y in terms:
-                prod[i + j] += x * y
-    return CyclotomicNumber._make(a.order, tuple(_reduce_mod_cyclotomic(prod, a.order)), a.den * b.den)
-
-
 def cyclotomic_dot(pairs: Iterable[tuple[CyclotomicNumber, CyclotomicNumber]]) -> CyclotomicNumber:
     """sum_i a_i b_i in Q(zeta_m), m the lcm of the operands' orders (the order-1 zero when empty).
 
-    zeta_order^i is zeta_m^(i m / order), so every product goes unreduced into
-    one integer buffer modulo x^m - 1, over the lcm of the products'
-    denominators; the buffer is reduced modulo Phi_m once and its gcd divided
-    out once.
+    The one product kernel of Q(zeta_m): ``*`` and ``/`` call it with one
+    pair, so operands of different orders are multiplied without lifting
+    either.  zeta_order^i is zeta_m^(i m / order), so every product goes
+    unreduced into one integer buffer modulo x^m - 1, over the lcm of the
+    products' denominators; the buffer is reduced modulo Phi_m once and its
+    gcd divided out once.
     """
     pairs = list(pairs)
-    m = lcm(1, *(x.order for pair in pairs for x in pair))
-    den = lcm(1, *(a.den * b.den for a, b in pairs))
+    m = den = 1
+    for a, b in pairs:
+        m = lcm(m, a.order, b.order)
+        den = lcm(den, a.den * b.den)
     acc = [0] * (2 * m - 1)  # exponents below 2m - 1 before the fold modulo x^m - 1
     for a, b in pairs:
         sa, sb, scale = m // a.order, m // b.order, den // (a.den * b.den)

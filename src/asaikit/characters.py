@@ -515,13 +515,6 @@ class TranscendentalValue:
         z = self.algebraic.embed(prec + 16) * _two_pi_power(k, prec + 16) * i_power
         return Ball.from_mpc(z.mid, prec, z.rad)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TranscendentalValue)
-            and self.two_pi_i_power == other.two_pi_i_power
-            and self.algebraic == other.algebraic
-        )
-
 
 def _bernoulli_L_factor(k: int, psi: DirichletCharacter) -> CyclotomicNumber:
     """-B_{k,psibar} / (2 k! C^k) for primitive psi mod C, the factor both exact L-value forms share."""

@@ -214,9 +214,7 @@ def _suite_characters(precision_bits: int) -> list:
             units = characters._unit_group(M).units
             for a in units[:3]:
                 for b in units[:3]:
-                    s = arith.CyclotomicNumber.from_rational(0)
-                    for ch in chars:
-                        s = s + ch.value(a) * ch.value(b).conjugate()
+                    s = arith.cyclotomic_dot((ch.value(a), ch.value(b).conjugate()) for ch in chars)
                     want = len(chars) if (a - b) % M == 0 else 0
                     yield f"M={M} a={a} b={b}", s == want
 
@@ -554,13 +552,10 @@ def _suite_padic(seed: int) -> list:
         for m in (0, 2):
             for a in (1, 2):
                 fam = padic.single_m_weights(tab, m, a, 1)
-                acc = arith.CyclotomicNumber.from_rational(0)
-                for (mm, ch), b in fam.items():
-                    acc = acc + b * tab.entries[(mm, ch)]
+                acc = arith.cyclotomic_dot((b, tab.entries[key]) for key, b in fam.items())
                 sub = padic.level_view(tab, m, 1)
-                acc2 = arith.CyclotomicNumber.from_rational(0)
-                for ch in characters.enumerate_characters(3):
-                    acc2 = acc2 + ch.value(pow(a, -1, 3)) * sub[ch]
+                a_inv = pow(a, -1, 3)
+                acc2 = arith.cyclotomic_dot((ch.value(a_inv), x) for ch, x in sub.items())
                 yield f"m={m} a={a}", acc == acc2
         rep = padic.glue_check(tab, [padic.single_m_weights(tab, 0, 1, 1)], 1, depth=1)
         yield "glue_check", rep.passed
@@ -878,11 +873,13 @@ def _is_row(row) -> bool:
     """Whether a cached row has the fields `report` prints, as `_run_check` writes them."""
     return (
         isinstance(row, dict)
-        and all(isinstance(row.get(key), str) for key in ("suite", "name", "anchor", "status"))
-        and isinstance(row.get("runtime"), (int, float))
+        and all(isinstance(row.get(key), str) for key in ("suite", "name", "anchor"))
+        and row.get("status") in ("pass", "fail", "error")
+        # exact types: a JSON true or false loads as a bool, which isinstance counts as an int
+        and type(row.get("runtime")) in (int, float)
         and isfinite(row["runtime"])
         and "gap" in row
-        and (row["gap"] is None or isinstance(row["gap"], (int, float)) and isfinite(row["gap"]))
+        and (row["gap"] is None or type(row["gap"]) in (int, float) and isfinite(row["gap"]))
     )
 
 

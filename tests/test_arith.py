@@ -22,7 +22,6 @@ from asaikit.arith import (
     bessel_k_moment_check,
     character_sum,
     cyclotomic_dot,
-    cyclotomic_mul,
     cyclotomic_polynomial,
     euler_phi,
     factorize,
@@ -91,7 +90,7 @@ class TestBernoulli:
 class TestCyclotomic:
     def test_i_squared(self):
         i = CyclotomicNumber.zeta(4)
-        assert cyclotomic_mul(i, i) == -1
+        assert i * i == -1
 
     def test_eisenstein_product(self):
         z = CyclotomicNumber.zeta(3)
@@ -101,10 +100,6 @@ class TestCyclotomic:
         z = CyclotomicNumber.zeta(8)
         a = 2 + 3 * z
         assert a * CyclotomicNumber.from_rational(1, 8) == a
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cyclotomic_mul(CyclotomicNumber.zeta(3), CyclotomicNumber.zeta(4))
 
     def test_lift_and_mixed_arithmetic(self):
         z3 = CyclotomicNumber.zeta(3)
@@ -271,7 +266,6 @@ class TestIntegerKernel:
             (a + b, tuple(x + y for x, y in zip(u, v))),
             (a - b, tuple(x - y for x, y in zip(u, v))),
             (a * b, _oracle_mul(u, v, m)),
-            (cyclotomic_mul(a, b), _oracle_mul(u, v, m)),
             (-a, tuple(-x for x in u)),
         ):
             assert _canonical_form(got)
@@ -347,6 +341,22 @@ class TestIntegerKernel:
         with mp.workprec(200):
             want = sum((to_mpf(c, 200) * mpmath.expjpi(mpmath.mpf(2 * i) / m) for i, c in enumerate(u)), mpmath.mpc(0))
             assert abs(ball.to_mpc() - want) <= ball.rad + 2.0**-150
+
+    @settings(max_examples=30, deadline=None)
+    @given(MIXED_ORDER_VECTOR, MIXED_ORDER_VECTOR)
+    def test_mixed_order_products(self, x, y):
+        # a b and a / b land at the lcm order; the oracle multiplies the operands spread to that order
+        (m, u), (n, v) = x, y
+        a, b = CyclotomicNumber(m, u), CyclotomicNumber(n, v)
+        k = lcm(m, n)
+        want = _oracle_mul(_oracle_spread(u, k, k // m), _oracle_spread(v, k, k // n), k)
+        got = a * b
+        assert _canonical_form(got)
+        assert (got.order, got.coeffs) == (k, want)
+        assume(any(v))
+        q = a / b
+        assert _canonical_form(q) and q.order == k
+        assert _oracle_mul(q.coeffs, _oracle_spread(v, k, k // n), k) == _oracle_spread(u, k, k // m)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(MIXED_ORDER_VECTOR, MIXED_ORDER_VECTOR), max_size=5))

@@ -10,6 +10,7 @@ import threading
 import time
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -56,8 +57,8 @@ class TestVerify:
         run(["verify", "asai", "--seed", "5", "--cache", c1])
         capsys.readouterr()
         run(["verify", "asai", "--seed", "5", "--cache", c2])
-        d1 = json.load(open(c1))
-        d2 = json.load(open(c2))
+        d1 = json.loads(Path(c1).read_text())
+        d2 = json.loads(Path(c2).read_text())
         for r1, r2 in zip(d1["results"], d2["results"]):
             assert r1["status"] == r2["status"] and r1["gap"] == r2["gap"]
 
@@ -145,7 +146,7 @@ class TestVerify:
         # the suite runs at the form's p = 7 only, so no check trips on a p = 3 character
         assert verify(path, "--R", "500") in (0, 1)
         assert set(re.findall(r"\[p=(\d+) ", capsys.readouterr().out)) <= {"7"}
-        rows = json.load(open(cache))["results"]
+        rows = json.loads(Path(cache).read_text())["results"]
         assert [r["status"] for r in rows if r["status"] == "error"] == []
         assert all(r["detail"].startswith("p=7 ") for r in rows if r["status"] == "fail")
         # a different --p, R below 7^2, s <= k + 1 at the file's weight, a file without its D header
@@ -196,7 +197,7 @@ class TestVerify:
         monkeypatch.setenv("ASAIKIT_PREC", "40")
         cache = str(tmp_path / "c.json")
         assert run(["verify", "characters", "--cache", cache]) == 0
-        assert json.load(open(cache))["config"]["precision_bits"] == 128
+        assert json.loads(Path(cache).read_text())["config"]["precision_bits"] == 128
 
     def test_runner(self, tmp_path, monkeypatch, capsys):
         reached = []
@@ -310,7 +311,7 @@ class TestVerify:
         monkeypatch.setattr(asai, "ordinary_data", shifted)
         cache = str(tmp_path / "c.json")
         assert run(["verify", "asai", "--cache", cache]) == 1
-        status = {row["name"]: row["status"] for row in json.load(open(cache))["results"]}
+        status = {row["name"]: row["status"] for row in json.loads(Path(cache).read_text())["results"]}
         assert status.pop("ordinary-factorization") == "fail"
         assert set(status.values()) == {"pass"}
 
@@ -358,7 +359,7 @@ class TestVerify:
         for suite in ("eisenstein", "padic"):
             cache = str(tmp_path / f"{suite}.json")
             assert run(["verify", suite, "--cache", cache]) == 0
-            rows.update((r["name"], r) for r in json.load(open(cache))["results"])
+            rows.update((r["name"], r) for r in json.loads(Path(cache).read_text())["results"])
         for name, row in rows.items():
             assert (row["gap"] is None) == (name != "exact-vs-analytic"), name
         # counts and valuations go to detail, never to gap
@@ -495,7 +496,7 @@ class TestEisensteinCommand:
     def test_writes_expansion(self, tmp_path, capsys):
         out = str(tmp_path / "exp.txt")
         assert run(["eisenstein", "--p", "3", "--j", "1", "--k", "4", "--T", "3", "--out", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.startswith("N 1\np 3\nj 1\nk 4\n")
         assert "a_0 = Cyc(1)" in capsys.readouterr().out
 
@@ -534,7 +535,7 @@ class TestEisensteinCommand:
 class TestKummerCommand:
     def test_dirac_fixture_passes(self, tmp_path, capsys):
         path = str(tmp_path / "dirac.mt")
-        open(path, "w").write(dirac_measure_table(3, 2, 4, 2).dumps())
+        Path(path).write_text(dirac_measure_table(3, 2, 4, 2).dumps())
         assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 0
 
     def test_random_fixture_fails(self, tmp_path):
@@ -545,13 +546,13 @@ class TestKummerCommand:
         for key in list(tab.entries)[:5]:
             tab.entries[key] = CyclotomicNumber.from_rational(Fraction(3, 7))
         path = str(tmp_path / "bad.mt")
-        open(path, "w").write(tab.dumps())
+        Path(path).write_text(tab.dumps())
         assert run(["kummer", path, "--j", "2", "--depth", "1"]) == 1
 
     def test_depth_past_the_unit_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         # glue_check lists every unit mod p^(j+depth): depth 40 ran out of memory
         path = str(tmp_path / "dirac.mt")
-        open(path, "w").write(dirac_measure_table(3, 2, 4, 2).dumps())
+        Path(path).write_text(dirac_measure_table(3, 2, 4, 2).dumps())
         for depth in ("40", "1000000000"):
             assert run(["kummer", path, "--j", "1", "--depth", depth]) == 2
             out = capsys.readouterr()
@@ -562,7 +563,7 @@ class TestKummerCommand:
 
     def test_malformed_file_exit_2(self, tmp_path):
         path = str(tmp_path / "junk.mt")
-        open(path, "w").write("p 3\nnot a table\n")
+        Path(path).write_text("p 3\nnot a table\n")
         assert run(["kummer", path, "--j", "1"]) == 2
 
     def test_missing_file_exit_2(self, tmp_path):
@@ -577,7 +578,7 @@ class TestKummerCommand:
         text = dirac_measure_table(3, 2, 4, 2).dumps()
         assert old in text
         path = str(tmp_path / "zero.mt")
-        open(path, "w").write(text.replace(old, new))
+        Path(path).write_text(text.replace(old, new))
         assert run(["kummer", path, "--j", "1"]) == 2
         assert "error: malformed measure table" in capsys.readouterr().err
 
@@ -585,14 +586,14 @@ class TestKummerCommand:
         tab = dirac_measure_table(3, 2, 4, 2)
         del tab.entries[next(key for key in tab.entries if key[0] == 2 and key[1].modulus == 9)]
         path = str(tmp_path / "gap.mt")
-        open(path, "w").write(tab.dumps())
+        Path(path).write_text(tab.dumps())
         assert run(["kummer", path, "--j", "2", "--depth", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "error: table lacks characters" in out.err
 
     def test_imprimitive_entry_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "extra.mt")
-        open(path, "w").write(dirac_measure_table(3, 2, 4, 1).dumps() + "entry 0 3 0 1 1000\n")
+        Path(path).write_text(dirac_measure_table(3, 2, 4, 1).dumps() + "entry 0 3 0 1 1000\n")
         assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
         assert "error: malformed measure table" in capsys.readouterr().err
 
@@ -604,7 +605,7 @@ class TestKummerCommand:
     def test_weight_outside_table_exit_2(self, extra, tmp_path, capsys):
         # the header says n 2, so only m = 0, 2 are weights of the table
         path = str(tmp_path / "weights.mt")
-        open(path, "w").write(dirac_measure_table(3, 2, 4, 1).dumps() + extra)
+        Path(path).write_text(dirac_measure_table(3, 2, 4, 1).dumps() + extra)
         assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
         assert "error: malformed measure table" in capsys.readouterr().err
 
@@ -613,7 +614,7 @@ class TestKummerCommand:
     )
     def test_unread_header_exit_2(self, extra, tmp_path, capsys):
         path = str(tmp_path / "header.mt")
-        open(path, "w").write(dirac_measure_table(3, 2, 4, 2).dumps() + extra)
+        Path(path).write_text(dirac_measure_table(3, 2, 4, 2).dumps() + extra)
         assert run(["kummer", path, "--j", "2", "--depth", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "error: malformed measure table" in out.err
@@ -621,7 +622,7 @@ class TestKummerCommand:
     def test_negative_character_index_exit_2(self, tmp_path, capsys):
         text = dirac_measure_table(3, 2, 4, 1).dumps()
         path = str(tmp_path / "negative.mt")
-        open(path, "w").write(text.replace("entry 0 3 1 2 1\n", "entry 0 3 -1 2 1\n"))
+        Path(path).write_text(text.replace("entry 0 3 1 2 1\n", "entry 0 3 -1 2 1\n"))
         assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
         assert "error: malformed measure table" in capsys.readouterr().err
 
@@ -631,7 +632,7 @@ class TestKummerCommand:
     )
     def test_out_of_range_flag_exit_2(self, flags, tmp_path, capsys):
         path = str(tmp_path / "dirac.mt")
-        open(path, "w").write(dirac_measure_table(3, 2, 4, 2).dumps())
+        Path(path).write_text(dirac_measure_table(3, 2, 4, 2).dumps())
         assert run(["kummer", path, *flags]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -643,7 +644,7 @@ class TestReport:
         capsys.readouterr()
         out = str(tmp_path / "report.csv")
         assert run(["report", "--cache", cache, "--out", out, "--format", "csv"]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header == ["suite", "check", "anchor", "status", "gap", "runtime"]
         assert all(line.split(",")[0] == "arith" for line in lines[1:])
@@ -672,6 +673,9 @@ class TestReport:
             '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": null, "runtime": "1"}]}',
             '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "fail", "gap": Infinity, "runtime": 1}]}',
             '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": null, "runtime": Infinity}]}',
+            '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": true, "runtime": 1}]}',
+            '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "pass", "gap": null, "runtime": false}]}',
+            '{"results": [{"suite": "a", "name": "b", "anchor": "c", "status": "ok", "gap": null, "runtime": 1}]}',
         ],
         ids=[
             "not-json",
@@ -683,6 +687,9 @@ class TestReport:
             "text-runtime",
             "infinite-gap",
             "infinite-runtime",
+            "boolean-gap",
+            "boolean-runtime",
+            "unknown-status",
         ],
     )
     def test_malformed_cache_exit_2(self, text, tmp_path, capsys):

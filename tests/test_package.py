@@ -281,7 +281,7 @@ def test_integer_exact_kernel():
             "arith.py",
             fraction,
             (
-                "cyclotomic_mul",
+                "CyclotomicNumber.__mul__",
                 "cyclotomic_dot",
                 "_reduce_mod_cyclotomic",
                 "CyclotomicNumber._make",
@@ -347,6 +347,7 @@ REMOVED = {
     ("arith", "CyclotomicNumber"): ("degree",),
     ("cli", None): ("_random_sl2_quad",),
     ("characters", None): ("_lift_unit",),
+    ("arith", None): ("cyclotomic_mul",),
 }
 
 
@@ -358,6 +359,26 @@ def test_unused_operations_are_gone():
                 assert not hasattr(mod, name), name
             else:
                 assert not any(name in vars(k) for k in getattr(mod, cls).__mro__[:-1]), f"{cls}.{name}"
+
+
+def test_one_cyclotomic_product():
+    """Products and quotients in Q(zeta_m) are one-pair cyclotomic_dot calls that lift no
+    operand, and _reduce_mod_cyclotomic is the one reader of the taps of Phi_m."""
+    src = Path(asaikit.__file__).parent
+    defs = _methods(ast.parse((src / "arith.py").read_text()))
+    for name in ("CyclotomicNumber.__mul__", "CyclotomicNumber.__truediv__"):
+        calls = [node.func for node in ast.walk(defs[name]) if isinstance(node, ast.Call)]
+        called = {getattr(func, "id", None) or getattr(func, "attr", None) for func in calls}
+        assert "cyclotomic_dot" in called, name
+        assert not called & {"lift", "_coerced", "_permuted"}, name
+    readers = {
+        f"{path.name}:{fn.name}"
+        for path in src.glob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        and any("_cyclotomic_taps" in (getattr(node, "id", None), getattr(node, "attr", None)) for node in ast.walk(fn))
+    }
+    assert readers == {"arith.py:_reduce_mod_cyclotomic"}
 
 
 def test_character_structure_from_exponents():
