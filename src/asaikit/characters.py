@@ -1,10 +1,12 @@
 """Dirichlet characters with exact cyclotomic values.
 
 Characters are stored as exponent tables over a generator decomposition of
-(Z/M)^x: chi(a) = zeta_ord^t with t looked up per residue.  All sums of
-character values (Gauss sums, twisted unit sums, generalized Bernoulli
-numbers) are accumulated as integer/rational histograms over exponents and
-reduced once, which keeps the exact paths fast.
+(Z/M)^x: chi(a) = zeta_ord^t with t looked up per residue.  Every direct sum
+of character values, sum_a w(a) chi(a) e(a b / M), is one exponent histogram,
+``_character_sum``, reduced once: the direct unit sums (Gauss sums at b = 1),
+the generalized Bernoulli numbers (weight B_k(a/C)) and the constant term and
+orthogonality check of ``eisenstein``.  The closed form of the unit sums,
+``_twisted_factors``, is one loop over the CRT components and never reads it.
 
 Characters vanish off the unit group; the modulus-1 character is constantly 1.
 """
@@ -20,7 +22,6 @@ from itertools import count, product
 from .arith import (
     Ball,
     CyclotomicNumber,
-    bernoulli_number,
     bernoulli_polynomial,
     TruncatedSeries,
     _two_pi_power,
@@ -28,7 +29,6 @@ from .arith import (
     _vp_min,
     euler_phi,
     factorize,
-    vp,
 )
 
 __all__ = [
@@ -167,8 +167,6 @@ class DirichletCharacter:
 
     def exponent_of(self, a: int) -> int | None:
         """Exponent t with chi(a) = zeta_{value_order}^t, or None if chi(a) = 0."""
-        if self.modulus == 1:
-            return 0
         return self._table[a % self.modulus]
 
     def value(self, a: int) -> CyclotomicNumber:
@@ -336,7 +334,6 @@ class GeneralizedGaussSum:
 
     value: CyclotomicNumber
     agrees: bool
-    conductor: int
 
 
 def generalized_gauss_sum(chi: DirichletCharacter, M: int, j: int) -> GeneralizedGaussSum:
@@ -358,7 +355,7 @@ def generalized_gauss_sum(chi: DirichletCharacter, M: int, j: int) -> Generalize
         raise ValueError(f"character modulus {chi.modulus} does not equal p^j = {p}^{j}")
     direct = _orbit_transport(chi, M)
     closed = unit_sum_twisted(chi, M)
-    return GeneralizedGaussSum(direct, direct == closed, chi.conductor())
+    return GeneralizedGaussSum(direct, direct == closed)
 
 
 def _orbit_transport(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
@@ -379,26 +376,35 @@ def _orbit_transport(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
     return value._permuted(L, t, t * rep.exponent_of(t) * (L // rep.value_order))
 
 
-def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
-    """sum over units w mod M of chi(w) e(w b / M), by direct summation.
+def _character_sum(chi: DirichletCharacter, residues, b: int | None = None, weight=None) -> CyclotomicNumber:
+    """sum over residues 0 <= a < M of w(a) chi(a) e(a b / M), as one exponent histogram reduced once.
 
-    This exponent histogram is the one direct character sum: Gauss sums and
-    generalized Gauss sums are its frequencies b = 1 and b = M.  It never uses
-    the closed forms below, which are tested against it.
+    This is the one direct sum of character values.  The weight w(a) (1 without
+    ``weight``) is computed only where chi(a) != 0.  Without a frequency the
+    sum lies in Q(zeta_ord chi); with one, in Q(zeta_L), L = lcm(M, ord chi),
+    even when b = 0 mod M.  chi(a) e(a b / M) = zeta_L^(t L/ord + a b L/M)
+    for chi(a) = zeta_ord^t, so the frequency only scales a and the loop does
+    not branch on it.
     """
-    M = chi.modulus
-    if M == 1:
-        return CyclotomicNumber.from_rational(1)
-    ordv = chi.value_order
-    L = lcm(M, ordv)
-    weights: dict[int, int] = {}
-    for w in range(1, M):
-        t = chi.exponent_of(w)
-        if t is None:
-            continue
-        e = (t * (L // ordv) + (w * b % M) * (L // M)) % L
-        weights[e] = weights.get(e, 0) + 1
-    return CyclotomicNumber.from_exponents(L, weights)
+    M, ordv, table = chi.modulus, chi.value_order, chi._table
+    L = ordv if b is None else lcm(M, ordv)
+    step, freq = L // ordv, (0 if b is None else b * (L // M))
+    hist: dict[int, Fraction | int] = {}
+    for a in residues:
+        t = table[a]
+        if t is not None:
+            e = (t * step + a * freq) % L
+            hist[e] = hist.get(e, 0) + (1 if weight is None else weight(a))
+    return CyclotomicNumber.from_exponents(L, hist)
+
+
+def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
+    """sum over units w mod M of chi(w) e(w b / M), by direct summation (``_character_sum``).
+
+    Gauss sums and generalized Gauss sums are its frequencies b = 1 and b = M.
+    It never uses the closed form below, which is tested against it.
+    """
+    return _character_sum(chi, range(chi.modulus), b)
 
 
 # Bounded: a sweep over every character mod 125 at 8 frequencies holds 9 orbits x 8 values; one at
@@ -406,58 +412,41 @@ def unit_sum_twisted_direct(chi: DirichletCharacter, b: int) -> CyclotomicNumber
 _representative_sum = lru_cache(maxsize=1024)(unit_sum_twisted_direct)
 
 
-def _prime_power_factors(
-    chi: DirichletCharacter, b: int
-) -> tuple[int, CyclotomicNumber, DirichletCharacter | None] | None:
-    """Closed form of sum_{w unit mod q} chi(w) e(w b / q) for a prime power q = p^e.
-
-    Returns None when the sum is 0, else (rat, rou, chi0) with the sum equal to
-    rat * rou * G(chi0): for chi of conductor p^c >= p, rat = p^(e-c), rou =
-    chi0bar(b / p^(e-c)) and chi0 the primitive character.  For the principal
-    character the sum is the Ramanujan sum c_q(b) = rat, rou = 1, chi0 = None.
-    """
-    q = chi.modulus
-    p, e = factorize(q)[0]
-    C = chi.conductor()
-    b %= q
-    if C == 1:
-        v = e if b == 0 else min(e, vp(b, p))
-        if v >= e:
-            return euler_phi(q), _ONE, None
-        if v == e - 1:
-            return -(p ** (e - 1)), _ONE, None
-        return None
-    pe = q // C
-    if b % pe:
-        return None
-    chi0 = chi.primitive()
-    t = chi0.exponent_of(b // pe)
-    if t is None:
-        return None
-    return pe, CyclotomicNumber.zeta(chi0.value_order, -t), chi0
-
-
 def _twisted_factors(
     chi: DirichletCharacter, b: int
 ) -> tuple[int, CyclotomicNumber, list[DirichletCharacter]] | None:
-    """sum over units w mod M of chi(w) e(w b / M) as rat * rou * prod G(chi0_i).
+    """sum over units w mod M of chi(w) e(w b / M) as rat * rou * prod G(chi0_i), or None when it is 0.
 
-    The product of the prime-power closed forms over the CRT components of
-    chi; the chi0_i are the primitive components of conductor > 1.  None when
-    the sum is 0.
+    By CRT the sum is the product over the components chi_q of chi at the prime
+    powers q = p^e of M (``_components``) of sum_w chi_q(w) e(w b_q / q), with
+    b_q = b u mod q.  Each factor has a closed form.  For principal chi_q it is
+    the Ramanujan sum c_q(b_q): phi(q) if q | b_q, else -q/p if q/p | b_q,
+    else 0.  For chi_q of conductor p^c >= p it is 0 unless
+    p^(e-c) | b_q, and then p^(e-c) chi0bar(b_q / p^(e-c)) G(chi0), with chi0
+    the primitive character.  rat is the product of the integers, rou of the
+    roots of unity chi0bar(...), and the chi0_i are the chi0 in CRT order.
     """
     rat = 1
     rou = _ONE
     chi0s = []
     for q, u, chi_q in _components(chi):
-        factors = _prime_power_factors(chi_q, b * u % q)
-        if factors is None:
+        bq = b * u % q
+        pe = q // chi_q.conductor()
+        if pe == q:  # principal: the Ramanujan sum c_q(b_q)
+            r = q // factorize(q)[0][0]
+            if bq % r:
+                return None
+            rat *= euler_phi(q) if bq == 0 else -r
+            continue
+        if bq % pe:
             return None
-        r, z, chi0 = factors
-        rat *= r
-        if chi0 is not None:
-            rou = rou * z
-            chi0s.append(chi0)
+        chi0 = chi_q.primitive()
+        t = chi0.exponent_of(bq // pe)
+        if t is None:
+            return None
+        rat *= pe
+        rou = rou * CyclotomicNumber.zeta(chi0.value_order, -t)
+        chi0s.append(chi0)
     return rat, rou, chi0s
 
 
@@ -481,23 +470,14 @@ def unit_sum_twisted(chi: DirichletCharacter, b: int) -> CyclotomicNumber:
 
 
 def generalized_bernoulli(k: int, psi: DirichletCharacter) -> CyclotomicNumber:
-    """B_{k,psi} = C^(k-1) sum_{a=0}^{C-1} psi(a) B_k(a/C) for primitive psi mod C."""
+    """B_{k,psi} = C^(k-1) sum_{a=0}^{C-1} psi(a) B_k(a/C) for primitive psi mod C (``_character_sum``)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not psi.is_primitive:
         raise ValueError("generalized Bernoulli numbers are defined here for primitive psi")
     C = psi.modulus
-    if C == 1:
-        return CyclotomicNumber.from_rational(bernoulli_number(k))
-    ordv = psi.value_order
-    weights: dict[int, Fraction] = {}
-    for a in range(C):
-        t = psi.exponent_of(a)
-        if t is None:
-            continue
-        weights[t] = weights.get(t, Fraction(0)) + bernoulli_polynomial(k, Fraction(a, C))
-    scale = Fraction(C) ** (k - 1)
-    return CyclotomicNumber.from_exponents(ordv, weights) * scale
+    total = _character_sum(psi, range(C), weight=lambda a: bernoulli_polynomial(k, Fraction(a, C)))
+    return total * Fraction(C) ** (k - 1)
 
 
 @dataclass(frozen=True)

@@ -289,7 +289,7 @@ def _suite_asai(seed: int) -> list:
             p = rng.choice((5, 13))
             f = asai.random_mock_eigenform(rng, k=k, N=1, p=p, prime_bound=200)
             rep = asai.euler_vs_coefficients(f, 200)
-            yield f"trial {trial} r={rep.first_mismatch}", rep.ok
+            yield f"trial {trial} r={rep.first_mismatch}: d(r) = {rep.expected}, Euler product {rep.got}", rep.ok
 
     def multiplicativity():
         f = asai.random_mock_eigenform(rng, k=2, N=1, p=5, prime_bound=120)

@@ -409,9 +409,7 @@ def translate(P: BiHomogPoly, beta: QuadCoeff) -> BiHomogPoly:
 
 @dataclass(frozen=True)
 class DenominatorReport:
-    trials: int
     bound: Fraction
-    pre_bound: Fraction
     worst: Fraction | float
     worst_pre: Fraction | float
     ok: bool
@@ -462,7 +460,7 @@ def denominator_lemma_check(
         worst_pre = min(worst_pre, v_pre)
         if v < bound or v_pre < pre_bound:
             ok = False
-    return DenominatorReport(trials, bound, pre_bound, worst, worst_pre, ok)
+    return DenominatorReport(bound, worst, worst_pre, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .arith import (
 from .asai import FUNDAMENTAL_D, QuadFieldData
 from .characters import (
     DirichletCharacter,
+    _character_sum,
     _components,
     _galois_orbits,
     _twisted_factors,
@@ -219,7 +220,7 @@ def constant_term(params: LevelParams) -> CyclotomicNumber:
         if not parity:
             continue
         # T(psi1) sums psi1^(-1) over the v-range, a subgroup: v -> v^(-1) permutes it
-        t_sum = CyclotomicNumber.from_exponents(psi1.value_order, _exponent_histogram(psi1, vs))
+        t_sum = _character_sum(psi1, vs)
         acc = acc + t_sum * Fraction(parity)
     acc = acc * Fraction(phi, 2 * phi * phi)
     return CyclotomicNumber.from_rational(acc.as_rational()) if acc.is_rational() else acc
@@ -242,21 +243,12 @@ def _check_orthogonality(M: int) -> None:
     for ch in chars:
         if orbits[ch.exps][0] is not ch:
             continue
-        total = CyclotomicNumber.from_exponents(ch.value_order, _exponent_histogram(ch, units))
+        total = _character_sum(ch, units)
         if ch.is_trivial:
             if total != len(chars):
                 raise AssertionError("orthogonality failed at the trivial character")
         elif not total.is_zero():
             raise AssertionError(f"orthogonality failed at {ch}")
-
-
-def _exponent_histogram(ch: DirichletCharacter, values) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for a in values:
-        t = ch.exponent_of(a)
-        if t is not None:
-            out[t] = out.get(t, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +302,14 @@ def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
 
     W(psi) is built only for the psi of ``_level_characters``, which holds the
     other factors: the terms left out are those with T(psi) = 0.
+
+    W(psi) = sum_d d^(k-1) (S*(psi, d) + (-1)^k S*(psi, -d)) over the divisors
+    d of lpp, with S*(psi, b) the unit sum S(psi, b) = sum_w psi(w) e(w b / M)
+    stripped of its Gauss sums (``_twisted_factors``' rat * rou).  Every psi of
+    ``_level_characters`` is even and ``LevelParams`` forces k to be even, so
+    S(psi, -d) = psi(-1) S(psi, d) = S(psi, d) (substitute w -> -w), the two
+    sums share their Gauss sums, and W(psi) = 2 sum_d d^(k-1) S*(psi, d): one
+    closed form per (psi, d).
     """
     if lpp < 1:
         raise ValueError("the constant term is handled separately")
@@ -318,15 +318,13 @@ def higher_coeff_exact(params: LevelParams, lpp: int) -> CyclotomicNumber:
     divisors = [d for d in range(1, lpp + 1) if lpp % d == 0]
     acc = CyclotomicNumber.from_rational(0)
     for psi, factor in _level_characters(params):
-        # W(psi): signed divisor sum against the stripped unit sums
+        # W(psi) = 2 sum_d d^(k-1) S*(psi, d), as psi and k are even
         w_acc = CyclotomicNumber.from_rational(0, psi.value_order)
         for d in divisors:
-            wk = Fraction(d) ** (k - 1)
-            for sgn_b, sgn_w in ((d, Fraction(1)), (-d, Fraction((-1) ** k))):
-                core = _twisted_factors(psi, sgn_b)
-                if core is not None:
-                    rat, rou, _ = core
-                    w_acc = w_acc + rou * (wk * sgn_w * rat)
+            core = _twisted_factors(psi, d)
+            if core is not None:
+                rat, rou, _ = core
+                w_acc = w_acc + rou * (2 * d ** (k - 1) * rat)
         if not w_acc.is_zero():
             acc = acc + w_acc * factor
     scale = Fraction(-2 * k, euler_phi(M))

@@ -1,11 +1,22 @@
+import importlib.util
 import random
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from asaikit.asai import random_mock_eigenform
 from asaikit.distribution import DistParams
+
+
+def load_bench_workloads():
+    """bench/workloads.py, loaded from its file (the bench directory is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("asaikit_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def acceptance_mock(seed: int, p: int, k: int = 2, R: int = 100_000):

@@ -329,10 +329,21 @@ class TestGeneralizedGaussSums:
 
 class TestTwistedUnitSums:
     def test_crt_closed_form_vs_direct(self):
+        # every frequency mod M, and frequencies below 0 and above M
         for M in (1, 2, 4, 6, 9, 12, 15, 20, 36, 45):
             for ch in enumerate_characters(M):
-                for b in range(min(M, 10) + 1):
-                    assert unit_sum_twisted(ch, b) == unit_sum_twisted_direct(ch, b)
+                for b in (*range(M), -1, -M - 2, M + 3, 3 * M):
+                    assert unit_sum_twisted(ch, b) == unit_sum_twisted_direct(ch, b), (ch, b)
+
+    def test_direct_sum_orders(self):
+        """A direct sum with a frequency lies at lcm(M, ord chi), also at b = 0 mod M, and
+        B_{k,chi} at ord chi: the exact digests hash each value's order."""
+        for M in (1, 4, 9, 20, 25):
+            for ch in enumerate_characters(M):
+                for b in (0, 1, -M, 2 * M):
+                    assert unit_sum_twisted_direct(ch, b).order == lcm(M, ch.value_order), (ch, b)
+                if ch.is_primitive:
+                    assert generalized_bernoulli(2, ch).order == ch.value_order, ch
 
 
 class TestComponents:

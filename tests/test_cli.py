@@ -315,6 +315,20 @@ class TestVerify:
         assert status.pop("ordinary-factorization") == "fail"
         assert set(status.values()) == {"pass"}
 
+    def test_euler_product_failure_shows_both_sides(self, tmp_path, monkeypatch, capsys):
+        # d(101) one too large: the Euler product still gives the true value there
+        true_coeff = asai.asai_coeff
+        monkeypatch.setattr(asai, "asai_coeff", lambda f, r: true_coeff(f, r) + (r == 101))
+        cache = tmp_path / "c.json"
+        assert run(["verify", "asai", "--cache", str(cache)]) == 1
+        rows = {row["name"]: row for row in json.loads(cache.read_text())["results"]}
+        failed = rows.pop("euler-product")
+        assert {row["status"] for row in rows.values()} == {"pass"}
+        assert failed["status"] == "fail"
+        sides = re.fullmatch(r"trial 0 r=101: d\(r\) = (\S+), Euler product (\S+)", failed["detail"])
+        assert sides and Fraction(sides[1]) == Fraction(sides[2]) + 1
+        assert failed["detail"] in capsys.readouterr().out
+
     def test_exact_vs_analytic_gates_on_the_radius(self, tmp_path, monkeypatch, capsys):
         # an exact value 2^(-30) off is a relative gap of 9.3e-10, inside the old fixed 1e-8,
         # and 1e4 times the proved radius of the difference

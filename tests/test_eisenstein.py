@@ -1,10 +1,8 @@
 import hashlib
-import importlib.util
 import json
 import random
 from fractions import Fraction as F
 from math import factorial, gcd
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -22,7 +20,7 @@ from asaikit.arith import (
     mobius_buckets,
 )
 from asaikit.asai import FUNDAMENTAL_D, QuadFieldData
-from asaikit.characters import _galois_orbits, _unit_group, enumerate_characters
+from asaikit.characters import _components, _galois_orbits, _unit_group, enumerate_characters, gauss_sum, unit_sum_twisted
 from asaikit import cli, eisenstein
 from asaikit.cohomology import QuadCoeff
 from asaikit.eisenstein import (
@@ -39,6 +37,7 @@ from asaikit.eisenstein import (
     membership_two_ways,
     qexpansion,
 )
+from tests.conftest import load_bench_workloads
 
 
 def random_sl2(rng, steps=8):
@@ -357,6 +356,32 @@ class TestHigherCoefficients:
             c = higher_coeff_exact(params, lpp)
             assert c.conjugate() == c
 
+    @pytest.mark.parametrize("k", (4, 6))
+    def test_one_sign_per_divisor(self, k):
+        """higher_coeff_exact equals its sum with the signed divisor sum
+        W(psi) = sum_d d^(k-1) (S*(psi, d) + (-1)^k S*(psi, -d)) over both signs, each
+        S*(psi, b) taken from unit_sum_twisted with its Gauss sums divided out by
+        1/G(chi0) = chi0(-1) G(chi0bar) / C."""
+
+        def stripped(psi, b):
+            s = unit_sum_twisted(psi, b)
+            for _, _, chi_q in _components(psi):
+                chi0 = chi_q.primitive()
+                if chi0.modulus > 1:
+                    s = s * gauss_sum(chi0.inverse()) * chi0.value(-1) * F(1, chi0.modulus)
+            return s
+
+        for N, p, j in ((1, 3, 1), (4, 3, 1), (1, 5, 1), (1, 7, 1), (1, 3, 2), (10, 3, 0)):
+            params = LevelParams(N, p, j, k)
+            scale = F(-2 * k, euler_phi(params.modulus)) / (2 if j == 0 else 1)
+            for lpp in (1, 2, 3, 6):
+                want = CyclotomicNumber.from_rational(0)
+                for psi, factor in _level_characters(params):
+                    for d in (d for d in range(1, lpp + 1) if lpp % d == 0):
+                        two_signs = stripped(psi, d) + stripped(psi, -d) * (-1) ** k
+                        want = want + two_signs * factor * d ** (k - 1)
+                assert higher_coeff_exact(params, lpp) == want * scale, (params, lpp)
+
     def test_constant_term_not_here(self):
         with pytest.raises(ValueError):
             higher_coeff_exact(LevelParams(1, 3, 1, 4), 0)
@@ -457,11 +482,7 @@ class TestAnalyticCosetMass:
 
 def _bench_level_grid(j):
     """Criterion 07's levels (N, p, k) at j, as the benchmark draws them."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("asaikit_bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads._level_grid(j)
+    return load_bench_workloads()._level_grid(j)
 
 
 class TestAnalyticRadius:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import asaikit
-from asaikit import arith, distribution
+from asaikit import arith, distribution, eisenstein
+from tests.conftest import load_bench_workloads
 
 MODULES = sorted(f"asaikit.{m.name}" for m in pkgutil.iter_modules(asaikit.__path__))
 
@@ -346,8 +347,9 @@ REMOVED = {
     ("characters", "DirichletCharacter"): ("__call__", "conjugate"),
     ("arith", "CyclotomicNumber"): ("degree",),
     ("cli", None): ("_random_sl2_quad",),
-    ("characters", None): ("_lift_unit",),
+    ("characters", None): ("_lift_unit", "_prime_power_factors"),
     ("arith", None): ("cyclotomic_mul",),
+    ("eisenstein", None): ("_exponent_histogram",),
 }
 
 
@@ -379,6 +381,52 @@ def test_one_cyclotomic_product():
         and any("_cyclotomic_taps" in (getattr(node, "id", None), getattr(node, "attr", None)) for node in ast.walk(fn))
     }
     assert readers == {"arith.py:_reduce_mod_cyclotomic"}
+
+
+def test_one_direct_character_sum(monkeypatch):
+    """Every direct sum of character values in characters.py and eisenstein.py is the one
+    exponent histogram _character_sum: no other function there calls from_exponents.  The
+    closed form _twisted_factors runs once per (psi, d) in higher_coeff_exact, at d > 0."""
+    src = Path(asaikit.__file__).parent
+    callers = {
+        f"{name}:{fn.name}"
+        for name in ("characters.py", "eisenstein.py")
+        for fn in ast.walk(ast.parse((src / name).read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "from_exponents" for node in ast.walk(fn))
+    }
+    assert callers == {"characters.py:_character_sum"}
+    params = eisenstein.LevelParams(2, 3, 1, 4)
+    true_factors = eisenstein._twisted_factors
+    seen = []
+
+    def counted(psi, b):
+        seen.append((psi, b))
+        return true_factors(psi, b)
+
+    monkeypatch.setattr(eisenstein, "_twisted_factors", counted)
+    eisenstein.higher_coeff_exact(params, 6)
+    assert seen == [(psi, d) for psi, _ in eisenstein._level_characters(params) for d in (1, 2, 3, 6)]
+
+
+# The benchmark's exact digests at seed 0.  A change that alters an exact output on purpose
+# updates its digest here and says so.
+EXACT_DIGESTS = {
+    "exact-sweep": "1bc8c113ea3297e0435651b2901931491e2438e9ebf332045e637e2311abc042",
+    "analytic-sweep": "26f4b7f4c63524935a12d8bae51a06c283a1c24676a8d5f645fd54f0e4704ee8",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(EXACT_DIGESTS))
+def test_bench_exact_outputs_pinned(workload, tmp_path):
+    """One pass of the workload at seed 0 fails no comparison and hashes every exact output,
+    each value's order included, to the stored digest."""
+    workloads = load_bench_workloads()
+    setup, run = workloads.WORKLOADS[workload]
+    tally = workloads.Tally()
+    run(setup(0, str(tmp_path)), tally)
+    assert tally.failed == 0, tally.failures
+    assert tally.digest() == EXACT_DIGESTS[workload]
 
 
 def test_character_structure_from_exponents():
