@@ -12,7 +12,10 @@ Balls as operands, so every rounded value carries its error, and its own
 precision (see ``Ball``); the Bessel quadratures run in a per-thread mpmath
 context, so nothing here reads or sets mpmath's process-wide precision.
 Every analytic root of unity is read from the one integer table
-``fixed_root_table``.
+``fixed_root_table``.  ``TruncatedSeries`` chooses the residue modulus of
+its own buckets, so no caller names one, and both of its sums, at a
+frequency and under a character, end in one dot product with that table
+(``_root_sum``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "vp",
-    "kronecker_symbol",
     "factorize",
     "euler_phi",
     "ArithTables",
@@ -57,8 +59,6 @@ __all__ = [
     "mobius_terms",
     "mobius_buckets",
     "fold",
-    "frequency_sum",
-    "character_sum",
     "TruncatedSeries",
     "bessel_k_moment_check",
     "BesselMomentReport",
@@ -125,39 +125,6 @@ def euler_phi(n: int) -> int:
     for q, e in factorize(n):
         out *= (q - 1) * q ** (e - 1)
     return out
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), defined for all integers n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 == 1 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol (a|n) for odd n > 0 by quadratic reciprocity.
-    result = sign
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 class ArithTables:
@@ -918,44 +885,14 @@ def fold(terms: Iterable[tuple[int, int]], q: int) -> list[int]:
     return W
 
 
-def frequency_sum(W: Sequence[int], b: Fraction | int, F: int) -> tuple[int, int]:
-    """sum_t W[t] rho(t b) for integer buckets W mod q, as integers (real, imaginary).
+def _root_sum(by_value: Sequence[int], F: int) -> tuple[int, int]:
+    """sum_t by_value[t] rho(t) as integers (real, imaginary), rho = ``fixed_root_table(n, F)``.
 
-    rho is ``fixed_root_table(q, F)``, 2^F e(.) to within one unit per
-    coordinate, so the sum lies within sqrt(2) sum_t |W[t]| of
-    2^F sum_t W[t] e(t b).  The denominator of b must divide q.
+    n = len(by_value), and rho(t) is 2^F e(t/n) to within one unit per
+    coordinate, so the sum lies within sqrt(2) sum_t |by_value[t]| of
+    2^F sum_t by_value[t] e(t/n).
     """
-    q = len(W)
-    b = Fraction(b)
-    if q % b.denominator:
-        raise ValueError("the denominator of b must divide the bucket modulus")
-    c = b.numerator * (q // b.denominator) % q
-    cos, sin = fixed_root_table(q, F)
-    re = im = 0
-    for t, w in enumerate(W):
-        if w:
-            u = t * c % q
-            re += w * cos[u]
-            im += w * sin[u]
-    return re, im
-
-
-def character_sum(W: Sequence[int], chi, F: int, coprime_to: int = 1) -> tuple[int, int]:
-    """sum_t chi(t) W[t] over t prime to ``coprime_to`` with chi(t) = e(.) read from
-    ``fixed_root_table``, as integers (real, imaginary), within sqrt(2) sum_t |W[t]|
-    of 2^F times the sum; chi's modulus divides len(W).
-
-    The buckets are added per value of chi first, exactly, then multiplied once
-    by each root.
-    """
-    n = chi.value_order
-    by_value = [0] * n
-    for t, w in enumerate(W):
-        if w and gcd(t, coprime_to) == 1:
-            e = chi.exponent_of(t)
-            if e is not None:
-                by_value[e] += w
-    cos, sin = fixed_root_table(n, F)
+    cos, sin = fixed_root_table(len(by_value), F)
     return sum(map(operator.mul, by_value, cos)), sum(map(operator.mul, by_value, sin))
 
 
@@ -965,10 +902,14 @@ class TruncatedSeries:
     The series runs on integers at the scale 2^F, F = prec + 48 (the working
     precision prec + 16, plus 32 bits).  The terms, the integers nearest
     a(r) r^(-s) 2^F of the nonzero ``pairs`` (``fixed_power_terms``), are built
-    once; the residue buckets mod q, their exact sums, once per modulus; and
-    ``at`` and ``twisted`` combine the buckets with the integer roots of unity
-    of ``fixed_root_table`` in Python integers.  Each value is rounded once, to
-    an mpc, and ``at`` keeps its value per frequency b mod 1.
+    once; the residue buckets mod q, their exact sums, once per modulus.  The
+    series chooses q itself: ``at(b)`` buckets mod the denominator of b and
+    ``twisted(chi, coprime_to)`` mod lcm(chi's modulus, coprime_to), the least
+    modulus that sees both chi(r) and gcd(r, coprime_to).  Each adds its
+    buckets per root of unity, exactly, and ``_root_sum`` multiplies each sum
+    once by the integer root of ``fixed_root_table``, in Python integers.  Each
+    value is rounded once, to an mpc, and ``at`` keeps its value per frequency
+    b mod 1.
     The tail A R^(k+1-s)/(s-k-1) uses the empirical majorant
     A = max_(r<=R) |a(r)|/r^k, so it bounds sum_(r>R) |a(r)| r^(-s) only if A
     holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s).
@@ -1019,17 +960,32 @@ class TruncatedSeries:
         return Ball.from_mpc(mid, self.prec, self.tail + self.rounding)
 
     def at(self, b: Fraction | int) -> Ball:
-        """sum_(r<=R) a(r) e(r b) r^(-s); it depends on b mod 1 only, and is kept."""
+        """sum_(r<=R) a(r) e(r b) r^(-s); it depends on b mod 1 only, and is kept.
+
+        With b = c/q in lowest terms, bucket t goes to the root e(t c/q)."""
         b = Fraction(b)
-        key = (b.denominator, b.numerator % b.denominator)
-        value = self._values.get(key)
+        q, c = b.denominator, b.numerator % b.denominator
+        value = self._values.get((q, c))
         if value is None:
-            value = self._values[key] = self._ball(*frequency_sum(self._bucket(key[0]), b, self.F))
+            by_value = [0] * q
+            for t, w in enumerate(self._bucket(q)):
+                if w:
+                    by_value[t * c % q] += w
+            value = self._values[q, c] = self._ball(*_root_sum(by_value, self.F))
         return value
 
-    def twisted(self, chi, q: int, coprime_to: int = 1) -> Ball:
-        """sum_(r<=R) chi(r) a(r) r^(-s) over r prime to ``coprime_to``, from the buckets mod q."""
-        return self._ball(*character_sum(self._bucket(q), chi, self.F, coprime_to))
+    def twisted(self, chi, coprime_to: int = 1) -> Ball:
+        """sum_(r<=R) chi(r) a(r) r^(-s) over r prime to ``coprime_to``.
+
+        The buckets mod lcm(chi's modulus, coprime_to) see both chi(r) and
+        gcd(r, coprime_to); each is added to its value of chi."""
+        by_value = [0] * chi.value_order
+        for t, w in enumerate(self._bucket(lcm(chi.modulus, coprime_to))):
+            if w and gcd(t, coprime_to) == 1:
+                e = chi.exponent_of(t)
+                if e is not None:
+                    by_value[e] += w
+        return self._ball(*_root_sum(by_value, self.F))
 
 
 # ---------------------------------------------------------------------------

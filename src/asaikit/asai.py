@@ -20,7 +20,6 @@ from .arith import (
     Rational,
     _poly_mul_frac,
     factorize,
-    kronecker_symbol,
     primes_up_to,
     vp,
 )
@@ -62,10 +61,14 @@ class QuadFieldData:
             raise ValueError(f"-{D} is not a fundamental discriminant")
 
     def splitting(self, l: int) -> str:
-        if self.D % l == 0:
+        """How the prime l splits, by the Kronecker symbol (-D|l): at l = 2 it is read
+        from -D mod 8, at odd l from Euler's criterion."""
+        D = self.D
+        if D % l == 0:
             return RAMIFIED
-        ks = kronecker_symbol(-self.D, l)
-        return SPLIT if ks == 1 else INERT
+        if l == 2:
+            return SPLIT if -D % 8 == 1 else INERT
+        return SPLIT if pow(-D, (l - 1) // 2, l) == 1 else INERT
 
     def ideal_norm(self, l: int) -> int:
         """Norm of a prime ideal above l."""
@@ -439,7 +442,6 @@ class OrdinaryData:
     """F(X) = (1 - kappa X) H(X) with kappa a p-adic unit; B_i = coefficients of H."""
 
     F_poly: tuple[Fraction, ...]
-    H_poly: tuple[Fraction, ...]
     B: tuple[Fraction, Fraction, Fraction, Fraction]
     kappa: Fraction
 
@@ -464,7 +466,7 @@ def ordinary_data(f: MockEigenform) -> OrdinaryData:
                 for r in roots:
                     H = _poly_mul_frac(H, [Fraction(1), -r])
                 F = _poly_mul_frac(H, [Fraction(1), -kappa])
-                return OrdinaryData(tuple(F), tuple(H), (H[0], H[1], H[2], H[3]), kappa)
+                return OrdinaryData(tuple(F), (H[0], H[1], H[2], H[3]), kappa)
     raise ValueError("form is not ordinary at p: no Satake labeling gives a unit product")
 
 

@@ -522,9 +522,8 @@ def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> Ball:
     The series of (n, 1) at k = 0: its radius holds the integral tail bound
     terms^(1-s)/(s-1) and the rounding, over the mass sum n^(-s) <= s/(s-1).
     """
-    M = psi.modulus
-    pairs = ((n, 1) for n in range(1, terms + 1) if gcd(n, M) == 1)
-    return TruncatedSeries(pairs, 0, terms, s, prec).twisted(psi, M)
+    pairs = ((n, 1) for n in range(1, terms + 1) if gcd(n, psi.modulus) == 1)
+    return TruncatedSeries(pairs, 0, terms, s, prec).twisted(psi)
 
 
 @dataclass(frozen=True)

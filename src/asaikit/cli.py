@@ -34,6 +34,9 @@ DEFAULT_CACHE = "asaikit_report_cache.json"
 MAX_PRECISION_BITS = 1000
 MAX_S = 1000  # from --s 1000 on p^(j(s-1)) overflows every distribution gap; a larger s only costs memory
 MAX_GLUE_UNITS = 10**6  # glue_check lists every unit mod p^(j+depth); 10^6 of them take about a minute
+# the distribution relation folds the series mod p^(j+1): the worst level allowed, --p 3 --j 11,
+# ran in 1.6 s (its first coset fails); the slowest passing run found, --p 3 --j 7 --tol 6, in 9.3 s
+MAX_DISTRIBUTION_BUCKETS = 10**6
 # the exact q-expansion lists every character mod M = N p^(2j), each with an M-entry table: the
 # worst level below the bound, a prime M = 1999 at j = 0, takes about 3 s and 130 MB; M = 6561 0.7 GB
 MAX_EISENSTEIN_MODULUS = 2000
@@ -329,6 +332,9 @@ def _check_distribution_settings(cfg: RunConfig, form: asai.MockEigenform | None
     for p in _distribution_primes(cfg.p, form):
         if cfg.truncation_R < p * p:
             raise ValueError(f"--R must be at least p^2 = {p * p}, got {cfg.truncation_R}")
+        if cfg.j is not None and p ** min(cfg.j + 1, 20) > MAX_DISTRIBUTION_BUCKETS:  # p >= 3, so p^20 > 10^6
+            buckets = f"{p}^{cfg.j + 1}"
+            raise ValueError(f"--j {cfg.j} folds the series into {buckets} buckets, over {MAX_DISTRIBUTION_BUCKETS:,}")
     k = 2 if form is None else form.k  # 2: the weight of the mock form
     if cfg.s is not None and not k + 1 < _parse_s(cfg.s, k) <= MAX_S:
         raise ValueError(f"--s must exceed k + 1 = {k + 1} and be at most {MAX_S}, got {cfg.s!r}")

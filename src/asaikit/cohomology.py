@@ -614,7 +614,7 @@ def rationality_ratio(
     g_chi = gauss_sum(chi).embed(w)
     chibar = chi0.inverse()
     psi = chibar * chibar
-    lhs = g_chi * d_series.twisted(chibar, chi0.modulus)
+    lhs = g_chi * d_series.twisted(chibar)
     # right side: normalized_L is L(k_l, chibar^2) / (G(chibar^2) (2 pi)^k_l)
     lval = normalized_L(chi0, k_l).value.embed(w) * gauss_sum(psi).embed(w) * _two_pi_power(k_l, w)
     psi0 = psi.primitive()

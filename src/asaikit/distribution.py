@@ -14,12 +14,13 @@ over the nonzero support of d (a few thousand r at R = 1e5), on the integer
 fixed-point kernel of ``arith``.  It stores each term as the integer nearest
 d(r) r^(-s) 2^F, F = prec + 48, once, in ascending r, with the tail and the
 mass.  The residue buckets mod q are exact integer sums of the terms, folded
-once per q; P_s at rationals with denominator q (``at``) and the character
-twists (``twisted``) multiply the buckets by the integers nearest 2^F e(t/n)
-and add in Python integers, so each value is rounded once, to an mpc.  The
-radius is the tail plus a proved rounding bound: count/2 2^(-F) for the
-terms, mass sqrt(2) 2^(-F) for the roots, and the mpf error of the terms
-when s is not an integer.  The series keeps each P_s(b) by b mod 1, so the
+once per q, and the series chooses q: the denominator of b for P_s(b)
+(``at``), lcm(C, p) for the p-deprived twist by a character mod C
+(``twisted``).  Both add the buckets per root of unity, multiply each sum by
+the integer nearest 2^F e(t/n) and add in Python integers, so each value is
+rounded once, to an mpc.  The radius is the tail plus a proved rounding
+bound: count/2 2^(-F) for the terms, mass sqrt(2) 2^(-F) for the roots, and
+the mpf error of the terms when s is not an integer.  The series keeps each P_s(b) by b mod 1, so the
 coset values that ``mu_tilde``, ``verify_distribution_relation`` and
 ``integrate_character`` share are summed once, and ``DistParams`` keeps the
 form-only weights of ``mu_tilde`` per level, as Balls that carry their own
@@ -189,8 +190,8 @@ def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> 
     """sum_{a mod p^j} chi(a) mu_s(a + p^j Z_p), the direct weighted coset sum.
 
     The coset values are added per value e(t/n) of chi first, as
-    ``arith.character_sum`` adds buckets, and each sum is multiplied once by
-    its root, an ``arith.root_ball``.
+    ``TruncatedSeries.twisted`` adds buckets, and each sum is multiplied once
+    by its root, an ``arith.root_ball``.
     """
     q = params.p**j
     if chi.modulus != 1 and q % chi.modulus:
@@ -212,11 +213,7 @@ def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> 
 
 def twisted_asai_series(params: DistParams, chi: DirichletCharacter) -> Ball:
     """G(s, chi, f) = sum_{r<=R, gcd(r,p)=1} chi(r) d(r) r^(-s) (p-deprived twist)."""
-    p = params.p
-    chi0 = chi.primitive()
-    C = chi0.modulus
-    # the bucket modulus must detect p | r; p-power conductors already do
-    return params.series.twisted(chi0, C if C % p == 0 else C * p, coprime_to=p)
+    return params.series.twisted(chi.primitive(), coprime_to=params.p)
 
 
 def interpolation_rhs(params: DistParams, chi: DirichletCharacter) -> Ball:

@@ -41,7 +41,7 @@ class TestQuadField:
     def test_splitting_vs_quadratic_residues(self):
         from asaikit.arith import ArithTables
 
-        for D in (3, 4, 7, 8, 11):
+        for D in FUNDAMENTAL_D:
             fld = QuadFieldData(D)
             for l in ArithTables(500).primes:
                 s = fld.splitting(l)
@@ -382,14 +382,14 @@ class TestOrdinaryData:
         od = ordinary_data(f)
         assert od.kappa == 1
         want = _poly_mul_frac(_poly_mul_frac([F(1), F(-5)], [F(1), F(-5)]), [F(1), F(-25)])
-        assert list(od.H_poly) == want
+        assert list(od.B) == want
         assert od.B[0] == 1
 
     def test_factorization_exact(self):
         for seed in range(5):
             f = sample_form(seed=seed, bound=30)
             od = ordinary_data(f)
-            assert list(od.F_poly) == _poly_mul_frac(list(od.H_poly), [F(1), -od.kappa])
+            assert list(od.F_poly) == _poly_mul_frac(list(od.B), [F(1), -od.kappa])
             assert vp(od.kappa, f.p) == 0
 
     def test_kappa_power_identity(self):

@@ -122,6 +122,21 @@ class TestVerify:
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: --s ")
 
+    def test_j_past_the_bucket_ceiling_exit_2(self, tmp_path, capsys):
+        # the relation row folds the series mod p^(j+1): --j 13 took 5.5 s to fail, --j 20
+        # asked for 3^21 buckets; at the defaults (p = 3 and 5) 5^9 is the first over the cap
+        assert run(["verify", "distribution", "--j", "8", "--cache", str(tmp_path / "c.json")]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: --j 8 ")
+        assert not (tmp_path / "c.json").exists()
+
+    def test_j_bucket_ceiling_boundary(self):
+        # 3^12 = 531,441 buckets are allowed, 3^13 are not; checked before any suite runs
+        cli._check_distribution_settings(cli.RunConfig(p=3, j=11), None)
+        for j in (12, 10**9):
+            with pytest.raises(ValueError, match="--j"):
+                cli._check_distribution_settings(cli.RunConfig(p=3, j=j), None)
+
     def test_precision_ceiling(self):
         # float gaps underflow to 0 near 2^(-1074): `verify arith --prec 1100` passed
         # embedding-homomorphism on gap 0.0 against a bound 2^(12 - 1100) that is also 0.0

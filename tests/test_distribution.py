@@ -215,9 +215,7 @@ class TestDistributionRelation:
     def test_corrupted_ordinary_data_fails(self, dist_params_small):
         params = dist_params_small
         od = params.ordinary
-        from asaikit.asai import OrdinaryData
-
-        bad = OrdinaryData(od.F_poly, od.H_poly, (od.B[0], od.B[1], od.B[2] + 1, od.B[3]), od.kappa)
+        bad = dataclasses.replace(od, B=(od.B[0], od.B[1], od.B[2] + 1, od.B[3]))
         old = params.ordinary
         params.ordinary = bad
         try:

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -210,15 +211,15 @@ def test_no_hand_kept_tails():
     assert not owners
 
 
-KERNEL = ("fixed_power_terms", "fold", "fixed_root_table", "frequency_sum", "character_sum")
+KERNEL = ("fixed_power_terms", "fold", "fixed_root_table", "_root_sum")
 
 
 def test_one_truncated_series_path():
     """Truncated Dirichlet series go through arith.TruncatedSeries: outside arith only
     higher_coeffs_analytic calls the integer series kernel (fixed_power_terms and fold),
     the helpers power_terms, power_tail and series_ball are gone, and
-    TruncatedSeries.at and .twisted sum the integer buckets through frequency_sum and
-    character_sum: they call no mpmath function and read no root table themselves."""
+    TruncatedSeries.at and .twisted, the only callers of _root_sum, sum the integer buckets
+    through it: they call no mpmath function and read no root table themselves."""
     src = Path(asaikit.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
@@ -243,9 +244,23 @@ def test_one_truncated_series_path():
     for name in ("TruncatedSeries.at", "TruncatedSeries.twisted"):
         calls = [node for node in ast.walk(defs[name]) if isinstance(node, ast.Call)]
         names = {getattr(node.func, "id", None) or getattr(node.func, "attr", None) for node in calls}
-        assert names & {"frequency_sum", "character_sum"}, name
+        assert "_root_sum" in names, name
         assert not names & {"root_table", "fixed_root_table"}, name
         assert not {_dotted_root(node.func) for node in calls} & {"mpmath", "mp"}, name
+    callers = {
+        name
+        for name, fn in defs.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_root_sum"
+    }
+    assert callers == {"TruncatedSeries.at", "TruncatedSeries.twisted"}
+
+
+def test_twisted_chooses_its_bucket_modulus():
+    """TruncatedSeries.twisted takes the character and the primes to skip, and buckets mod
+    lcm(chi's modulus, coprime_to) itself: a caller cannot name a modulus that misses one."""
+    params = list(inspect.signature(arith.TruncatedSeries.twisted).parameters)
+    assert params == ["self", "chi", "coprime_to"]
 
 
 def _dotted_root(node: ast.expr) -> str | None:
@@ -348,7 +363,7 @@ REMOVED = {
     ("arith", "CyclotomicNumber"): ("degree",),
     ("cli", None): ("_random_sl2_quad",),
     ("characters", None): ("_lift_unit", "_prime_power_factors"),
-    ("arith", None): ("cyclotomic_mul",),
+    ("arith", None): ("cyclotomic_mul", "frequency_sum", "character_sum", "kronecker_symbol"),
     ("eisenstein", None): ("_exponent_histogram",),
 }
 
