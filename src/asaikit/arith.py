@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from math import gcd, hypot, inf, isqrt, lcm, log, nextafter, sqrt
+from math import comb, gcd, hypot, inf, isqrt, lcm, log, nextafter, sqrt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import mpmath
@@ -170,16 +170,6 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(min(k, n - k)):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-@lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
     """B_k with B_0 = 1, B_1 = -1/2, via sum_{i<k} C(k+1,i) B_i = -C(k+1,k) B_k."""
     if k < 0:
@@ -188,7 +178,7 @@ def bernoulli_number(k: int) -> Fraction:
         return Fraction(1)
     acc = Fraction(0)
     for i in range(k):
-        acc += _binomial(k + 1, i) * bernoulli_number(i)
+        acc += comb(k + 1, i) * bernoulli_number(i)
     return -acc / (k + 1)
 
 
@@ -201,7 +191,7 @@ def bernoulli_polynomial(k: int, x: Fraction | int) -> Fraction:
     xpow = Fraction(1)
     for i in range(k, -1, -1):
         # xpow = x^(k-i)
-        acc += _binomial(k, i) * bernoulli_number(i) * xpow
+        acc += comb(k, i) * bernoulli_number(i) * xpow
         xpow *= x
     return acc
 
@@ -885,15 +875,19 @@ def fold(terms: Iterable[tuple[int, int]], q: int) -> list[int]:
     return W
 
 
-def _root_sum(by_value: Sequence[int], F: int) -> tuple[int, int]:
-    """sum_t by_value[t] rho(t) as integers (real, imaginary), rho = ``fixed_root_table(n, F)``.
+def _root_sum(items: Iterable[tuple[int, int]], n: int, F: int) -> tuple[int, int]:
+    """sum w rho(t) over the pairs (t, w) of ``items``, as integers (real, imaginary).
 
-    n = len(by_value), and rho(t) is 2^F e(t/n) to within one unit per
-    coordinate, so the sum lies within sqrt(2) sum_t |by_value[t]| of
-    2^F sum_t by_value[t] e(t/n).
+    rho = ``fixed_root_table(n, F)``, and rho(t) is 2^F e(t/n) to within one
+    unit per coordinate, so the sum lies within sqrt(2) sum |w| of
+    2^F sum w e(t/n).
     """
-    cos, sin = fixed_root_table(len(by_value), F)
-    return sum(map(operator.mul, by_value, cos)), sum(map(operator.mul, by_value, sin))
+    cos, sin = fixed_root_table(n, F)
+    re = im = 0
+    for t, w in items:
+        re += w * cos[t]
+        im += w * sin[t]
+    return re, im
 
 
 class TruncatedSeries:
@@ -902,14 +896,15 @@ class TruncatedSeries:
     The series runs on integers at the scale 2^F, F = prec + 48 (the working
     precision prec + 16, plus 32 bits).  The terms, the integers nearest
     a(r) r^(-s) 2^F of the nonzero ``pairs`` (``fixed_power_terms``), are built
-    once; the residue buckets mod q, their exact sums, once per modulus.  The
-    series chooses q itself: ``at(b)`` buckets mod the denominator of b and
-    ``twisted(chi, coprime_to)`` mod lcm(chi's modulus, coprime_to), the least
-    modulus that sees both chi(r) and gcd(r, coprime_to).  Each adds its
-    buckets per root of unity, exactly, and ``_root_sum`` multiplies each sum
-    once by the integer root of ``fixed_root_table``, in Python integers.  Each
-    value is rounded once, to an mpc, and ``at`` keeps its value per frequency
-    b mod 1.
+    once; the nonzero residue buckets mod q, their exact sums, once per
+    modulus.  The series chooses q itself: ``at(b)`` buckets mod the
+    denominator of b and ``twisted(chi, coprime_to)`` mod lcm(chi's modulus,
+    coprime_to), the least modulus that sees both chi(r) and gcd(r,
+    coprime_to).  ``at`` hands each nonzero bucket to ``_root_sum`` with the
+    index of its root, and ``twisted`` first adds its buckets per value of
+    chi, exactly; ``_root_sum`` multiplies each by the integer root of
+    ``fixed_root_table``, in Python integers.  Each value is rounded once, to
+    an mpc, and ``at`` keeps its value per frequency b mod 1.
     The tail A R^(k+1-s)/(s-k-1) uses the empirical majorant
     A = max_(r<=R) |a(r)|/r^k, so it bounds sum_(r>R) |a(r)| r^(-s) only if A
     holds beyond R; the mass A (s-k)/(s-k-1) bounds sum_(r<=R) |a(r)| r^(-s).
@@ -932,12 +927,13 @@ class TruncatedSeries:
         term_err = 0.0 if self.s.denominator == 1 else (2 * sf * log(max(R, 1)) + 8) * 2.0**-16
         units = len(self.terms) / 2 + self.mass * (sqrt(2) + term_err)
         self.rounding = units * (1 + 2.0 ** (1 - self.F)) * 2.0**-self.F
-        self._buckets: dict[int, list[int]] = {}
+        self._buckets: dict[int, list[tuple[int, int]]] = {}
         self._values: dict[tuple[int, int], Ball] = {}  # at(b) by (denominator q, numerator mod q)
 
-    def _bucket(self, q: int) -> list[int]:
+    def _bucket(self, q: int) -> list[tuple[int, int]]:
+        """The nonzero residue buckets mod q, as (t, W[t]) pairs."""
         if q not in self._buckets:
-            self._buckets[q] = fold(self.terms, q)
+            self._buckets[q] = [(t, w) for t, w in enumerate(fold(self.terms, q)) if w]
         return self._buckets[q]
 
     def _ball(self, re: int, im: int) -> Ball:
@@ -967,11 +963,8 @@ class TruncatedSeries:
         q, c = b.denominator, b.numerator % b.denominator
         value = self._values.get((q, c))
         if value is None:
-            by_value = [0] * q
-            for t, w in enumerate(self._bucket(q)):
-                if w:
-                    by_value[t * c % q] += w
-            value = self._values[q, c] = self._ball(*_root_sum(by_value, self.F))
+            pairs = [(t * c % q, w) for t, w in self._bucket(q)]
+            value = self._values[q, c] = self._ball(*_root_sum(pairs, q, self.F))
         return value
 
     def twisted(self, chi, coprime_to: int = 1) -> Ball:
@@ -980,12 +973,12 @@ class TruncatedSeries:
         The buckets mod lcm(chi's modulus, coprime_to) see both chi(r) and
         gcd(r, coprime_to); each is added to its value of chi."""
         by_value = [0] * chi.value_order
-        for t, w in enumerate(self._bucket(lcm(chi.modulus, coprime_to))):
-            if w and gcd(t, coprime_to) == 1:
+        for t, w in self._bucket(lcm(chi.modulus, coprime_to)):
+            if gcd(t, coprime_to) == 1:
                 e = chi.exponent_of(t)
                 if e is not None:
                     by_value[e] += w
-        return self._ball(*_root_sum(by_value, self.F))
+        return self._ball(*_root_sum(enumerate(by_value), chi.value_order, self.F))
 
 
 # ---------------------------------------------------------------------------

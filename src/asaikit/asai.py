@@ -90,12 +90,7 @@ class QuadFieldData:
 
 
 def _squarefree(n: int) -> bool:
-    if n <= 0:
-        return False
-    for q in range(2, isqrt(n) + 1):
-        if n % (q * q) == 0:
-            return False
-    return True
+    return n > 0 and all(e == 1 for _, e in factorize(n))
 
 
 def _fraction_tuple(cs) -> tuple[Fraction, ...]:
@@ -132,8 +127,8 @@ class MockEigenform:
     ):
         if k < 2:
             raise ValueError("weight must be >= 2")
-        if p % 2 == 0 or p < 3:
-            raise ValueError("p must be an odd prime")
+        if p < 3 or factorize(p) != [(p, 1)]:
+            raise ValueError(f"p must be an odd prime, got {p}")
         if N % p == 0 or field.D % p == 0:
             raise ValueError("p must not divide N D")
         if field.splitting(p) != SPLIT:

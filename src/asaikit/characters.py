@@ -9,6 +9,9 @@ orthogonality check of ``eisenstein``.  The closed form of the unit sums,
 ``_twisted_factors``, is one loop over the CRT components and never reads it.
 
 Characters vanish off the unit group; the modulus-1 character is constantly 1.
+``_unit_group(M).units`` lists (Z/M)^x in increasing order for the unit
+loops of the other modules, and ``_primitive_root(p)`` gives ``padic`` its
+generator mod p.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from math import gcd, isfinite
+from itertools import takewhile
+from math import comb, gcd, isfinite
 
 from . import arith, asai, characters, cohomology, distribution, eisenstein, padic
 
@@ -159,7 +160,7 @@ def _suite_arith(seed: int, precision_bits: int) -> list:
 
     def bernoulli_recurrence():
         for k in range(2, 31):
-            s = sum(arith._binomial(k, i) * arith.bernoulli_number(i) for i in range(k))
+            s = sum(comb(k, i) * arith.bernoulli_number(i) for i in range(k))
             yield f"k={k}", s == 0
 
     def von_staudt():
@@ -367,9 +368,7 @@ def _suite_distribution(
         for p in primes:
             params = run_for(p)
             for j in levels:
-                for a in range(1, p**j):
-                    if gcd(a, p) != 1:
-                        continue
+                for a in characters._unit_group(p**j).units:
                     rep = distribution.verify_distribution_relation(params, a, j)
                     yield f"p={p} j={j} a={a}", rep.gap, tol
 
@@ -535,9 +534,7 @@ def _suite_padic(seed: int) -> list:
                 chars = characters.enumerate_characters(p**j)
                 u = (1 + p) % p**j
                 table = {ch: ch.value(u) for ch in chars}
-                for a in range(1, min(p**j, 30)):
-                    if gcd(a, p) != 1:
-                        continue
+                for a in takewhile(lambda a: a < 30, characters._unit_group(p**j).units):
                     rep = padic.kummer_check(table, a, j, p)
                     yield f"p={p} j={j} a={a}", rep.passed
                     if a % p**j == u:
@@ -827,9 +824,7 @@ def cmd_kummer(args) -> int:
         print("error: table lacks characters at this level", file=sys.stderr)
         return 2
     ok = True
-    for a in range(1, p**j):
-        if gcd(a, p) != 1:
-            continue
+    for a in characters._unit_group(p**j).units:
         rep = padic.kummer_check(sub, a, j, p)
         print(f"kummer a={a}: v={rep.valuation} required={rep.required} {'pass' if rep.passed else 'FAIL'}")
         ok &= rep.passed

@@ -15,11 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, inf, lcm
+from math import comb, factorial, gcd, inf, lcm
 
 from .arith import (
     Ball,
-    _binomial,
     _split_order,
     TruncatedSeries,
     _check_rational,
@@ -29,7 +28,7 @@ from .arith import (
     root_ball,
 )
 from .asai import MockEigenform
-from .characters import DirichletCharacter, gauss_sum, normalized_L
+from .characters import DirichletCharacter, _unit_group, gauss_sum, normalized_L
 
 __all__ = [
     "QuadCoeff",
@@ -312,7 +311,7 @@ def _rows(a, b, c, d, g: int, n: int, D: int) -> tuple[tuple, tuple, int]:
         for s in range(max(0, n - i - len(pd) + 1), min(n - i, len(pb) - 1) + 1):
             u = _mul(pd[n - i - s], pb[s], D)
             for r in range(max(0, i - len(pc) + 1), min(i, len(pa) - 1) + 1):
-                w = _binomial(n - i, s) * _binomial(i, r)
+                w = comb(n - i, s) * comb(i, r)
                 x, y = _mul(u, _mul(pc[i - r], pa[r], D), D)
                 x0, y0 = row.get(s + r, (0, 0))
                 row[s + r] = (x0 + w * x, y0 + w * y)
@@ -448,6 +447,7 @@ def denominator_lemma_check(
                     num[(i, jj)] = (x * (6 // dx), y * (6 // dy))
         P = BiHomogPoly._from_ints(n, D, num, 6)
         a = rng.randrange(1, max(p**j, 2))
+        # the unit is the draw's, not one from characters._unit_group: seeded outputs depend on it
         while gcd(a, p) != 1:
             a += 1
         if a % 2:
@@ -519,9 +519,7 @@ def psi_identity_check(n: int) -> PsiIdentityReport:
             kk = t + jj - n
             if 0 <= kk <= n:
                 key = (n - kk, kk, n - jj, jj, 0, 0)
-                out[key] = out.get(key, Fraction(0)) + Fraction((-1) ** kk) * _binomial(
-                    n, jj
-                ) * _binomial(n, kk)
+                out[key] = out.get(key, Fraction(0)) + Fraction((-1) ** kk) * comb(n, jj) * comb(n, kk)
         return out
 
     def shift_ab(d: dict, da: int, db: int, coef: Fraction) -> dict:
@@ -642,14 +640,7 @@ def rationality_ratio(
 
 
 def _half_representatives(p: int, j: int) -> list[int]:
-    """Even representatives of (Z/p^j)^x / {+-1} for j >= 1."""
+    """Even representatives of (Z/p^j)^x / {+-1} for odd p and j >= 1: for each unit
+    a < p^j / 2, whichever of a and p^j - a is even."""
     q = p**j
-    seen = set()
-    reps = []
-    for a in range(1, q):
-        if gcd(a, p) != 1 or a in seen:
-            continue
-        seen.add(a)
-        seen.add(q - a)
-        reps.append(a if a % 2 == 0 else q - a)
-    return reps
+    return [a if a % 2 == 0 else q - a for a in _unit_group(q).units if 2 * a < q]

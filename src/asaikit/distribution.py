@@ -47,7 +47,7 @@ from mpmath.libmp import from_int, fzero, mpf_mul, mpf_pow, round_nearest, to_fl
 
 from .arith import Ball, TruncatedSeries, _split_order, root_ball, to_mpf, vp
 from .asai import MockEigenform, OrdinaryData, ordinary_data
-from .characters import DirichletCharacter, gauss_sum
+from .characters import DirichletCharacter, _unit_group, gauss_sum
 
 __all__ = [
     "DistParams",
@@ -197,9 +197,7 @@ def integrate_character(params: DistParams, chi: DirichletCharacter, j: int) -> 
     if chi.modulus != 1 and q % chi.modulus:
         raise ValueError("need j >= j_chi")
     by_value: dict[int, Ball] = {}
-    for a in range(1, q + 1):
-        if gcd(a, params.p) != 1:
-            continue
+    for a in _unit_group(q).units:
         t = chi.exponent_of(a)
         if t is None:
             continue

@@ -369,8 +369,8 @@ def higher_coeffs_analytic(
     ``arith._root_sum``, the dot product behind ``TruncatedSeries``: it
     reads the cosines alone, and it multiplies each coset's mass once, by
     the integer sum of its cosines.  Adding the masses per residue u d mod M
-    first, as ``_root_sum`` takes them, would instead multiply all M
-    cosines per divisor, and made the analytic sweep slower.
+    first, one weight per root as ``_root_sum`` takes them, would instead
+    multiply all M cosines per divisor, and made the analytic sweep slower.
 
     The returned radius is proved.  Write Z_c and S_c for the exact coset mass
     and sum_d d^(k-1) sum_(u in c) cos(2 pi u d/M), sigma = sigma_(k-1)(lpp),

@@ -10,10 +10,12 @@ calls into it; ``integrality_bound_check`` is the only other valuation reader.
 
 Valuations are computed exactly along one route, at orders p^a m' with m'
 dividing p - 1 (m' = 1, 2 included): each prime above p is an embedding
-sending zeta_m' to a Teichmueller root modulo p^T, the image is expanded in
-the uniformizer pi = 1 - zeta_(p^a), and the lowest pi-adic term gives the
-valuation there; the valuation is the minimum over those primes.  The
-residue-degree > 1 case (any other m') is out of scope and rejected.
+sending zeta_m' to w^t, t a unit mod m', with w the Teichmueller root modulo
+p^T that lifts g^((p-1)/m'), g = ``characters._primitive_root(p)``; the image
+is expanded in the uniformizer pi = 1 - zeta_(p^a), and the lowest pi-adic
+term gives the valuation there; the valuation is the minimum over those
+primes.  The residue-degree > 1 case (any other m') is out of scope and
+rejected.
 
 All checkers only ever certify finite-level evidence.
 """
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, inf
 
-from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, cyclotomic_dot, euler_phi, vp
-from .characters import DirichletCharacter, enumerate_characters
+from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, cyclotomic_dot, euler_phi, factorize, vp
+from .characters import DirichletCharacter, _primitive_root, _unit_group, enumerate_characters
 
 __all__ = [
     "padic_valuation",
@@ -75,7 +77,7 @@ def padic_valuation(x: CyclotomicNumber, p: int) -> Fraction | float:
     # zeta_n = zeta_q^u zeta_m'^v: zeta_n^i goes to zeta_q^(iu) w^(t iv)
     u, v = pow(m_prime, -1, q), pow(q, -1, m_prime)
     least, T = inf, 24
-    for t in (t for t in range(m_prime) if gcd(t, m_prime) == 1):  # t = 0 when m' = 1
+    for t in _unit_group(m_prime).units:  # t = 0 when m' = 1
         while True:
             modulus = p**T
             w = pow(_teichmueller_root(p, m_prime, T), t, modulus)
@@ -96,20 +98,15 @@ def padic_valuation(x: CyclotomicNumber, p: int) -> Fraction | float:
 
 
 def _teichmueller_root(p: int, m_prime: int, T: int) -> int:
-    """Canonical primitive m'-th root of unity in Z/p^T: a Teichmueller lift.
+    """Primitive m'-th root of unity in Z/p^T: a Teichmueller lift.
 
-    It lifts the smallest residue of multiplicative order m' modulo p (1 when
-    m' = 1), so the choice of embedding is deterministic.  base^(p^(T-1))
-    mod p^T depends only on base mod p, and it is the root of x^m' = 1
-    congruent to base.
+    It lifts g^((p-1)/m') for the generator g = ``_primitive_root(p)`` of the
+    unit group mod p (1 when m' = 1, the only m' at p = 2), so the choice of
+    embedding is deterministic; the valuation, a minimum over all w^t, does
+    not depend on it.  base^(p^(T-1)) mod p^T depends only on base mod p,
+    and it is the root of x^m' = 1 congruent to base.
     """
-    base = None
-    for r in range(1, p):
-        if pow(r, m_prime, p) == 1 and all(pow(r, d, p) != 1 for d in range(1, m_prime) if m_prime % d == 0):
-            base = r
-            break
-    if base is None:
-        raise ArithmeticError("no root of the required order modulo p")
+    base = pow(_primitive_root(p), (p - 1) // m_prime, p)
     return pow(base, p ** (T - 1), p**T)
 
 
@@ -215,8 +212,8 @@ class MeasureTable:
     def loads(text: str) -> "MeasureTable":
         """Parse ``dumps`` output, rejecting any line that nothing reads.
 
-        The header is one ``p`` line and one ``n`` line.  An entry key (m, chi)
-        must have m in {0, 2, ..., n} and name, by an index in
+        The header is one ``p`` line, p a prime, and one ``n`` line.  An entry
+        key (m, chi) must have m in {0, 2, ..., n} and name, by an index in
         0..phi(modulus) - 1, a primitive character whose modulus is a power of
         p; each key may appear only once.
         """
@@ -239,8 +236,8 @@ class MeasureTable:
             if key not in header:
                 raise ValueError(f"measure table missing header {key}")
         p, n = int(header["p"]), int(header["n"])
-        if p < 2:  # the power-of-p test below never ends at p = 1
-            raise ValueError(f"p must be at least 2, got {p}")
+        if p < 2 or factorize(p) != [(p, 1)]:
+            raise ValueError(f"p must be a prime, got {p}")
         entries = {}
         for row in rows:
             m, cond, idx, order = (int(x) for x in row[:4])
@@ -323,6 +320,8 @@ def glue_check(
     and the table entries as their integrals; the reports are tallied here.
     """
     p = table.p
+    # up to 10^6 units (cli.MAX_GLUE_UNITS), listed here: characters._unit_group's
+    # unbounded cache would keep them for the life of the process
     units = [y for y in range(1, p ** (j + depth)) if gcd(y, p) == 1]
     reports = []
     for fam in weight_families:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from asaikit.asai import random_mock_eigenform
+from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.distribution import DistParams
 
 
@@ -69,3 +69,14 @@ UNREAD_EIGENFORM_EDITS = {
     "non-prime": _append("l 4 ramified 1"),
     "at-p": _append("l 5 split 1", "l 5 split 2"),
 }
+
+
+def composite_p_eigenform_text() -> str:
+    """A p = 3 form over Q(sqrt(-8)) re-headed to p = 9 with Satake products 9: Euler's
+    criterion calls 9 split in Q(sqrt(-8)), so only a primality test refuses the file."""
+    f = random_mock_eigenform(
+        random.Random(3), k=2, N=1, D=8, p=3, prime_bound=200, support_bound=80,
+        support_min=31, c_num_bound=2, satake_units=(2, -2),
+    )
+    text = re.sub("^p 3$", "p 9", dump_eigenform(f), count=1, flags=re.M)
+    return re.sub("^satake .*$", "satake 2 9/2 -2 -9/2", text, count=1, flags=re.M)

@@ -3,7 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction as F
-from math import gcd, lcm, log
+from math import comb, gcd, lcm, log
 
 import mpmath
 import pytest
@@ -34,7 +34,6 @@ from asaikit.arith import (
     to_mpf,
     vp,
     TruncatedSeries,
-    _binomial,
     _mag,
     _mobius_bucket,
     _two_pi_power,
@@ -47,8 +46,8 @@ def bernoulli_oracle(upto):
     """Independent recurrence: sum_{i<k} C(k,i) B_i = 0 for k >= 2, seeded at B_0 = 1."""
     B = [F(1)]
     for k in range(2, upto + 2):
-        s = sum(_binomial(k, i) * B[i] for i in range(k - 1))
-        B.append(-s / _binomial(k, k - 1))
+        s = sum(comb(k, i) * B[i] for i in range(k - 1))
+        B.append(-s / comb(k, k - 1))
     return B
 
 
@@ -65,7 +64,7 @@ class TestBernoulli:
 
     def test_recurrence_invariant(self):
         for k in range(2, 31):
-            assert sum(_binomial(k, i) * bernoulli_number(i) for i in range(k)) == 0
+            assert sum(comb(k, i) * bernoulli_number(i) for i in range(k)) == 0
 
     def test_von_staudt_clausen(self):
         for k in range(2, 31, 2):

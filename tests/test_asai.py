@@ -12,7 +12,7 @@ from asaikit import asai as asai_module
 from asaikit import cli
 from asaikit.arith import _poly_mul_frac, primes_up_to, vp
 from asaikit.cohomology import QuadCoeff
-from tests.conftest import UNREAD_EIGENFORM_EDITS
+from tests.conftest import UNREAD_EIGENFORM_EDITS, composite_p_eigenform_text
 from asaikit.asai import (
     FUNDAMENTAL_D,
     MockEigenform,
@@ -439,6 +439,17 @@ class TestEigenformFile:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             load_eigenform("k 2\nN 1\n")
+
+    def test_composite_p_rejected(self):
+        # an odd composite p passed the parity test, and 9 'splits' in Q(sqrt(-8)) by Euler's criterion
+        text = composite_p_eigenform_text()
+        assert "\np 9\n" in text
+        load_eigenform(text.replace("\np 9\n", "\np 3\n").replace("satake 2 9/2 -2 -9/2", "satake 2 3/2 -2 -3/2"))
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            load_eigenform(text)
+        for p in (9, 15, 21):
+            with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+                MockEigenform(2, 1, QuadFieldData(8), {}, p, (1, p, 1, p))
 
     @pytest.mark.parametrize("edit", UNREAD_EIGENFORM_EDITS.values(), ids=UNREAD_EIGENFORM_EDITS)
     def test_unread_line_rejected(self, edit):

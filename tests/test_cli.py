@@ -18,7 +18,7 @@ from asaikit import arith, asai, cli, eisenstein
 from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
-from tests.conftest import UNREAD_EIGENFORM_EDITS
+from tests.conftest import UNREAD_EIGENFORM_EDITS, composite_p_eigenform_text
 
 
 def run(args):
@@ -173,6 +173,16 @@ class TestVerify:
         ):
             assert verify(form, *argv) == 2, argv
         assert "missing the D header" in capsys.readouterr().err
+
+    def test_composite_p_eigenform_exit_2(self, tmp_path, capsys):
+        # p = 9 loaded, and the distribution suite failed three rows on it with exit 1
+        path = tmp_path / "e9.txt"
+        path.write_text(composite_p_eigenform_text())
+        cache = str(tmp_path / "c.json")
+        assert run(["verify", "distribution", "--eigenform", str(path), "--R", "2000", "--cache", cache]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "malformed eigenform file" in out.err and "p must be an odd prime, got 9" in out.err
+        assert not os.path.exists(cache)
 
     @pytest.mark.parametrize("edit", UNREAD_EIGENFORM_EDITS.values(), ids=UNREAD_EIGENFORM_EDITS)
     def test_unread_eigenform_line_exit_2(self, edit, tmp_path, capsys):
@@ -589,6 +599,14 @@ class TestKummerCommand:
         monkeypatch.setattr(cli, "MAX_GLUE_UNITS", 3**3)
         assert run(["kummer", path, "--j", "1", "--depth", "2"]) == 0  # 3^3 units: at the cap
         assert run(["kummer", path, "--j", "1", "--depth", "3"]) == 2
+
+    def test_composite_p_exit_2(self, tmp_path, capsys):
+        # a table at p = 4 loaded, and the sweep printed pass with exit 0
+        path = str(tmp_path / "t4.mt")
+        Path(path).write_text(dirac_measure_table(4, 2, 7, 1).dumps())
+        assert run(["kummer", path, "--j", "1", "--depth", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "malformed measure table: p must be a prime, got 4" in out.err
 
     def test_malformed_file_exit_2(self, tmp_path):
         path = str(tmp_path / "junk.mt")

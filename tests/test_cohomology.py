@@ -3,7 +3,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from functools import reduce
-from math import factorial, gcd, inf
+from math import comb, factorial, gcd, inf
 
 import mpmath
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from asaikit import cohomology
-from asaikit.arith import Ball, _binomial, _two_pi_power, vp
+from asaikit.arith import Ball, _two_pi_power, vp
 from asaikit.asai import asai_coeff, coeff_principal, random_mock_eigenform
 from asaikit.characters import enumerate_characters
 from asaikit.cohomology import (
@@ -223,7 +223,7 @@ class TestAction:
             for (i, j), c in P.coeffs.items():
                 for t in range(n - i + 1):
                     for s in range(n - j + 1):
-                        term = c * _binomial(n - i, t) * _binomial(n - j, s)
+                        term = c * comb(n - i, t) * comb(n - j, s)
                         for _ in range(t):
                             term = term * beta
                         for _ in range(s):
@@ -335,7 +335,7 @@ def _ref_rows(gamma, n):
         row = {}
         for s in range(n - i + 1):
             for r in range(i + 1):
-                term = q(_binomial(n - i, s) * _binomial(i, r))
+                term = q(comb(n - i, s) * comb(i, r))
                 for factor, e in ((d, n - i - s), (-b, s), (-c, i - r), (a, r)):
                     for _ in range(e):
                         term = term * factor
@@ -614,3 +614,17 @@ class TestRationalityRatio:
             rationality_ratio(f, triv, 2, 1, 2000, 96, Ball(mpmath.mpc(1)))
         with pytest.raises(ValueError):
             rationality_ratio(f, triv, 3, 0, 2000, 96, Ball(mpmath.mpc(1)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_half_representatives_pinned(p, j):
+    # the seen-set walk the unit-group list replaced: the first of a, q - a gives the pair
+    q = p**j
+    seen, reps = set(), []
+    for a in range(1, q):
+        if gcd(a, p) != 1 or a in seen:
+            continue
+        seen.update((a, q - a))
+        reps.append(a if a % 2 == 0 else q - a)
+    assert cohomology._half_representatives(p, j) == reps

@@ -363,7 +363,7 @@ REMOVED = {
     ("arith", "CyclotomicNumber"): ("degree",),
     ("cli", None): ("_random_sl2_quad",),
     ("characters", None): ("_lift_unit", "_prime_power_factors"),
-    ("arith", None): ("cyclotomic_mul", "frequency_sum", "character_sum", "kronecker_symbol"),
+    ("arith", None): ("cyclotomic_mul", "frequency_sum", "character_sum", "kronecker_symbol", "_binomial"),
     ("eisenstein", None): ("_exponent_histogram",),
 }
 
@@ -376,6 +376,32 @@ def test_unused_operations_are_gone():
                 assert not hasattr(mod, name), name
             else:
                 assert not any(name in vars(k) for k in getattr(mod, cls).__mro__[:-1]), f"{cls}.{name}"
+
+
+def _names_called(fn: ast.FunctionDef) -> set:
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+
+
+def test_units_come_from_the_unit_group():
+    """(Z/q)^x is listed by characters._unit_group: the unit loops read it instead of filtering
+    a range by gcd (cmd_kummer keeps gcd for its families at a = 1, 2), and the Teichmueller
+    base is a power of characters._primitive_root, found by no search.  glue_check (up to 10^6
+    units) and denominator_lemma_check (a drawn unit) keep their own filters."""
+    loops = [
+        ("padic.py", "padic_valuation"),
+        ("distribution.py", "integrate_character"),
+        ("cohomology.py", "_half_representatives"),
+        ("cli.py", "dist_relation"),
+        ("cli.py", "dirac_control"),
+        ("cli.py", "cmd_kummer"),
+    ]
+    for module, name in loops:
+        called = _names_called(_function(module, name))
+        assert "_unit_group" in called, name
+        assert "gcd" not in called or name == "cmd_kummer", name
+    root = _function("padic.py", "_teichmueller_root")
+    assert "_primitive_root" in _names_called(root)
+    assert not [n for n in ast.walk(root) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
 
 
 def test_one_cyclotomic_product():

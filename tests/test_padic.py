@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
 from math import floor, gcd, inf
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from asaikit import padic
 from asaikit.arith import CyclotomicNumber, euler_phi, vp
 from asaikit.characters import enumerate_characters
 from asaikit.padic import (
@@ -117,8 +119,33 @@ class TestValuation:
         order = lambda r: next(e for e in range(1, p) if pow(r, e, p) == 1)
         w = _teichmueller_root(p, m, T)
         assert pow(w, m, p**T) == 1
-        assert w % p == min(r for r in range(2, p) if order(r) == m)
         assert order(w % p) == m
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+        a=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_valuation_does_not_depend_on_the_root(self, p, a, data):
+        # the valuation is the minimum over every embedding zeta_m' -> w^t, so any
+        # primitive m'-th root gives it: here the least residue of order m' mod p
+        def least_residue_root(p, m, T):
+            order = lambda r: next(e for e in range(1, p) if pow(r, e, p) == 1)
+            return pow(min(r for r in range(1, p) if order(r) == m), p ** (T - 1), p**T)
+
+        m = data.draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+        order = p**a * m
+        assume(order <= 300)
+        deg = euler_phi(order)
+        units = data.draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg))
+        exps = data.draw(st.lists(st.integers(0, 3), min_size=deg, max_size=deg))
+        x = CyclotomicNumber(order, [F(u * p**e) for u, e in zip(units, exps)])
+        x = x * (1 - CyclotomicNumber.zeta(order, data.draw(st.integers(1, order - 1))))
+        assume(not x.is_zero())
+        with mock.patch.object(padic, "_teichmueller_root", least_residue_root):
+            want = padic_valuation(x, p)
+        assert padic_valuation(x, p) == want
 
     def test_mixed_with_ramified_part(self):
         z20 = CyclotomicNumber.zeta(20)
@@ -349,3 +376,14 @@ class TestMeasureFile:
     def test_prime_below_two_rejected(self):
         with pytest.raises(ValueError):
             MeasureTable.loads("p 1\nn 2\nentry 0 1 0 1 1\n")
+
+    @pytest.mark.parametrize("p", [4, 9, 15])
+    def test_composite_prime_rejected(self, p):
+        # a table at p = 4 loaded, and the kummer command passed it
+        text = dirac_measure_table(p, 2, 7, 1).dumps()
+        with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+            MeasureTable.loads(text)
+
+    def test_prime_two_accepted(self):
+        tab = dirac_measure_table(2, 2, 3, 2)
+        assert MeasureTable.loads(tab.dumps()).entries == tab.entries
