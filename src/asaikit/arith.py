@@ -43,6 +43,7 @@ __all__ = [
     "Rational",
     "vp",
     "factorize",
+    "is_prime",
     "euler_phi",
     "ArithTables",
     "primes_up_to",
@@ -119,6 +120,37 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to every base in _MR_BASES
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin at the 13 primes up to 41, which is exact below
+    3.317 * 10^24 (Sorenson and Webster, Math. Comp. 86 (2017)); larger n raise ValueError.
+    The primes up to 37 alone pass the composite 318665857834031151167461."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided here below {_MR_BOUND}, got {n}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     out = 1
@@ -134,23 +166,11 @@ class ArithTables:
         if bound < 1:
             raise ValueError("bound must be >= 1")
         self.bound = bound
-        spf = list(range(bound + 1))  # smallest prime factor
-        for q in range(2, isqrt(bound) + 1):
-            if spf[q] == q:
-                for m in range(q * q, bound + 1, q):
-                    if spf[m] == m:
-                        spf[m] = q
-        mob = [0] * (bound + 1)
-        mob[1] = 1
-        for n in range(2, bound + 1):
-            q = spf[n]
-            if (n // q) % q:
-                mob[n] = -mob[n // q]
-        self._mobius = mob
-        self.primes = [n for n in range(2, bound + 1) if spf[n] == n]
+        self._plus, self._minus = _mobius_sign_masks(bound)
+        self.primes = primes_up_to(bound)
 
     def mobius(self, n: int) -> int:
-        return self._mobius[n]
+        return self._plus[n] - self._minus[n]
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -797,8 +817,7 @@ _MU_PLUS = bytes.maketrans(b"\1\2", b"\1\0")
 _MU_MINUS = bytes.maketrans(b"\1\2", b"\0\1")
 
 
-@lru_cache(maxsize=8)
-def _mobius_masks(bound: int) -> tuple[bytes, bytes]:
+def _mobius_sign_masks(bound: int) -> tuple[bytes, bytes]:
     """Masks over 0..bound of the m with mu(m) = 1 and of the m with mu(m) = -1.
 
     Each byte starts at 1 and swaps 1 <-> 2 at every prime factor, so it ends
@@ -812,6 +831,10 @@ def _mobius_masks(bound: int) -> tuple[bytes, bytes]:
         if q * q <= bound:
             code[q * q :: q * q] = bytes(len(range(q * q, bound + 1, q * q)))
     return bytes(code.translate(_MU_PLUS)), bytes(code.translate(_MU_MINUS))
+
+
+# the series bounds mobius_terms reads; ArithTables sieves uncached, so its levels evict none
+_mobius_masks = lru_cache(maxsize=8)(_mobius_sign_masks)
 
 
 def mobius_terms(

@@ -20,6 +20,7 @@ from .arith import (
     Rational,
     _poly_mul_frac,
     factorize,
+    is_prime,
     primes_up_to,
     vp,
 )
@@ -127,7 +128,7 @@ class MockEigenform:
     ):
         if k < 2:
             raise ValueError("weight must be >= 2")
-        if p < 3 or factorize(p) != [(p, 1)]:
+        if p < 3 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if N % p == 0 or field.D % p == 0:
             raise ValueError("p must not divide N D")
@@ -591,14 +592,14 @@ def load_eigenform(text: str) -> MockEigenform:
     k, N, D, p = (int(header[key][0]) for key in ("k", "N", "D", "p"))
     field = QuadFieldData(D)
     for l in support or ():
-        if l < 2 or l == p or factorize(l) != [(l, 1)]:
+        if l == p or not is_prime(l):
             raise ValueError(f"the support lists l = {l}, which is not a prime other than p = {p}")
     if support is not None and len(set(support)) < len(support):
         raise ValueError("the support lists a prime twice")
     raw: dict[int, list[Fraction]] = {}
     for l, tag, c in records:
         l = int(l)
-        if l < 2 or l == p or factorize(l) != [(l, 1)]:
+        if l == p or not is_prime(l):
             raise ValueError(f"a record at l = {l}, which is not a prime other than p = {p}")
         if tag != field.splitting(l):
             raise ValueError(f"the record at l = {l} is tagged {tag}, but l is {field.splitting(l)}")

@@ -29,7 +29,6 @@ from .arith import (
     TruncatedSeries,
     _two_pi_power,
     _vp_int,
-    _vp_min,
     euler_phi,
     factorize,
 )
@@ -46,8 +45,6 @@ __all__ = [
     "TranscendentalValue",
     "L_special_exact",
     "L_truncated",
-    "NormalizedLValue",
-    "normalized_L",
 ]
 
 
@@ -499,11 +496,6 @@ class TranscendentalValue:
         return Ball.from_mpc(z.mid, prec, z.rad)
 
 
-def _bernoulli_L_factor(k: int, psi: DirichletCharacter) -> CyclotomicNumber:
-    """-B_{k,psibar} / (2 k! C^k) for primitive psi mod C, the factor both exact L-value forms share."""
-    return generalized_bernoulli(k, psi.inverse()) * Fraction(-1, 2 * factorial(k) * psi.modulus**k)
-
-
 def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
     """L(k, psi) = -(-2 pi i)^k G(psi) B_{k,psibar} / (2 k! C^k) for even k and even primitive psi.
 
@@ -516,7 +508,18 @@ def L_special_exact(k: int, psi: DirichletCharacter) -> TranscendentalValue:
         raise ValueError("psi must be primitive")
     if not psi.is_even:
         raise ValueError("psi must be even")
-    return TranscendentalValue(k, gauss_sum(psi) * _bernoulli_L_factor(k, psi))
+    factor = Fraction(-1, 2 * factorial(k) * psi.modulus**k)
+    return TranscendentalValue(k, gauss_sum(psi) * generalized_bernoulli(k, psi.inverse()) * factor)
+
+
+def _euler_factor(psi: DirichletCharacter, k: int, level: int) -> CyclotomicNumber:
+    """prod (1 - psi(q) q^(-k)) over the primes q of ``level`` prime to the modulus of psi:
+    L(k, psi) times it is the L-series of psi with those primes removed."""
+    out = _ONE
+    for q, _ in factorize(level):
+        if psi.modulus % q:
+            out = out * (1 - psi.value(q) * Fraction(1, q**k))
+    return out
 
 
 def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> Ball:
@@ -527,40 +530,3 @@ def L_truncated(s, psi: DirichletCharacter, terms: int, prec: int = 64) -> Ball:
     """
     pairs = ((n, 1) for n in range(1, terms + 1) if gcd(n, psi.modulus) == 1)
     return TruncatedSeries(pairs, 0, terms, s, prec).twisted(psi)
-
-
-@dataclass(frozen=True)
-class NormalizedLValue:
-    """L(k, chibar^2) divided by G(chibar^2) (2 pi)^k, with a denominator report."""
-
-    value: CyclotomicNumber
-    conductor: int
-    bound_ok: bool
-
-
-def normalized_L(chi: DirichletCharacter, k: int) -> NormalizedLValue:
-    """Exact L(k, chibar^2) / (G(chibar^2) (2 pi)^k) for even k.
-
-    Requires chibar^2 to be primitive at the level of chi; imprimitive
-    squares (e.g. quadratic chi) are rejected rather than silently replaced
-    by the primitive L-value.
-    """
-    if k < 2 or k % 2:
-        raise ValueError("k must be even and >= 2")
-    psi = (chi.inverse() * chi.inverse())
-    if psi.conductor() != chi.modulus:
-        raise ValueError(
-            f"chibar^2 has conductor {psi.conductor()} < modulus {chi.modulus}; "
-            "the normalized value is only defined here for primitive chibar^2"
-        )
-    C = psi.modulus
-    value = _bernoulli_L_factor(k, psi) * (-1) ** (k // 2)  # (2 pi i)^k = (-1)^(k/2) (2 pi)^k
-    # p-denominator report (lower bound via the power basis of Z[zeta])
-    if C == 1:
-        v_low = min((_vp_min(value.num, value.den, q) for q, _ in factorize(value.den)), default=0)
-        j_chi = 0
-    else:
-        p, _ = factorize(C)[0]
-        j_chi = factorize(chi.conductor())[0][1] if chi.conductor() > 1 else 0
-        v_low = _vp_min(value.num, value.den, p)
-    return NormalizedLValue(value, C, v_low >= -(j_chi * (k + 1)))

@@ -67,7 +67,7 @@ class RunConfig:
             raise ValueError(f"--prec must be between 64 and {MAX_PRECISION_BITS} bits, got {self.precision_bits}")
         if self.tolerance_exp < 6:
             raise ValueError("tolerance exponent must be >= 6")
-        if self.p is not None and (self.p < 3 or arith.factorize(self.p) != [(self.p, 1)]):
+        if self.p is not None and (self.p < 3 or not arith.is_prime(self.p)):
             raise ValueError(f"--p must be an odd prime, got {self.p}")
         if self.j is not None and self.j < 1:
             raise ValueError(f"--j must be >= 1, got {self.j}")

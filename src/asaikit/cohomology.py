@@ -22,13 +22,11 @@ from .arith import (
     _split_order,
     TruncatedSeries,
     _check_rational,
-    _two_pi_power,
     _vp_min,
-    factorize,
     root_ball,
 )
 from .asai import MockEigenform
-from .characters import DirichletCharacter, _unit_group, gauss_sum, normalized_L
+from .characters import DirichletCharacter, L_special_exact, TranscendentalValue, _euler_factor, _unit_group, gauss_sum
 
 __all__ = [
     "QuadCoeff",
@@ -613,12 +611,9 @@ def rationality_ratio(
     chibar = chi0.inverse()
     psi = chibar * chibar
     lhs = g_chi * d_series.twisted(chibar)
-    # right side: normalized_L is L(k_l, chibar^2) / (G(chibar^2) (2 pi)^k_l)
-    lval = normalized_L(chi0, k_l).value.embed(w) * gauss_sum(psi).embed(w) * _two_pi_power(k_l, w)
-    psi0 = psi.primitive()
-    for q, _ in factorize(f.N):  # remove the level-N Euler factors, exact until embedded
-        if gcd(q, psi0.modulus) == 1:
-            lval = lval * (1 - psi0.value(q) * Fraction(1, q**k_l)).embed(w)
+    # right side: L^(N)(k_l, chibar^2) for primitive chibar^2, exact until its one embedding
+    algebraic = L_special_exact(k_l, psi).algebraic * _euler_factor(psi, k_l, f.N)
+    lval = TranscendentalValue(k_l, algebraic).numeric(w)
     if j_chi == 0:
         pair_acc = c_series.at(0)
     else:

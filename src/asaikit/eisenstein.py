@@ -34,6 +34,7 @@ from .arith import (
     euler_phi,
     factorize,
     fixed_root_table,
+    is_prime,
     mobius_buckets,
 )
 from .asai import FUNDAMENTAL_D, QuadFieldData
@@ -41,6 +42,7 @@ from .characters import (
     DirichletCharacter,
     _character_sum,
     _components,
+    _euler_factor,
     _galois_orbits,
     _twisted_factors,
     _unit_group,
@@ -75,7 +77,7 @@ class LevelParams:
     def __post_init__(self):
         if self.N < 1 or self.j < 0:
             raise ValueError("need N >= 1 and j >= 0")
-        if self.p < 3 or factorize(self.p) != [(self.p, 1)]:
+        if self.p < 3 or not is_prime(self.p):
             raise ValueError("p must be an odd prime")
         if self.N % self.p == 0:
             raise ValueError("p must not divide N")
@@ -280,11 +282,7 @@ def _level_characters(params: LevelParams) -> tuple[tuple[DirichletCharacter, Cy
             twist = twist * CyclotomicNumber.zeta(chi_q.value_order, -chi_q.exponent_of(C // q))
         # Bernoulli and Euler-factor denominators, inverted in the value field
         bern = generalized_bernoulli(k, psi0.inverse())
-        euler = CyclotomicNumber.from_rational(1)
-        for q0, _ in factorize(M):
-            if C % q0:  # q0 is prime to C, so psi0(q0) is a root of unity
-                value = CyclotomicNumber.zeta(psi0.value_order, psi0.exponent_of(q0))
-                euler = euler * (1 - value * Fraction(1, q0**k))
+        euler = _euler_factor(psi0, k, M)
         t_sum = CyclotomicNumber.from_rational(t_size, psi.value_order)
         out.append((psi, t_sum * twist * (bern * euler).inverse() * (Fraction(C, M) ** k)))
     return tuple(out)

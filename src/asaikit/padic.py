@@ -6,7 +6,7 @@ valuation: if sum_i b_i f_i(y) lies in p^n O at every sampled unit y, then
 sum_i b_i (integral of f_i) must too.  The specialized Kummer test
 (``kummer_check``: characters against a table, hypothesis by orthogonality)
 and the measure-gluing families (``glue_check``: one run per family) are both
-calls into it; ``integrality_bound_check`` is the only other valuation reader.
+calls into it, and nothing else here takes a valuation.
 
 Valuations are computed exactly along one route, at orders p^a m' with m'
 dividing p - 1 (m' = 1, 2 included): each prime above p is an embedding
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, inf
 
-from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, cyclotomic_dot, euler_phi, factorize, vp
+from .arith import CyclotomicNumber, _reduce_mod_cyclotomic, _split_order, cyclotomic_dot, euler_phi, is_prime, vp
 from .characters import DirichletCharacter, _primitive_root, _unit_group, enumerate_characters
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "glue_check",
     "single_m_weights",
     "dirac_measure_table",
-    "integrality_bound_check",
 ]
 
 
@@ -236,7 +235,7 @@ class MeasureTable:
             if key not in header:
                 raise ValueError(f"measure table missing header {key}")
         p, n = int(header["p"]), int(header["n"])
-        if p < 2 or factorize(p) != [(p, 1)]:
+        if not is_prime(p):
             raise ValueError(f"p must be a prime, got {p}")
         entries = {}
         for row in rows:
@@ -333,12 +332,3 @@ def glue_check(
     worst = min((rep.conclusion_valuation for rep in held), default=inf)
     passed = all(rep.passed for rep in held)
     return GlueReport(len(reports), len(reports) - len(held), passed, worst, Fraction(j - 1))
-
-
-def integrality_bound_check(
-    value: CyclotomicNumber, n: int, m: int, j_chi: int, c_j: int, p: int
-) -> bool:
-    """v(value) >= -(j_chi (4n - 3m + 3) + c_j)."""
-    bound = Fraction(-(j_chi * (4 * n - 3 * m + 3) + c_j))
-    return padic_valuation(value, p) >= bound
-

@@ -27,6 +27,7 @@ from asaikit.arith import (
     fixed_power_terms,
     fixed_root_table,
     fold,
+    is_prime,
     mobius_buckets,
     mobius_terms,
     primes_up_to,
@@ -487,6 +488,34 @@ class TestBall:
     def test_divisor_containing_zero(self):
         with pytest.raises(ZeroDivisionError):
             Ball(mpmath.mpc(1)) / Ball(mpmath.mpc(1e-3), 1e-2)
+
+
+class TestIsPrime:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=-5, max_value=10**6))
+    def test_agrees_with_trial_division(self, n):
+        assert is_prime(n) == (n > 1 and factorize(n) == [(n, 1)])
+
+    def test_small_range(self):
+        assert [n for n in range(-3, 2000) if is_prime(n)] == primes_up_to(2000)
+
+    @pytest.mark.parametrize(
+        "n",
+        [2047, 3215031751, 3825123056546413051, 318665857834031151167461],
+        ids=["base-2", "bases-to-7", "bases-to-23", "bases-to-37"],
+    )
+    def test_strong_pseudoprimes_rejected(self, n):
+        # the least strong pseudoprimes to the primes up to 2, 7, 23 and 37 (OEIS A014233)
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(9_999_999_999_999_937) and is_prime(10**18 + 3)
+        assert not is_prime((10**12 + 39) * (10**12 + 61))
+
+    def test_refused_from_the_bound(self):
+        # the bound is the least strong pseudoprime to the primes up to 41
+        with pytest.raises(ValueError):
+            is_prime(arith._MR_BOUND)
 
 
 class TestArithTables:

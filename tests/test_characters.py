@@ -22,7 +22,6 @@ from asaikit.characters import (
     gauss_sum,
     generalized_bernoulli,
     generalized_gauss_sum,
-    normalized_L,
     unit_sum_twisted,
     unit_sum_twisted_direct,
 )
@@ -440,28 +439,41 @@ class TestLValues:
 
 
 class TestNormalizedL:
+    """L_special_exact at the values rationality_ratio reads: L(k, psi) / (G(psi) (2 pi)^k) is
+    algebraic / G(psi) times (-1)^(k/2), since (2 pi i)^k = (-1)^(k/2) (2 pi)^k for even k."""
+
+    @staticmethod
+    def _order4_square():
+        quad = quadratic_mod5()
+        chi = [c for c in enumerate_characters(5) if c * c == quad][0]
+        return chi, chi.inverse() * chi.inverse()
+
+    @staticmethod
+    def _normalized(k, psi):
+        return L_special_exact(k, psi).algebraic / gauss_sum(psi) * (-1) ** (k // 2)
+
     def test_trivial_values(self):
         t1 = enumerate_characters(1)[0]
-        assert normalized_L(t1, 2).value == F(1, 24)
-        assert normalized_L(t1, 4).value == F(1, 1440)
+        assert L_special_exact(2, t1).algebraic == F(-1, 24)
+        assert L_special_exact(4, t1).algebraic == F(1, 1440)
 
     def test_order4_mod5(self):
-        quad = quadratic_mod5()
-        chi = [c for c in enumerate_characters(5) if c * c == quad][0]
-        nl = normalized_L(chi, 2)
-        assert nl.value == F(1, 125)
-        assert nl.bound_ok
+        from asaikit.padic import padic_valuation
+
+        chi, psi = self._order4_square()
+        value = self._normalized(2, psi)
+        assert value == F(1, 125)
+        j_chi = factorize(chi.conductor())[0][1]
+        assert padic_valuation(value, 5) >= -j_chi * (2 + 1)
 
     def test_cross_check_against_series(self):
-        quad = quadratic_mod5()
-        chi = [c for c in enumerate_characters(5) if c * c == quad][0]
-        nl = normalized_L(chi, 2)
-        psi = (chi.inverse() ** 2).primitive()
+        _, psi = self._order4_square()
         g = gauss_sum(psi).embed(128).to_mpc()
-        recon = nl.value.embed(128).to_mpc() * g * (2 * mpmath.pi) ** 2
+        recon = self._normalized(2, psi).embed(128).to_mpc() * g * (2 * mpmath.pi) ** 2
         series = L_truncated(2, psi, 30000, 128)
         assert abs(recon - series.to_mpc()) < series.rad * 1.05
 
     def test_imprimitive_square_rejected(self):
+        chi = quadratic_mod5()
         with pytest.raises(ValueError):
-            normalized_L(quadratic_mod5(), 2)
+            L_special_exact(2, chi.inverse() * chi.inverse())

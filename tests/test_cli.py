@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from asaikit import arith, asai, cli, eisenstein
+from asaikit import arith, asai, cli, eisenstein, padic
 from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
@@ -599,6 +599,24 @@ class TestKummerCommand:
         monkeypatch.setattr(cli, "MAX_GLUE_UNITS", 3**3)
         assert run(["kummer", path, "--j", "1", "--depth", "2"]) == 0  # 3^3 units: at the cap
         assert run(["kummer", path, "--j", "1", "--depth", "3"]) == 2
+
+    def test_huge_prime_reaches_the_unit_cap(self, tmp_path, capsys, monkeypatch):
+        # trial division took 51.8 s to call 10^18 + 3 a prime before the unit cap refused it
+        p = 10**18 + 3
+        factorize = arith.factorize
+
+        def no_trial_division(n):
+            assert n != p, "p was factored by trial division"
+            return factorize(n)
+
+        for module in (arith, asai, cli, eisenstein, padic):
+            if hasattr(module, "factorize"):
+                monkeypatch.setattr(module, "factorize", no_trial_division)
+        path = str(tmp_path / "huge.mt")
+        Path(path).write_text(f"p {p}\nn 2\n")
+        assert run(["kummer", path, "--j", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: --j + --depth lists the units mod")
 
     def test_composite_p_exit_2(self, tmp_path, capsys):
         # a table at p = 4 loaded, and the sweep printed pass with exit 0

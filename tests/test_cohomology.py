@@ -542,13 +542,13 @@ class TestRationalityRatio:
         assert self._two_sided().rel_gap <= 1e-11  # measured 1.0e-13
 
     def test_scaled_l_value_fails_the_bound(self, monkeypatch):
-        normalized_L = cohomology.normalized_L
+        L_special_exact = cohomology.L_special_exact
 
-        def scaled(chi, k):
-            nl = normalized_L(chi, k)
-            return dataclasses.replace(nl, value=nl.value * F(101, 100))
+        def scaled(k, psi):
+            value = L_special_exact(k, psi)
+            return dataclasses.replace(value, algebraic=value.algebraic * F(101, 100))
 
-        monkeypatch.setattr(cohomology, "normalized_L", scaled)
+        monkeypatch.setattr(cohomology, "L_special_exact", scaled)
         assert self._two_sided().rel_gap > 1e-3
 
     def test_trivial_character_reduction(self):

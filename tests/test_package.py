@@ -68,7 +68,7 @@ def test_no_process_wide_precision():
 
 
 def test_one_congruence_engine_in_padic():
-    """In padic only akc_check (every congruence combination) and integrality_bound_check take valuations."""
+    """In padic only akc_check (every congruence combination) takes valuations."""
     tree = ast.parse((Path(asaikit.__file__).parent / "padic.py").read_text())
     callers = {
         fn.name
@@ -77,7 +77,7 @@ def test_one_congruence_engine_in_padic():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "padic_valuation"
     }
-    assert callers == {"akc_check", "integrality_bound_check"}
+    assert callers == {"akc_check"}
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:
@@ -362,9 +362,12 @@ REMOVED = {
     ("characters", "DirichletCharacter"): ("__call__", "conjugate"),
     ("arith", "CyclotomicNumber"): ("degree",),
     ("cli", None): ("_random_sl2_quad",),
-    ("characters", None): ("_lift_unit", "_prime_power_factors"),
+    ("characters", None): (
+        "_lift_unit", "_prime_power_factors", "normalized_L", "NormalizedLValue", "_bernoulli_L_factor"
+    ),
     ("arith", None): ("cyclotomic_mul", "frequency_sum", "character_sum", "kronecker_symbol", "_binomial"),
     ("eisenstein", None): ("_exponent_histogram",),
+    ("padic", None): ("integrality_bound_check",),
 }
 
 
@@ -402,6 +405,23 @@ def test_units_come_from_the_unit_group():
     root = _function("padic.py", "_teichmueller_root")
     assert "_primitive_root" in _names_called(root)
     assert not [n for n in ast.walk(root) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_one_exact_l_value():
+    """The rationality check reads the special-value row's L-value: rationality_ratio takes
+    L_special_exact's algebraic part times characters._euler_factor, the one product of level
+    Euler factors, which _level_characters calls too; neither loops over factorize itself, and
+    no (2 pi)^k is multiplied in apart from TranscendentalValue.  The analytic routes,
+    L_truncated and the Moebius series, call neither helper."""
+    for module, name in (("eisenstein.py", "_level_characters"), ("cohomology.py", "rationality_ratio")):
+        fn = _function(module, name)
+        assert "_euler_factor" in _names_called(fn), name
+        loops = [n.iter for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+        assert not [it for it in loops if "factorize" in _names_called(it)], name
+    called = _names_called(_function("cohomology.py", "rationality_ratio"))
+    assert "L_special_exact" in called and "_two_pi_power" not in called
+    for module, name in (("characters.py", "L_truncated"), ("eisenstein.py", "higher_coeffs_analytic")):
+        assert not _names_called(_function(module, name)) & {"_euler_factor", "L_special_exact"}, name
 
 
 def test_one_cyclotomic_product():

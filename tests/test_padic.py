@@ -15,7 +15,6 @@ from asaikit.padic import (
     akc_check,
     dirac_measure_table,
     glue_check,
-    integrality_bound_check,
     kummer_check,
     level_view,
     padic_valuation,
@@ -303,14 +302,6 @@ class TestGlue:
             bad.entries[key] = CyclotomicNumber.from_rational(F(rng.randint(1, 9)))
         rep = glue_check(bad, [single_m_weights(bad, 0, 1, 2)], 2, depth=1)
         assert not rep.passed or rep.hypothesis_failures > 0
-
-
-class TestBoundsAndMellin:
-    def test_integrality_bound(self):
-        one = CyclotomicNumber.from_rational(1)
-        assert integrality_bound_check(one, 2, 0, 1, 0, 5)
-        past = CyclotomicNumber.from_rational(F(1, 5 ** (1 * (4 * 2 - 0 + 3) + 0 + 1)))
-        assert not integrality_bound_check(past, 2, 0, 1, 0, 5)
 
 
 class TestMeasureFile:
