@@ -860,10 +860,10 @@ def mobius_terms(
 
 
 @lru_cache(maxsize=1024)
-def _mobius_bucket(bound: int, k: int, F: int, q: int, g: int) -> tuple[int, ...]:
-    """S(g; q): the q buckets ``fold`` makes of the ``mobius_terms`` of the squarefree
-    m <= bound with g | m and gcd(m, q) = 1."""
-    return tuple(fold(mobius_terms(bound, k, F, q, g), q))
+def _mobius_bucket(bound: int, k: int, F: int, q: int, g: int) -> tuple[tuple[int, int], ...]:
+    """S(g; q): the nonzero (t, W[t]) of the q buckets ``fold`` makes of the ``mobius_terms``
+    of the squarefree m <= bound with g | m and gcd(m, q) = 1."""
+    return tuple((t, w) for t, w in enumerate(fold(mobius_terms(bound, k, F, q, g), q)) if w)
 
 
 def mobius_buckets(bound: int, k: int, F: int, M: int, q: int) -> list[int]:
@@ -886,7 +886,8 @@ def mobius_buckets(bound: int, k: int, F: int, M: int, q: int) -> list[int]:
             signed += [(g * l, -mu) for g, mu in signed if g * l <= bound]
     W = [0] * q
     for g, mu in signed:
-        W = [w + mu * x for w, x in zip(W, _mobius_bucket(bound, k, F, q, g))]
+        for t, x in _mobius_bucket(bound, k, F, q, g):
+            W[t] += mu * x
     return W
 
 

@@ -398,13 +398,13 @@ class EulerComparisonReport:
 
 
 def euler_vs_coefficients(f: MockEigenform, R: int) -> EulerComparisonReport:
-    """Expand prod_{l <= R, l not dividing N} G_l(s, f) and compare with d(r).
+    """Expand prod_{l <= R, l not dividing N} G_l(s, f) by the walk that builds every table
+    (``_multiplicative_table``) and compare with the pointwise d(r) (``asai_coeff``).
 
     Comparison runs over r <= R coprime to N (factors at l | N are excluded
     from both sides).
     """
-    coeffs = [Fraction(0)] * (R + 1)
-    coeffs[1] = Fraction(1)
+    local = []  # as in MockEigenform.tabulate: per prime l, the nonzero (l^e, num, den), l^e <= R
     for l in primes_up_to(R):
         if f.N % l == 0:
             continue
@@ -412,18 +412,15 @@ def euler_vs_coefficients(f: MockEigenform, R: int) -> EulerComparisonReport:
         while l ** (top + 1) <= R:
             top += 1
         inv = _power_series_inverse(local_asai_factor(f, l, None), top)
-        # the support so far is prime to l, and descending r reads each c(r) before it is written
-        for r in range(R // l, 0, -1):
-            if coeffs[r]:
-                n, e = r * l, 1
-                while n <= R:
-                    coeffs[n] += coeffs[r] * inv[e]
-                    n, e = n * l, e + 1
+        powers = [(l**e, v.numerator, v.denominator) for e, v in enumerate(inv) if e and v]
+        if powers:
+            local.append((l, powers))
+    table = _multiplicative_table(local, R)
     for r in range(1, R + 1):
         if gcd(r, f.N) != 1:
             continue
         expected = asai_coeff(f, r)
-        got = coeffs[r]
+        got = table.get(r, Fraction(0))
         if expected != got:
             return EulerComparisonReport(False, r, expected, got)
     return EulerComparisonReport(True, None, None, None)

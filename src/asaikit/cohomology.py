@@ -618,8 +618,11 @@ def rationality_ratio(
         pair_acc = c_series.at(0)
     else:
         pair_acc = Ball.exact(0)
-        for a in _half_representatives(p, j_chi):  # units mod p^j_chi, so chi0(a) != 0
-            b = Fraction(a, p**j_chi)
+        q = p**j_chi
+        for a in _unit_group(q).units:  # units, so chi0(a) != 0
+            if 2 * a > q:  # a < q/2 stands for the pair a, -a
+                break
+            b = Fraction(a, q)
             root = root_ball(chi0.value_order, chi0.exponent_of(a), w)
             pair_acc = pair_acc + (c_series.at(b) + c_series.at(-b)) * root
     rhs = lval * pair_acc
@@ -632,10 +635,3 @@ def rationality_ratio(
         gap,
         gap / max(abs(lhs), 1e-300),
     )
-
-
-def _half_representatives(p: int, j: int) -> list[int]:
-    """Even representatives of (Z/p^j)^x / {+-1} for odd p and j >= 1: for each unit
-    a < p^j / 2, whichever of a and p^j - a is even."""
-    q = p**j
-    return [a if a % 2 == 0 else q - a for a in _unit_group(q).units if 2 * a < q]

@@ -82,7 +82,7 @@ class LevelParams:
         if self.N % self.p == 0:
             raise ValueError("p must not divide N")
         if self.k < 4 or self.k % 2:
-            raise ValueError("weight must be even and >= 4")
+            raise ValueError("the weight must be even and >= 4 (the weight-2 case sits outside the implemented range)")
 
     @property
     def modulus(self) -> int:

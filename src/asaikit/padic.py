@@ -216,15 +216,22 @@ class MeasureTable:
         0..phi(modulus) - 1, a primitive character whose modulus is a power of
         p; each key may appear only once.
         """
+        return MeasureTable.from_rows(*MeasureTable.parse(text))
+
+    @staticmethod
+    def parse(text: str) -> tuple[int, int, list[tuple]]:
+        """The first step of ``loads``, which builds no character: p, n and each entry's
+        (m, modulus, index, order, value coefficients), with the header, m and the modulus
+        checked."""
         header: dict[str, str] = {}
-        rows = []
+        raw = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if parts[0] == "entry":
-                rows.append(parts[1:])
+                raw.append(parts[1:])
             elif parts[0] not in ("p", "n") or len(parts) != 2:
                 raise ValueError(f"unexpected header line {line!r}: the header is one p and one n line")
             elif parts[0] in header:
@@ -237,13 +244,22 @@ class MeasureTable:
         p, n = int(header["p"]), int(header["n"])
         if not is_prime(p):
             raise ValueError(f"p must be a prime, got {p}")
-        entries = {}
-        for row in rows:
+        rows = []
+        for row in raw:
             m, cond, idx, order = (int(x) for x in row[:4])
             if m % 2 or not 0 <= m <= n:
                 raise ValueError(f"entry weight m = {m} is not one of 0, 2, ..., n = {n}")
             if cond < 1 or _split_order(cond, p)[1] != 1:
                 raise ValueError(f"entry modulus {cond} is not a power of p = {p}")
+            rows.append((m, cond, idx, order, row[4:]))
+        return p, n, rows
+
+    @staticmethod
+    def from_rows(p: int, n: int, rows: list[tuple]) -> "MeasureTable":
+        """The second step of ``loads``: the table of ``parse``'s rows, each index a primitive
+        character named once."""
+        entries = {}
+        for m, cond, idx, order, coeffs in rows:
             chars = enumerate_characters(cond)
             if not 0 <= idx < len(chars):
                 raise ValueError(f"entry character index {idx} is outside 0..{len(chars) - 1} mod {cond}")
@@ -252,7 +268,7 @@ class MeasureTable:
                 raise ValueError(f"entry character {idx} mod {cond} is not primitive")
             if (m, ch) in entries:
                 raise ValueError(f"repeated entry for m = {m}, character {idx} mod {cond}")
-            entries[(m, ch)] = CyclotomicNumber(order, [Fraction(x) for x in row[4:]])
+            entries[(m, ch)] = CyclotomicNumber(order, [Fraction(x) for x in coeffs])
         return MeasureTable(p, n, entries)
 
 

@@ -12,9 +12,10 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from asaikit import arith, asai, cli, eisenstein, padic
+from asaikit import arith, asai, characters, cli, eisenstein, padic
 from asaikit.asai import dump_eigenform, random_mock_eigenform
 from asaikit.cli import RunConfig, build_parser, main
 from asaikit.padic import dirac_measure_table
@@ -139,7 +140,8 @@ class TestVerify:
 
     def test_precision_ceiling(self):
         # float gaps underflow to 0 near 2^(-1074): `verify arith --prec 1100` passed
-        # embedding-homomorphism on gap 0.0 against a bound 2^(12 - 1100) that is also 0.0
+        # embedding-homomorphism on gap 0.0 against a bound 2^(12 - 1100) that was also 0.0;
+        # the row's radius underflows there too, to a few subnormal steps (6.4e-323)
         assert cli.RunConfig(precision_bits=1000).precision_bits == cli.MAX_PRECISION_BITS
         with pytest.raises(ValueError, match="--prec"):
             cli.RunConfig(precision_bits=1001)
@@ -276,6 +278,45 @@ class TestVerify:
             "infinite": ("error", None, "FloatingPointError: b: gap inf"),
         }
         assert reached == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_embedding_row_gates_on_its_radius(self, seed, tmp_path, monkeypatch, capsys):
+        # every embedding scaled by 1 + 2^(4 - prec), computed at prec + 40 bits with its radius
+        # kept: the error passed the old fixed bound 2^(12 - prec), and exceeds the radius of
+        # the difference, which holds every rounding
+        true_embed = arith.CyclotomicNumber.embed
+
+        def lossy(self, prec=53):
+            z = true_embed(self, prec)
+            if self.is_rational():
+                return z
+            with mpmath.workprec(prec + 40):
+                mid = true_embed(self, prec + 40).mid * (1 + mpmath.ldexp(1, 4 - prec))
+            return arith.Ball(mid, z.rad, prec)
+
+        monkeypatch.setattr(arith.CyclotomicNumber, "embed", lossy)
+        cache = tmp_path / "c.json"
+        assert run(["verify", "arith", "--seed", str(seed), "--cache", str(cache)]) == 1
+        status = {r["name"]: r["status"] for r in json.loads(cache.read_text())["results"]}
+        assert status.pop("embedding-homomorphism") == "fail"
+        assert set(status.values()) == {"pass"}
+
+    @pytest.mark.parametrize("prec", [64, 128, 333])
+    def test_special_value_row_gates_on_its_radius(self, prec, tmp_path, monkeypatch, capsys):
+        # the truncated series moved by 1.03 times its radius passed the old bound, 1.05 times
+        # that radius; the radius of closed form - series holds the tail and every rounding
+        true_series = characters.L_truncated
+
+        def shifted(*args):
+            z = true_series(*args)
+            return z + arith.Ball(mpmath.mpc(1.03 * z.rad))
+
+        monkeypatch.setattr(characters, "L_truncated", shifted)
+        cache = tmp_path / "c.json"
+        assert run(["verify", "characters", "--prec", str(prec), "--cache", str(cache)]) == 1
+        status = {r["name"]: r["status"] for r in json.loads(cache.read_text())["results"]}
+        assert status.pop("special-value-vs-series") == "fail"
+        assert set(status.values()) == {"pass"}
 
     def test_bessel_row_gates_on_the_kernel_error(self, tmp_path, monkeypatch, capsys):
         # a K_nu 1 % off leaves the moment side exact, so only kernel_rel_err can fail the row
@@ -545,8 +586,12 @@ class TestEisensteinCommand:
         assert "a 1 1 240" in out
 
     def test_weight_two_rejected(self, capsys):
-        assert run(["eisenstein", "--p", "3", "--j", "1", "--k", "2"]) == 2
-        assert run(["eisenstein", "--p", "3", "--j", "1", "--k", "5"]) == 2
+        # LevelParams checks the weight, and its ValueError is the one error line
+        for k in ("2", "5"):
+            assert run(["eisenstein", "--p", "3", "--j", "1", "--k", k]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.count("\n") == 1
+            assert out.err.startswith("error: the weight must be even and >= 4 (the weight-2 case sits outside")
 
     def test_negative_term_count_exit_2(self, capsys):
         assert run(["eisenstein", "--p", "3", "--j", "1", "--k", "4", "--T", "-3"]) == 2
@@ -617,6 +662,28 @@ class TestKummerCommand:
         assert run(["kummer", path, "--j", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: --j + --depth lists the units mod")
+
+    def test_unit_cap_before_any_character(self, tmp_path, capsys, monkeypatch):
+        # one entry mod p = 100003 listed every character mod p before the unit cap refused the
+        # table: a MemoryError traceback and exit 1 after 19.4 s under a 2 GB address-space cap
+        p = 100003
+
+        def refuse_at_p(build):
+            def checked(M):
+                if M == p:
+                    raise AssertionError(f"a character group mod {p} was built")
+                return build(M)
+
+            return checked
+
+        for name in ("enumerate_characters", "_unit_group"):
+            monkeypatch.setattr(padic, name, refuse_at_p(getattr(padic, name)))
+        path = tmp_path / "big.mt"
+        path.write_text(f"p {p}\nn 2\n" + "".join(f"entry 0 {p} {i} 2 1\n" for i in range(1, 1001)))
+        assert run(["kummer", str(path), "--j", "1", "--depth", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and "Traceback" not in out.err
+        assert out.err.startswith("error: --j + --depth lists the units mod 100003^2")
 
     def test_composite_p_exit_2(self, tmp_path, capsys):
         # a table at p = 4 loaded, and the sweep printed pass with exit 0

@@ -614,17 +614,3 @@ class TestRationalityRatio:
             rationality_ratio(f, triv, 2, 1, 2000, 96, Ball(mpmath.mpc(1)))
         with pytest.raises(ValueError):
             rationality_ratio(f, triv, 3, 0, 2000, 96, Ball(mpmath.mpc(1)))
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("j", [1, 2, 3])
-def test_half_representatives_pinned(p, j):
-    # the seen-set walk the unit-group list replaced: the first of a, q - a gives the pair
-    q = p**j
-    seen, reps = set(), []
-    for a in range(1, q):
-        if gcd(a, p) != 1 or a in seen:
-            continue
-        seen.update((a, q - a))
-        reps.append(a if a % 2 == 0 else q - a)
-    assert cohomology._half_representatives(p, j) == reps

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import asaikit
-from asaikit import arith, distribution, eisenstein
+from asaikit import arith, cli, distribution, eisenstein
 from tests.conftest import load_bench_workloads
 
 MODULES = sorted(f"asaikit.{m.name}" for m in pkgutil.iter_modules(asaikit.__path__))
@@ -115,8 +116,10 @@ def test_higher_coeffs_analytic_on_the_integer_kernel():
 
 def test_one_gate_for_every_verify_row():
     """A numeric verify case yields (label, gap, bound) and decides nothing itself: no
-    three-element yield in cli.py holds a comparison, cli._run_check is the only function
-    that orders a gap against a bound, and the library reports carry no verdict."""
+    three-element yield in cli.py holds a comparison, no bound is a numeric literal scaled
+    or raised (a row gates on a computed radius, 10^-tol or the Bessel row's one constant),
+    cli._run_check is the only function that orders a gap against a bound, and the library
+    reports carry no verdict."""
     tree = ast.parse((Path(asaikit.__file__).parent / "cli.py").read_text())
     numeric = [
         node.value
@@ -125,6 +128,13 @@ def test_one_gate_for_every_verify_row():
     ]
     assert numeric
     assert not [case.lineno for case in numeric if any(isinstance(n, ast.Compare) for n in ast.walk(case))]
+    chosen = [
+        case.lineno
+        for case in numeric
+        if isinstance(case.elts[2], ast.BinOp)
+        and any(isinstance(n, ast.Constant) and isinstance(n.value, (int, float)) for n in ast.walk(case.elts[2]))
+    ]
+    assert not chosen
     ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
     gates = {
         fn.name
@@ -138,6 +148,50 @@ def test_one_gate_for_every_verify_row():
     assert gates == {"_run_check"}
     for report in (distribution.IdentityReport, arith.BesselMomentReport):
         assert not {f.name for f in dataclasses.fields(report)} & {"passed", "agree"}, report.__name__
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of the README table under the line ``header``; a cell may hold
+    an escaped pipe."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    return rows
+
+
+def test_readme_verify_tables_match_the_code():
+    """The README lists, per suite, the flags its builder reads (RunConfig's flag metadata of
+    the builder's parameters), and states a bound for exactly the checks whose cases yield
+    (label, gap, bound)."""
+    flag = {f.name: f.metadata["flag"] for f in dataclasses.fields(cli.RunConfig)}
+    listed = {}
+    for suites, reads in _readme_table("| suite | reads |"):
+        for suite in re.findall(r"`(\w+)`", suites):
+            listed[suite] = set(re.findall(r"`(--\w+)`", reads))
+    assert listed == {
+        suite: {flag[name] for name in inspect.signature(builder).parameters}
+        for suite, builder in cli.SUITE_BUILDERS.items()
+    }
+    tree = ast.parse((Path(asaikit.__file__).parent / "cli.py").read_text())
+    builders = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    numeric = set()
+    for suite, builder in cli.SUITE_BUILDERS.items():
+        fn = builders[builder.__name__]
+        gapped = {
+            case.name
+            for case in fn.body
+            if isinstance(case, ast.FunctionDef)
+            and any(
+                isinstance(n, ast.Yield) and isinstance(n.value, ast.Tuple) and len(n.value.elts) == 3
+                for n in ast.walk(case)
+            )
+        }
+        returned = fn.body[-1].value.elts  # [(name, anchor, cases()), ...]
+        numeric |= {f"{suite}/{row.elts[0].value}" for row in returned if row.elts[-1].func.id in gapped}
+    assert {row[0].strip("`") for row in _readme_table("| check | gap | bound |")} == numeric
 
 
 def test_bench_tracer_targets_resolve():
@@ -348,6 +402,34 @@ def test_integer_exact_kernel():
     assert not hasattr(importlib.import_module("asaikit.eisenstein"), "QuadCoeff")
 
 
+def test_euler_product_on_the_table_walk():
+    """The Euler-product check multiplies the local inverse factors by the walk that builds
+    every coefficient table, and reads d(r) pointwise: no table of the form, and no second
+    product loop.  The walk has exactly the two callers."""
+    called = _names_called(_function("asai.py", "euler_vs_coefficients"))
+    assert {"_multiplicative_table", "local_asai_factor", "asai_coeff"} <= called
+    assert not called & {"tabulate", "nonzero", "_coeff_from_factorization"}
+    tree = ast.parse((Path(asaikit.__file__).parent / "asai.py").read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and "_multiplicative_table" in _names_called(fn)
+    }
+    assert callers == {"tabulate", "euler_vs_coefficients"}
+
+
+def test_eisenstein_weight_checked_once():
+    """cmd_eisenstein leaves the weight to LevelParams, whose ValueError it turns into exit 2."""
+    fn = _function("cli.py", "cmd_eisenstein")
+    on_k = [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Attribute) and n.attr == "k" for n in ast.walk(node))
+    ]
+    assert not on_k
+
+
 def test_one_translation_path():
     """translate is sl2_act of the translation matrix, and the denominator lemma translates
     and projects through the public functions, so the traced bench names time that work."""
@@ -368,6 +450,7 @@ REMOVED = {
     ("arith", None): ("cyclotomic_mul", "frequency_sum", "character_sum", "kronecker_symbol", "_binomial"),
     ("eisenstein", None): ("_exponent_histogram",),
     ("padic", None): ("integrality_bound_check",),
+    ("cohomology", None): ("_half_representatives",),
 }
 
 
@@ -393,7 +476,7 @@ def test_units_come_from_the_unit_group():
     loops = [
         ("padic.py", "padic_valuation"),
         ("distribution.py", "integrate_character"),
-        ("cohomology.py", "_half_representatives"),
+        ("cohomology.py", "rationality_ratio"),
         ("cli.py", "dist_relation"),
         ("cli.py", "dirac_control"),
         ("cli.py", "cmd_kummer"),
