@@ -6,7 +6,9 @@ Everything here is immutable and pure.  Rational numbers are stdlib
 ``fractions.Fraction`` (always lowest terms, positive denominator);
 cyclotomic numbers are integer coefficient vectors over one positive
 denominator, reduced modulo the m-th cyclotomic polynomial and kept in
-lowest terms, so equality of values is equality of vectors.  Floats are
+lowest terms, so equality of values is equality of vectors; the norm and
+inverse come from the Galois conjugates, through one product
+(``CyclotomicNumber._other_conjugates``).  Floats are
 refused wherever an exact value is expected.  Likewise a Ball takes only
 Balls as operands, so every rounded value carries its error, and its own
 precision (see ``Ball``); the Bessel quadratures run in a per-thread mpmath
@@ -160,14 +162,12 @@ def euler_phi(n: int) -> int:
 
 
 class ArithTables:
-    """Sieved Moebius and prime tables up to a bound."""
+    """The Moebius function up to a bound, from the sieved sign masks."""
 
     def __init__(self, bound: int):
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        self.bound = bound
         self._plus, self._minus = _mobius_sign_masks(bound)
-        self.primes = primes_up_to(bound)
 
     def mobius(self, n: int) -> int:
         return self._plus[n] - self._minus[n]
@@ -365,10 +365,22 @@ class CyclotomicNumber:
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1 % self.order) if self.order > 1 else self
 
+    def _other_conjugates(self) -> "CyclotomicNumber":
+        """prod_(t != 1) sigma_t(self), over the units t mod the order; times self it is the norm.
+
+        The units are listed here as the t in 2..m-1 prime to m rather than read
+        from ``characters._unit_group``, which sits above this module.
+        """
+        m = self.order
+        rest = CyclotomicNumber.from_rational(1, m)
+        for t in range(2, m):
+            if gcd(t, m) == 1:
+                rest = rest * self.galois(t)
+        return rest
+
     def norm(self) -> Fraction:
-        """Product of all Galois conjugates: det(multiplication by num) / den^phi."""
-        det, _ = _bareiss_solve(_multiplication_matrix(self))
-        return Fraction(det, self.den ** len(self.num))
+        """Product of all Galois conjugates, prod_t sigma_t(self) over the units t mod the order."""
+        return (self * self._other_conjugates()).as_rational()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -421,16 +433,13 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse, from num y = 1 solved by fraction-free elimination on the integers."""
+        """Multiplicative inverse from the Galois conjugates: prod_(t != 1) sigma_t(self) / N(self)."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
         if self.is_rational():
             return CyclotomicNumber.from_rational(Fraction(self.den, self.num[0]), self.order)
-        # sol = det y, det the determinant of multiplication by num: (num / den)^(-1) = den sol / det
-        det, sol = _bareiss_solve(_multiplication_matrix(self))
-        if det < 0:
-            det, sol = -det, [-c for c in sol]
-        return CyclotomicNumber._make(self.order, tuple(self.den * c for c in sol), det)
+        rest = self._other_conjugates()
+        return rest * (1 / (self * rest).as_rational())
 
     def __truediv__(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -543,51 +552,6 @@ def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
                 if bj:
                     out[i + j] += ai * bj
     return out
-
-
-def _multiplication_matrix(x: CyclotomicNumber) -> list[list[int]]:
-    """The integer matrix of y -> num y on the power basis: column j is num zeta^j reduced."""
-    col = list(x.num)
-    cols = [col]
-    for _ in range(len(col) - 1):
-        col = _reduce_mod_cyclotomic([0] + col, x.order)
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
-
-
-def _bareiss_solve(rows: list[list[int]]) -> tuple[int, list[int] | None]:
-    """(det A, det A times A^(-1) e_0) for a square integer matrix A; (0, None) when A is singular.
-
-    Bareiss's fraction-free elimination: every entry stays an integer (a
-    minor of A) and every division is exact, and so is each step of the back
-    substitution, as det A times A^(-1) e_0 is integral by Cramer's rule.
-    """
-    n = len(rows)
-    a = [row + [int(i == 0)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        rk = a[k]
-        akk = rk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            aik = ri[k]
-            a[i] = ri[: k + 1] + [(akk * x - aik * y) // prev for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
-        prev = akk
-    det = sign * a[-1][n - 1]
-    if not det:
-        return 0, None
-    sol = [0] * n
-    for i in range(n - 1, -1, -1):
-        ri = a[i]
-        acc = det * ri[n] - sum(ri[j] * sol[j] for j in range(i + 1, n))
-        sol[i] = acc // ri[i]
-    return det, sol
 
 
 def cyclotomic_dot(pairs: Iterable[tuple[CyclotomicNumber, CyclotomicNumber]]) -> CyclotomicNumber:

@@ -29,7 +29,6 @@ __all__ = [
     "QuadFieldData",
     "MockEigenform",
     "OrdinaryData",
-    "hecke_power",
     "coeff_principal",
     "asai_coeff",
     "local_asai_factor",
@@ -292,15 +291,6 @@ def _extend_hecke_powers(powers: list[Fraction], norm_pow: Fraction, e: int) -> 
     c_l = powers[1]
     while len(powers) <= e:
         powers.append(c_l * powers[-1] - norm_pow * powers[-2])
-
-
-def hecke_power(c_l: Rational, norm_pow: Rational, e: int) -> Fraction:
-    """c(L^e) from c(L^(e+1)) = c(L) c(L^e) - Nm(L)^(k-1) c(L^(e-1)), c(L^0) = 1."""
-    if e < 0:
-        raise ValueError("e must be >= 0")
-    powers = [Fraction(1), Fraction(c_l)]
-    _extend_hecke_powers(powers, Fraction(norm_pow), e)
-    return powers[e]
 
 
 def coeff_principal(f: MockEigenform, r: int) -> Fraction:

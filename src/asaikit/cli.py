@@ -809,7 +809,12 @@ def cmd_kummer(args) -> int:
         units = f"{p}^{j + args.depth}"
         print(f"error: --j + --depth lists the units mod {units}, over {MAX_GLUE_UNITS:,}", file=sys.stderr)
         return 2
-    try:  # the characters, once the cap holds, and every slice the sweep and gluing read
+    top = p ** (j + args.depth)
+    deep = next((cond for _, cond, *_ in rows if cond > top), None)
+    if deep is not None:  # from_rows lists every character mod each entry's modulus
+        print(f"error: entry modulus {deep} is above p^(j + depth) = {top}, the deepest level read", file=sys.stderr)
+        return 2
+    try:  # the characters, once both caps hold, and every slice the sweep and gluing read
         table = padic.MeasureTable.from_rows(p, n, rows)
         sub = padic.level_view(table, 0, j)
         for m in table.ms():

@@ -7,7 +7,7 @@ from math import comb, gcd, lcm, log
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import mpc_expjpi
@@ -70,7 +70,7 @@ class TestBernoulli:
     def test_von_staudt_clausen(self):
         for k in range(2, 31, 2):
             prod = 1
-            for p in ArithTables(k + 2).primes:
+            for p in primes_up_to(k + 2):
                 if k % (p - 1) == 0:
                     prod *= p
             assert bernoulli_number(k).denominator == prod
@@ -276,6 +276,32 @@ class TestIntegerKernel:
         q = CyclotomicNumber(m, u) / CyclotomicNumber(m, v)
         assert _canonical_form(q)
         assert _oracle_mul(q.coeffs, v, m) == u
+
+    @settings(max_examples=20, deadline=None)
+    @given(TWO_VECTORS, st.integers(0, 60))
+    @example((1, (F(-3, 2),), (F(4),)), 0)
+    @example((12, (F(5, 3), F(0), F(0), F(0)), (F(1), F(-2), F(0), F(1, 2))), 1)
+    @example((6, (F(2), F(-1)), (F(1, 3), F(5))), 1)
+    @example((30, tuple(F(i % 5 - 2, 1 + i % 3) for i in range(8)), (F(7),) + (F(0),) * 7), 3)
+    @example((58, tuple(F((-1) ** i * i, 1 + i % 4) for i in range(28)), (F(1),) * 28), 5)
+    def test_norm_and_inverse(self, data, k):
+        """The norm against the product of the embeddings at every primitive e(t/m), at 200 bits;
+        the inverse, its commuting with the Galois action, and the multiplicativity of the norm."""
+        m, u, v = data
+        a, b = CyclotomicNumber(m, u), CyclotomicNumber(m, v)
+        assume(not a.is_zero())
+        units = [t for t in range(m) if gcd(t, m) == 1]
+        norm = a.norm()
+        with mp.workprec(200):
+            want = mpmath.mpc(1)
+            for t in units:
+                want *= sum((to_mpf(c, 200) * mpmath.expjpi(mpmath.mpf(2 * i * t) / m) for i, c in enumerate(u)), mpmath.mpc(0))
+            assert abs(want - to_mpf(norm, 200)) <= 2.0**-100 * (1 + abs(want))
+        inv = a.inverse()
+        assert _canonical_form(inv) and a * inv == 1
+        t = units[k % len(units)]
+        assert a.galois(t).inverse() == inv.galois(t)
+        assert (a * b).norm() == norm * b.norm()
 
     @settings(max_examples=30, deadline=None)
     @given(ONE_VECTOR, SMALL_RATIONAL, st.integers(-7, 7))
@@ -521,6 +547,7 @@ class TestIsPrime:
 class TestArithTables:
     def test_sieve_vs_trial_division(self):
         t = ArithTables(10**4)
+        primes = primes_up_to(10**4)
         rng = random.Random(4)
         for n in [rng.randint(2, 10**4) for _ in range(200)]:
             fac = factorize(n)
@@ -528,7 +555,7 @@ class TestArithTables:
             for q, e in fac:
                 prod *= q**e
             assert prod == n
-            assert [q for q, _ in fac] == [q for q in t.primes if n % q == 0]
+            assert [q for q, _ in fac] == [q for q in primes if n % q == 0]
             # phi by the product formula
             phi = n
             for q, _ in fac:
@@ -545,9 +572,10 @@ class TestArithTables:
                 assert t.mobius(p * p * m) == 0
 
     def test_prime_sieve_matches_tables(self):
+        """The sieve against the Miller-Rabin test, one prime at a time."""
         assert primes_up_to(0) == primes_up_to(1) == []
         for n in list(range(1, 200)) + [10**4, 10**4 + 7]:
-            assert primes_up_to(n) == ArithTables(n).primes
+            assert primes_up_to(n) == [q for q in range(n + 1) if is_prime(q)]
 
 
 class TestBessel:

@@ -17,12 +17,12 @@ from asaikit.asai import (
     FUNDAMENTAL_D,
     MockEigenform,
     QuadFieldData,
+    _extend_hecke_powers,
     _power_series_inverse,
     asai_coeff,
     coeff_principal,
     dump_eigenform,
     euler_vs_coefficients,
-    hecke_power,
     load_eigenform,
     local_asai_factor,
     ordinary_data,
@@ -39,11 +39,9 @@ class TestQuadField:
                 QuadFieldData(D)
 
     def test_splitting_vs_quadratic_residues(self):
-        from asaikit.arith import ArithTables
-
         for D in FUNDAMENTAL_D:
             fld = QuadFieldData(D)
-            for l in ArithTables(500).primes:
+            for l in primes_up_to(500):
                 s = fld.splitting(l)
                 if D % l == 0:
                     assert s == "ramified"
@@ -75,28 +73,35 @@ class TestQuadField:
                     assert field.is_integral(e.a, e.b, e.den) == want, (a, b, den)
 
 
+def hecke_powers(c_l, norm_pow, e):
+    """[c(L^0), ..., c(L^e)] from c(L) and Nm(L)^(k-1), extended in one call."""
+    powers = [F(1), F(c_l)]
+    _extend_hecke_powers(powers, F(norm_pow), e)
+    return powers
+
+
 class TestHeckePower:
     def test_base_and_example(self):
-        assert hecke_power(3, 5, 0) == 1
-        assert hecke_power(3, 5, 1) == 3
-        assert hecke_power(3, 5, 2) == 4  # 3*3 - 5
+        assert hecke_powers(3, 5, 2) == [1, 3, 4]  # 3*3 - 5
 
     def test_rational_roots_oracle(self):
         # factor the quadratic and compare with the power sum
         for (a1, a2) in ((F(2), F(7)), (F(-1), F(3)), (F(1, 2), F(8))):
-            for e in range(7):
-                want = sum(a1**i * a2 ** (e - i) for i in range(e + 1))
-                assert hecke_power(a1 + a2, a1 * a2, e) == want
+            want = [sum(a1**i * a2 ** (e - i) for i in range(e + 1)) for e in range(7)]
+            assert hecke_powers(a1 + a2, a1 * a2, 6) == want
 
-    def test_power_lists_match_hecke_power(self):
+    def test_power_lists_match_one_shot_extension(self):
         """The per-ideal lists of c(L^e), extended one step per new power in a random
-        order of requests, hold hecke_power's value at every e <= 40."""
+        order of requests, equal the list extended to e = 40 in one call."""
         f = sample_form(seed=7, k=4)
         rng = random.Random(3)
         ideals = [(l, which) for l in (2, 3, 7, 11, 13, 5) for which in (0, 1)]
+        want = {
+            (l, which): hecke_powers(f.c_at_ideal(l, which), F(f.field.ideal_norm(l)) ** (f.k - 1), 40)
+            for l, which in ideals
+        }
         for l, which, e in rng.sample([(l, w, e) for l, w in ideals for e in range(41)], 41 * len(ideals)):
-            norm_pow = F(f.field.ideal_norm(l)) ** (f.k - 1)
-            assert f._c_prime_power(l, which, e) == hecke_power(f.c_at_ideal(l, which), norm_pow, e), (l, which, e)
+            assert f._c_prime_power(l, which, e) == want[l, which][e], (l, which, e)
 
 
 def sample_form(seed=1, k=2, p=5, bound=250):
@@ -119,14 +124,14 @@ class TestCoefficients:
         assert f.field.splitting(7) == "inert"
         assert coeff_principal(f, 7) == f.c_at_ideal(7, 0)
         # a power: Hecke recursion at norm l^2
-        want = hecke_power(f.c_at_ideal(7, 0), F(49) ** (f.k - 1), 2)
+        want = hecke_powers(f.c_at_ideal(7, 0), F(49) ** (f.k - 1), 2)[2]
         assert coeff_principal(f, 49) == want
 
     def test_ramified_prime(self):
         f = sample_form()
         assert f.field.splitting(2) == "ramified"
         # (2) = L^2, so c((2)) = c(L^2)
-        want = hecke_power(f.c_at_ideal(2, 0), F(2) ** (f.k - 1), 2)
+        want = hecke_powers(f.c_at_ideal(2, 0), F(2) ** (f.k - 1), 2)[2]
         assert coeff_principal(f, 2) == want
 
     def test_asai_square_and_squarefree(self):

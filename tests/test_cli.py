@@ -663,27 +663,43 @@ class TestKummerCommand:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: --j + --depth lists the units mod")
 
-    def test_unit_cap_before_any_character(self, tmp_path, capsys, monkeypatch):
-        # one entry mod p = 100003 listed every character mod p before the unit cap refused the
-        # table: a MemoryError traceback and exit 1 after 19.4 s under a 2 GB address-space cap
-        p = 100003
+    @staticmethod
+    def refuse_character_groups(monkeypatch, M):
+        """Make padic fail on building the characters or units mod M."""
 
-        def refuse_at_p(build):
-            def checked(M):
-                if M == p:
-                    raise AssertionError(f"a character group mod {p} was built")
-                return build(M)
+        def refuse_at(build):
+            def checked(modulus):
+                if modulus == M:
+                    raise AssertionError(f"a character group mod {M} was built")
+                return build(modulus)
 
             return checked
 
         for name in ("enumerate_characters", "_unit_group"):
-            monkeypatch.setattr(padic, name, refuse_at_p(getattr(padic, name)))
+            monkeypatch.setattr(padic, name, refuse_at(getattr(padic, name)))
+
+    def test_unit_cap_before_any_character(self, tmp_path, capsys, monkeypatch):
+        # one entry mod p = 100003 listed every character mod p before the unit cap refused the
+        # table: a MemoryError traceback and exit 1 after 19.4 s under a 2 GB address-space cap
+        p = 100003
+        self.refuse_character_groups(monkeypatch, p)
         path = tmp_path / "big.mt"
         path.write_text(f"p {p}\nn 2\n" + "".join(f"entry 0 {p} {i} 2 1\n" for i in range(1, 1001)))
         assert run(["kummer", str(path), "--j", "1", "--depth", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1 and "Traceback" not in out.err
         assert out.err.startswith("error: --j + --depth lists the units mod 100003^2")
+
+    def test_entry_modulus_cap_before_any_character(self, tmp_path, capsys, monkeypatch):
+        # one entry mod 3^11 in a table read at p^(j + depth) = 9 listed every character
+        # mod 3^11: a MemoryError traceback and exit 1 under a 2 GB address-space cap
+        self.refuse_character_groups(monkeypatch, 3**11)
+        path = tmp_path / "deep.mt"
+        path.write_text(dirac_measure_table(3, 2, 4, 1).dumps() + f"entry 0 {3**11} 1 2 1\n")
+        assert run(["kummer", str(path), "--j", "1", "--depth", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and "Traceback" not in out.err
+        assert out.err.startswith(f"error: entry modulus {3**11} is above p^(j + depth) = 9")
 
     def test_composite_p_exit_2(self, tmp_path, capsys):
         # a table at p = 4 loaded, and the sweep printed pass with exit 0

@@ -447,7 +447,11 @@ REMOVED = {
     ("characters", None): (
         "_lift_unit", "_prime_power_factors", "normalized_L", "NormalizedLValue", "_bernoulli_L_factor"
     ),
-    ("arith", None): ("cyclotomic_mul", "frequency_sum", "character_sum", "kronecker_symbol", "_binomial"),
+    ("arith", None): (
+        "cyclotomic_mul", "frequency_sum", "character_sum", "kronecker_symbol", "_binomial",
+        "_bareiss_solve", "_multiplication_matrix",
+    ),
+    ("asai", None): ("hecke_power",),
     ("eisenstein", None): ("_exponent_histogram",),
     ("padic", None): ("integrality_bound_check",),
     ("cohomology", None): ("_half_representatives",),
@@ -472,7 +476,8 @@ def test_units_come_from_the_unit_group():
     """(Z/q)^x is listed by characters._unit_group: the unit loops read it instead of filtering
     a range by gcd (cmd_kummer keeps gcd for its families at a = 1, 2), and the Teichmueller
     base is a power of characters._primitive_root, found by no search.  glue_check (up to 10^6
-    units) and denominator_lemma_check (a drawn unit) keep their own filters."""
+    units), denominator_lemma_check (a drawn unit) and CyclotomicNumber._other_conjugates
+    (arith sits below characters) keep their own filters."""
     loops = [
         ("padic.py", "padic_valuation"),
         ("distribution.py", "integrate_character"),
@@ -505,6 +510,15 @@ def test_one_exact_l_value():
     assert "L_special_exact" in called and "_two_pi_power" not in called
     for module, name in (("characters.py", "L_truncated"), ("eisenstein.py", "higher_coeffs_analytic")):
         assert not _names_called(_function(module, name)) & {"_euler_factor", "L_special_exact"}, name
+
+
+def test_norm_and_inverse_from_the_conjugates():
+    """CyclotomicNumber.norm and .inverse both multiply by the one product of the other Galois
+    conjugates, _other_conjugates, which applies galois; neither solves a linear system."""
+    defs = _methods(ast.parse((Path(asaikit.__file__).parent / "arith.py").read_text()))
+    for name in ("CyclotomicNumber.norm", "CyclotomicNumber.inverse"):
+        assert "_other_conjugates" in _names_called(defs[name]), name
+    assert "galois" in _names_called(defs["CyclotomicNumber._other_conjugates"])
 
 
 def test_one_cyclotomic_product():
